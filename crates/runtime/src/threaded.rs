@@ -37,7 +37,7 @@ use crate::router::ShardedRouter;
 use bamboo_analysis::{DisjointnessAnalysis, UnionFind};
 use bamboo_lang::ids::{ClassId, ExitId, ParamIdx, TagTypeId, TaskId};
 use bamboo_lang::interp::TagInstance;
-use bamboo_lang::spec::{FlagOrTagAction, FlagSet, ProgramSpec};
+use bamboo_lang::spec::{FlagOrTagAction, FlagSet, ProgramSpec, TaskSpec};
 use bamboo_profile::Cycles;
 use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision};
 use bamboo_telemetry::analyze::LiveEstimator;
@@ -45,7 +45,7 @@ use bamboo_telemetry::event::{fault_code, recover_code};
 use bamboo_telemetry::{Counter, Telemetry, TimeUnit, WorkerSink, NO_ID};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -75,7 +75,7 @@ struct TObject {
     /// The serving request this object belongs to. Every object
     /// descends from exactly one injected root object and inherits its
     /// request id through release, creation, forwarding, and stealing
-    /// (request isolation — see `form_all`). Batch runs use a single
+    /// (request isolation — see `InstanceSets`). Batch runs use a single
     /// request for the whole run.
     request: u64,
     /// Instance the carrying send targeted (the object's buffering
@@ -214,8 +214,8 @@ struct Shared {
     steal_tally: AtomicU64,
     retry_tally: AtomicU64,
     /// Run-queue overflow sheds: invocations that entered `enqueue_ready`
-    /// past the owner's soft queue bound and were handed to the
-    /// least-loaded live same-group core. Mirrors the `router.shed`
+    /// past the owner's soft queue bound and were handed to a live
+    /// same-group core with a shorter queue. Mirrors the `router.shed`
     /// counter.
     shed_tally: AtomicU64,
     senders: Vec<Sender<Message>>,
@@ -491,10 +491,11 @@ impl Shared {
 
     /// Enqueues a formed invocation. The owner's queue is preferred;
     /// past the soft bound the invocation is shed to the least-loaded
-    /// core hosting the same group (stealing must be enabled — the same
-    /// interchangeability argument makes both legal). Idle same-group
-    /// peers are poked whenever the queue holds more work than the
-    /// owner can start immediately.
+    /// core hosting the same group, if that core's queue is strictly
+    /// shorter (stealing must be enabled — the same interchangeability
+    /// argument makes both legal). Idle same-group peers are poked
+    /// whenever the queue holds more work than the owner can start
+    /// immediately.
     fn enqueue_ready(&self, core: usize, inv: PendingInv) {
         let group = self.group_of_instance(inv.instance);
         let stealable = self.steal_enabled && self.group_cores[group].len() > 1;
@@ -503,11 +504,11 @@ impl Shared {
             return;
         }
         let mut queue = self.ready[core].lock();
-        if queue.len() < self.queue_cap {
+        let depth = queue.len();
+        if depth < self.queue_cap {
             queue.push_back(inv);
-            let surplus = queue.len() > 1;
             drop(queue);
-            if surplus {
+            if depth > 0 {
                 for &peer in &self.group_cores[group] {
                     if peer != core {
                         self.poke(peer);
@@ -517,21 +518,26 @@ impl Shared {
             return;
         }
         drop(queue);
-        // Shed: the owner's queue is full; hand the invocation to the
+        // The owner's queue is full: shed the invocation to the
         // least-loaded *live* same-group core (never holding two queue
-        // locks). Counted in `router.shed` so overload is visible
-        // instead of silently rebalanced.
-        self.shed_tally.fetch_add(1, Ordering::Relaxed);
-        self.shed_counter.inc();
+        // locks) — but only downhill. In a burst every queue is full,
+        // and a sideways bounce buys nothing. Counted in `router.shed`
+        // so overload is visible instead of silently rebalanced.
         let target = self.group_cores[group]
             .iter()
             .copied()
             .filter(|&c| c != core && !self.router.is_dead(c))
-            .min_by_key(|&c| self.ready[c].lock().len())
-            .unwrap_or(core);
-        self.ready[target].lock().push_back(inv);
-        if target != core {
-            self.poke(target);
+            .map(|c| (self.ready[c].lock().len(), c))
+            .min()
+            .filter(|&(len, _)| len < depth);
+        match target {
+            Some((_, peer)) => {
+                self.shed_tally.fetch_add(1, Ordering::Relaxed);
+                self.shed_counter.inc();
+                self.ready[peer].lock().push_back(inv);
+                self.poke(peer);
+            }
+            None => self.ready[core].lock().push_back(inv),
         }
     }
 
@@ -1316,26 +1322,114 @@ struct PendingInv {
     task: TaskId,
     instance: InstanceId,
     objs: Vec<Box<TObject>>,
-    tag_env: Vec<Option<TagInstance>>,
+    tag_env: TagEnv,
     /// Failed try-lock-all attempts this invocation has survived.
     retries: u64,
     /// The request all parameter objects belong to (request isolation:
-    /// `form_all` never mixes requests in one invocation).
+    /// a parameter set never mixes requests).
     request: u64,
 }
 
-/// A worker's per-instance buffering state: the parameter-set queues of
-/// every instance currently (or formerly) hosted by the core.
+/// One request's buffered objects at an instance: a FIFO per slot.
+type Bucket = Vec<VecDeque<Box<TObject>>>;
+
+/// The tag instance bound to each of a task's tag variables.
+type TagEnv = Vec<Option<TagInstance>>;
+
+/// One hosted instance's parameter sets (§4.6: one set per task
+/// parameter), keyed by request. An invocation only ever combines
+/// objects of one request, so each request's objects sit in their own
+/// bucket: formation looks at that bucket alone and a completed request
+/// is swept by dropping it — request isolation is structural. Buckets
+/// iterate in ascending request id, so every drain is deterministic; a
+/// batch run is one request, hence one bucket.
+struct InstanceSets {
+    /// The `(task, param)` key of every slot, in group task order; a
+    /// task's slots are contiguous.
+    keys: Vec<(TaskId, ParamIdx)>,
+    /// First slot of each hosted task, indexed by task id: parameter `p`
+    /// buffers in slot `first_slot[task] + p`.
+    first_slot: Vec<usize>,
+    buckets: BTreeMap<u64, Bucket>,
+}
+
+impl InstanceSets {
+    fn new(spec: &ProgramSpec, tasks: &[TaskId]) -> Self {
+        let mut keys = Vec::new();
+        let mut first_slot = vec![usize::MAX; spec.tasks.len()];
+        for &task in tasks {
+            first_slot[task.index()] = keys.len();
+            keys.extend((0..spec.task(task).params.len()).map(|p| (task, ParamIdx::new(p))));
+        }
+        InstanceSets {
+            keys,
+            first_slot,
+            buckets: BTreeMap::new(),
+        }
+    }
+
+    /// The first slot whose parameter accepts `obj` (class and guard).
+    fn slot_for(&self, spec: &ProgramSpec, obj: &TObject) -> Option<usize> {
+        self.keys
+            .iter()
+            .enumerate()
+            .find_map(|(slot, (task, param))| {
+                let pspec = &spec.task(*task).params[param.index()];
+                (pspec.class == obj.class && pspec.guard.eval(obj.flags)).then_some(slot)
+            })
+    }
+
+    /// Buffers `obj` in `slot` of its request's bucket; returns the task
+    /// the slot belongs to.
+    fn push(&mut self, slot: usize, obj: Box<TObject>) -> TaskId {
+        let slots = self.keys.len();
+        self.buckets
+            .entry(obj.request)
+            .or_insert_with(|| (0..slots).map(|_| VecDeque::new()).collect())[slot]
+            .push_back(obj);
+        self.keys[slot].0
+    }
+
+    /// Removes and returns one full parameter set of `task` from
+    /// `request`'s bucket, with the tag environment it bound.
+    #[allow(clippy::vec_box)] // see `PendingInv::objs`
+    fn form(
+        &mut self,
+        spec: &ProgramSpec,
+        task: TaskId,
+        request: u64,
+    ) -> Option<(Vec<Box<TObject>>, TagEnv)> {
+        let tspec = spec.task(task);
+        let base = self.first_slot[task.index()];
+        let sets = &mut self.buckets.get_mut(&request)?[base..base + tspec.params.len()];
+        let (picks, tag_env) = try_form(tspec, sets)?;
+        let objs = picks
+            .into_iter()
+            .zip(sets)
+            .map(|(idx, set)| set.remove(idx).expect("picked index valid"))
+            .collect();
+        Some((objs, tag_env))
+    }
+
+    /// Removes every buffered object: ascending request, then slot
+    /// order, then FIFO.
+    fn drain(&mut self) -> impl Iterator<Item = Box<TObject>> {
+        std::mem::take(&mut self.buckets)
+            .into_values()
+            .flat_map(|bucket| bucket.into_iter().flatten())
+    }
+}
+
+/// A worker's buffering state: the parameter sets of every instance
+/// currently (or formerly) hosted by the core.
 ///
 /// `assigned` caches the worker's slice of the live assignment table
 /// and is rebuilt whenever the relayout epoch moves — one atomic load
-/// per delivery otherwise. `sets`/`slots` keep entries for
-/// migrated-away instances until their `Migrate` drain empties them
-/// (and for failover guests, which are handled through the same maps).
+/// per delivery otherwise. `hosted` keeps the sets of migrated-away
+/// instances too: their `Migrate` drain empties them.
 struct WorkerSets {
     assigned: Vec<InstanceId>,
-    slots: HashMap<InstanceId, Vec<(TaskId, ParamIdx)>>,
-    sets: HashMap<InstanceId, Vec<VecDeque<Box<TObject>>>>,
+    hosted: BTreeMap<InstanceId, InstanceSets>,
     epoch: u64,
 }
 
@@ -1343,8 +1437,7 @@ impl WorkerSets {
     fn new() -> Self {
         WorkerSets {
             assigned: Vec::new(),
-            slots: HashMap::new(),
-            sets: HashMap::new(),
+            hosted: BTreeMap::new(),
             // Forces the first `refresh` to build the epoch-0 cache.
             epoch: u64::MAX,
         }
@@ -1354,7 +1447,8 @@ impl WorkerSets {
     /// moved since the last call; a cheap no-op otherwise. Assigned
     /// instances are kept in ascending id order, matching the epoch-0
     /// `Layout::instances_on` order, so an adapt-free run is
-    /// byte-identical to the pre-adapt executor.
+    /// byte-identical to the pre-adapt executor. An instance this
+    /// worker has never buffered for gets its (empty) sets here.
     fn refresh(&mut self, core: usize, shared: &Shared, spec: &ProgramSpec) {
         let epoch = shared.epoch.load(Ordering::Acquire);
         if epoch == self.epoch {
@@ -1365,28 +1459,12 @@ impl WorkerSets {
             .filter(|&i| shared.assignment[i].load(Ordering::Acquire) == core)
             .map(|i| InstanceId(i as u32))
             .collect();
-        for i in 0..self.assigned.len() {
-            let inst = self.assigned[i];
-            self.ensure(shared, spec, inst);
+        for &inst in &self.assigned {
+            self.hosted.entry(inst).or_insert_with(|| {
+                let group = shared.layout.instances[inst.index()].group.index();
+                InstanceSets::new(spec, &shared.graph.groups[group].tasks)
+            });
         }
-    }
-
-    /// Creates the (task, param) slot keys and empty queues for `inst`
-    /// if this worker has never buffered for it.
-    fn ensure(&mut self, shared: &Shared, spec: &ProgramSpec, inst: InstanceId) {
-        if self.slots.contains_key(&inst) {
-            return;
-        }
-        let group = &shared.graph.groups[shared.layout.instances[inst.index()].group.index()];
-        let mut keys = Vec::new();
-        for task in &group.tasks {
-            for p in 0..spec.task(*task).params.len() {
-                keys.push((*task, ParamIdx::new(p)));
-            }
-        }
-        self.sets
-            .insert(inst, (0..keys.len()).map(|_| VecDeque::new()).collect());
-        self.slots.insert(inst, keys);
     }
 }
 
@@ -1414,7 +1492,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
             }
             Ok(Message::Poke) => {}
             Ok(Message::Sweep(request)) => {
-                sweep_sets(shared.as_ref(), &mut state, request);
+                sweep_sets(&shared.graveyard, &mut state, request);
                 continue;
             }
             Ok(Message::Migrate(inst)) => {
@@ -1463,7 +1541,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
                         on_deliver(core, &shared, &spec, &mut state, obj, &mut sink);
                     }
                     Message::Poke => {}
-                    Message::Sweep(request) => sweep_sets(shared.as_ref(), &mut state, request),
+                    Message::Sweep(request) => sweep_sets(&shared.graveyard, &mut state, request),
                     Message::Migrate(inst) => {
                         migrate_drain(core, &shared, &spec, &mut state, inst, &mut sink)
                     }
@@ -1475,11 +1553,9 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
     }
     // Drain remaining parameter-set objects so results are extractable
     // (including leftovers of instances that migrated away mid-run).
-    for (_, inst_sets) in state.sets {
-        for mut set in inst_sets {
-            while let Some(obj) = set.pop_front() {
-                let _ = shared.graveyard.send(obj);
-            }
+    for sets in state.hosted.values_mut() {
+        for obj in sets.drain() {
+            let _ = shared.graveyard.send(obj);
         }
     }
 }
@@ -1503,17 +1579,16 @@ fn migrate_drain(
     // assigned cache before any follow-on delivery is handled.
     state.refresh(core, shared, spec);
     let mut moved = 0u64;
-    if let Some(mut inst_sets) = state.sets.remove(&inst) {
-        for set in inst_sets.iter_mut() {
-            while let Some(obj) = set.pop_front() {
-                let ts = sink.now();
-                let (dest_core, msg) = shared.send_adopted(core as u64, inst, obj, sink);
-                sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-                moved += 1;
-            }
+    // The emptied sets stay: the instance may already be assigned here
+    // again (it migrated back before this drain ran).
+    if let Some(sets) = state.hosted.get_mut(&inst) {
+        for obj in sets.drain() {
+            let ts = sink.now();
+            let (dest_core, msg) = shared.send_adopted(core as u64, inst, obj, sink);
+            sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+            moved += 1;
         }
     }
-    state.slots.remove(&inst);
     sink.relayout(
         sink.now(),
         shared.epoch.load(Ordering::Acquire),
@@ -1526,18 +1601,16 @@ fn migrate_drain(
 /// graveyard. Safe because the request's ledger count reaching zero is
 /// final: no invocation of that request can form afterwards, so the
 /// leftovers are exactly the run's finished objects for that request.
-fn sweep_sets(shared: &Shared, state: &mut WorkerSets, request: u64) {
-    for inst_sets in state.sets.values_mut() {
-        for set in inst_sets.iter_mut() {
-            let mut kept = VecDeque::with_capacity(set.len());
-            while let Some(obj) = set.pop_front() {
-                if obj.request == request {
-                    let _ = shared.graveyard.send(obj);
-                } else {
-                    kept.push_back(obj);
-                }
-            }
-            *set = kept;
+fn sweep_sets(graveyard: &Sender<Box<TObject>>, state: &mut WorkerSets, request: u64) {
+    for sets in state.hosted.values_mut() {
+        for obj in sets
+            .buckets
+            .remove(&request)
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            let _ = graveyard.send(obj);
         }
     }
 }
@@ -1601,19 +1674,17 @@ fn die_and_forward(
         // `send` performs the dead-destination failover since this core
         // is already marked dead.
         let mut moved = 0u64;
-        for (&inst, inst_sets) in state.sets.iter_mut() {
-            for set in inst_sets.iter_mut() {
-                while let Some(obj) = set.pop_front() {
-                    // Buffered objects hold no activity (their delivery
-                    // units were released on arrival); the re-send mints
-                    // a fresh unit inside `send` before the handoff. A
-                    // completed request's leftovers travel adopted so
-                    // its ledger entry is never resurrected.
-                    let ts = sink.now();
-                    let (dest_core, msg) = shared.send_adopted(core as u64, inst, obj, sink);
-                    sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-                    moved += 1;
-                }
+        for (&inst, sets) in state.hosted.iter_mut() {
+            for obj in sets.drain() {
+                // Buffered objects hold no activity (their delivery
+                // units were released on arrival); the re-send mints a
+                // fresh unit inside `send` before the handoff. A
+                // completed request's leftovers travel adopted so its
+                // ledger entry is never resurrected.
+                let ts = sink.now();
+                let (dest_core, msg) = shared.send_adopted(core as u64, inst, obj, sink);
+                sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+                moved += 1;
             }
         }
         shared.recovery_tally.fetch_add(1, Ordering::Relaxed);
@@ -1666,16 +1737,11 @@ fn forward_obj(
     obj: Box<TObject>,
     sink: &mut WorkerSink,
 ) {
-    let target = state.assigned.iter().find_map(|inst| {
-        state.slots[inst]
-            .iter()
-            .any(|(task, param)| {
-                let pspec = &spec.task(*task).params[param.index()];
-                pspec.class == obj.class && pspec.guard.eval(obj.flags)
-            })
-            .then_some(*inst)
-    });
-    if let Some(inst) = target {
+    let target = state
+        .assigned
+        .iter()
+        .find(|inst| state.hosted[inst].slot_for(spec, &obj).is_some());
+    if let Some(&inst) = target {
         let ts = sink.now();
         let (dest_core, msg) = shared.send(core as u64, inst, obj, sink);
         sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
@@ -1705,9 +1771,16 @@ fn forward_obj(
     }
 }
 
-/// Handles one delivered object: enqueue or forward it, form every
+/// Handles one delivered object: buffer or forward it, form every
 /// invocation it completes, then release the message's activity (the
-/// formed invocations carry their own, counted in `form_all` first).
+/// formed invocations carry their own, counted first).
+///
+/// Formation is attempted only for the task whose slot the object landed
+/// in, at that instance, for the object's request. That is complete:
+/// this function is the only writer of the sets and loops until no full
+/// pick remains, so nothing formable is ever left behind, and a set can
+/// become formable only through the object that just arrived — which
+/// sits in exactly one slot of one request's bucket.
 fn on_deliver(
     core: usize,
     shared: &Shared,
@@ -1727,8 +1800,39 @@ fn on_deliver(
         sink.queue_depth(ts, shared.senders[core].len() as u64, ready);
     }
     let request = obj.request;
-    deliver(core, shared, spec, state, obj, sink);
-    form_all(core, shared, spec, state, sink);
+    if let Some((inst, task)) = deliver(core, shared, spec, state, obj, sink) {
+        let sets = state.hosted.get_mut(&inst).expect("delivered there");
+        while let Some((objs, tag_env)) = sets.form(spec, task, request) {
+            // Mint the invocation id and record formation (the
+            // queue-enter timestamp) plus one causal edge per consumed
+            // object before the invocation becomes stealable — after
+            // that, another core may execute it.
+            let id = shared.next_inv.fetch_add(1, Ordering::Relaxed) + 1;
+            if sink.is_enabled() {
+                let ts = sink.now();
+                sink.inv_queued(ts, id, inst.index() as u64, task.index() as u64, request);
+                for obj in &objs {
+                    sink.inv_link(ts, id, obj.producer, obj.msg);
+                }
+            }
+            // Count the invocation's activity *before* it becomes
+            // visible to this core's queue (and to thieves).
+            shared.activity.fetch_add(1, Ordering::SeqCst);
+            shared.ledger.inc(request);
+            shared.enqueue_ready(
+                core,
+                PendingInv {
+                    id,
+                    task,
+                    instance: inst,
+                    objs,
+                    tag_env,
+                    retries: 0,
+                    request,
+                },
+            );
+        }
+    }
     shared.release_activity(request, sink);
 }
 
@@ -1783,6 +1887,8 @@ fn dispatch(
     }
 }
 
+/// Buffers `obj` in a local parameter set and returns the instance and
+/// task it landed at, or redirects, forwards or retires it (`None`).
 fn deliver(
     core: usize,
     shared: &Shared,
@@ -1790,7 +1896,7 @@ fn deliver(
     state: &mut WorkerSets,
     obj: Box<TObject>,
     sink: &mut WorkerSink,
-) {
+) -> Option<(InstanceId, TaskId)> {
     // Redirect-first: an object that raced a hot relayout chases its
     // instance to the instance's current core. Only when that core is
     // live — a dead assigned core keeps the failover semantics (the
@@ -1801,7 +1907,7 @@ fn deliver(
         let instance = obj.instance;
         let (dest_core, msg) = shared.send(core as u64, instance, obj, sink);
         sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-        return;
+        return None;
     }
     // Enqueue at the first instance on this core with a matching slot.
     // (With several same-group instances per core this coarsens the
@@ -1814,20 +1920,10 @@ fn deliver(
     // guards overlap and only the second can make progress — the
     // synthesis pipeline never produces such programs, and the virtual
     // executor handles them.
-    for idx in 0..state.assigned.len() {
-        let inst = state.assigned[idx];
-        let keys = &state.slots[&inst];
-        let mut matched = None;
-        for (slot, (task, param)) in keys.iter().enumerate() {
-            let pspec = &spec.task(*task).params[param.index()];
-            if pspec.class == obj.class && pspec.guard.eval(obj.flags) {
-                matched = Some(slot);
-                break;
-            }
-        }
-        if let Some(slot) = matched {
-            state.sets.get_mut(&inst).expect("ensured with slots")[slot].push_back(obj);
-            return;
+    for &inst in &state.assigned {
+        let sets = state.hosted.get_mut(&inst).expect("created by refresh");
+        if let Some(slot) = sets.slot_for(spec, &obj) {
+            return Some((inst, sets.push(slot, obj)));
         }
     }
     // No local slot matches: forward to the consuming group, or retire
@@ -1859,129 +1955,27 @@ fn deliver(
             let _ = shared.graveyard.send(obj);
         }
     }
+    None
 }
 
-fn form_all(
-    core: usize,
-    shared: &Shared,
-    spec: &ProgramSpec,
-    state: &mut WorkerSets,
-    sink: &mut WorkerSink,
-) {
-    for i in 0..state.assigned.len() {
-        let inst = state.assigned[i];
-        let group = &shared.graph.groups[shared.layout.instances[inst.index()].group.index()];
-        for &task in &group.tasks {
-            'again: loop {
-                let tspec = spec.task(task);
-                let n = tspec.params.len();
-                if n == 0 {
-                    break;
-                }
-                // Request isolation: an invocation only combines
-                // objects of one request. Try each distinct request
-                // present in the first parameter's slot (FIFO order, so
-                // older requests are not starved by newer arrivals)
-                // until one can complete a full parameter pick. A
-                // single-request (batch) run degenerates to exactly the
-                // pre-ledger formation order.
-                let slots = &state.slots[&inst];
-                let sets = &state.sets[&inst];
-                let slot0 = slots
-                    .iter()
-                    .position(|(t, pi)| *t == task && pi.index() == 0)
-                    .expect("slot exists");
-                let mut tried: Vec<u64> = Vec::new();
-                let mut formed = None;
-                for idx0 in 0..sets[slot0].len() {
-                    let request = sets[slot0][idx0].request;
-                    if tried.contains(&request) {
-                        continue;
-                    }
-                    tried.push(request);
-                    if let Some((picks, tag_env)) = try_form(spec, task, slots, sets, request) {
-                        formed = Some((picks, tag_env, request));
-                        break;
-                    }
-                }
-                let Some((picks, tag_env, request)) = formed else {
-                    break 'again;
-                };
-                // Extract picked objects; each param has its own slot, so
-                // earlier removals do not shift later picks.
-                let sets = state.sets.get_mut(&inst).expect("ensured with slots");
-                let mut objs = Vec::with_capacity(n);
-                for (slot, idx) in picks {
-                    let obj = sets[slot].remove(idx).expect("picked index valid");
-                    objs.push(obj);
-                }
-                // Mint the invocation id and record formation (the
-                // queue-enter timestamp) plus one causal edge per
-                // consumed object before the invocation becomes
-                // stealable — after that, another core may execute it.
-                let id = shared.next_inv.fetch_add(1, Ordering::Relaxed) + 1;
-                if sink.is_enabled() {
-                    let ts = sink.now();
-                    sink.inv_queued(ts, id, inst.index() as u64, task.index() as u64, request);
-                    for obj in &objs {
-                        sink.inv_link(ts, id, obj.producer, obj.msg);
-                    }
-                }
-                // Count the invocation's activity *before* it becomes
-                // visible to this core's queue (and to thieves).
-                shared.activity.fetch_add(1, Ordering::SeqCst);
-                shared.ledger.inc(request);
-                shared.enqueue_ready(
-                    core,
-                    PendingInv {
-                        id,
-                        task,
-                        instance: inst,
-                        objs,
-                        tag_env,
-                        retries: 0,
-                        request,
-                    },
-                );
-            }
-        }
-    }
+#[cfg(test)]
+thread_local! {
+    /// Candidates `try_form` examined on this thread (depth test).
+    static CANDIDATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// A completed parameter-set pick: the `(slot, idx)` positions of the
-/// chosen objects plus the tag environment they bound.
-type FormedSet = (Vec<(usize, usize)>, Vec<Option<TagInstance>>);
-
-/// Attempts to pick one object per parameter of `task` from one
-/// instance's slot keys and queues, restricted to objects of `request`.
-/// Returns the picked `(slot, idx)` positions and the bound tag
-/// environment, or `None` when the request cannot complete a full
-/// parameter set yet.
-fn try_form(
-    spec: &ProgramSpec,
-    task: TaskId,
-    slots: &[(TaskId, ParamIdx)],
-    sets: &[VecDeque<Box<TObject>>],
-    request: u64,
-) -> Option<FormedSet> {
-    let tspec = spec.task(task);
-    let n = tspec.params.len();
-    let mut tag_env: Vec<Option<TagInstance>> = vec![None; tspec.tag_vars.len()];
-    let mut picks: Vec<(usize, usize)> = Vec::new(); // (slot, idx)
-    for p in 0..n {
-        let slot = slots
-            .iter()
-            .position(|(t, pi)| *t == task && pi.index() == p)
-            .expect("slot exists");
-        let pspec = &tspec.params[p];
+/// Attempts to pick one object per parameter of a task from one
+/// request's queues (`sets[p]` buffers parameter `p`). Returns each
+/// parameter's picked position and the bound tag environment, or `None`
+/// when the request cannot complete a full parameter set yet.
+fn try_form(tspec: &TaskSpec, sets: &[VecDeque<Box<TObject>>]) -> Option<(Vec<usize>, TagEnv)> {
+    let mut tag_env: TagEnv = vec![None; tspec.tag_vars.len()];
+    let mut picks = Vec::with_capacity(sets.len());
+    for (pspec, set) in tspec.params.iter().zip(sets) {
         let mut found = None;
-        for (idx, cand) in sets[slot].iter().enumerate() {
-            if picks.contains(&(slot, idx)) {
-                continue;
-            }
-            if cand.request != request {
-                continue;
-            }
+        for (idx, cand) in set.iter().enumerate() {
+            #[cfg(test)]
+            CANDIDATES.with(|n| n.set(n.get() + 1));
             if !pspec.guard.eval(cand.flags) {
                 continue;
             }
@@ -2013,17 +2007,11 @@ fn try_form(
                 for (v, instn) in updates {
                     tag_env[v] = Some(instn);
                 }
-                found = Some((slot, idx));
+                found = Some(idx);
                 break;
             }
         }
-        match found {
-            Some(pick) => picks.push(pick),
-            None => return None,
-        }
-    }
-    if picks.is_empty() {
-        return None;
+        picks.push(found?);
     }
     Some((picks, tag_env))
 }
@@ -2226,6 +2214,7 @@ mod tests {
     use super::*;
     use crate::deploy::RouterPolicy;
     use crate::virtual_exec::tests_support::fanout_setup;
+    use bamboo_lang::ids::FlagId;
 
     fn deployment(
         (program, graph, layout, _machine, locks): (
@@ -2237,6 +2226,349 @@ mod tests {
         ),
     ) -> Deployment {
         Deployment::new(program, graph, layout, locks)
+    }
+
+    // ---- parameter sets: keyed structure vs the old whole-scan ----------
+
+    /// One formed invocation: task, instance index, request, the picked
+    /// objects' identities (their `lock` ids) and the bound tag
+    /// environment.
+    type Formed = (TaskId, usize, u64, Vec<usize>, TagEnv);
+
+    /// The spec the formation tests deliver into, hosted as two
+    /// instances: `[one, overlap]` and `[pair, triple]`. `one` and
+    /// `overlap` both accept an `A` with `f` set (the guard-overlap
+    /// case: it lands in `one`'s slot, the first match); `pair` and
+    /// `triple` bind their tagged parameters through one tag variable.
+    fn formation_spec() -> (ProgramSpec, [Vec<TaskId>; 2]) {
+        use bamboo_lang::builder::ProgramBuilder;
+        use bamboo_lang::spec::FlagExpr;
+        let mut b: ProgramBuilder<()> = ProgramBuilder::new("formation");
+        b.class("StartupObject", &["initialstate"]);
+        let a = b.class("A", &["f", "k"]);
+        let classes: Vec<ClassId> = ["B", "C", "D", "E", "F", "G"]
+            .iter()
+            .map(|name| b.class(name, &["f"]))
+            .collect();
+        let t = b.tag_type("T");
+        let f = FlagExpr::flag(FlagId::new(0));
+        let k = FlagExpr::flag(FlagId::new(1));
+        let one = b
+            .task("one")
+            .param("a", a, f.clone())
+            .exit("", |e| e)
+            .body(())
+            .finish();
+        let overlap = b
+            .task("overlap")
+            .param("a", a, f.clone().or(k))
+            .param("b", classes[0], f.clone())
+            .exit("", |e| e)
+            .body(())
+            .finish();
+        let pair = b
+            .task("pair")
+            .param("c", classes[1], f.clone())
+            .with_tag(t, "t")
+            .param("d", classes[2], f.clone())
+            .with_tag(t, "t")
+            .exit("", |e| e)
+            .body(())
+            .finish();
+        let triple = b
+            .task("triple")
+            .param("e", classes[3], f.clone())
+            .with_tag(t, "t")
+            .param("x", classes[4], f.clone())
+            .param("y", classes[5], f)
+            .with_tag(t, "t")
+            .exit("", |e| e)
+            .body(())
+            .finish();
+        let spec = b.build().unwrap().spec;
+        (spec, [vec![one, overlap], vec![pair, triple]])
+    }
+
+    /// Object `id` of `request`: class index 1..=7 is A..G, `flags` are
+    /// the raw flag bits, tag 0 means untagged.
+    fn test_obj(id: usize, class: usize, flags: u64, tag: u64, request: u64) -> Box<TObject> {
+        Box::new(TObject {
+            class: ClassId::new(class),
+            flags: FlagSet::from_bits(flags),
+            tags: (tag > 0)
+                .then_some((TagTypeId::new(0), TagInstance(tag)))
+                .into_iter()
+                .collect(),
+            payload: Box::new(()),
+            lock: id,
+            producer: NO_ID,
+            msg: NO_ID,
+            src_core: NO_ID,
+            request,
+            instance: InstanceId(0),
+        })
+    }
+
+    /// What `deliver` + `on_deliver` do to the sets, without the
+    /// executor around them: buffer at the first instance with a
+    /// matching slot, then form that task for that request until no
+    /// full pick remains.
+    fn arrive(spec: &ProgramSpec, insts: &mut [InstanceSets], obj: Box<TObject>) -> Vec<Formed> {
+        let request = obj.request;
+        let mut formed = Vec::new();
+        for (i, sets) in insts.iter_mut().enumerate() {
+            if let Some(slot) = sets.slot_for(spec, &obj) {
+                let task = sets.push(slot, obj);
+                while let Some((objs, tag_env)) = sets.form(spec, task, request) {
+                    let ids = objs.iter().map(|o| o.lock).collect();
+                    formed.push((task, i, request, ids, tag_env));
+                }
+                break;
+            }
+        }
+        formed
+    }
+
+    /// The formation this structure replaced, kept as the reference:
+    /// flat per-slot queues holding every request's objects, and a scan
+    /// of every instance × task × distinct request after each delivery.
+    struct RefSets {
+        tasks: Vec<TaskId>,
+        slots: Vec<(TaskId, ParamIdx)>,
+        sets: Vec<VecDeque<Box<TObject>>>,
+    }
+
+    fn ref_arrive(spec: &ProgramSpec, insts: &mut [RefSets], obj: Box<TObject>) -> Vec<Formed> {
+        for inst in insts.iter_mut() {
+            let matched = inst.slots.iter().position(|(task, param)| {
+                let pspec = &spec.task(*task).params[param.index()];
+                pspec.class == obj.class && pspec.guard.eval(obj.flags)
+            });
+            if let Some(slot) = matched {
+                inst.sets[slot].push_back(obj);
+                break;
+            }
+        }
+        let mut out = Vec::new();
+        for (i, inst) in insts.iter_mut().enumerate() {
+            for &task in &inst.tasks {
+                'again: loop {
+                    let slot0 = inst
+                        .slots
+                        .iter()
+                        .position(|(t, pi)| *t == task && pi.index() == 0)
+                        .expect("slot exists");
+                    let mut tried: Vec<u64> = Vec::new();
+                    let mut formed = None;
+                    for idx0 in 0..inst.sets[slot0].len() {
+                        let request = inst.sets[slot0][idx0].request;
+                        if tried.contains(&request) {
+                            continue;
+                        }
+                        tried.push(request);
+                        if let Some((picks, tag_env)) =
+                            ref_try_form(spec, task, &inst.slots, &inst.sets, request)
+                        {
+                            formed = Some((picks, tag_env, request));
+                            break;
+                        }
+                    }
+                    let Some((picks, tag_env, request)) = formed else {
+                        break 'again;
+                    };
+                    let ids = picks
+                        .into_iter()
+                        .map(|(slot, idx)| inst.sets[slot].remove(idx).expect("picked").lock)
+                        .collect();
+                    out.push((task, i, request, ids, tag_env));
+                }
+            }
+        }
+        out
+    }
+
+    fn ref_try_form(
+        spec: &ProgramSpec,
+        task: TaskId,
+        slots: &[(TaskId, ParamIdx)],
+        sets: &[VecDeque<Box<TObject>>],
+        request: u64,
+    ) -> Option<(Vec<(usize, usize)>, TagEnv)> {
+        let tspec = spec.task(task);
+        let mut tag_env: TagEnv = vec![None; tspec.tag_vars.len()];
+        let mut picks: Vec<(usize, usize)> = Vec::new();
+        for p in 0..tspec.params.len() {
+            let slot = slots
+                .iter()
+                .position(|(t, pi)| *t == task && pi.index() == p)
+                .expect("slot exists");
+            let pspec = &tspec.params[p];
+            let mut found = None;
+            for (idx, cand) in sets[slot].iter().enumerate() {
+                if picks.contains(&(slot, idx))
+                    || cand.request != request
+                    || !pspec.guard.eval(cand.flags)
+                {
+                    continue;
+                }
+                let mut ok = true;
+                let mut updates = Vec::new();
+                for tc in &pspec.tags {
+                    let bound = updates
+                        .iter()
+                        .find(|(v, _)| *v == tc.var.index())
+                        .map(|(_, inst)| *inst)
+                        .or(tag_env[tc.var.index()]);
+                    match bound {
+                        Some(instn) => {
+                            if !cand.tags.contains(&(tc.tag_type, instn)) {
+                                ok = false;
+                                break;
+                            }
+                        }
+                        None => match cand.tags.iter().find(|(tt, _)| *tt == tc.tag_type) {
+                            Some((_, instn)) => updates.push((tc.var.index(), *instn)),
+                            None => {
+                                ok = false;
+                                break;
+                            }
+                        },
+                    }
+                }
+                if ok {
+                    for (v, instn) in updates {
+                        tag_env[v] = Some(instn);
+                    }
+                    found = Some((slot, idx));
+                    break;
+                }
+            }
+            picks.push(found?);
+        }
+        Some((picks, tag_env))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        /// Random deliveries over 1–4 requests: the keyed structure forms
+        /// the identical sequence of invocations as the whole-scan
+        /// reference — same task, instance, request, objects and tag
+        /// environment, in the same order — and leaves the same objects
+        /// buffered.
+        #[test]
+        fn keyed_formation_matches_whole_scan_reference(
+            requests in 1u64..5,
+            deliveries in proptest::collection::vec(
+                (1usize..8, 0u64..4, 0u64..3, 0u64..4),
+                0..120,
+            ),
+        ) {
+            let (spec, hosted) = formation_spec();
+            let mut new: Vec<InstanceSets> =
+                hosted.iter().map(|tasks| InstanceSets::new(&spec, tasks)).collect();
+            let mut old: Vec<RefSets> = hosted
+                .iter()
+                .map(|tasks| {
+                    let keys = InstanceSets::new(&spec, tasks).keys;
+                    RefSets {
+                        tasks: tasks.clone(),
+                        sets: keys.iter().map(|_| VecDeque::new()).collect(),
+                        slots: keys,
+                    }
+                })
+                .collect();
+            for (id, (class, flags, tag, request)) in deliveries.into_iter().enumerate() {
+                // Three objects in four carry `f` (flag bit 0), the
+                // flag every guard but `overlap`'s `k` asks for.
+                let (flags, request) = (flags.max(1), 1 + request % requests);
+                let formed = arrive(&spec, &mut new, test_obj(id, class, flags, tag, request));
+                let expected =
+                    ref_arrive(&spec, &mut old, test_obj(id, class, flags, tag, request));
+                proptest::prop_assert_eq!(formed, expected, "after delivery {}", id);
+            }
+            for (sets, reference) in new.iter_mut().zip(old) {
+                let mut left: Vec<usize> = sets.drain().map(|o| o.lock).collect();
+                let mut expected: Vec<usize> =
+                    reference.sets.into_iter().flatten().map(|o| o.lock).collect();
+                left.sort_unstable();
+                expected.sort_unstable();
+                proptest::prop_assert_eq!(left, expected);
+            }
+        }
+    }
+
+    /// Sweeping request R sends exactly R's buffered objects to the
+    /// graveyard; every other request's queues keep their contents and
+    /// order.
+    #[test]
+    fn sweep_drops_one_request_and_leaves_the_rest_untouched() {
+        let (spec, hosted) = formation_spec();
+        let mut insts: Vec<InstanceSets> = hosted
+            .iter()
+            .map(|tasks| InstanceSets::new(&spec, tasks))
+            .collect();
+        // Nothing here completes a set: `overlap` never sees its `b`,
+        // `pair` never its `d`, `triple` never its `x`.
+        let mut swept = Vec::new();
+        for id in 0..60 {
+            let request = 1 + (id % 3) as u64;
+            let (class, flags) = [(1, 0b10), (3, 1), (5, 1), (7, 1)][id % 4];
+            let obj = test_obj(id, class, flags, 1 + (id % 2) as u64, request);
+            assert!(arrive(&spec, &mut insts, obj).is_empty());
+            if request == 2 {
+                swept.push(id);
+            }
+        }
+        let mut state = WorkerSets::new();
+        state.hosted = (0..).map(InstanceId).zip(insts).collect();
+        let ids = |bucket: &Bucket| -> Vec<Vec<usize>> {
+            bucket
+                .iter()
+                .map(|set| set.iter().map(|o| o.lock).collect())
+                .collect()
+        };
+        let snapshot = |state: &WorkerSets| -> Vec<(u64, Vec<Vec<usize>>)> {
+            state
+                .hosted
+                .values()
+                .flat_map(|sets| sets.buckets.iter().map(|(r, b)| (*r, ids(b))))
+                .collect()
+        };
+        let mut before = snapshot(&state);
+        let (grave_tx, grave_rx) = unbounded();
+        sweep_sets(&grave_tx, &mut state, 2);
+        before.retain(|(request, _)| *request != 2);
+        assert_eq!(snapshot(&state), before);
+        let mut buried: Vec<usize> = grave_rx.try_iter().map(|o| o.lock).collect();
+        buried.sort_unstable();
+        assert_eq!(buried, swept);
+    }
+
+    /// A burst of N requests buffered side by side at one instance: the
+    /// candidates `try_form` examines grow with the objects delivered,
+    /// not with their product — each arrival looks only into its own
+    /// request's bucket.
+    #[test]
+    fn formation_work_is_linear_in_objects_delivered() {
+        let (spec, hosted) = formation_spec();
+        let per_object = |burst: usize| {
+            let mut insts = vec![InstanceSets::new(&spec, &hosted[1])];
+            CANDIDATES.with(|n| n.set(0));
+            let mut formed = 0;
+            // Every request's `c` first, so all of them are buffered
+            // before the first `d` completes a `pair`.
+            for (phase, class) in [(0, 3), (1, 4)] {
+                for r in 0..burst {
+                    let obj = test_obj(phase * burst + r, class, 1, 1, 1 + r as u64);
+                    formed += arrive(&spec, &mut insts, obj).len();
+                }
+            }
+            assert_eq!(formed, burst);
+            CANDIDATES.with(|n| n.get()) as f64 / (2 * burst) as f64
+        };
+        let shallow = per_object(20);
+        assert!(shallow <= 2.0, "{shallow} candidates per object");
+        assert_eq!(per_object(2000), shallow);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use bamboo::{
     AdmissionControl, Compiler, Deployment, Error, ExecConfig, FaultSpec, KillTarget,
     MachineDescription, Pacing, Poisson, RecoveryPolicy, RunOptions, Server, ServingError,
     ServingOptions, ServingReport, SynthesisOptions, Telemetry, ThreadedExecutor, TokenBucket,
+    Trace,
 };
 use bamboo_apps::{by_name, Scale};
 use rand::rngs::StdRng;
@@ -220,6 +221,40 @@ fn clean_run_sheds_nothing() {
         "router shed invocations on a clean run"
     );
     assert_eq!(report.admitted, report.completed);
+}
+
+/// Deep parameter sets: 1500 requests due at the same instant on two
+/// workers, so every request's objects are buffered side by side.
+/// Formation must keep requests apart at any depth — each completes
+/// with exactly the program's invocation count — and the drain leaves
+/// the ledger empty.
+#[test]
+fn same_instant_burst_completes_every_request_exactly() {
+    let (compiler, deployment, machine) = deploy_for("kmeans", 2, 42);
+    let expected = predicted_invocations(&compiler, &deployment, &machine);
+    assert_eq!(expected, 37, "KMeans at Scale::Small");
+    let total = 1500;
+    let exec = ThreadedExecutor::default();
+    let mut server = Server::start(
+        &exec,
+        &deployment,
+        RunOptions::default(),
+        ServingOptions::new(),
+    )
+    .expect("server starts");
+    let mut arrivals = Trace::replay(vec![Duration::ZERO]);
+    server
+        .serve(&mut arrivals, total, |_| Box::new(()))
+        .expect("serve");
+    server.await_idle().expect("drain");
+    assert!(server.ledger_is_empty(), "ledger leaked entries");
+    let report = server.finish().expect("finish");
+    assert_eq!(report.completed, total as u64);
+    assert_eq!(report.completions.len(), total);
+    for c in &report.completions {
+        assert_eq!(c.invocations, expected, "request {}", c.request);
+    }
+    assert_eq!(report.executor.invocations, expected * total as u64);
 }
 
 /// Admission control sheds typed and accounted: a one-token bucket
