@@ -19,12 +19,6 @@
 //!   `crates/bench/benches/threaded.rs`), evaluates the tolerance
 //!   checks in `bamboo::telemetry::analyze::gate`, writes the verdict
 //!   JSON artifact, and exits non-zero if any check fails. When
-//!   `BENCH_dsa.json` is present (recorded by
-//!   `crates/bench/benches/dsa.rs`), the gate additionally re-runs
-//!   serial and parallel synthesis for every recorded benchmark and
-//!   appends the `dsa-*` checks: determinism (parallel == serial
-//!   makespan), exact makespan/simulation-count match against the
-//!   recording, and a host-aware wall-speedup floor. When
 //!   `BENCH_serving.json` is present (recorded by
 //!   `crates/bench/benches/serving.rs`), the gate additionally serves a
 //!   short fixed-seed open-loop probe per recorded app and appends the
@@ -80,9 +74,9 @@
 
 use bamboo::telemetry::analyze::{self, gate};
 use bamboo::{
-    AdaptPolicy, Bursty, Compiler, CoreId, Deployment, DeploymentHandle, DsaEngine, DsaOptions,
-    ExecConfig, FaultSpec, MachineDescription, Pacing, Poisson, RunOptions, ScopeConfig,
-    ScopeSnapshot, Server, ServingOptions, SynthesisOptions, Telemetry, ThreadedExecutor,
+    AdaptPolicy, Bursty, Compiler, CoreId, Deployment, DeploymentHandle, ExecConfig, FaultSpec,
+    MachineDescription, Pacing, Poisson, RunOptions, ScopeConfig, ScopeSnapshot, Server,
+    ServingOptions, SynthesisOptions, Telemetry, ThreadedExecutor,
 };
 use bamboo_apps::{all, by_name, Benchmark, Scale};
 use rand::SeedableRng;
@@ -95,11 +89,6 @@ const SEED: u64 = 42;
 /// recording harness (15): the gate's floors are generous, so a cheap
 /// best-of-5 estimate is plenty.
 const CHECK_REPS: usize = 5;
-/// Synthesis reps per configuration for the DSA checks. The makespan and
-/// simulation-count checks are exact on the first rep (synthesis is
-/// deterministic); extra reps only sharpen the wall-speedup estimate,
-/// whose floor is generous.
-const DSA_CHECK_REPS: usize = 2;
 /// Requests per serving probe run in `--check` mode.
 const SERVING_CHECK_REQS: usize = 64;
 /// Serving probe offered load as a fraction of the recorded sustainable
@@ -131,13 +120,11 @@ struct Args {
     json_out: Option<String>,
     snapshot_out: String,
     baseline_path: String,
-    dsa_baseline_path: String,
     serving_baseline_path: String,
 }
 
 fn parse_args() -> Result<Args, String> {
     let default_baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_threaded.json");
-    let default_dsa_baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dsa.json");
     let default_serving_baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
     let mut args = Args {
         check: false,
@@ -151,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         json_out: None,
         snapshot_out: "scope_snapshot.json".to_string(),
         baseline_path: default_baseline.to_string(),
-        dsa_baseline_path: default_dsa_baseline.to_string(),
         serving_baseline_path: default_serving_baseline.to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -180,13 +166,11 @@ fn parse_args() -> Result<Args, String> {
             "--json" | "--out" => args.json_out = Some(value(&arg)?),
             "--snapshot-out" => args.snapshot_out = value("--snapshot-out")?,
             "--baseline" => args.baseline_path = value("--baseline")?,
-            "--dsa-baseline" => args.dsa_baseline_path = value("--dsa-baseline")?,
             "--serving-baseline" => args.serving_baseline_path = value("--serving-baseline")?,
             "--help" | "-h" => {
                 return Err(concat!(
                     "usage: bamboo-doctor [BENCH] [--cores N] [--json PATH] [--chaos] [--chaos-seed N]\n",
-                    "       bamboo-doctor --check [--baseline PATH] [--dsa-baseline PATH]\n",
-                    "                      [--serving-baseline PATH] [--out PATH]\n",
+                    "       bamboo-doctor --check [--baseline PATH] [--serving-baseline PATH] [--out PATH]\n",
                     "       bamboo-doctor --check --chaos [--chaos-seed N] [--chaos-cores N] [--out PATH]\n",
                     "       bamboo-doctor --adapt-smoke [BENCH] [--cores N] [--out PATH]\n",
                     "       bamboo-doctor --scope-smoke [BENCH] [--cores N] [--out PATH] [--snapshot-out PATH]"
@@ -254,59 +238,6 @@ fn measure(deployment: &Deployment, baseline: bool, reps: usize) -> (f64, u64, u
         retries = report.lock_retries;
     }
     (best_us, invocations, retries)
-}
-
-/// Re-synthesizes `bench` three ways — serial reference (1 thread,
-/// reference engine, memoization off), parallel (defaults), and delta
-/// (1 thread, delta engine, memoized) — timing each, for the `dsa-*`
-/// gate checks. Uses the same scale and seed as the recording harness
-/// in `crates/bench/benches/dsa.rs`.
-fn dsa_observation(bench: &dyn Benchmark, machine: &MachineDescription) -> gate::DsaObservation {
-    let compiler = bench.compiler(Scale::Original);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "doctor", |_| ())
-        .expect("profile run");
-    let run = |opts: &SynthesisOptions| {
-        let mut best_us = f64::INFINITY;
-        let mut plan = None;
-        for _ in 0..DSA_CHECK_REPS {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-            let t0 = std::time::Instant::now();
-            plan = Some(compiler.synthesize(&profile, machine, opts, &mut rng));
-            best_us = best_us.min(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        (best_us, plan.expect("at least one rep"))
-    };
-    let serial_opts = SynthesisOptions {
-        dsa: DsaOptions {
-            engine: DsaEngine::Reference,
-            memoize: false,
-            ..DsaOptions::default()
-        },
-        ..SynthesisOptions::default()
-    }
-    .with_threads(1);
-    let delta_opts = SynthesisOptions {
-        dsa: DsaOptions {
-            engine: DsaEngine::Delta,
-            ..DsaOptions::default()
-        },
-        ..SynthesisOptions::default()
-    }
-    .with_threads(1);
-    let (serial_us, serial_plan) = run(&serial_opts);
-    let (parallel_us, parallel_plan) = run(&SynthesisOptions::default());
-    let (delta_us, delta_plan) = run(&delta_opts);
-    gate::DsaObservation {
-        name: bench.name().to_string(),
-        serial_makespan: serial_plan.estimate.makespan as f64,
-        parallel_makespan: parallel_plan.estimate.makespan as f64,
-        simulations: parallel_plan.stats.simulations as f64,
-        wall_speedup: serial_us / parallel_us,
-        delta_makespan: delta_plan.estimate.makespan as f64,
-        delta_simulations: delta_plan.stats.simulations as f64,
-        delta_speedup: serial_us / delta_us,
-    }
 }
 
 /// Serves a short fixed-seed open-loop Poisson probe against `bench` at
@@ -722,50 +653,9 @@ fn check_mode(args: &Args) -> Result<bool, String> {
 
     let mut verdict = gate::evaluate(&baseline, &observations);
 
-    // DSA synthesis checks, gated on the recording from the `dsa` bench
+    // Serving checks, gated on the recording from the `serving` bench
     // harness. A missing recording is a warning, not a failure, so the
     // gate still works on checkouts that never ran the full bench.
-    match std::fs::read_to_string(&args.dsa_baseline_path) {
-        Ok(text) => {
-            let dsa_baseline = gate::parse_dsa_baseline(&text)?;
-            let host_threads = std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1);
-            let mut dsa_observations = Vec::new();
-            for base in &dsa_baseline.benches {
-                let Some(bench) = by_name(&base.name) else {
-                    eprintln!(
-                        "warning: DSA baseline bench {:?} not in the app registry; skipping",
-                        base.name,
-                    );
-                    continue;
-                };
-                let obs = dsa_observation(bench.as_ref(), &machine);
-                println!(
-                    "synthesized {:<12} makespan {} ({} sims, serial/parallel wall {:.2}x, \
-                     serial/delta wall {:.2}x)",
-                    base.name,
-                    obs.parallel_makespan,
-                    obs.simulations,
-                    obs.wall_speedup,
-                    obs.delta_speedup,
-                );
-                dsa_observations.push(obs);
-            }
-            verdict.checks.extend(gate::evaluate_dsa(
-                &dsa_baseline,
-                &dsa_observations,
-                host_threads,
-            ));
-        }
-        Err(err) => eprintln!(
-            "warning: no DSA baseline at {} ({err}); skipping dsa-* checks",
-            args.dsa_baseline_path,
-        ),
-    }
-
-    // Serving checks, gated on the recording from the `serving` bench
-    // harness (same missing-recording-is-a-warning contract as DSA).
     match std::fs::read_to_string(&args.serving_baseline_path) {
         Ok(text) => {
             let serving_baseline = gate::parse_serving_baseline(&text)?;

@@ -100,8 +100,8 @@ pub use bamboo_runtime::{
     ThreadedReport, VirtualExecutor,
 };
 pub use bamboo_schedule::{
-    simulate, DsaEngine, DsaOptions, ExecutionTrace, GroupGraph, Layout, Replication, SimOptions,
-    SimResult, SynthesisOptions, SynthesisResult,
+    simulate, DsaOptions, ExecutionTrace, GroupGraph, Layout, Replication, SimOptions, SimResult,
+    SynthesisOptions, SynthesisResult,
 };
 pub use bamboo_serving::{
     AdmissionControl, ArrivalProcess, Bursty, ChannelIngress, IngressHandle, Pacing, Poisson,

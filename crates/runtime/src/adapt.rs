@@ -29,9 +29,7 @@
 use crate::threaded::RelayoutHandle;
 use bamboo_machine::MachineDescription;
 use bamboo_profile::Profile;
-use bamboo_schedule::{
-    fast_simulate, optimize_with_cache, DsaOptions, GroupId, InstanceId, SimCache,
-};
+use bamboo_schedule::{optimize_with_cache, simulate, DsaOptions, GroupId, InstanceId, SimCache};
 use bamboo_telemetry::analyze::{profile_fingerprint, rate_divergence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -356,7 +354,7 @@ impl AdaptiveController {
         let spec = self.handle.spec().clone();
         let graph = self.handle.graph().clone();
         let current = self.handle.current_layout();
-        let here = fast_simulate(
+        let here = simulate(
             &spec,
             &graph,
             &current,

@@ -13,7 +13,7 @@
 //! # Parallel, memoized evaluation
 //!
 //! Candidate evaluation — the expensive part — is a pure function of
-//! `(spec, graph, layout, profile, machine)`: [`simulate`] consumes no
+//! `(spec, graph, layout, profile, machine)`: simulation consumes no
 //! randomness. The optimizer exploits that twice:
 //!
 //! * each iteration's un-memoized candidates fan out across a
@@ -31,51 +31,26 @@
 //! candidate pool is fingerprint-deduplicated either way), so one seed
 //! produces one trajectory at any thread count.
 //!
-//! # Delta re-simulation ([`DsaEngine::Delta`])
+//! # Per-candidate cost
 //!
-//! The default engine cuts per-candidate cost three ways, none of which
-//! may change a single bit of the result (differentially tested against
-//! [`DsaEngine::Reference`]):
-//!
-//! * **Arena engine.** Candidates score on reusable [`SimEngine`]s (one
-//!   per worker) over a shared [`SimProgram`]: prediction streams,
-//!   routing memos, and event arenas persist across the hundreds of
-//!   simulations of one search instead of being rebuilt per candidate.
-//! * **Idle-cone delta hits.** Every candidate is derived from a parent
-//!   survivor by moving a known instance set. Each cached result carries
-//!   a [`DeltaInfo`](crate::sim::DeltaInfo) journal of which instances
-//!   ever homed an object; a
-//!   child whose moved instances all sat outside that cone has *the same
-//!   event timeline* as its parent — no invocation, transfer, or queue
-//!   interaction can differ — so its result is synthesized from the
-//!   parent's (only utilization's denominator, distinct cores used, is
-//!   recomputed) without simulating at all.
-//! * **Shared traces.** Results carry their execution trace behind an
-//!   [`std::sync::Arc`], so the cache inserts, replays, and survivor
-//!   copies that shuttle results around the search clone a pointer
-//!   instead of thousands of trace tasks.
+//! Candidates score on reusable [`SimEngine`]s (one per worker) over a
+//! shared [`SimProgram`]: prediction streams, routing memos, and event
+//! arenas persist across the hundreds of simulations of one search
+//! instead of being rebuilt per candidate. Results carry their execution
+//! trace behind an [`std::sync::Arc`], so the cache inserts, replays, and
+//! survivor copies that shuttle results around the search clone a
+//! pointer instead of thousands of trace tasks.
 
 use crate::critpath::{apply_move, propose_moves, MoveProposal};
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout};
-use crate::sim::{simulate, CachedSim, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
+use crate::sim::{SimCache, SimEngine, SimOptions, SimProgram, SimResult};
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::{CoreId, MachineDescription};
 use bamboo_profile::{Cycles, Profile};
 use rand::Rng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Which evaluation engine scores candidates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DsaEngine {
-    /// The reference simulator, one from-scratch run per candidate.
-    /// The semantics baseline; also the honest A/B leg for benchmarks.
-    Reference,
-    /// The arena [`SimEngine`] with idle-cone delta reuse. Bit-identical
-    /// results, several times faster.
-    Delta,
-}
 
 /// DSA tuning knobs.
 #[derive(Clone, Debug)]
@@ -98,13 +73,10 @@ pub struct DsaOptions {
     pub threads: usize,
     /// Memoize simulation results across iterations by layout
     /// fingerprint, so survivors re-entering the pool never re-simulate.
-    /// Off reproduces the evaluate-everything shape (the A/B baseline of
-    /// the `dsa` bench harness) and also disables delta reuse (the
-    /// journals live in the cache); the search trajectory is identical
+    /// Off reproduces the evaluate-everything shape (the paper's §5.1
+    /// timing column in `dsa_timing`); the search trajectory is identical
     /// either way.
     pub memoize: bool,
-    /// Candidate evaluation engine.
-    pub engine: DsaEngine,
     /// Simulator configuration.
     pub sim: SimOptions,
 }
@@ -120,7 +92,6 @@ impl Default for DsaOptions {
             max_candidates: 32,
             threads: 0,
             memoize: true,
-            engine: DsaEngine::Delta,
             sim: SimOptions {
                 collect_trace: true,
                 ..SimOptions::default()
@@ -148,7 +119,7 @@ pub struct DsaStats {
     /// Total scoring simulations run.
     pub simulations: usize,
     /// Candidates subjected to the probabilistic pruning step
-    /// (`= simulations + cache_hits + delta_hits`).
+    /// (`= simulations + cache_hits`).
     pub candidates_evaluated: usize,
     /// Candidates that survived pruning (summed over iterations).
     /// `survivors / candidates_evaluated` is the acceptance rate.
@@ -160,9 +131,8 @@ pub struct DsaStats {
     /// to [`Self::simulations`]; kept separate so telemetry can report
     /// hit rate as `hits / (hits + misses)` uniformly.
     pub cache_misses: usize,
-    /// Evaluations answered by idle-cone delta reuse: the candidate's
-    /// moved instances all sat outside its parent's activity cone, so
-    /// the parent's timeline was reused without simulating.
+    /// Always 0: nothing increments it. Kept until the benchmark stops
+    /// reading it (ROADMAP item 4).
     pub delta_hits: usize,
     /// Cache entries evicted by the [`SimCache`] LRU bound during this
     /// search.
@@ -197,7 +167,7 @@ impl DsaStats {
     }
 
     /// Folds another search's volume counters (iterations, simulations,
-    /// candidates, survivors, cache traffic, delta reuse) into `self`,
+    /// candidates, survivors, cache traffic) into `self`,
     /// keeping `self`'s trajectory and best makespan. This is how
     /// `synthesize` merges per-replication-variant searches: the winning
     /// variant's stats absorb the losers' counters, so `simulations`
@@ -211,30 +181,6 @@ impl DsaStats {
         self.cache_misses += other.cache_misses;
         self.delta_hits += other.delta_hits;
         self.cache_evictions += other.cache_evictions;
-    }
-}
-
-/// How a candidate was derived from its parent — the delta engine's
-/// invalidation cone. `None` for starting layouts (no parent).
-struct Origin {
-    /// The parent layout's fingerprint (its cache key).
-    parent_fp: u64,
-    /// Every instance whose core differs from the parent.
-    moved: Vec<InstanceId>,
-}
-
-/// A pool entry: the layout plus its derivation.
-struct Candidate {
-    layout: Layout,
-    origin: Option<Origin>,
-}
-
-impl Candidate {
-    fn root(layout: Layout) -> Self {
-        Candidate {
-            layout,
-            origin: None,
-        }
     }
 }
 
@@ -292,15 +238,13 @@ pub fn optimize_with_cache<R: Rng>(
     let mut best: Option<(Layout, SimResult)> = None;
     let mut seen: HashSet<u64> = HashSet::new();
 
-    // The delta engine's shared program and per-worker engine pool. All
-    // engine state (prediction streams, routing memos, arenas) persists
-    // across the whole search.
-    let program = (opts.engine == DsaEngine::Delta)
-        .then(|| SimProgram::new(spec, graph, profile, machine, &opts.sim));
-    let mut engines: Vec<SimEngine> = program
-        .as_ref()
-        .map(|p| (0..threads.max(1)).map(|_| SimEngine::new(p)).collect())
-        .unwrap_or_default();
+    // The shared program and per-worker engine pool. All engine state
+    // (prediction streams, routing memos, arenas) persists across the
+    // whole search.
+    let program = SimProgram::new(spec, graph, profile, machine, &opts.sim);
+    let mut engines: Vec<SimEngine> = (0..threads.max(1))
+        .map(|_| SimEngine::new(&program))
+        .collect();
 
     // Deduplicate the starting pool by fingerprint and seed the
     // duplicate set with it. This gives the pool a strict invariant —
@@ -309,31 +253,20 @@ pub fn optimize_with_cache<R: Rng>(
     // replay results without ever conflating two signature-equal but
     // distinct placements, and keeps the search identical whether the
     // cache is on or off.
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(initial.len());
+    let mut candidates: Vec<Layout> = Vec::with_capacity(initial.len());
     for layout in initial {
         if seen.insert(layout.fingerprint(graph)) {
-            candidates.push(Candidate::root(layout));
+            candidates.push(layout);
         }
     }
 
     for _ in 0..opts.max_iterations {
         stats.iterations += 1;
-        // Evaluate: replay memoized results, synthesize idle-cone delta
-        // hits, fan the rest out across the worker pool, and reassemble
-        // in candidate index order.
+        // Evaluate: replay memoized results, fan the rest out across the
+        // worker pool, and reassemble in candidate index order.
         let pool = std::mem::take(&mut candidates);
-        let mut evaluated = evaluate_candidates(
-            spec,
-            graph,
-            profile,
-            machine,
-            opts,
-            pool,
-            threads,
-            cache,
-            &mut engines,
-            &mut stats,
-        );
+        let mut evaluated =
+            evaluate_candidates(graph, opts, pool, threads, cache, &mut engines, &mut stats);
         evaluated.sort_by_key(|(_, r)| r.makespan);
         stats.candidates_evaluated += evaluated.len();
 
@@ -382,40 +315,25 @@ pub fn optimize_with_cache<R: Rng>(
         // Directed move generation, plus undirected exploration (the
         // annealing part: random moves and swaps escape the proposals'
         // blind spots — swaps in particular cross pigeonhole plateaus
-        // that no single migration can improve). Every mutation records
-        // its parent fingerprint and moved instances — the delta
-        // engine's invalidation cone.
-        let mut next: Vec<Candidate> = Vec::new();
+        // that no single migration can improve).
+        let mut next: Vec<Layout> = Vec::new();
         for (layout, result) in &survivors {
             let Some(trace) = &result.trace else { continue };
-            let parent_fp = layout.fingerprint(graph);
-            let mut mutated: Vec<Candidate> = Vec::new();
+            let mut mutated: Vec<Layout> = Vec::new();
             for proposal in propose_moves(trace, layout, rng, opts.moves_per_layout) {
-                mutated.push(Candidate {
-                    layout: apply_move(layout, proposal),
-                    origin: Some(Origin {
-                        parent_fp,
-                        moved: vec![proposal.instance],
-                    }),
-                });
+                mutated.push(apply_move(layout, proposal));
             }
             for _ in 0..2 {
                 if layout.instances.len() > 1 {
                     let inst = InstanceId(rng.gen_range(1..layout.instances.len()) as u32);
                     let core = CoreId::new(rng.gen_range(0..layout.core_count));
-                    mutated.push(Candidate {
-                        layout: apply_move(
-                            layout,
-                            MoveProposal {
-                                instance: inst,
-                                to_core: core,
-                            },
-                        ),
-                        origin: Some(Origin {
-                            parent_fp,
-                            moved: vec![inst],
-                        }),
-                    });
+                    mutated.push(apply_move(
+                        layout,
+                        MoveProposal {
+                            instance: inst,
+                            to_core: core,
+                        },
+                    ));
                 }
             }
             for _ in 0..2 {
@@ -438,19 +356,13 @@ pub fn optimize_with_cache<R: Rng>(
                                     to_core: ca,
                                 },
                             );
-                            mutated.push(Candidate {
-                                layout: swapped,
-                                origin: Some(Origin {
-                                    parent_fp,
-                                    moved: vec![InstanceId(a as u32), InstanceId(b as u32)],
-                                }),
-                            });
+                            mutated.push(swapped);
                         }
                     }
                 }
             }
             for moved in mutated {
-                if seen.insert(moved.layout.fingerprint(graph)) {
+                if seen.insert(moved.fingerprint(graph)) {
                     next.push(moved);
                 }
                 if next.len() >= opts.max_candidates {
@@ -464,7 +376,7 @@ pub fn optimize_with_cache<R: Rng>(
             if next.len() >= opts.max_candidates {
                 break;
             }
-            next.push(Candidate::root(layout));
+            next.push(layout);
         }
 
         if next.is_empty() {
@@ -484,23 +396,13 @@ pub fn optimize_with_cache<R: Rng>(
 
 /// Scores one iteration's candidate pool, preserving pool order.
 ///
-/// Memoized fingerprints replay from `cache`; candidates whose moved
-/// instances sit outside their parent's activity cone synthesize from
-/// the parent's journal (delta engine only); the rest simulate — on the
+/// Memoized fingerprints replay from `cache`; the rest simulate — on the
 /// driver thread when `threads <= 1` or only one simulation is due, on a
-/// scoped worker pool otherwise. Workers pull slots from a shared atomic
-/// cursor (simulation costs vary, so static striping would idle the fast
-/// workers) and results are stitched back by slot index, making the
-/// returned vector — and therefore everything downstream — independent
-/// of worker count and scheduling.
-#[allow(clippy::too_many_arguments)]
+/// scoped worker pool otherwise.
 fn evaluate_candidates(
-    spec: &ProgramSpec,
     graph: &GroupGraph,
-    profile: &Profile,
-    machine: &MachineDescription,
     opts: &DsaOptions,
-    candidates: Vec<Candidate>,
+    candidates: Vec<Layout>,
     threads: usize,
     cache: &mut SimCache,
     engines: &mut [SimEngine],
@@ -509,47 +411,14 @@ fn evaluate_candidates(
     let mut results: Vec<Option<SimResult>> = vec![None; candidates.len()];
     let mut due: Vec<usize> = Vec::with_capacity(candidates.len());
     let mut fingerprints: Vec<u64> = vec![0; candidates.len()];
-    for (slot, candidate) in candidates.iter().enumerate() {
+    for (slot, layout) in candidates.iter().enumerate() {
         if opts.memoize {
-            let fp = candidate.layout.fingerprint(graph);
+            let fp = layout.fingerprint(graph);
             fingerprints[slot] = fp;
             if let Some(replayed) = cache.lookup(fp) {
                 results[slot] = Some(replayed);
                 stats.cache_hits += 1;
                 continue;
-            }
-            // Idle-cone reuse: if every moved instance sat outside the
-            // parent's activity cone, the parent's timeline *is* this
-            // candidate's timeline — only the set of distinct cores in
-            // use (utilization's denominator) can differ.
-            if opts.engine == DsaEngine::Delta {
-                if let Some(origin) = &candidate.origin {
-                    let reusable = cache.peek(origin.parent_fp).and_then(|parent| {
-                        parent.delta.as_ref().and_then(|journal| {
-                            journal
-                                .all_idle(&origin.moved)
-                                .then(|| (parent.result.clone(), journal.clone()))
-                        })
-                    });
-                    if let Some((mut result, journal)) = reusable {
-                        result.utilization = if result.makespan == 0 {
-                            0.0
-                        } else {
-                            journal.busy as f64
-                                / (result.makespan as f64 * candidate.layout.cores_used() as f64)
-                        };
-                        stats.delta_hits += 1;
-                        cache.store(
-                            fp,
-                            CachedSim {
-                                result: result.clone(),
-                                delta: Some(journal),
-                            },
-                        );
-                        results[slot] = Some(result);
-                        continue;
-                    }
-                }
             }
         }
         due.push(slot);
@@ -557,101 +426,57 @@ fn evaluate_candidates(
     stats.cache_misses += due.len();
     stats.simulations += due.len();
 
-    let collect_trace = opts.sim.collect_trace;
-    match opts.engine {
-        DsaEngine::Reference => {
-            for (slot, result) in simulate_slots(
-                spec,
-                graph,
-                profile,
-                machine,
-                &opts.sim,
-                &candidates,
-                &due,
-                threads,
-            ) {
-                if opts.memoize {
-                    cache.insert(fingerprints[slot], result.clone());
-                }
-                results[slot] = Some(result);
-            }
+    for (slot, result) in
+        simulate_slots(&candidates, &due, engines, threads, opts.sim.collect_trace)
+    {
+        if opts.memoize {
+            cache.insert(fingerprints[slot], result.clone());
         }
-        DsaEngine::Delta => {
-            for (slot, result, journal) in
-                simulate_slots_engine(&candidates, &due, engines, threads, collect_trace)
-            {
-                if opts.memoize {
-                    cache.insert_entry(
-                        fingerprints[slot],
-                        CachedSim {
-                            result: result.clone(),
-                            delta: Some(journal),
-                        },
-                    );
-                }
-                results[slot] = Some(result);
-            }
-        }
+        results[slot] = Some(result);
     }
     candidates
         .into_iter()
         .zip(results)
-        .map(|(candidate, result)| (candidate.layout, result.expect("every slot scored")))
+        .map(|(layout, result)| (layout, result.expect("every slot scored")))
         .collect()
 }
 
-/// Simulates `candidates[slot]` on the reference engine for every slot
-/// in `due`, returning `(slot, result)` pairs sorted by slot.
-#[allow(clippy::too_many_arguments)]
+/// Simulates `candidates[slot]` for every slot in `due`, returning
+/// `(slot, result)` pairs sorted by slot. Each worker owns one persistent
+/// [`SimEngine`] and pulls slots from a shared atomic cursor (simulation
+/// costs vary, so static striping would idle the fast workers).
+/// Simulation is a pure function of the layout, so the slot→engine
+/// assignment (which varies with scheduling) never shows in the results:
+/// the returned vector — and therefore everything downstream — is
+/// independent of worker count and scheduling.
 fn simulate_slots(
-    spec: &ProgramSpec,
-    graph: &GroupGraph,
-    profile: &Profile,
-    machine: &MachineDescription,
-    sim_opts: &SimOptions,
-    candidates: &[Candidate],
+    candidates: &[Layout],
     due: &[usize],
+    engines: &mut [SimEngine],
     threads: usize,
+    collect_trace: bool,
 ) -> Vec<(usize, SimResult)> {
-    let workers = threads.min(due.len());
+    let workers = threads.min(due.len()).min(engines.len());
     if workers <= 1 {
+        let engine = engines.first_mut().expect("engine pool is never empty");
         return due
             .iter()
-            .map(|&slot| {
-                (
-                    slot,
-                    simulate(
-                        spec,
-                        graph,
-                        &candidates[slot].layout,
-                        profile,
-                        machine,
-                        sim_opts,
-                    ),
-                )
-            })
+            .map(|&slot| (slot, engine.simulate(&candidates[slot], collect_trace)))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
     let mut scored: Vec<(usize, SimResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
+        let handles: Vec<_> = engines
+            .iter_mut()
+            .take(workers)
+            .map(|engine| {
+                let cursor = &cursor;
+                scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         let next = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&slot) = due.get(next) else { break };
-                        local.push((
-                            slot,
-                            simulate(
-                                spec,
-                                graph,
-                                &candidates[slot].layout,
-                                profile,
-                                machine,
-                                sim_opts,
-                            ),
-                        ));
+                        local.push((slot, engine.simulate(&candidates[slot], collect_trace)));
                     }
                     local
                 })
@@ -666,63 +491,12 @@ fn simulate_slots(
     scored
 }
 
-/// Simulates `candidates[slot]` on the arena engine pool for every slot
-/// in `due`, returning `(slot, result, journal)` triples sorted by slot.
-/// Each worker owns one persistent [`SimEngine`]; simulation is a pure
-/// function of the layout, so the slot→engine assignment (which varies
-/// with scheduling) never shows in the results.
-fn simulate_slots_engine(
-    candidates: &[Candidate],
-    due: &[usize],
-    engines: &mut [SimEngine],
-    threads: usize,
-    collect_trace: bool,
-) -> Vec<(usize, SimResult, crate::sim::DeltaInfo)> {
-    let workers = threads.min(due.len()).min(engines.len());
-    if workers <= 1 {
-        let engine = engines.first_mut().expect("delta engine pool");
-        return due
-            .iter()
-            .map(|&slot| {
-                let (result, journal) = engine.simulate(&candidates[slot].layout, collect_trace);
-                (slot, result, journal)
-            })
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut scored: Vec<(usize, SimResult, crate::sim::DeltaInfo)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = engines
-            .iter_mut()
-            .take(workers)
-            .map(|engine| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&slot) = due.get(next) else { break };
-                        let (result, journal) =
-                            engine.simulate(&candidates[slot].layout, collect_trace);
-                        local.push((slot, result, journal));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("simulation worker panicked"))
-            .collect()
-    });
-    scored.sort_by_key(|(slot, _, _)| *slot);
-    scored
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::random_layouts;
     use crate::preprocess::scc_tree_transform;
+    use crate::sim::simulate;
     use crate::testutil::kc_setup;
     use crate::transforms::compute_replication;
     use rand::rngs::StdRng;
@@ -805,13 +579,9 @@ mod tests {
         );
     }
 
-    /// One full optimize run with the given worker-thread count,
-    /// memoization setting, and engine, from a fixed seed.
-    fn run_with_engine(
-        threads: usize,
-        memoize: bool,
-        engine: DsaEngine,
-    ) -> (Layout, SimResult, DsaStats) {
+    /// One full optimize run with the given worker-thread count and
+    /// memoization setting, from a fixed seed.
+    fn run_with(threads: usize, memoize: bool) -> (Layout, SimResult, DsaStats) {
         let (spec, cstg, profile) = kc_setup();
         let graph = scc_tree_transform(&GroupGraph::build(&spec, &cstg, &profile));
         let machine = MachineDescription::quad();
@@ -821,14 +591,9 @@ mod tests {
         let opts = DsaOptions {
             threads,
             memoize,
-            engine,
             ..DsaOptions::default()
         };
         optimize(&spec, &graph, &profile, &machine, starts, &opts, &mut rng)
-    }
-
-    fn run_with(threads: usize, memoize: bool) -> (Layout, SimResult, DsaStats) {
-        run_with_engine(threads, memoize, DsaEngine::Delta)
     }
 
     #[test]
@@ -842,71 +607,6 @@ mod tests {
         }
     }
 
-    /// The tentpole differential guarantee: the delta engine (arena
-    /// simulation + idle-cone reuse + lazy traces) must reproduce the
-    /// reference engine's search bit for bit — same winner, same
-    /// makespan, same trajectory, same acceptance decisions.
-    #[test]
-    fn delta_engine_is_bit_identical_to_reference_engine() {
-        for memoize in [true, false] {
-            let (ref_layout, ref_result, ref_stats) =
-                run_with_engine(1, memoize, DsaEngine::Reference);
-            let (layout, result, stats) = run_with_engine(1, memoize, DsaEngine::Delta);
-            assert_eq!(layout, ref_layout, "memoize={memoize}: layout diverged");
-            assert_eq!(result.makespan, ref_result.makespan);
-            assert_eq!(
-                result.utilization.to_bits(),
-                ref_result.utilization.to_bits()
-            );
-            assert_eq!(result.trace, ref_result.trace);
-            assert_eq!(stats.trajectory, ref_stats.trajectory);
-            assert_eq!(stats.candidates_evaluated, ref_stats.candidates_evaluated);
-            assert_eq!(stats.survivors, ref_stats.survivors);
-            assert_eq!(stats.best_makespan, ref_stats.best_makespan);
-        }
-    }
-
-    /// With idle replicas in the layout (copies that never receive
-    /// work), the idle-cone journal must actually produce delta hits —
-    /// and the search must still match the reference engine bit for bit.
-    #[test]
-    fn delta_hits_fire_on_idle_replicas_without_changing_results() {
-        let (spec, cstg, profile) = kc_setup();
-        let graph = scc_tree_transform(&GroupGraph::build(&spec, &cstg, &profile));
-        let machine = MachineDescription::quad();
-        let mut repl = compute_replication(&spec, &graph, &profile, 4);
-        for (g, copies) in repl.copies.iter_mut().enumerate() {
-            if crate::groups::GroupId(g as u32) != graph.startup_group {
-                *copies += 3;
-            }
-        }
-        let run = |engine: DsaEngine| {
-            let mut rng = StdRng::seed_from_u64(41);
-            let starts = random_layouts(&graph, &repl, 4, 6, &mut rng);
-            let opts = DsaOptions {
-                threads: 1,
-                engine,
-                ..DsaOptions::default()
-            };
-            optimize(&spec, &graph, &profile, &machine, starts, &opts, &mut rng)
-        };
-        let (ref_layout, ref_result, ref_stats) = run(DsaEngine::Reference);
-        let (layout, result, stats) = run(DsaEngine::Delta);
-        assert!(
-            stats.delta_hits > 0,
-            "over-replicated layouts should produce idle-cone reuse"
-        );
-        assert_eq!(layout, ref_layout);
-        assert_eq!(result.makespan, ref_result.makespan);
-        assert_eq!(result.trace, ref_result.trace);
-        assert_eq!(stats.trajectory, ref_stats.trajectory);
-        assert_eq!(stats.candidates_evaluated, ref_stats.candidates_evaluated);
-        assert_eq!(
-            stats.simulations + stats.cache_hits + stats.delta_hits,
-            stats.candidates_evaluated
-        );
-    }
-
     #[test]
     fn memoization_changes_work_but_not_results() {
         let (cold_layout, cold_result, cold_stats) = run_with(1, false);
@@ -918,7 +618,7 @@ mod tests {
         // The cache only ever removes simulations.
         assert!(stats.simulations <= cold_stats.simulations);
         assert_eq!(
-            stats.simulations + stats.cache_hits + stats.delta_hits,
+            stats.simulations + stats.cache_hits,
             stats.candidates_evaluated
         );
         assert_eq!(stats.simulations, stats.cache_misses);
@@ -927,7 +627,6 @@ mod tests {
             "survivors re-entering the pool should hit the cache"
         );
         assert_eq!(cold_stats.cache_hits, 0);
-        assert_eq!(cold_stats.delta_hits, 0);
     }
 
     #[test]

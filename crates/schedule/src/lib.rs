@@ -42,17 +42,14 @@ pub mod transforms;
 pub mod util;
 
 pub use critpath::{critical_path, propose_moves, MoveProposal};
-pub use dsa::{optimize, optimize_with_cache, DsaEngine, DsaOptions, DsaStats};
+pub use dsa::{optimize, optimize_with_cache, DsaOptions, DsaStats};
 pub use groups::{Group, GroupGraph, GroupId, GroupNewEdge};
 pub use layout::{GroupInstance, InstanceId, Layout, RouteDecision, Router, RouterInstanceState};
 pub use mapping::{
     control_spread_layout, enumerate_mappings, random_layouts, spread_layout, MappingOptions,
 };
 pub use preprocess::scc_tree_transform;
-pub use sim::{
-    fast_simulate, simulate, CachedSim, DeltaInfo, SimCache, SimEngine, SimOptions, SimProgram,
-    SimResult,
-};
+pub use sim::{simulate, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
 pub use synthesis::{single_core_plan, synthesize, SynthesisOptions, SynthesisResult};
 pub use trace::{DataDep, ExecutionTrace, TraceTask};
 pub use transforms::{

@@ -1,7 +1,7 @@
-//! The arena/SoA simulation engine.
+//! The arena/SoA simulation engine — the simulator.
 //!
-//! Bit-identical to [`super::reference`], but built to be called hundreds
-//! of times per DSA run. All per-simulation setup the reference engine
+//! Bit-identical to the `super::reference` oracle, but built to be called
+//! hundreds of times per DSA run. All per-simulation setup the oracle
 //! pays on every call is either hoisted into a shared [`SimProgram`]
 //! (dispatch tables, slot templates, payload sizes, transfer-cost
 //! matrices) or kept in the [`SimEngine`] across calls (prediction
@@ -27,15 +27,10 @@
 //! Object state is struct-of-arrays (`obj_*` vectors) and invocations
 //! live in a flat arena, so the event-loop hot path walks contiguous
 //! memory instead of chasing `Vec<VecDeque<Box<…>>>` indirections.
-//!
-//! Alongside each result the engine journals per-instance activity
-//! ([`DeltaInfo`]): which instances ever homed an object. The DSA delta
-//! layer uses it to skip re-simulating children that only move idle
-//! instances (see `crate::dsa`).
 
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout};
-use crate::sim::{DeltaInfo, SimOptions, SimResult};
+use crate::sim::{SimOptions, SimResult};
 use crate::trace::{DataDep, ExecutionTrace, TraceTask};
 use bamboo_analysis::cstg::enabled_params;
 use bamboo_lang::ids::{AllocSiteId, ClassId, ParamIdx, TaskId};
@@ -148,7 +143,7 @@ pub struct SimProgram<'a> {
     pub(crate) profile: &'a Profile,
     pub(crate) machine: &'a MachineDescription,
     pub(crate) opts: SimOptions,
-    /// Slot templates per group, in the reference engine's slot order.
+    /// Slot templates per group, in the oracle's slot order.
     group_slots: Vec<Vec<SlotInfo<'a>>>,
     /// Task lists per group (the formation scan order).
     group_tasks: Vec<Vec<TaskId>>,
@@ -309,7 +304,6 @@ pub struct SimEngine<'a> {
     cursors: Vec<u32>,
     site_rr: Vec<u32>,
     flow_rr: Vec<u32>,
-    touched: Vec<bool>,
     last_on_core: Vec<u32>,
     trace: Vec<TraceTask>,
     trace_deps: Vec<DataDep>,
@@ -372,7 +366,6 @@ impl<'a> SimEngine<'a> {
             cursors: vec![0; program.n_tasks],
             site_rr: Vec::new(),
             flow_rr: Vec::new(),
-            touched: Vec::new(),
             last_on_core: Vec::new(),
             trace: Vec::new(),
             trace_deps: Vec::new(),
@@ -413,7 +406,6 @@ impl<'a> SimEngine<'a> {
         self.param_sets = vec![VecDeque::new(); total_slots as usize];
         self.site_rr = vec![0; layout.instances.len() * program.n_sites];
         self.flow_rr = vec![0; layout.instances.len() * program.n_tasks];
-        self.touched = vec![false; layout.instances.len()];
         if self.core_count != layout.core_count {
             self.core_count = layout.core_count;
             self.ready = vec![VecDeque::new(); layout.core_count];
@@ -540,7 +532,6 @@ impl<'a> SimEngine<'a> {
         self.cursors.iter_mut().for_each(|c| *c = 0);
         self.site_rr.iter_mut().for_each(|c| *c = 0);
         self.flow_rr.iter_mut().for_each(|c| *c = 0);
-        self.touched.iter_mut().for_each(|t| *t = false);
         self.last_on_core.iter_mut().for_each(|l| *l = NONE_U32);
         self.trace.clear();
         self.trace_deps.clear();
@@ -553,9 +544,8 @@ impl<'a> SimEngine<'a> {
     }
 
     /// Runs one simulation of `layout`, reusing all engine state.
-    /// Bit-identical to [`super::simulate`] with
-    /// `opts.collect_trace = collect_trace`.
-    pub fn simulate(&mut self, layout: &Layout, collect_trace: bool) -> (SimResult, DeltaInfo) {
+    /// `collect_trace` overrides the program's `opts.collect_trace`.
+    pub fn simulate(&mut self, layout: &Layout, collect_trace: bool) -> SimResult {
         self.reset(layout);
         self.collect_trace = collect_trace;
         let program = self.program;
@@ -593,13 +583,13 @@ impl<'a> SimEngine<'a> {
         self.finish(layout, completed)
     }
 
-    fn finish(&mut self, layout: &Layout, completed: bool) -> (SimResult, DeltaInfo) {
+    fn finish(&mut self, layout: &Layout, completed: bool) -> SimResult {
         let utilization = if self.makespan == 0 {
             0.0
         } else {
             self.busy as f64 / (self.makespan as f64 * layout.cores_used() as f64)
         };
-        let result = SimResult {
+        SimResult {
             makespan: self.makespan,
             completed,
             invocations: self.invocations,
@@ -613,12 +603,7 @@ impl<'a> SimEngine<'a> {
             } else {
                 None
             },
-        };
-        let delta = DeltaInfo {
-            busy: self.busy,
-            touched: self.touched.clone().into_boxed_slice(),
-        };
-        (result, delta)
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -641,12 +626,12 @@ impl<'a> SimEngine<'a> {
         self.obj_arrival.push(arrival);
         self.obj_consumed.push(false);
         self.obj_pred.push((0, 0));
-        self.touched[home as usize] = true;
         id
     }
 
     /// Binds the next replayed profile record to `obj` at release time
-    /// (see the reference engine's `stamp` for the full rationale).
+    /// (see the oracle's `stamp` in `super::reference` for the full
+    /// rationale).
     fn stamp(&mut self, obj: u32) {
         let program = self.program;
         let class = self.obj_class[obj as usize];
@@ -851,7 +836,6 @@ impl<'a> SimEngine<'a> {
                     words,
                 );
                 self.obj_home[obj as usize] = dest;
-                self.touched[dest as usize] = true;
                 self.obj_arrival[obj as usize] = self.now + cost;
                 self.push_event(self.now + cost, obj);
             }
@@ -1111,7 +1095,6 @@ impl<'a> SimEngine<'a> {
                         words,
                     );
                     self.obj_home[obj] = dest;
-                    self.touched[dest as usize] = true;
                     self.obj_arrival[obj] = self.now + cost;
                     self.push_event(self.now + cost, obj as u32);
                 }
@@ -1158,51 +1141,30 @@ impl<'a> SimEngine<'a> {
     }
 }
 
-/// One-shot convenience: builds a throwaway [`SimProgram`] +
-/// [`SimEngine`] and runs a single simulation. Bit-identical to
-/// [`super::simulate`]; worth using over the reference engine even for
-/// single runs (the adaptive controller's per-tick estimate), though
-/// the engine pays off most when reused across many candidates.
-pub fn fast_simulate(
-    spec: &ProgramSpec,
-    graph: &GroupGraph,
-    layout: &Layout,
-    profile: &Profile,
-    machine: &MachineDescription,
-    opts: &SimOptions,
-) -> SimResult {
-    let program = SimProgram::new(spec, graph, profile, machine, opts);
-    let mut engine = SimEngine::new(&program);
-    engine.simulate(layout, opts.collect_trace).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::random_layouts;
     use crate::preprocess::scc_tree_transform;
-    use crate::sim::simulate;
+    use crate::sim::{reference, simulate};
     use crate::testutil::kc_setup;
     use crate::transforms::compute_replication;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn assert_results_equal(fast: &SimResult, reference: &SimResult, what: &str) {
-        assert_eq!(fast.makespan, reference.makespan, "{what}: makespan");
-        assert_eq!(fast.completed, reference.completed, "{what}: completed");
-        assert_eq!(
-            fast.invocations, reference.invocations,
-            "{what}: invocations"
-        );
+    fn assert_results_equal(fast: &SimResult, oracle: &SimResult, what: &str) {
+        assert_eq!(fast.makespan, oracle.makespan, "{what}: makespan");
+        assert_eq!(fast.completed, oracle.completed, "{what}: completed");
+        assert_eq!(fast.invocations, oracle.invocations, "{what}: invocations");
         assert_eq!(
             fast.utilization.to_bits(),
-            reference.utilization.to_bits(),
+            oracle.utilization.to_bits(),
             "{what}: utilization"
         );
-        assert_eq!(fast.trace, reference.trace, "{what}: trace");
+        assert_eq!(fast.trace, oracle.trace, "{what}: trace");
     }
 
-    /// The engine must be bit-identical to the reference simulator —
+    /// The engine must be bit-identical to the oracle simulator —
     /// including the full trace (the "event multiset") — on a spread of
     /// random layouts, with and without tracing, reusing one engine.
     #[test]
@@ -1221,15 +1183,9 @@ mod tests {
             let program = SimProgram::new(&spec, &graph, &profile, &machine, &opts);
             let mut engine = SimEngine::new(&program);
             for (i, layout) in layouts.iter().enumerate() {
-                let reference = simulate(&spec, &graph, layout, &profile, &machine, &opts);
-                let (fast, delta) = engine.simulate(layout, collect_trace);
-                assert_results_equal(&fast, &reference, &format!("layout {i}"));
-                // The journal's busy count must reproduce utilization.
-                if fast.makespan > 0 {
-                    let recomputed =
-                        delta.busy as f64 / (fast.makespan as f64 * layout.cores_used() as f64);
-                    assert_eq!(recomputed.to_bits(), fast.utilization.to_bits());
-                }
+                let oracle = reference::simulate(&spec, &graph, layout, &profile, &machine, &opts);
+                let fast = engine.simulate(layout, collect_trace);
+                assert_results_equal(&fast, &oracle, &format!("layout {i}"));
             }
         }
     }
@@ -1252,62 +1208,14 @@ mod tests {
         let program = SimProgram::new(&spec, &graph, &profile, &machine, &opts);
         let mut engine = SimEngine::new(&program);
         for (i, layout) in layouts.iter().enumerate() {
-            let reference = simulate(&spec, &graph, layout, &profile, &machine, &opts);
-            let (fast, _) = engine.simulate(layout, true);
-            assert_results_equal(&fast, &reference, &format!("no-replay layout {i}"));
+            let oracle = reference::simulate(&spec, &graph, layout, &profile, &machine, &opts);
+            let fast = engine.simulate(layout, true);
+            assert_results_equal(&fast, &oracle, &format!("no-replay layout {i}"));
         }
     }
 
-    /// An instance the journal reports untouched really contributes
-    /// nothing: moving it must not change the simulation outcome.
     #[test]
-    fn untouched_instances_do_not_affect_results() {
-        let (spec, cstg, profile) = kc_setup();
-        let graph = scc_tree_transform(&GroupGraph::build(&spec, &cstg, &profile));
-        let machine = MachineDescription::quad();
-        // Over-replicate so some copies never receive work — those are
-        // the idle instances the delta layer exploits.
-        let mut repl = compute_replication(&spec, &graph, &profile, 4);
-        for (g, copies) in repl.copies.iter_mut().enumerate() {
-            if crate::groups::GroupId(g as u32) != graph.startup_group {
-                *copies += 3;
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(7);
-        let layouts = random_layouts(&graph, &repl, 4, 8, &mut rng);
-        let opts = SimOptions::default();
-        let program = SimProgram::new(&spec, &graph, &profile, &machine, &opts);
-        let mut engine = SimEngine::new(&program);
-        let mut moved_any = 0;
-        for layout in &layouts {
-            let (base, delta) = engine.simulate(layout, false);
-            for inst in 0..layout.instances.len() {
-                if delta.touched[inst] {
-                    continue;
-                }
-                for core in 0..layout.core_count {
-                    let mutated = crate::critpath::apply_move(
-                        layout,
-                        crate::critpath::MoveProposal {
-                            instance: InstanceId(inst as u32),
-                            to_core: CoreId::new(core),
-                        },
-                    );
-                    let reference = simulate(&spec, &graph, &mutated, &profile, &machine, &opts);
-                    assert_eq!(reference.makespan, base.makespan);
-                    assert_eq!(reference.invocations, base.invocations);
-                    assert_eq!(reference.completed, base.completed);
-                    moved_any += 1;
-                }
-            }
-        }
-        // kc layouts are small; if no instance was ever idle the test
-        // would be vacuous.
-        assert!(moved_any > 0, "no untouched instance exercised");
-    }
-
-    #[test]
-    fn fast_simulate_one_shot_matches_reference() {
+    fn one_shot_simulate_matches_reference() {
         let (spec, cstg, profile) = kc_setup();
         let graph = scc_tree_transform(&GroupGraph::build(&spec, &cstg, &profile));
         let machine = MachineDescription::quad();
@@ -1318,8 +1226,8 @@ mod tests {
             collect_trace: true,
             ..SimOptions::default()
         };
-        let reference = simulate(&spec, &graph, &layout, &profile, &machine, &opts);
-        let fast = fast_simulate(&spec, &graph, &layout, &profile, &machine, &opts);
-        assert_results_equal(&fast, &reference, "one-shot");
+        let oracle = reference::simulate(&spec, &graph, &layout, &profile, &machine, &opts);
+        let fast = simulate(&spec, &graph, &layout, &profile, &machine, &opts);
+        assert_results_equal(&fast, &oracle, "one-shot");
     }
 }

@@ -10,28 +10,21 @@
 //! tag-consistent pairing, and the [`crate::layout::Router`]'s
 //! locality-first object placement.
 //!
-//! # Two engines, one semantics
+//! # One engine, one oracle
 //!
-//! The module ships two implementations of the same simulation:
+//! [`simulate`] and the DSA optimizer both run [`fast`]'s arena/SoA
+//! [`SimEngine`]: immutable per-program tables in a [`SimProgram`],
+//! and an engine whose prediction streams, stamp/route memos and
+//! event/object arenas persist across the many candidate evaluations of
+//! one DSA run. [`simulate`] builds both for a single run.
 //!
-//! * [`reference`](mod@reference) — the original, straightforward
-//!   simulator.
-//!   [`simulate`] runs it. It is the *reference semantics*: every other
-//!   evaluation path must be bit-identical to it.
-//! * [`fast`] — an arena/SoA engine ([`SimEngine`]) that amortizes all
-//!   per-simulation setup across the many candidate evaluations of one
-//!   DSA run: shared prediction streams, persistent dispatch/stamp/route
-//!   memos, flat per-instance slot tables, and reusable event/object
-//!   arenas. It produces bit-identical [`SimResult`]s (including traces)
-//!   and additionally journals per-instance activity ([`DeltaInfo`]) so
-//!   the optimizer's delta re-simulation layer can reuse a parent
-//!   layout's result when a move only touches idle instances.
-//!
-//! Differential tests (unit tests here, `tests/delta_sim.rs`, and the
-//! transform-chain proptest) plus the `dsa-determinism` /
-//! `dsa-makespan-exact` doctor checks enforce the equivalence.
+//! `reference` is the straightforward implementation of the same
+//! semantics, kept as the oracle the engine is differentially tested
+//! against (unit tests in [`fast`], `tests/sim_oracle.rs`). No non-test
+//! code calls it.
 
 pub mod fast;
+#[doc(hidden)]
 pub mod reference;
 
 use crate::groups::GroupGraph;
@@ -41,7 +34,7 @@ use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::MachineDescription;
 use bamboo_profile::{Cycles, Profile};
 
-pub use fast::{fast_simulate, SimEngine, SimProgram};
+pub use fast::{SimEngine, SimProgram};
 
 /// Simulator options.
 #[derive(Clone, Debug)]
@@ -102,12 +95,14 @@ pub struct SimResult {
     /// through the DSA memo cache: a traced result is cloned on every
     /// cache insert, hit, and survivor copy, and a deep trace copy
     /// (thousands of tasks, one deps `Vec` each) would dominate the
-    /// delta engine's per-candidate cost. Traces are immutable once
-    /// simulated, so sharing is observationally identical.
+    /// per-candidate cost. Traces are immutable once simulated, so
+    /// sharing is observationally identical.
     pub trace: Option<std::sync::Arc<ExecutionTrace>>,
 }
 
-/// Runs the scheduling simulation of `layout` (reference semantics).
+/// Runs the scheduling simulation of `layout`: one [`SimProgram`] and
+/// [`SimEngine`] built for this run. Callers scoring many layouts of one
+/// program should keep an engine and call [`SimEngine::simulate`].
 pub fn simulate(
     spec: &ProgramSpec,
     graph: &GroupGraph,
@@ -116,47 +111,8 @@ pub fn simulate(
     machine: &MachineDescription,
     opts: &SimOptions,
 ) -> SimResult {
-    reference::Simulator::new(spec, graph, layout, profile, machine, opts).run()
-}
-
-/// Per-instance activity journal of one simulation, recorded by the fast
-/// engine alongside its [`SimResult`].
-///
-/// `touched[i]` is true when instance `i` was ever the *home* of an
-/// object during the run (startup injection, allocation delivery, or a
-/// transition transfer). An untouched instance formed no invocations,
-/// sent and received nothing, and contributed no events — so a candidate
-/// layout that differs from this run's layout only in the cores of
-/// untouched instances replays the exact same event timeline. The only
-/// field that can change is utilization's denominator (the set of used
-/// cores), which `busy` lets the delta layer recompute exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DeltaInfo {
-    /// Total busy cycles across all cores (utilization's numerator).
-    pub busy: Cycles,
-    /// Per-instance "ever homed an object" journal, indexed by
-    /// [`crate::layout::InstanceId`].
-    pub touched: Box<[bool]>,
-}
-
-impl DeltaInfo {
-    /// Whether every instance in `moved` sat idle for the whole
-    /// journaled run — the delta-reuse soundness condition.
-    pub fn all_idle(&self, moved: &[crate::layout::InstanceId]) -> bool {
-        moved
-            .iter()
-            .all(|inst| !self.touched.get(inst.index()).copied().unwrap_or(true))
-    }
-}
-
-/// One memoized simulation: the result plus, when the fast engine
-/// produced it, the activity journal the delta layer keys off.
-#[derive(Clone, Debug)]
-pub struct CachedSim {
-    /// The simulation result.
-    pub result: SimResult,
-    /// The activity journal (absent for reference-engine entries).
-    pub delta: Option<DeltaInfo>,
+    let program = SimProgram::new(spec, graph, profile, machine, opts);
+    SimEngine::new(&program).simulate(layout, opts.collect_trace)
 }
 
 /// A bounded, memoized store of simulation results keyed by layout
@@ -167,8 +123,7 @@ pub struct CachedSim {
 /// but the layout is fixed — a result can be replayed for any layout
 /// whose fingerprint was already simulated. The DSA optimizer uses this
 /// to avoid re-simulating survivors that re-enter the candidate pool
-/// across iterations, and (through [`CachedSim::delta`]) to answer
-/// idle-cone delta lookups for children of memoized parents.
+/// across iterations.
 ///
 /// The cache holds at most [`SimCache::capacity`] entries; inserting
 /// past that evicts the least-recently-used entry (deterministically —
@@ -177,7 +132,7 @@ pub struct CachedSim {
 /// bound. Evictions are counted and surface as `dsa.cache_evictions`.
 #[derive(Clone, Debug)]
 pub struct SimCache {
-    map: std::collections::HashMap<u64, (CachedSim, u64)>,
+    map: std::collections::HashMap<u64, (SimResult, u64)>,
     capacity: usize,
     tick: u64,
     hits: usize,
@@ -226,7 +181,7 @@ impl SimCache {
         let tick = Self::bump(&mut self.tick);
         let found = self.map.get_mut(&fingerprint).map(|slot| {
             slot.1 = tick;
-            slot.0.result.clone()
+            slot.0.clone()
         });
         if found.is_some() {
             self.hits += 1;
@@ -234,39 +189,9 @@ impl SimCache {
         found
     }
 
-    /// Inspects the memoized entry for `fingerprint` without counting a
-    /// hit (the delta layer peeking at a candidate's parent). Refreshes
-    /// the entry's recency.
-    pub fn peek(&mut self, fingerprint: u64) -> Option<&CachedSim> {
-        let tick = Self::bump(&mut self.tick);
-        self.map.get_mut(&fingerprint).map(|slot| {
-            slot.1 = tick;
-            &slot.0
-        })
-    }
-
     /// Memoizes a freshly simulated result, counting a miss.
     pub fn insert(&mut self, fingerprint: u64, result: SimResult) {
-        self.insert_entry(
-            fingerprint,
-            CachedSim {
-                result,
-                delta: None,
-            },
-        );
-    }
-
-    /// Memoizes a freshly simulated result with its activity journal,
-    /// counting a miss.
-    pub fn insert_entry(&mut self, fingerprint: u64, entry: CachedSim) {
         self.misses += 1;
-        self.store(fingerprint, entry);
-    }
-
-    /// Stores an entry derived from already-counted work (a delta-reused
-    /// child, a trace upgrade of an existing entry) without counting a
-    /// miss.
-    pub fn store(&mut self, fingerprint: u64, entry: CachedSim) {
         if self.map.len() >= self.capacity && !self.map.contains_key(&fingerprint) {
             // Evict the least-recently-used entry. The linear scan is
             // fine: capacity is small and insertion is rare next to the
@@ -282,7 +207,7 @@ impl SimCache {
             }
         }
         let tick = Self::bump(&mut self.tick);
-        self.map.insert(fingerprint, (entry, tick));
+        self.map.insert(fingerprint, (result, tick));
     }
 
     /// Results currently memoized.
@@ -346,60 +271,13 @@ mod cache_tests {
     }
 
     #[test]
-    fn store_does_not_count_misses() {
-        let mut cache = SimCache::with_capacity(4);
-        cache.store(
-            7,
-            CachedSim {
-                result: result(5),
-                delta: None,
-            },
-        );
-        assert_eq!(cache.misses(), 0);
-        assert_eq!(cache.lookup(7).map(|r| r.makespan), Some(5));
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
     fn overwrite_does_not_evict() {
         let mut cache = SimCache::with_capacity(2);
         cache.insert(1, result(10));
         cache.insert(2, result(20));
-        cache.store(
-            2,
-            CachedSim {
-                result: result(21),
-                delta: None,
-            },
-        );
+        cache.insert(2, result(21));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.lookup(2).map(|r| r.makespan), Some(21));
-    }
-
-    #[test]
-    fn peek_counts_no_hit_but_refreshes_recency() {
-        let mut cache = SimCache::with_capacity(2);
-        cache.insert(1, result(10));
-        cache.insert(2, result(20));
-        assert!(cache.peek(1).is_some());
-        assert_eq!(cache.hits(), 0);
-        cache.insert(3, result(30));
-        // 2 was the stalest entry after the peek refreshed 1.
-        assert!(cache.lookup(2).is_none());
-        assert!(cache.lookup(1).is_some());
-    }
-
-    #[test]
-    fn delta_all_idle_checks_moved_instances() {
-        use crate::layout::InstanceId;
-        let info = DeltaInfo {
-            busy: 100,
-            touched: vec![true, false, false].into_boxed_slice(),
-        };
-        assert!(info.all_idle(&[InstanceId(1), InstanceId(2)]));
-        assert!(!info.all_idle(&[InstanceId(0)]));
-        // Out-of-range instances are conservatively "touched".
-        assert!(!info.all_idle(&[InstanceId(9)]));
     }
 }

@@ -1,8 +1,14 @@
-//! The reference simulator: a direct, allocation-heavy implementation
-//! of the scheduling semantics. Every other evaluation path (the fast
-//! arena engine, the delta layer) is defined as "bit-identical to this"
-//! and differentially tested against it. Keep it simple; optimize
-//! [`super::fast`] instead.
+//! The oracle simulator: a direct, allocation-heavy implementation of
+//! the scheduling semantics. [`super::fast`] — the engine everything
+//! else runs — is defined as "bit-identical to this" and differentially
+//! tested against [`simulate`]. Keep it simple; optimize the engine
+//! instead.
+//!
+//! Test-only by convention, not by `#[cfg(test)]`: the six-app
+//! differential (`tests/sim_oracle.rs`) lives in the workspace's root
+//! `tests/` and needs `bamboo-apps`, which depends on `bamboo`, which
+//! depends on this crate — a `cfg(test)` item is invisible from there.
+//! Hence `#[doc(hidden)] pub`, and no re-export from the crate root.
 
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout, RouteDecision, Router};
@@ -54,7 +60,7 @@ struct ReadyInvocation {
     pred: Prediction,
 }
 
-pub(crate) struct Simulator<'a> {
+struct Simulator<'a> {
     spec: &'a ProgramSpec,
     graph: &'a GroupGraph,
     layout: &'a Layout,
@@ -96,8 +102,21 @@ enum EventKey {
     CoreFree(u32),
 }
 
+/// Simulates `layout` from scratch on the oracle. Same contract as
+/// [`super::simulate`].
+pub fn simulate(
+    spec: &ProgramSpec,
+    graph: &GroupGraph,
+    layout: &Layout,
+    profile: &Profile,
+    machine: &MachineDescription,
+    opts: &SimOptions,
+) -> SimResult {
+    Simulator::new(spec, graph, layout, profile, machine, opts).run()
+}
+
 impl<'a> Simulator<'a> {
-    pub(crate) fn new(
+    fn new(
         spec: &'a ProgramSpec,
         graph: &'a GroupGraph,
         layout: &'a Layout,
@@ -157,7 +176,7 @@ impl<'a> Simulator<'a> {
         self.events.push(Reverse((time, self.seq, key)));
     }
 
-    pub(crate) fn run(mut self) -> SimResult {
+    fn run(mut self) -> SimResult {
         // Inject the startup object.
         let startup_inst = self.layout.instances_of(self.graph.startup_group)[0];
         let flags = FlagSet::new().with(self.spec.startup.flag, true);

@@ -301,7 +301,7 @@ mod tests {
         assert!(stats.simulations > 1);
         assert_eq!(stats.simulations, stats.cache_misses);
         assert_eq!(
-            stats.simulations + stats.cache_hits + stats.delta_hits,
+            stats.simulations + stats.cache_hits,
             stats.candidates_evaluated
         );
         assert!(stats.iterations >= stats.trajectory.len());

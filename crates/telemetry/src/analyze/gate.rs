@@ -248,253 +248,6 @@ impl Verdict {
     }
 }
 
-/// One benchmark's recorded synthesis reference numbers (from
-/// `BENCH_dsa.json`, written by the bench crate's `dsa` harness).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DsaBaselineBench {
-    /// Benchmark name as recorded (e.g. `"KMeans"`).
-    pub name: String,
-    /// Best serial (1 thread, memoization off) synthesis wall time, µs.
-    pub serial_wall_us: f64,
-    /// Best parallel (all threads, memoized) synthesis wall time, µs.
-    pub parallel_wall_us: f64,
-    /// Serial-over-parallel wall-time speedup.
-    pub speedup: f64,
-    /// Simulations the parallel configuration ran (deterministic).
-    pub simulations: f64,
-    /// Simulation-cache hits of the parallel configuration (deterministic).
-    pub cache_hits: f64,
-    /// Best simulated makespan of the synthesized plan (deterministic).
-    pub best_makespan: f64,
-    /// Delta-engine columns, when the baseline records them. Absent in
-    /// baselines written before the delta engine existed.
-    pub delta: Option<DsaDeltaBaseline>,
-}
-
-/// The delta-engine columns of one recorded benchmark: a single-threaded
-/// memoized run of the incremental simulator against the same candidate
-/// stream as the serial reference leg.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DsaDeltaBaseline {
-    /// Serial-over-delta wall-time speedup (both legs single-threaded,
-    /// same candidate count — a pure engine-efficiency ratio).
-    pub speedup: f64,
-    /// Candidate evaluations per second of the delta leg.
-    pub sims_per_sec: f64,
-    /// Full simulations the delta configuration ran (deterministic).
-    pub simulations: f64,
-    /// Delta-path reuse hits of the delta configuration (deterministic).
-    pub hits: f64,
-}
-
-/// The parsed `BENCH_dsa.json` baseline.
-#[derive(Clone, Debug, Default)]
-pub struct DsaBaseline {
-    /// Core count of the machine model synthesis targeted.
-    pub machine_cores: u64,
-    /// Worker threads available on the recording host.
-    pub host_threads: u64,
-    /// One entry per recorded benchmark.
-    pub benches: Vec<DsaBaselineBench>,
-}
-
-/// Parses a `BENCH_dsa.json` document.
-///
-/// # Errors
-///
-/// Returns a message when the text is not JSON or required members are
-/// missing/mistyped.
-pub fn parse_dsa_baseline(text: &str) -> Result<DsaBaseline, String> {
-    let doc = json::parse(text)?;
-    let top = |key: &str| -> Result<f64, String> {
-        doc.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("missing {key}"))
-    };
-    let machine_cores = top("machine_cores")? as u64;
-    let host_threads = top("host_threads")? as u64;
-    let Some(Value::Obj(benches)) = doc.get("benches") else {
-        return Err("missing benches object".into());
-    };
-    let mut out = Vec::with_capacity(benches.len());
-    for (name, bench) in benches {
-        let field = |key: &str| -> Result<f64, String> {
-            bench
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{name}: missing {key}"))
-        };
-        let delta = if bench.get("delta_speedup").is_some() {
-            Some(DsaDeltaBaseline {
-                speedup: field("delta_speedup")?,
-                sims_per_sec: field("sims_per_sec_delta")?,
-                simulations: field("delta_simulations")?,
-                hits: field("delta_hits")?,
-            })
-        } else {
-            None
-        };
-        out.push(DsaBaselineBench {
-            name: name.clone(),
-            serial_wall_us: field("serial_wall_us")?,
-            parallel_wall_us: field("parallel_wall_us")?,
-            speedup: field("wall_speedup")?,
-            simulations: field("simulations")?,
-            cache_hits: field("cache_hits")?,
-            best_makespan: field("best_makespan")?,
-            delta,
-        });
-    }
-    Ok(DsaBaseline {
-        machine_cores,
-        host_threads,
-        benches: out,
-    })
-}
-
-/// One benchmark's synthesis numbers measured on the build under test.
-#[derive(Clone, Debug, Default)]
-pub struct DsaObservation {
-    /// Benchmark name; matched against [`DsaBaselineBench::name`].
-    pub name: String,
-    /// Best makespan synthesized by the serial configuration.
-    pub serial_makespan: f64,
-    /// Best makespan synthesized by the parallel configuration.
-    pub parallel_makespan: f64,
-    /// Simulations the parallel configuration ran.
-    pub simulations: f64,
-    /// Serial-over-parallel wall-time speedup measured now.
-    pub wall_speedup: f64,
-    /// Best makespan synthesized by the delta-engine configuration.
-    pub delta_makespan: f64,
-    /// Full simulations the delta-engine configuration ran.
-    pub delta_simulations: f64,
-    /// Serial-over-delta wall-time speedup measured now.
-    pub delta_speedup: f64,
-}
-
-/// Minimum host threads before the DSA speedup check is meaningful.
-pub const DSA_SPEEDUP_MIN_HOST_THREADS: u64 = 4;
-/// Observed DSA wall speedup must reach this fraction of the recorded one
-/// (when both hosts have enough threads).
-pub const DSA_SPEEDUP_FLOOR_FRACTION: f64 = 0.35;
-
-/// Evaluates synthesis observations against the `BENCH_dsa.json`
-/// baseline, returning checks to append to the verdict.
-///
-/// Determinism checks are exact — synthesis is bit-reproducible from a
-/// seed on any host. The wall-speedup floor only applies when both the
-/// recording host and `host_threads` (the measuring host) have at least
-/// [`DSA_SPEEDUP_MIN_HOST_THREADS`] workers; below that the check passes
-/// with an explanatory detail, because a serial host cannot exhibit
-/// parallel speedup and the determinism checks still hold the line.
-///
-/// When the baseline records delta-engine columns, three more checks run
-/// per bench: `dsa-delta-exact` (delta best makespan bit-identical to the
-/// serial reference), `dsa-delta-sims-exact` (deterministic simulation
-/// count unchanged), and `dsa-delta-speedup-floor`. Unlike the parallel
-/// floor, the delta floor applies on *any* host — both legs are
-/// single-threaded, so the ratio measures engine efficiency, not core
-/// count — and holds at [`DSA_SPEEDUP_FLOOR_FRACTION`] of the recording.
-pub fn evaluate_dsa(
-    baseline: &DsaBaseline,
-    observations: &[DsaObservation],
-    host_threads: u64,
-) -> Vec<Check> {
-    let mut checks = Vec::new();
-    for base in &baseline.benches {
-        let Some(obs) = observations.iter().find(|o| o.name == base.name) else {
-            checks.push(check(
-                &base.name,
-                "dsa-bench-present",
-                0.0,
-                1.0,
-                false,
-                "must be",
-            ));
-            continue;
-        };
-        checks.push(check(
-            &base.name,
-            "dsa-determinism",
-            obs.parallel_makespan,
-            obs.serial_makespan,
-            obs.parallel_makespan == obs.serial_makespan,
-            "==",
-        ));
-        checks.push(check(
-            &base.name,
-            "dsa-makespan-exact",
-            obs.parallel_makespan,
-            base.best_makespan,
-            obs.parallel_makespan == base.best_makespan,
-            "==",
-        ));
-        checks.push(check(
-            &base.name,
-            "dsa-sims-exact",
-            obs.simulations,
-            base.simulations,
-            obs.simulations == base.simulations,
-            "==",
-        ));
-        if host_threads >= DSA_SPEEDUP_MIN_HOST_THREADS
-            && baseline.host_threads >= DSA_SPEEDUP_MIN_HOST_THREADS
-        {
-            let floor = base.speedup * DSA_SPEEDUP_FLOOR_FRACTION;
-            checks.push(check(
-                &base.name,
-                "dsa-speedup-floor",
-                obs.wall_speedup,
-                floor,
-                obs.wall_speedup >= floor,
-                ">=",
-            ));
-        } else {
-            checks.push(Check {
-                bench: base.name.clone(),
-                name: "dsa-speedup-floor",
-                observed: obs.wall_speedup,
-                limit: 0.0,
-                pass: true,
-                detail: format!(
-                    "skipped: host has {host_threads} thread(s), baseline recorded with {} (need >= {DSA_SPEEDUP_MIN_HOST_THREADS} on both)",
-                    baseline.host_threads,
-                ),
-            });
-        }
-        if let Some(delta) = &base.delta {
-            checks.push(check(
-                &base.name,
-                "dsa-delta-exact",
-                obs.delta_makespan,
-                obs.serial_makespan,
-                obs.delta_makespan == obs.serial_makespan,
-                "==",
-            ));
-            checks.push(check(
-                &base.name,
-                "dsa-delta-sims-exact",
-                obs.delta_simulations,
-                delta.simulations,
-                obs.delta_simulations == delta.simulations,
-                "==",
-            ));
-            // Single-threaded on both legs: no host-thread gate.
-            let floor = delta.speedup * DSA_SPEEDUP_FLOOR_FRACTION;
-            checks.push(check(
-                &base.name,
-                "dsa-delta-speedup-floor",
-                obs.delta_speedup,
-                floor,
-                obs.delta_speedup >= floor,
-                ">=",
-            ));
-        }
-    }
-    checks
-}
-
 /// One benchmark's chaos-run measurements: a clean (fault-free) run and
 /// two same-seed faulty runs under the default fault plan.
 #[derive(Clone, Debug, Default)]
@@ -1264,155 +1017,6 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.name == "bench-present" && !c.pass));
-    }
-
-    const DSA_BASELINE: &str = r#"{
-      "machine_cores": 62,
-      "scale": "original",
-      "reps": 5,
-      "host_threads": 8,
-      "benches": {
-        "KMeans": {
-          "serial_wall_us": 102000, "parallel_wall_us": 34000, "wall_speedup": 3.0,
-          "simulations": 80, "cache_hits": 16, "best_makespan": 3168000000.0,
-          "sims_per_sec_serial": 941.2, "sims_per_sec_parallel": 2352.9,
-          "delta_wall_us": 25500, "delta_speedup": 4.0, "sims_per_sec_delta": 3137.3,
-          "delta_simulations": 80, "delta_hits": 0, "delta_cache_evictions": 0
-        }
-      }
-    }"#;
-
-    fn healthy_dsa_observation() -> DsaObservation {
-        DsaObservation {
-            name: "KMeans".into(),
-            serial_makespan: 3168000000.0,
-            parallel_makespan: 3168000000.0,
-            simulations: 80.0,
-            wall_speedup: 2.1,
-            delta_makespan: 3168000000.0,
-            delta_simulations: 80.0,
-            delta_speedup: 3.2,
-        }
-    }
-
-    #[test]
-    fn dsa_baseline_parses() {
-        let baseline = parse_dsa_baseline(DSA_BASELINE).unwrap();
-        assert_eq!(baseline.machine_cores, 62);
-        assert_eq!(baseline.host_threads, 8);
-        assert_eq!(baseline.benches.len(), 1);
-        let km = &baseline.benches[0];
-        assert_eq!(km.simulations, 80.0);
-        assert_eq!(km.cache_hits, 16.0);
-        assert_eq!(km.speedup, 3.0);
-        let delta = km.delta.as_ref().expect("delta columns parsed");
-        assert_eq!(delta.speedup, 4.0);
-        assert_eq!(delta.simulations, 80.0);
-        assert_eq!(delta.hits, 0.0);
-        assert!(parse_dsa_baseline("{}").is_err());
-    }
-
-    #[test]
-    fn pre_delta_dsa_baseline_still_parses() {
-        // Baselines recorded before the delta engine lack its columns;
-        // they must parse (delta: None) and skip the delta checks.
-        let old = DSA_BASELINE
-            .lines()
-            .filter(|l| !l.contains("delta"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .replace(
-                "\"sims_per_sec_parallel\": 2352.9,",
-                "\"sims_per_sec_parallel\": 2352.9",
-            );
-        let baseline = parse_dsa_baseline(&old).unwrap();
-        assert!(baseline.benches[0].delta.is_none());
-        let checks = evaluate_dsa(&baseline, &[healthy_dsa_observation()], 8);
-        assert_eq!(checks.len(), 4);
-        assert!(!checks.iter().any(|c| c.name.starts_with("dsa-delta")));
-    }
-
-    #[test]
-    fn healthy_dsa_run_passes() {
-        let baseline = parse_dsa_baseline(DSA_BASELINE).unwrap();
-        let checks = evaluate_dsa(&baseline, &[healthy_dsa_observation()], 8);
-        assert_eq!(checks.len(), 7);
-        assert!(checks.iter().all(|c| c.pass), "{checks:?}");
-    }
-
-    #[test]
-    fn dsa_nondeterminism_and_drift_fail() {
-        let baseline = parse_dsa_baseline(DSA_BASELINE).unwrap();
-        let mut obs = healthy_dsa_observation();
-        obs.parallel_makespan = 3168000001.0;
-        let checks = evaluate_dsa(&baseline, &[obs], 8);
-        assert!(checks
-            .iter()
-            .any(|c| c.name == "dsa-determinism" && !c.pass));
-        assert!(checks
-            .iter()
-            .any(|c| c.name == "dsa-makespan-exact" && !c.pass));
-        let mut obs = healthy_dsa_observation();
-        obs.simulations = 81.0;
-        let checks = evaluate_dsa(&baseline, &[obs], 8);
-        assert!(checks.iter().any(|c| c.name == "dsa-sims-exact" && !c.pass));
-        let checks = evaluate_dsa(&baseline, &[], 8);
-        assert!(checks
-            .iter()
-            .any(|c| c.name == "dsa-bench-present" && !c.pass));
-    }
-
-    #[test]
-    fn dsa_speedup_floor_is_host_aware() {
-        let baseline = parse_dsa_baseline(DSA_BASELINE).unwrap();
-        // A collapsed speedup fails on a capable host...
-        let mut obs = healthy_dsa_observation();
-        obs.wall_speedup = 0.9;
-        let checks = evaluate_dsa(&baseline, &[obs.clone()], 8);
-        let floor = checks
-            .iter()
-            .find(|c| c.name == "dsa-speedup-floor")
-            .unwrap();
-        assert!(!floor.pass);
-        // ...but is skipped (passing, explained) on a serial host, where
-        // no parallel speedup is physically possible.
-        let checks = evaluate_dsa(&baseline, &[obs], 1);
-        let floor = checks
-            .iter()
-            .find(|c| c.name == "dsa-speedup-floor")
-            .unwrap();
-        assert!(floor.pass);
-        assert!(floor.detail.contains("skipped"));
-    }
-
-    #[test]
-    fn dsa_delta_checks_catch_drift_and_apply_on_any_host() {
-        let baseline = parse_dsa_baseline(DSA_BASELINE).unwrap();
-        // Delta makespan diverging from the serial reference is a
-        // semantics bug, not a perf regression.
-        let mut obs = healthy_dsa_observation();
-        obs.delta_makespan = 3168000001.0;
-        let checks = evaluate_dsa(&baseline, &[obs], 8);
-        assert!(checks
-            .iter()
-            .any(|c| c.name == "dsa-delta-exact" && !c.pass));
-        // Simulation-count drift means the candidate stream changed.
-        let mut obs = healthy_dsa_observation();
-        obs.delta_simulations = 79.0;
-        let checks = evaluate_dsa(&baseline, &[obs], 8);
-        assert!(checks
-            .iter()
-            .any(|c| c.name == "dsa-delta-sims-exact" && !c.pass));
-        // The delta floor (4.0 * 0.35 = 1.4) fails even on a 1-thread
-        // host: both legs are single-threaded, so no skip applies.
-        let mut obs = healthy_dsa_observation();
-        obs.delta_speedup = 1.1;
-        let checks = evaluate_dsa(&baseline, &[obs], 1);
-        let floor = checks
-            .iter()
-            .find(|c| c.name == "dsa-delta-speedup-floor")
-            .unwrap();
-        assert!(!floor.pass, "{floor:?}");
     }
 
     fn healthy_chaos_observation() -> ChaosObservation {

@@ -243,7 +243,6 @@ impl Telemetry {
         self.counter("dsa.cache_hits").add(stats.cache_hits as u64);
         self.counter("dsa.cache_misses")
             .add(stats.cache_misses as u64);
-        self.counter("dsa.delta_hits").add(stats.delta_hits as u64);
         self.counter("dsa.cache_evictions")
             .add(stats.cache_evictions as u64);
         self.gauge("dsa.best_makespan")
@@ -616,7 +615,7 @@ mod tests {
             survivors: 22,
             cache_hits: 6,
             cache_misses: 30,
-            delta_hits: 4,
+            delta_hits: 0,
             cache_evictions: 2,
             trajectory: vec![900, 700, 650],
             best_makespan: 650,
@@ -627,7 +626,6 @@ mod tests {
         assert_eq!(m.counters["dsa.simulations"], 30);
         assert_eq!(m.counters["dsa.cache_hits"], 6);
         assert_eq!(m.counters["dsa.cache_misses"], 30);
-        assert_eq!(m.counters["dsa.delta_hits"], 4);
         assert_eq!(m.counters["dsa.cache_evictions"], 2);
         assert_eq!(m.gauges["dsa.best_makespan"], 650);
         assert_eq!(m.gauges["dsa.acceptance_rate_pct"], 55);
