@@ -4,12 +4,16 @@
 //! messages: a worker holds the objects currently enqueued in its
 //! parameter sets and forwards objects to other workers over crossbeam
 //! channels, exactly as the paper's runtime sends objects between tiles
-//! (§4.7). Before executing an invocation the worker *try-locks* every
-//! parameter object's lock class in a global lock table (sorted order, no
-//! deadlock); on failure it releases everything and tries a different
-//! invocation — Bamboo's transactional task semantics, with no aborts and
-//! no rollback. Lock classes merge per the disjointness analysis's
-//! [`bamboo_analysis::LockPlan`]s.
+//! (§4.7); an object bound for an instance on the executing core skips
+//! the channel and goes straight into that core's parameter sets. Holding
+//! an object's `Box` is exclusive access to it, so an invocation locks
+//! only the parameters the disjointness analysis found may share heap:
+//! the first [`bamboo_analysis::LockPlan`] group of two or more
+//! parameters to touch an object gives it a lock class and merges the
+//! group's classes. Before executing, the worker *try-locks* those
+//! classes (sorted order, no deadlock); on failure it releases everything
+//! and tries a different invocation — Bamboo's transactional task
+//! semantics, with no aborts and no rollback.
 //!
 //! The dispatch hot path (see DESIGN.md "The threaded hot path"):
 //!
@@ -29,7 +33,6 @@
 //! host machine's core count is unrelated to the modeled TILEPro64).
 
 use crate::chaos::FaultPlan;
-use crate::cost::CostModel;
 use crate::deploy::{Deployment, QuiescencePolicy, RunOptions, StealPolicy};
 use crate::ledger::{Completion, RequestLedger};
 use crate::program::{NativePayload, Program, TaskCtx};
@@ -62,6 +65,8 @@ struct TObject {
     flags: FlagSet,
     tags: Vec<(TagTypeId, TagInstance)>,
     payload: NativePayload,
+    /// Lock class in the [`LockTable`], or [`UNSHARED`] until a
+    /// shared-lock directive first groups the object with another.
     lock: usize,
     /// Invocation that released or created this object ([`NO_ID`] for
     /// the driver-injected startup object). Carried with the object so
@@ -102,62 +107,51 @@ enum Message {
     Shutdown,
 }
 
-/// Global lock table: per-object lock classes with union-find merging.
+/// [`TObject::lock`] of an object that belongs to no lock class: the
+/// worker holding its `Box` owns it, so dispatch takes no lock for it.
+const UNSHARED: usize = usize::MAX;
+
+/// Lock classes of the objects that may share heap: the union-find over
+/// class ids and one mutex per id, under one table mutex. Only the
+/// shared-lock directive allocates here, so an all-disjoint program never
+/// touches the table.
 struct LockTable {
-    uf: Mutex<UnionFind>,
-    mutexes: Mutex<Vec<Arc<Mutex<()>>>>,
+    classes: Mutex<(UnionFind, Vec<Arc<Mutex<()>>>)>,
 }
 
 impl LockTable {
     fn new() -> Self {
         LockTable {
-            uf: Mutex::new(UnionFind::new(0)),
-            mutexes: Mutex::new(Vec::new()),
+            classes: Mutex::new((UnionFind::new(0), Vec::new())),
         }
     }
 
     fn fresh(&self) -> usize {
-        // Both pushes happen under the union-find lock: two interleaved
-        // allocations would otherwise let the second caller return an id
-        // whose mutex slot is not pushed yet, and a concurrent
-        // `try_lock_all` on that id would index past the table. (Safe
-        // lock order: `try_lock_all` never holds `uf` while taking
-        // `mutexes`.)
-        let mut uf = self.uf.lock();
-        let id = uf.push();
-        self.mutexes.lock().push(Arc::new(Mutex::new(())));
-        drop(uf);
-        id
+        let mut classes = self.classes.lock();
+        classes.1.push(Arc::new(Mutex::new(())));
+        classes.0.push()
     }
 
     fn merge(&self, a: usize, b: usize) {
-        self.uf.lock().union(a, b);
+        self.classes.lock().0.union(a, b);
     }
 
     /// Try-locks the lock classes of `ids` in sorted order; returns guards
     /// or `None` if any class is contended (everything acquired is
-    /// released by dropping).
+    /// released by dropping). No ids, no table access.
     fn try_lock_all(
         &self,
         ids: &[usize],
     ) -> Option<Vec<parking_lot::ArcMutexGuard<parking_lot::RawMutex, ()>>> {
-        let mut reps: Vec<usize> = {
-            let mut uf = self.uf.lock();
-            ids.iter().map(|&i| uf.find(i)).collect()
-        };
+        if ids.is_empty() {
+            return Some(Vec::new());
+        }
+        let mut classes = self.classes.lock();
+        let (uf, mutexes) = &mut *classes;
+        let mut reps: Vec<usize> = ids.iter().map(|&i| uf.find(i)).collect();
         reps.sort_unstable();
         reps.dedup();
-        let mutexes = self.mutexes.lock();
-        let handles: Vec<Arc<Mutex<()>>> = reps.iter().map(|&r| mutexes[r].clone()).collect();
-        drop(mutexes);
-        let mut guards = Vec::with_capacity(handles.len());
-        for handle in handles {
-            match handle.try_lock_arc() {
-                Some(guard) => guards.push(guard),
-                None => return None,
-            }
-        }
-        Some(guards)
+        reps.iter().map(|&r| mutexes[r].try_lock_arc()).collect()
     }
 }
 
@@ -277,8 +271,7 @@ impl Shared {
 
     /// Sends `obj` to the worker owning `instance`, stamping it with a
     /// fresh message id and the sending core (`src`, [`NO_ID`] for the
-    /// driver). Returns the destination core and the minted message id
-    /// so callers can record the transfer.
+    /// driver), and records the `ObjSend` into `sink`.
     ///
     /// Under a fault plan this is the wire: the message id decides (as
     /// a pure hash of the plan's seed) whether the message is dropped —
@@ -287,14 +280,8 @@ impl Shared {
     /// a live host of the same group; with none left the run fails with
     /// [`ExecError::CoreLost`] (the object retires to the graveyard and
     /// no activity is counted, so quiescence still resolves).
-    fn send(
-        &self,
-        src: u64,
-        instance: InstanceId,
-        obj: Box<TObject>,
-        sink: &mut WorkerSink,
-    ) -> (usize, u64) {
-        self.send_impl(src, instance, obj, sink, false)
+    fn send(&self, src: u64, instance: InstanceId, obj: Box<TObject>, sink: &mut WorkerSink) {
+        self.send_impl(src, instance, obj, sink, false, None);
     }
 
     /// [`Self::send`] for *adopted* objects — buffered leftovers
@@ -309,8 +296,24 @@ impl Shared {
         instance: InstanceId,
         obj: Box<TObject>,
         sink: &mut WorkerSink,
-    ) -> (usize, u64) {
-        self.send_impl(src, instance, obj, sink, true)
+    ) {
+        self.send_impl(src, instance, obj, sink, true, None);
+    }
+
+    /// [`Self::send`] out of an invocation executing on `core`, whose
+    /// worker lends its `state`: a destination hosted on `core` itself
+    /// takes the object in directly ([`take_in`]) instead of through the
+    /// channel. Same message id, same fault schedule, same events.
+    fn send_from(
+        &self,
+        core: usize,
+        state: &mut WorkerSets,
+        src: u64,
+        instance: InstanceId,
+        obj: Box<TObject>,
+        sink: &mut WorkerSink,
+    ) {
+        self.send_impl(src, instance, obj, sink, false, Some((core, state)));
     }
 
     fn send_impl(
@@ -320,7 +323,11 @@ impl Shared {
         mut obj: Box<TObject>,
         sink: &mut WorkerSink,
         adopt: bool,
-    ) -> (usize, u64) {
+        local: Option<(usize, &mut WorkerSets)>,
+    ) {
+        // Taken before any fault pause and before the hand-off, so the
+        // send never postdates the matching receive.
+        let ts = sink.now();
         let msg = self.next_msg.fetch_add(1, Ordering::Relaxed) + 1;
         obj.msg = msg;
         obj.src_core = src;
@@ -328,6 +335,8 @@ impl Shared {
         let request = obj.request;
         // Simulated wire faults apply to worker sends only; the driver's
         // startup injection is exempt so every run has work to lose.
+        // They are keyed by message id alone, so they fire the same
+        // whether or not the message then crosses cores.
         if src != NO_ID {
             if let Some(plan) = &self.chaos {
                 let drops = plan.drop_attempts(msg);
@@ -349,9 +358,10 @@ impl Shared {
                     }
                     if lost {
                         self.fail(ExecError::MessageLost { msg });
-                        let core = self.core_of(instance);
+                        let core = self.core_of(instance) as u64;
+                        sink.obj_send(ts, OBJ_BYTES_ESTIMATE, core, msg);
                         let _ = self.graveyard.send(obj);
-                        return (core, msg);
+                        return;
                     }
                     self.recovery_tally.fetch_add(1, Ordering::Relaxed);
                     self.recover_counter.inc();
@@ -381,9 +391,23 @@ impl Shared {
                 }
                 None => {
                     self.fail(ExecError::CoreLost { core });
+                    sink.obj_send(ts, OBJ_BYTES_ESTIMATE, core as u64, msg);
                     let _ = self.graveyard.send(obj);
-                    return (core, msg);
+                    return;
                 }
+            }
+        }
+        sink.obj_send(ts, OBJ_BYTES_ESTIMATE, core as u64, msg);
+        if let Some((here, state)) = local {
+            if here == core {
+                // Same-core hand-off: no message, so no message unit.
+                // The sending invocation holds its own activity and
+                // ledger unit until `execute` returns, and `take_in`
+                // counts each invocation it forms before queueing it,
+                // so neither count can reach zero in between.
+                self.bytes_sent.add(OBJ_BYTES_ESTIMATE);
+                take_in(core, self, self.spec(), state, obj, sink);
+                return;
             }
         }
         self.activity.fetch_add(1, Ordering::SeqCst);
@@ -406,7 +430,6 @@ impl Shared {
                 self.release_activity(request, sink);
             }
         }
-        (core, msg)
     }
 
     /// Picks a live same-group host for an instance whose home core is
@@ -685,24 +708,13 @@ impl ThreadedReport {
 }
 
 /// Executes native programs on real threads. See the module docs.
-#[derive(Debug)]
-pub struct ThreadedExecutor {
-    _cost: CostModel,
-}
+///
+/// Stateless; built with `ThreadedExecutor::default()` (braced rather
+/// than a unit struct so that spelling stays lint-clean for callers).
+#[derive(Debug, Default)]
+pub struct ThreadedExecutor {}
 
 impl ThreadedExecutor {
-    /// Creates an executor. The cost model is accepted for interface
-    /// symmetry with the virtual executor; the threaded executor reports
-    /// real wall time plus body-charged cycles.
-    #[deprecated(
-        since = "0.7.0",
-        note = "the cost model is unused here; go through the `DeploymentHandle` \
-                lifecycle in the `bamboo` crate, or use `ThreadedExecutor::default()`"
-    )]
-    pub fn new(cost: CostModel) -> Self {
-        ThreadedExecutor { _cost: cost }
-    }
-
     /// Runs `deployment` with one thread per core, configured by
     /// `options` (startup payload, telemetry session, steal policy,
     /// quiescence protocol).
@@ -984,7 +996,7 @@ impl ResidentRun {
                 flags: FlagSet::new().with(spec.startup.flag, true),
                 tags: Vec::new(),
                 payload,
-                lock: self.shared.lock_table.fresh(),
+                lock: UNSHARED,
                 producer: NO_ID,
                 msg: NO_ID,
                 src_core: NO_ID,
@@ -993,9 +1005,7 @@ impl ResidentRun {
             });
             let ts = self.driver_sink.now();
             self.driver_sink.req_admit(ts, request, batch);
-            let (dest_core, msg) = self.shared.send(NO_ID, inst, obj, &mut self.driver_sink);
-            self.driver_sink
-                .obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+            self.shared.send(NO_ID, inst, obj, &mut self.driver_sink);
             ids.push(request);
         }
         ids
@@ -1014,6 +1024,12 @@ impl ResidentRun {
     /// Requests currently holding outstanding work.
     pub fn outstanding(&self) -> usize {
         self.shared.ledger.outstanding()
+    }
+
+    /// Messages in flight plus formed-but-unfinished invocations, over
+    /// all requests; zero exactly when the run is quiescent.
+    pub fn activity(&self) -> i64 {
+        self.shared.activity.load(Ordering::SeqCst)
     }
 
     /// Whether the request ledger is fully drained (the no-leak
@@ -1183,13 +1199,6 @@ impl ResidentRun {
             layout_epoch: shared.epoch.load(Ordering::SeqCst),
             fault_schedule: shared.chaos.as_ref().map(|p| p.schedule().to_string()),
         })
-    }
-}
-
-impl Default for ThreadedExecutor {
-    fn default() -> Self {
-        #[allow(deprecated)]
-        ThreadedExecutor::new(CostModel::DEFAULT)
     }
 }
 
@@ -1505,7 +1514,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
         // 2. Work the local run queue.
         let local = shared.ready[core].lock().pop_front();
         if let Some(inv) = local {
-            dispatch(core, &shared, &spec, inv, &mut sink);
+            dispatch(core, &shared, &spec, &mut state, inv, &mut sink);
             dispatched += 1;
             if chaos_tick(core, &shared, dispatched, &mut sink) {
                 die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
@@ -1517,7 +1526,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
         if shared.steal_enabled {
             steal_rotation = steal_rotation.wrapping_add(1);
             if let Some(inv) = shared.try_steal(core, steal_rotation, &mut sink) {
-                dispatch(core, &shared, &spec, inv, &mut sink);
+                dispatch(core, &shared, &spec, &mut state, inv, &mut sink);
                 dispatched += 1;
                 if chaos_tick(core, &shared, dispatched, &mut sink) {
                     die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
@@ -1583,9 +1592,7 @@ fn migrate_drain(
     // again (it migrated back before this drain ran).
     if let Some(sets) = state.hosted.get_mut(&inst) {
         for obj in sets.drain() {
-            let ts = sink.now();
-            let (dest_core, msg) = shared.send_adopted(core as u64, inst, obj, sink);
-            sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+            shared.send_adopted(core as u64, inst, obj, sink);
             moved += 1;
         }
     }
@@ -1681,9 +1688,7 @@ fn die_and_forward(
                 // fresh unit inside `send` before the handoff. A
                 // completed request's leftovers travel adopted so its
                 // ledger entry is never resurrected.
-                let ts = sink.now();
-                let (dest_core, msg) = shared.send_adopted(core as u64, inst, obj, sink);
-                sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+                shared.send_adopted(core as u64, inst, obj, sink);
                 moved += 1;
             }
         }
@@ -1742,9 +1747,7 @@ fn forward_obj(
         .iter()
         .find(|inst| state.hosted[inst].slot_for(spec, &obj).is_some());
     if let Some(&inst) = target {
-        let ts = sink.now();
-        let (dest_core, msg) = shared.send(core as u64, inst, obj, sink);
-        sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+        shared.send(core as u64, inst, obj, sink);
         return;
     }
     let inst = state.assigned.first().copied().unwrap_or(InstanceId(0));
@@ -1760,20 +1763,34 @@ fn forward_obj(
         hash,
     );
     match decision {
-        RouteDecision::Move(dest) => {
-            let ts = sink.now();
-            let (dest_core, msg) = shared.send(core as u64, dest, obj, sink);
-            sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-        }
+        RouteDecision::Move(dest) => shared.send(core as u64, dest, obj, sink),
         _ => {
             let _ = shared.graveyard.send(obj);
         }
     }
 }
 
-/// Handles one delivered object: buffer or forward it, form every
-/// invocation it completes, then release the message's activity (the
-/// formed invocations carry their own, counted first).
+/// Handles one object that arrived as a message: takes it in, then
+/// releases the message's activity (the invocations it formed carry
+/// their own, counted first).
+fn on_deliver(
+    core: usize,
+    shared: &Shared,
+    spec: &ProgramSpec,
+    state: &mut WorkerSets,
+    obj: Box<TObject>,
+    sink: &mut WorkerSink,
+) {
+    let request = obj.request;
+    take_in(core, shared, spec, state, obj, sink);
+    shared.release_activity(request, sink);
+}
+
+/// Takes one object in at `core`, whether it came off the channel or
+/// straight from an invocation executing here: buffer or forward it and
+/// form every invocation it completes. Holds and releases no activity of
+/// its own — the caller's unit (the message's, or the executing
+/// invocation's) covers it, and a buffered object holds none.
 ///
 /// Formation is attempted only for the task whose slot the object landed
 /// in, at that instance, for the object's request. That is complete:
@@ -1781,7 +1798,7 @@ fn forward_obj(
 /// pick remains, so nothing formable is ever left behind, and a set can
 /// become formable only through the object that just arrived — which
 /// sits in exactly one slot of one request's bucket.
-fn on_deliver(
+fn take_in(
     core: usize,
     shared: &Shared,
     spec: &ProgramSpec,
@@ -1833,15 +1850,17 @@ fn on_deliver(
             );
         }
     }
-    shared.release_activity(request, sink);
 }
 
-/// Pops, locks, and executes one invocation; on lock failure the
-/// invocation re-queues at the back of this core's run queue.
+/// Locks and executes one invocation; on lock failure the invocation
+/// re-queues at the back of this core's run queue. Only parameters that
+/// belong to a lock class are locked: the worker holds every parameter's
+/// `Box`, so an unshared object is exclusive already.
 fn dispatch(
     core: usize,
     shared: &Shared,
     spec: &ProgramSpec,
+    state: &mut WorkerSets,
     mut inv: PendingInv,
     sink: &mut WorkerSink,
 ) {
@@ -1862,11 +1881,17 @@ fn dispatch(
             }
         }
     }
-    let lock_ids: Vec<usize> = inv.objs.iter().map(|o| o.lock).collect();
+    let params = inv.objs.len() as u64;
+    let lock_ids: Vec<usize> = inv
+        .objs
+        .iter()
+        .map(|o| o.lock)
+        .filter(|&lock| lock != UNSHARED)
+        .collect();
     match shared.lock_table.try_lock_all(&lock_ids) {
         Some(guards) => {
-            sink.lock_acquired(sink.now(), lock_ids.len() as u64, inv.retries, inv.id);
-            execute(shared, spec, inv, sink);
+            sink.lock_acquired(sink.now(), params, inv.retries, inv.id);
+            execute(core, shared, spec, state, inv, sink);
             drop(guards);
         }
         None => {
@@ -1874,12 +1899,7 @@ fn dispatch(
             // invocation later.
             shared.lock_retries.inc();
             shared.retry_tally.fetch_add(1, Ordering::Relaxed);
-            sink.lock_failed(
-                sink.now(),
-                lock_ids.len() as u64,
-                inv.task.index() as u64,
-                inv.id,
-            );
+            sink.lock_failed(sink.now(), params, inv.task.index() as u64, inv.id);
             inv.retries += 1;
             shared.ready[core].lock().push_back(inv);
             std::thread::yield_now();
@@ -1903,10 +1923,7 @@ fn deliver(
     // object was deliberately re-striped here; handle it locally).
     let assigned = shared.core_of(obj.instance);
     if assigned != core && !shared.router.is_dead(assigned) {
-        let ts = sink.now();
-        let instance = obj.instance;
-        let (dest_core, msg) = shared.send(core as u64, instance, obj, sink);
-        sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+        shared.send(core as u64, obj.instance, obj, sink);
         return None;
     }
     // Enqueue at the first instance on this core with a matching slot.
@@ -1941,16 +1958,10 @@ fn deliver(
         hash,
     );
     match decision {
-        RouteDecision::Move(dest) => {
-            // Forwarding keeps the object's original producer: the
-            // eventual consumer's causal edge must point at whoever
-            // released the object, not at the hop that relayed it.
-            // Timestamp taken before the channel push so the send never
-            // postdates the matching receive.
-            let ts = sink.now();
-            let (dest_core, msg) = shared.send(core as u64, dest, obj, sink);
-            sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-        }
+        // Forwarding keeps the object's original producer: the
+        // eventual consumer's causal edge must point at whoever
+        // released the object, not at the hop that relayed it.
+        RouteDecision::Move(dest) => shared.send(core as u64, dest, obj, sink),
         _ => {
             let _ = shared.graveyard.send(obj);
         }
@@ -2016,7 +2027,17 @@ fn try_form(tspec: &TaskSpec, sets: &[VecDeque<Box<TObject>>]) -> Option<(Vec<us
     Some((picks, tag_env))
 }
 
-fn execute(shared: &Shared, spec: &ProgramSpec, mut inv: PendingInv, sink: &mut WorkerSink) {
+/// Runs `inv` on `core` (its home core, or a thief's) and routes what
+/// it releases and creates; objects bound for an instance `core` hosts
+/// go straight into `state`.
+fn execute(
+    core: usize,
+    shared: &Shared,
+    spec: &ProgramSpec,
+    state: &mut WorkerSets,
+    mut inv: PendingInv,
+    sink: &mut WorkerSink,
+) {
     sink.task_start(
         sink.now(),
         inv.task.index() as u64,
@@ -2092,13 +2113,19 @@ fn execute(shared: &Shared, spec: &ProgramSpec, mut inv: PendingInv, sink: &mut 
         }
     }
 
-    // Shared-lock directive.
+    // Shared-lock directive. An object gets its class the first time a
+    // group of two or more parameters touches it; nothing has to be held
+    // for a new class, because the body has already run.
     for group in &shared.locks_analysis.lock_plans[inv.task.index()].groups {
         for pair in group.windows(2) {
-            shared.lock_table.merge(
-                inv.objs[pair[0].index()].lock,
-                inv.objs[pair[1].index()].lock,
-            );
+            let [a, b] = [pair[0], pair[1]].map(|param| {
+                let lock = &mut inv.objs[param.index()].lock;
+                if *lock == UNSHARED {
+                    *lock = shared.lock_table.fresh();
+                }
+                *lock
+            });
+            shared.lock_table.merge(a, b);
         }
     }
 
@@ -2143,21 +2170,15 @@ fn execute(shared: &Shared, spec: &ProgramSpec, mut inv: PendingInv, sink: &mut 
             obj.flags,
             hash,
         );
-        match decision {
-            RouteDecision::Stay => {
-                let ts = sink.now();
-                let (dest_core, msg) = shared.send(home_core as u64, inv.instance, obj, sink);
-                sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-            }
-            RouteDecision::Move(dest) => {
-                let ts = sink.now();
-                let (dest_core, msg) = shared.send(home_core as u64, dest, obj, sink);
-                sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
-            }
+        let dest = match decision {
+            RouteDecision::Stay => inv.instance,
+            RouteDecision::Move(dest) => dest,
             RouteDecision::Dead => {
                 let _ = shared.graveyard.send(obj);
+                continue;
             }
-        }
+        };
+        shared.send_from(core, state, home_core as u64, dest, obj, sink);
     }
 
     // Created objects.
@@ -2187,16 +2208,14 @@ fn execute(shared: &Shared, spec: &ProgramSpec, mut inv: PendingInv, sink: &mut 
             flags: site_spec.initial_flag_set(),
             tags,
             payload,
-            lock: shared.lock_table.fresh(),
+            lock: UNSHARED,
             producer: inv.id,
             msg: NO_ID,
             src_core: NO_ID,
             request: inv.request,
             instance: dest,
         });
-        let ts = sink.now();
-        let (dest_core, msg) = shared.send(home_core as u64, dest, obj, sink);
-        sink.obj_send(ts, OBJ_BYTES_ESTIMATE, dest_core as u64, msg);
+        shared.send_from(core, state, home_core as u64, dest, obj, sink);
     }
 
     // Invocation complete.
@@ -2213,8 +2232,11 @@ fn execute(shared: &Shared, spec: &ProgramSpec, mut inv: PendingInv, sink: &mut 
 mod tests {
     use super::*;
     use crate::deploy::RouterPolicy;
+    use crate::program::{body, NativeBody};
     use crate::virtual_exec::tests_support::fanout_setup;
+    use bamboo_lang::builder::ProgramBuilder;
     use bamboo_lang::ids::FlagId;
+    use bamboo_lang::spec::FlagExpr;
 
     fn deployment(
         (program, graph, layout, _machine, locks): (
@@ -2655,6 +2677,100 @@ mod tests {
         let accs = report.payloads_of::<(i64, i64, i64)>(acc_class);
         let expected: i64 = (0..16).map(|i| i * i).sum();
         assert_eq!(accs[0].0, expected);
+
+        // An all-disjoint program allocates no lock class and never
+        // retries: ownership of the `Box` is the only exclusion it needs.
+        let deploy = deployment(fanout_setup(16, 4));
+        let mut run = ThreadedExecutor::default()
+            .start(&deploy, RunOptions::default())
+            .unwrap();
+        run.inject(Box::new(()));
+        run.drain().unwrap();
+        assert!(run.shared.lock_table.classes.lock().1.is_empty());
+        assert_eq!(run.shutdown().unwrap().lock_retries, 0);
+
+        // Classes are allocated when sharing first happens and exclude
+        // from then on: `pair` merges an `L` and an `R`, after which
+        // `left` (core 0) and `right` (core 1) each run `ROUNDS` times on
+        // one of them. Every body holds `busy` across a sleep and counts
+        // the times it found it already held.
+        const ROUNDS: i64 = 12;
+        let busy = Arc::new(AtomicBool::new(false));
+        let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("shared-pair");
+        let s = b.class("StartupObject", &["initialstate"]);
+        let init = b.flag(s, "initialstate");
+        let sides = ["L", "R"].map(|name| {
+            let class = b.class(name, &["fresh", "paired"]);
+            (class, b.flag(class, "fresh"), b.flag(class, "paired"))
+        });
+        let [(l, l_fresh, l_paired), (r, r_fresh, r_paired)] = sides;
+        b.task("startup")
+            .param("s", s, FlagExpr::flag(init))
+            .alloc(l, &[(l_fresh, true)], &[])
+            .alloc(r, &[(r_fresh, true)], &[])
+            .exit("", |e| e.set(0, init, false))
+            .body(body(|ctx| {
+                // (rounds left, overlaps seen)
+                ctx.create(0, (ROUNDS, 0i64));
+                ctx.create(1, (ROUNDS, 0i64));
+                0
+            }))
+            .finish();
+        let pair = b
+            .task("pair")
+            .param("l", l, FlagExpr::flag(l_fresh))
+            .param("r", r, FlagExpr::flag(r_fresh))
+            .exit("", |e| {
+                e.set(0, l_fresh, false)
+                    .set(0, l_paired, true)
+                    .set(1, r_fresh, false)
+                    .set(1, r_paired, true)
+            })
+            .body(body(|_| 0))
+            .finish();
+        for (name, class, paired) in [("left", l, l_paired), ("right", r, r_paired)] {
+            let busy = busy.clone();
+            b.task(name)
+                .param("o", class, FlagExpr::flag(paired))
+                .exit("again", |e| e)
+                .exit("done", |e| e.set(0, paired, false))
+                .body(body(move |ctx| {
+                    let overlapped = busy.swap(true, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_micros(300));
+                    busy.store(false, Ordering::SeqCst);
+                    let (left, overlaps) = ctx.param_mut::<(i64, i64)>(0);
+                    *left -= 1;
+                    *overlaps += i64::from(overlapped);
+                    usize::from(*left == 0)
+                }))
+                .finish();
+        }
+        let program = Program::from_native(b.build().unwrap());
+        let mut deploy = Deployment::single_core(
+            &program,
+            &DisjointnessAnalysis::all_disjoint(&program.spec)
+                .with_shared(pair, &[ParamIdx::new(0), ParamIdx::new(1)]),
+        );
+        let right = program.spec.task_by_name("right").unwrap();
+        let right_group = deploy.graph.group_of_task(right).unwrap();
+        assert_ne!(deploy.graph.group_of_task(pair), Some(right_group));
+        deploy.layout.core_count = 2;
+        for inst in &mut deploy.layout.instances {
+            if inst.group == right_group {
+                inst.core = bamboo_machine::CoreId::new(1);
+            }
+        }
+        let mut run = ThreadedExecutor::default()
+            .start(&deploy, RunOptions::default())
+            .unwrap();
+        run.inject(Box::new(()));
+        run.drain().unwrap();
+        assert_eq!(run.shared.lock_table.classes.lock().1.len(), 2);
+        let report = run.shutdown().unwrap();
+        assert_eq!(report.invocations, 2 + 2 * ROUNDS as u64);
+        for class in [l, r] {
+            assert_eq!(report.payloads_of::<(i64, i64)>(class), [&(0, 0)]);
+        }
     }
 
     #[test]

@@ -18,10 +18,11 @@
 
 use bamboo::prelude::*;
 use bamboo::schedule::InstanceId;
-use bamboo::{CoreId, Pacing, ServingOptions, ServingReport};
+use bamboo::{CoreId, Pacing, RelayoutHandle, ServingOptions, ServingReport};
 use bamboo_apps::{all, by_name, Benchmark, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Profiles `bench` at small scale, synthesizes for `cores` cores with
@@ -196,6 +197,99 @@ fn forced_midrun_relayout_preserves_checksums_on_all_apps() {
             bench.name()
         );
     }
+}
+
+/// A relayout that lands between two hand-offs to the same instance
+/// loses nothing. Everything starts on core 0, where `gen` hands one
+/// `Item` per invocation straight to the `fold` instance beside it; the
+/// `gen` body itself moves that instance to core 1 a third of the way
+/// through and back at two thirds, so items handed over before a move
+/// sit buffered (or in a formed invocation) on the old core while later
+/// ones go to the new one. Every item must still reach the accumulator.
+#[test]
+fn relayout_between_handoffs_delivers_every_object() {
+    const ITEMS: i64 = 300;
+    let target: Arc<Mutex<Option<(RelayoutHandle, InstanceId)>>> = Arc::default();
+    let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("handoff-relayout");
+    let s = b.class("StartupObject", &["initialstate"]);
+    let gen = b.class("Gen", &["go"]);
+    let item = b.class("Item", &["ready"]);
+    let acc = b.class("Acc", &["open"]);
+    let init = b.flag(s, "initialstate");
+    let go = b.flag(gen, "go");
+    let ready = b.flag(item, "ready");
+    let open = b.flag(acc, "open");
+    b.task("startup")
+        .param("s", s, FlagExpr::flag(init))
+        .alloc(gen, &[(go, true)], &[])
+        .alloc(acc, &[(open, true)], &[])
+        .exit("", |e| e.set(0, init, false))
+        .body(body(|ctx| {
+            ctx.create(0, 0i64);
+            ctx.create(1, (0i64, 0i64));
+            0
+        }))
+        .finish();
+    let relayout = target.clone();
+    b.task("gen")
+        .param("g", gen, FlagExpr::flag(go))
+        .alloc(item, &[(ready, true)], &[])
+        .exit("again", |e| e)
+        .exit("done", |e| e.set(0, go, false))
+        .body(body(move |ctx| {
+            let next = ctx.param_mut::<i64>(0);
+            *next += 1;
+            let k = *next;
+            ctx.create(0, k);
+            if k == ITEMS / 3 || k == 2 * ITEMS / 3 {
+                let to = usize::from(k == ITEMS / 3);
+                let armed = relayout.lock().expect("target mutex");
+                let (handle, fold_inst) = armed.as_ref().expect("armed before injection");
+                handle
+                    .migrate(&[(*fold_inst, to)])
+                    .expect("relayout commits");
+            }
+            usize::from(k == ITEMS)
+        }))
+        .finish();
+    let fold = b
+        .task("fold")
+        .param("a", acc, FlagExpr::flag(open))
+        .param("i", item, FlagExpr::flag(ready))
+        .exit("", |e| e.set(1, ready, false))
+        .body(body(|ctx| {
+            let k = *ctx.param::<i64>(1);
+            let (sum, count) = ctx.param_mut::<(i64, i64)>(0);
+            *sum += k;
+            *count += 1;
+            0
+        }))
+        .finish();
+    let compiler = Compiler::from_native(b.build().expect("valid program"));
+    let mut deployment = Deployment::single_core(&compiler.program, &compiler.locks);
+    deployment.layout.core_count = 2;
+    let fold_group = deployment.graph.group_of_task(fold).expect("grouped");
+    let fold_inst = deployment.layout.instances_of(fold_group)[0];
+
+    let mut run = ThreadedExecutor::default()
+        .start(&deployment, RunOptions::default())
+        .expect("resident start");
+    *target.lock().expect("target mutex") = Some((run.relayout_handle(), fold_inst));
+    run.inject(Box::new(()));
+    run.drain().expect("drain");
+    assert_eq!(run.activity(), 0);
+    assert!(run.ledger_is_empty(), "ledger leaked");
+    let report = run.shutdown().expect("shutdown");
+    // The handle keeps the run's shared state alive, and the body holds
+    // the handle: drop it so the run is freed.
+    target.lock().expect("target mutex").take();
+    assert_eq!(report.layout_epoch, 2);
+    assert_eq!(report.relayouts, 2);
+    assert_eq!(report.invocations, 1 + 2 * ITEMS as u64);
+    assert_eq!(
+        report.payloads_of::<(i64, i64)>(acc),
+        [&(ITEMS * (ITEMS + 1) / 2, ITEMS)]
+    );
 }
 
 /// A relayout rejected up front (dead/unknown target) mutates nothing:

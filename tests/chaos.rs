@@ -121,25 +121,33 @@ fn expendable_kill_recovers_on_every_benchmark() {
 #[test]
 fn drops_and_delays_are_transparent() {
     let bench = by_name("series").expect("registered");
-    let (compiler, deployment) = deploy(bench.as_ref(), threads());
-    let exec = ThreadedExecutor::default();
-    let clean = exec
-        .run(&deployment, RunOptions::default())
-        .expect("clean run");
-    let clean_sum = bench.threaded_checksum(&compiler, &clean);
-    // Aggressive wire faults, no kills: 10% first-transmission drops
-    // and 10% 30µs delays must be absorbed by redelivery alone.
-    let spec = FaultSpec::seeded(seed())
-        .with_drops(100)
-        .with_delays(100, Duration::from_micros(30));
-    let run = exec
-        .run(&deployment, RunOptions::default().with_faults(spec))
-        .expect("wire faults never fail a run below the redelivery bound");
-    assert!(
-        run.faults_injected >= 1,
-        "10% drop/delay rates injected nothing"
-    );
-    assert_eq!(bench.threaded_checksum(&compiler, &run), clean_sum);
+    // On one core no message crosses cores, and the faults still fire:
+    // they are keyed by message id, not by the path the message takes.
+    for cores in [threads(), 1] {
+        let (compiler, deployment) = deploy(bench.as_ref(), cores);
+        let exec = ThreadedExecutor::default();
+        let clean = exec
+            .run(&deployment, RunOptions::default())
+            .expect("clean run");
+        let clean_sum = bench.threaded_checksum(&compiler, &clean);
+        // Aggressive wire faults, no kills: 10% first-transmission drops
+        // and 10% 30µs delays must be absorbed by redelivery alone.
+        let spec = FaultSpec::seeded(seed())
+            .with_drops(100)
+            .with_delays(100, Duration::from_micros(30));
+        let run = exec
+            .run(&deployment, RunOptions::default().with_faults(spec))
+            .expect("wire faults never fail a run below the redelivery bound");
+        assert!(
+            run.faults_injected >= 1,
+            "{cores} cores: 10% drop/delay rates injected nothing"
+        );
+        assert_eq!(
+            bench.threaded_checksum(&compiler, &run),
+            clean_sum,
+            "{cores} cores"
+        );
+    }
 }
 
 #[test]

@@ -9,13 +9,17 @@
 
 use bamboo::telemetry::analyze::{diagnose, ObservedGraph};
 use bamboo::{
-    Compiler, Deployment, ExecConfig, ExecutionTrace, MachineDescription, RunOptions,
-    SynthesisOptions, Telemetry, TelemetryReport, ThreadedExecutor, ThreadedReport,
+    body, Compiler, CoreId, Deployment, ExecConfig, ExecutionTrace, FlagExpr, Layout,
+    MachineDescription, NativeBody, ProgramBuilder, Replication, RunOptions, SynthesisOptions,
+    Telemetry, TelemetryReport, ThreadedExecutor, ThreadedReport,
 };
 use bamboo_apps::{by_name, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Profiles `bench_name` at small scale, synthesizes for `cores` cores
 /// with a fixed seed, and deploys.
@@ -116,64 +120,121 @@ fn observed_causal_edges_match_virtual_executor() {
 
 /// Satellite: a work-stolen invocation's received objects still link to
 /// the invocation that actually produced them — theft changes where the
-/// body runs, never who enabled it. Steals are opportunistic, so the
-/// run repeats until one records a theft (kmeans at 8 cores steals in
-/// ~90% of runs; 25 attempts make a miss astronomically unlikely).
+/// body runs, never who enabled it.
+///
+/// The steal is forced, not hoped for. `startup` (core 0) creates three
+/// `Work` items for a group with one instance on core 0 and one on
+/// core 1; round-robin puts items 0 and 2 on core 0 — queued there
+/// together before `startup` returns — and item 1 on core 1. The bodies
+/// of items 0 and 2 each wait for the other to have started, which can
+/// only happen on two cores, and item 1 waits for either of them, so
+/// core 1 finishes it while core 0 sits in a body with the other item
+/// still queued, and takes that one. (The waits give up after ten
+/// seconds so a missing steal fails the assertion below, not the build.)
 #[test]
 fn stolen_invocations_link_to_original_producers() {
-    let (compiler, deployment, machine) = deploy_for("kmeans", 8, 42);
-    let predicted_pairs = trace_edge_pairs(&predicted_trace(&compiler, &deployment, &machine));
-    for attempt in 0..25 {
-        let (report, run) = observed_run(&deployment, 8);
-        if run.steals == 0 {
-            continue;
-        }
-        let graph = ObservedGraph::from_report(&report);
-        let stolen: Vec<_> = graph.stolen().collect();
-        // `run.steals` counts steal *events*; the graph records distinct
-        // stolen *invocations*. A stolen invocation that fails its locks
-        // re-queues on the thief (same id) and can be stolen again, so
-        // events can exceed invocations — never the other way around.
-        assert!(
-            !stolen.is_empty() && (stolen.len() as u64) <= run.steals,
-            "attempt {attempt}: {} stolen invocations vs {} steal events",
-            stolen.len(),
-            run.steals,
-        );
-        let task_of: HashMap<u64, u64> = graph
-            .invocations
-            .iter()
-            .map(|inv| (inv.id, inv.task))
-            .collect();
-        for inv in stolen {
-            let victim = inv.stolen_from.expect("stolen() filters on this");
-            assert_ne!(victim, inv.core, "thieves only scan other cores' queues");
-            for dep in &inv.deps {
-                let Some(producer) = dep.producer else {
-                    continue;
-                };
-                // The ObjRecv at the thief matches the ObjSend the
-                // original producer emitted: same message id, send
-                // before receive, producer a real invocation.
-                let ptask = task_of.get(&producer).copied().unwrap_or_else(|| {
-                    panic!(
-                        "dep of stolen invocation {} names unknown producer {producer}",
-                        inv.id
-                    )
-                });
-                let sent = dep.sent.expect("producer's ObjSend recorded");
-                let received = dep.received.expect("thief's ObjRecv recorded");
-                assert!(sent <= received, "send {sent} after receive {received}");
-                assert!(
-                    predicted_pairs.contains_key(&(ptask, inv.task)),
-                    "edge task{ptask}->task{} not predicted by the virtual executor",
-                    inv.task,
-                );
+    let armed = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicU64::new(0));
+    let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("forced-steal");
+    let s = b.class("StartupObject", &["initialstate"]);
+    let w = b.class("Work", &["ready"]);
+    let init = b.flag(s, "initialstate");
+    let ready = b.flag(w, "ready");
+    b.task("startup")
+        .param("s", s, FlagExpr::flag(init))
+        .alloc(w, &[(ready, true)], &[])
+        .exit("", |e| e.set(0, init, false))
+        .body(body(|ctx| {
+            for item in 0..3usize {
+                ctx.create(0, item);
             }
+            0
+        }))
+        .finish();
+    let (gate, count) = (armed.clone(), started.clone());
+    let work = b
+        .task("work")
+        .param("w", w, FlagExpr::flag(ready))
+        .exit("", |e| e.set(0, ready, false))
+        .body(body(move |ctx| {
+            let item = *ctx.param::<usize>(0);
+            if gate.load(Ordering::SeqCst) {
+                count.fetch_or(1 << item, Ordering::SeqCst);
+                let awaited = [0b100, 0b101, 0b001][item];
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while count.load(Ordering::SeqCst) & awaited == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            0
+        }))
+        .finish();
+    let compiler = Compiler::from_native(b.build().expect("valid program"));
+    let graph = compiler.bootstrap_graph();
+    let work_group = graph.group_of_task(work).expect("work is grouped");
+    let mut replication = Replication::serial(&graph);
+    replication.copies[work_group.index()] = 2;
+    let core_lists: Vec<Vec<CoreId>> = replication
+        .copies
+        .iter()
+        .map(|&copies| (0..copies).map(CoreId::new).collect())
+        .collect();
+    let layout = Layout::new(&graph, &replication, 2, &core_lists);
+    let deployment = Deployment::new(
+        compiler.program.clone(),
+        graph,
+        layout,
+        compiler.locks.clone(),
+    );
+    let machine = MachineDescription::n_cores(2);
+    let predicted_pairs = trace_edge_pairs(&predicted_trace(&compiler, &deployment, &machine));
+
+    armed.store(true, Ordering::SeqCst);
+    let (report, run) = observed_run(&deployment, 2);
+    assert_eq!(run.invocations, 4);
+    let graph = ObservedGraph::from_report(&report);
+    let stolen: Vec<_> = graph.stolen().collect();
+    // `run.steals` counts steal *events*; the graph records distinct
+    // stolen *invocations*. A stolen invocation that fails its locks
+    // re-queues on the thief (same id) and can be stolen again, so
+    // events can exceed invocations — never the other way around.
+    assert!(
+        !stolen.is_empty() && (stolen.len() as u64) <= run.steals,
+        "{} stolen invocations vs {} steal events",
+        stolen.len(),
+        run.steals,
+    );
+    let task_of: HashMap<u64, u64> = graph
+        .invocations
+        .iter()
+        .map(|inv| (inv.id, inv.task))
+        .collect();
+    for inv in stolen {
+        let victim = inv.stolen_from.expect("stolen() filters on this");
+        assert_ne!(victim, inv.core, "thieves only scan other cores' queues");
+        for dep in &inv.deps {
+            let Some(producer) = dep.producer else {
+                continue;
+            };
+            // The ObjRecv of the object the thief consumed matches the
+            // ObjSend the original producer emitted: same message id,
+            // send before receive, producer a real invocation.
+            let ptask = task_of.get(&producer).copied().unwrap_or_else(|| {
+                panic!(
+                    "dep of stolen invocation {} names unknown producer {producer}",
+                    inv.id
+                )
+            });
+            let sent = dep.sent.expect("producer's ObjSend recorded");
+            let received = dep.received.expect("victim's ObjRecv recorded");
+            assert!(sent <= received, "send {sent} after receive {received}");
+            assert!(
+                predicted_pairs.contains_key(&(ptask, inv.task)),
+                "edge task{ptask}->task{} not predicted by the virtual executor",
+                inv.task,
+            );
         }
-        return;
     }
-    panic!("kmeans at 8 cores recorded no steal in 25 runs");
 }
 
 /// Acceptance: a full diagnosis of kmeans on 8 cores yields a per-core

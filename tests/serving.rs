@@ -9,9 +9,9 @@
 use bamboo::telemetry::analyze::ServingStats;
 use bamboo::{
     AdmissionControl, Compiler, Deployment, Error, ExecConfig, FaultSpec, KillTarget,
-    MachineDescription, Pacing, Poisson, RecoveryPolicy, RunOptions, Server, ServingError,
-    ServingOptions, ServingReport, SynthesisOptions, Telemetry, ThreadedExecutor, TokenBucket,
-    Trace,
+    MachineDescription, NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, Server,
+    ServingError, ServingOptions, ServingReport, SynthesisOptions, Telemetry, ThreadedExecutor,
+    TokenBucket, Trace,
 };
 use bamboo_apps::{by_name, Scale};
 use rand::rngs::StdRng;
@@ -255,6 +255,36 @@ fn same_instant_burst_completes_every_request_exactly() {
         assert_eq!(c.invocations, expected, "request {}", c.request);
     }
     assert_eq!(report.executor.invocations, expected * total as u64);
+}
+
+/// Both counts stay exact when objects are handed over on their own
+/// core without a message: on one worker every hand-off is local, on two
+/// most are. Each request completes with exactly the program's
+/// invocation count, and quiescence leaves no activity and no ledger
+/// entry behind.
+#[test]
+fn resident_counts_stay_exact_on_one_and_two_workers() {
+    for cores in [1, 2] {
+        let (compiler, deployment, machine) = deploy_for("kmeans", cores, 42);
+        let expected = predicted_invocations(&compiler, &deployment, &machine);
+        assert_eq!(expected, 37, "KMeans at Scale::Small");
+        let total = 60;
+        let mut run = ThreadedExecutor::default()
+            .start(&deployment, RunOptions::default())
+            .expect("resident start");
+        run.inject_batch((0..total).map(|_| Box::new(()) as NativePayload).collect());
+        run.drain().expect("drain");
+        assert_eq!(run.activity(), 0, "{cores} workers");
+        assert!(run.ledger_is_empty(), "{cores} workers: ledger leaked");
+        let completions = run.try_completions();
+        assert_eq!(completions.len(), total, "{cores} workers");
+        for c in &completions {
+            assert_eq!(c.invocations, expected, "request {}", c.request);
+        }
+        let report = run.shutdown().expect("shutdown");
+        assert_eq!(report.invocations, expected * total as u64);
+        assert_eq!(report.lock_retries, 0, "KMeans is all-disjoint");
+    }
 }
 
 /// Admission control sheds typed and accounted: a one-token bucket
