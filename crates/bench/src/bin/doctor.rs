@@ -13,20 +13,19 @@
 //!
 //!   `cargo run --release -p bamboo-bench --bin bamboo-doctor -- kmeans --cores 8`
 //!
-//! * **`--check`**: the CI regression gate. Re-measures every benchmark
-//!   recorded in `BENCH_threaded.json` (same machine model, scale, and
-//!   synthesis seed as the recording harness in
-//!   `crates/bench/benches/threaded.rs`), evaluates the tolerance
-//!   checks in `bamboo::telemetry::analyze::gate`, writes the verdict
-//!   JSON artifact, and exits non-zero if any check fails. When
-//!   `BENCH_serving.json` is present (recorded by
-//!   `crates/bench/benches/serving.rs`), the gate additionally serves a
-//!   short fixed-seed open-loop probe per recorded app and appends the
-//!   `serving-*` checks — exact request accounting (admitted ==
-//!   completed), zero shedding at admission and on the router, p99
-//!   within a host-slack band of the recorded SLO, and a completion-
-//!   throughput floor — summarized in the verdict JSON's `serving`
-//!   section.
+//! * **`--check`**: the CI regression gate. Reads no file: every check
+//!   holds its observation against a reference measured in the same
+//!   process. [`THREADED_APPS`] run once each on the 62-core machine
+//!   model with telemetry (invocations exact against the virtual
+//!   executor on the same deployment, lock retries per invocation, the
+//!   critical path's compute share); [`PROBE_APPS`] then each serve a
+//!   short fixed-seed open-loop probe at [`SERVING_CHECK_RPS`] (exact
+//!   request accounting, zero shedding at admission and on the router),
+//!   the `--adapt-smoke` probe and the `--scope-smoke` probe. The
+//!   verdict JSON artifact summarizes the `serving-*`, `adapt-*` and
+//!   `scope-*` checks in sections of their own; the command exits
+//!   non-zero if any check fails. Throughput and latency are the
+//!   benchmark's (`BENCHMARK.json`), not the gate's.
 //!
 //!   `cargo run --release -p bamboo-bench --bin bamboo-doctor -- --check --out doctor_verdict.json`
 //!
@@ -51,9 +50,7 @@
 //!   requires at least one committed hot relayout, exact request
 //!   accounting, and post-relayout model divergence no worse than pre
 //!   (`adapt-improves-or-holds`). Writes the same verdict JSON artifact
-//!   as `--check`. When `BENCH_serving.json` carries recorded `adapt`
-//!   sections, `--check` additionally runs this probe per recorded app
-//!   and appends the full `adapt-*` check set.
+//!   as `--check`, which runs this probe on every one of [`PROBE_APPS`].
 //!
 //!   `cargo run --release -p bamboo-bench --bin bamboo-doctor -- --adapt-smoke --out doctor_verdict.json`
 //!
@@ -65,10 +62,8 @@
 //!   sampled tree, and an exact latency partition per tree
 //!   (`scope-partition-exact`). Writes the verdict JSON plus the scope
 //!   snapshot (`--snapshot-out`, default `scope_snapshot.json`) and its
-//!   Prometheus rendering alongside, as CI artifacts. When
-//!   `BENCH_serving.json` carries recorded `scope` sections, `--check`
-//!   additionally runs this probe per recorded app and appends the full
-//!   `scope-*` check set (including the recorded ≤3% overhead budget).
+//!   Prometheus rendering alongside, as CI artifacts. `--check` runs this
+//!   probe on every one of [`PROBE_APPS`].
 //!
 //!   `cargo run --release -p bamboo-bench --bin bamboo-doctor -- --scope-smoke --out doctor_verdict.json`
 
@@ -82,20 +77,21 @@ use bamboo_apps::{all, by_name, Benchmark, Scale};
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-/// Synthesis seed shared with the recording harness — the deployment
-/// (and therefore the invocation count) must match the baseline's.
+/// Synthesis and arrival seed of every `--check` deployment and probe.
 const SEED: u64 = 42;
-/// Measured reps per configuration in `--check` mode. Fewer than the
-/// recording harness (15): the gate's floors are generous, so a cheap
-/// best-of-5 estimate is plenty.
-const CHECK_REPS: usize = 5;
+/// Apps whose threaded runs `--check` gates, in check order.
+const THREADED_APPS: [&str; 2] = ["FilterBank", "KMeans"];
+/// Apps the serving, adaptive and scope probes of `--check` serve, in
+/// check order.
+const PROBE_APPS: [&str; 4] = ["FilterBank", "KMeans", "MonteCarlo", "Series"];
+/// Cores of the machine model the `--check` probes deploy for.
+const PROBE_CORES: usize = 8;
 /// Requests per serving probe run in `--check` mode.
 const SERVING_CHECK_REQS: usize = 64;
-/// Serving probe offered load as a fraction of the recorded sustainable
-/// rate — far enough under it that a healthy build completes everything
-/// without shedding even on a much slower host, high enough that the
-/// completion throughput clears the gate's floor.
-const SERVING_CHECK_LOAD_FRACTION: f64 = 0.25;
+/// Serving probe offered load, requests/second: far enough under what
+/// any probed app sustains that a healthy build completes everything
+/// without shedding, even on a slow host.
+const SERVING_CHECK_RPS: f64 = 800.0;
 /// Requests per adaptive-probe run (`--adapt-smoke` and the `adapt-*`
 /// checks of `--check`). Enough for the controller to warm past its
 /// invocation gate and commit a relayout off the stale layout; under
@@ -119,13 +115,9 @@ struct Args {
     cores: usize,
     json_out: Option<String>,
     snapshot_out: String,
-    baseline_path: String,
-    serving_baseline_path: String,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let default_baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_threaded.json");
-    let default_serving_baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
     let mut args = Args {
         check: false,
         adapt_smoke: false,
@@ -137,8 +129,6 @@ fn parse_args() -> Result<Args, String> {
         cores: 8,
         json_out: None,
         snapshot_out: "scope_snapshot.json".to_string(),
-        baseline_path: default_baseline.to_string(),
-        serving_baseline_path: default_serving_baseline.to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -165,12 +155,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" | "--out" => args.json_out = Some(value(&arg)?),
             "--snapshot-out" => args.snapshot_out = value("--snapshot-out")?,
-            "--baseline" => args.baseline_path = value("--baseline")?,
-            "--serving-baseline" => args.serving_baseline_path = value("--serving-baseline")?,
             "--help" | "-h" => {
                 return Err(concat!(
                     "usage: bamboo-doctor [BENCH] [--cores N] [--json PATH] [--chaos] [--chaos-seed N]\n",
-                    "       bamboo-doctor --check [--baseline PATH] [--serving-baseline PATH] [--out PATH]\n",
+                    "       bamboo-doctor --check [--out PATH]\n",
                     "       bamboo-doctor --check --chaos [--chaos-seed N] [--chaos-cores N] [--out PATH]\n",
                     "       bamboo-doctor --adapt-smoke [BENCH] [--cores N] [--out PATH]\n",
                     "       bamboo-doctor --scope-smoke [BENCH] [--cores N] [--out PATH] [--snapshot-out PATH]"
@@ -216,45 +204,14 @@ fn observed_run(
     (telemetry.report(), run)
 }
 
-/// Best wall time (µs), invocation count, and lock retries over `reps`
-/// telemetry-free runs of one configuration.
-fn measure(deployment: &Deployment, baseline: bool, reps: usize) -> (f64, u64, u64) {
-    let exec = ThreadedExecutor::default();
-    let options = || {
-        if baseline {
-            RunOptions::baseline()
-        } else {
-            RunOptions::default()
-        }
-    };
-    let _ = exec.run(deployment, options()).expect("warmup run");
-    let mut best_us = f64::INFINITY;
-    let mut invocations = 0;
-    let mut retries = 0;
-    for _ in 0..reps {
-        let report = exec.run(deployment, options()).expect("measured run");
-        best_us = best_us.min(report.wall.as_secs_f64() * 1e6);
-        invocations = report.invocations;
-        retries = report.lock_retries;
-    }
-    (best_us, invocations, retries)
-}
-
 /// Serves a short fixed-seed open-loop Poisson probe against `bench` at
-/// a fraction of its recorded sustainable load, for the `serving-*`
-/// gate checks. Completion throughput is measured from first arrival to
-/// drain (excluding worker spawn and shutdown).
+/// [`SERVING_CHECK_RPS`], for the `serving-*` gate checks.
 fn serving_observation(
     bench: &dyn Benchmark,
     machine: &MachineDescription,
-    base: &gate::ServingBaselineBench,
 ) -> Result<gate::ServingObservation, String> {
     let (_compiler, deployment) = deployment_for(bench, machine);
     let exec = ThreadedExecutor::default();
-    // Warmup rep (thread spawn paths, allocator).
-    exec.run(&deployment, RunOptions::default())
-        .map_err(|e| format!("{}: warmup failed: {e}", bench.name()))?;
-    let offered_rps = (base.max_sustainable_rps * SERVING_CHECK_LOAD_FRACTION).max(200.0);
     let mut server = Server::start(
         &exec,
         &deployment,
@@ -262,27 +219,22 @@ fn serving_observation(
         ServingOptions::new(),
     )
     .map_err(|e| format!("{}: server start failed: {e}", bench.name()))?;
-    let mut arrivals = Poisson::new(offered_rps, SEED);
-    let t0 = std::time::Instant::now();
+    let mut arrivals = Poisson::new(SERVING_CHECK_RPS, SEED);
     server
         .serve(&mut arrivals, SERVING_CHECK_REQS, |_| Box::new(()))
         .map_err(|e| format!("{}: probe serve failed: {e}", bench.name()))?;
     server
         .await_idle()
         .map_err(|e| format!("{}: probe drain failed: {e}", bench.name()))?;
-    let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let report = server
         .finish()
         .map_err(|e| format!("{}: probe finish failed: {e}", bench.name()))?;
     Ok(gate::ServingObservation {
         name: bench.name().to_string(),
-        offered_rps,
-        completed_rps: report.completed as f64 / elapsed,
         admitted: report.admitted as f64,
         completed: report.completed as f64,
         shed: report.shed as f64,
         router_shed: report.executor.router_shed as f64,
-        p99_us: report.latency_us.p99() as f64,
     })
 }
 
@@ -331,8 +283,7 @@ fn adapt_observation(
 }
 
 /// `--adapt-smoke`: serve one app under the shifting mix with the
-/// controller armed and gate on the live `adapt-*` checks alone (no
-/// recorded baseline needed).
+/// controller armed and gate on its `adapt-*` checks.
 fn adapt_smoke_mode(args: &Args) -> Result<bool, String> {
     let bench = by_name(&args.bench).ok_or(format!("unknown benchmark {:?}", args.bench))?;
     let machine = MachineDescription::n_cores(args.cores);
@@ -426,7 +377,7 @@ fn scope_observation(
 }
 
 /// `--scope-smoke`: serve one app with the scope plane armed and gate
-/// on the live `scope-*` checks alone (no recorded baseline needed).
+/// on its `scope-*` checks.
 /// Writes the scope snapshot and its Prometheus rendering next to the
 /// verdict, as CI artifacts.
 fn scope_smoke_mode(args: &Args) -> Result<bool, String> {
@@ -601,148 +552,92 @@ fn chaos_check_mode(args: &Args) -> Result<bool, String> {
     Ok(verdict.pass())
 }
 
+/// Looks up an app of the doctor's fixed `--check` lists.
+fn app(name: &str) -> Result<Box<dyn Benchmark>, String> {
+    by_name(name).ok_or(format!("app {name:?} not in the app registry"))
+}
+
 fn check_mode(args: &Args) -> Result<bool, String> {
-    let text = std::fs::read_to_string(&args.baseline_path)
-        .map_err(|e| format!("read {}: {e}", args.baseline_path))?;
-    let baseline = gate::parse_baseline(&text)?;
     let machine = MachineDescription::tilepro64();
-    if machine.core_count() as u64 != baseline.machine_cores {
-        eprintln!(
-            "warning: baseline recorded for {} cores, gating against {}",
-            baseline.machine_cores,
-            machine.core_count(),
-        );
-    }
-
     let mut observations = Vec::new();
-    for base in &baseline.benches {
-        let Some(bench) = by_name(&base.name) else {
-            eprintln!(
-                "warning: baseline bench {:?} not in the app registry; skipping",
-                base.name
-            );
-            continue;
-        };
-        let (_compiler, deployment) = deployment_for(bench.as_ref(), &machine);
-        let (base_us, base_inv, _) = measure(&deployment, true, CHECK_REPS);
-        let (opt_us, invocations, lock_retries) = measure(&deployment, false, CHECK_REPS);
-        let throughput = invocations as f64 / (opt_us / 1e3);
-        let speedup = (invocations as f64 / opt_us) / (base_inv as f64 / base_us);
-
-        // One telemetry-enabled run for the causal health check: the
-        // observed critical path must spend some of its span computing.
-        let (report, _) = observed_run(&deployment, machine.core_count(), None);
+    for name in THREADED_APPS {
+        let bench = app(name)?;
+        let (compiler, deployment) = deployment_for(bench.as_ref(), &machine);
+        // The virtual executor on the same deployment is the exact
+        // reference for the invocation count.
+        let expected = compiler
+            .executor(
+                &deployment.graph,
+                &deployment.layout,
+                &machine,
+                ExecConfig::default(),
+            )
+            .run(None)
+            .map_err(|e| format!("{name}: virtual run failed: {e}"))?
+            .invocations;
+        // One telemetry-enabled run supplies the invocations, the lock
+        // retries and the observed critical path, which must spend some
+        // of its span computing.
+        let (report, run) = observed_run(&deployment, machine.core_count(), None);
         let diagnosis = analyze::diagnose(&report, None);
         let compute_share = diagnosis.path.as_ref().map_or(0.0, |p| p.compute_share());
-
         println!(
-            "measured {:<12} {invocations} invocations, {lock_retries} retries, best {opt_us:.0}µs, \
-             {throughput:.2} inv/ms, {speedup:.2}x, compute share {compute_share:.2}",
-            base.name,
+            "measured {name:<12} {} invocations (virtual {expected}), {} retries, compute share {compute_share:.2}",
+            run.invocations, run.lock_retries,
         );
         observations.push(gate::Observation {
-            name: base.name.clone(),
-            invocations: invocations as f64,
-            lock_retries: lock_retries as f64,
-            best_wall_us: opt_us,
-            throughput,
-            speedup,
+            name: bench.name().to_string(),
+            invocations: run.invocations as f64,
+            expected_invocations: expected as f64,
+            lock_retries: run.lock_retries as f64,
             compute_share,
         });
     }
+    let mut verdict = gate::evaluate(&observations);
 
-    let mut verdict = gate::evaluate(&baseline, &observations);
-
-    // Serving checks, gated on the recording from the `serving` bench
-    // harness. A missing recording is a warning, not a failure, so the
-    // gate still works on checkouts that never ran the full bench.
-    match std::fs::read_to_string(&args.serving_baseline_path) {
-        Ok(text) => {
-            let serving_baseline = gate::parse_serving_baseline(&text)?;
-            let serving_machine =
-                MachineDescription::n_cores(serving_baseline.machine_cores as usize);
-            let mut serving_observations = Vec::new();
-            for base in &serving_baseline.benches {
-                let Some(bench) = by_name(&base.name) else {
-                    eprintln!(
-                        "warning: serving baseline bench {:?} not in the app registry; skipping",
-                        base.name,
-                    );
-                    continue;
-                };
-                let obs = serving_observation(bench.as_ref(), &serving_machine, base)?;
-                println!(
-                    "served {:<12} {}/{} completed at {:.0} rps offered, p99 {:.0}µs, {} shed",
-                    base.name, obs.completed, obs.admitted, obs.offered_rps, obs.p99_us, obs.shed,
-                );
-                serving_observations.push(obs);
-            }
-            verdict.checks.extend(gate::evaluate_serving(
-                &serving_baseline,
-                &serving_observations,
-            ));
-
-            // Adaptive re-layout checks, gated on recorded `adapt`
-            // sections (absent on baselines from before the loop
-            // existed — nothing to gate then).
-            let mut adapt_observations = Vec::new();
-            for base in &serving_baseline.benches {
-                if base.adapt.is_none() {
-                    continue;
-                }
-                let Some(bench) = by_name(&base.name) else {
-                    continue;
-                };
-                let obs = adapt_observation(bench.as_ref(), &serving_machine)?;
-                println!(
-                    "adapted {:<12} {}/{} completed, {} relayout(s), divergence {} -> {}",
-                    base.name,
-                    obs.completed,
-                    obs.admitted,
-                    obs.relayouts,
-                    obs.pre_divergence
-                        .map_or("unmeasured".to_string(), |d| format!("{d:.4}")),
-                    obs.post_divergence
-                        .map_or("unmeasured".to_string(), |d| format!("{d:.4}")),
-                );
-                adapt_observations.push(obs);
-            }
-            verdict
-                .checks
-                .extend(gate::evaluate_adapt(&serving_baseline, &adapt_observations));
-
-            // Live-observability checks, gated on recorded `scope`
-            // sections (absent on baselines from before the scope
-            // plane existed — nothing to gate then).
-            let mut scope_observations = Vec::new();
-            for base in &serving_baseline.benches {
-                if base.scope.is_none() {
-                    continue;
-                }
-                let Some(bench) = by_name(&base.name) else {
-                    continue;
-                };
-                let (obs, _, _) = scope_observation(bench.as_ref(), &serving_machine)?;
-                println!(
-                    "scoped {:<12} {} arrived = {} admitted + {} shed, {} sampled tree(s), partition {}",
-                    base.name,
-                    obs.arrived,
-                    obs.admitted,
-                    obs.shed,
-                    obs.trees,
-                    if obs.partition_exact { "exact" } else { "INEXACT" },
-                );
-                scope_observations.push(obs);
-            }
-            verdict
-                .checks
-                .extend(gate::evaluate_scope(&serving_baseline, &scope_observations));
-        }
-        Err(err) => eprintln!(
-            "warning: no serving baseline at {} ({err}); skipping serving-* checks",
-            args.serving_baseline_path,
-        ),
+    let machine = MachineDescription::n_cores(PROBE_CORES);
+    let mut serving = Vec::new();
+    for name in PROBE_APPS {
+        let obs = serving_observation(app(name)?.as_ref(), &machine)?;
+        println!(
+            "served {name:<12} {}/{} completed at {SERVING_CHECK_RPS:.0} rps offered, {} shed",
+            obs.completed, obs.admitted, obs.shed,
+        );
+        serving.push(obs);
     }
+    verdict.checks.extend(gate::evaluate_serving(&serving));
+
+    let mut adapt = Vec::new();
+    for name in PROBE_APPS {
+        let obs = adapt_observation(app(name)?.as_ref(), &machine)?;
+        println!(
+            "adapted {name:<12} {}/{} completed, {} relayout(s), divergence {} -> {}",
+            obs.completed,
+            obs.admitted,
+            obs.relayouts,
+            obs.pre_divergence
+                .map_or("unmeasured".to_string(), |d| format!("{d:.4}")),
+            obs.post_divergence
+                .map_or("unmeasured".to_string(), |d| format!("{d:.4}")),
+        );
+        adapt.push(obs);
+    }
+    verdict.checks.extend(gate::evaluate_adapt_probe(&adapt));
+
+    let mut scope = Vec::new();
+    for name in PROBE_APPS {
+        let (obs, _, _) = scope_observation(app(name)?.as_ref(), &machine)?;
+        println!(
+            "scoped {name:<12} {} arrived = {} admitted + {} shed, {} sampled tree(s), partition {}",
+            obs.arrived,
+            obs.admitted,
+            obs.shed,
+            obs.trees,
+            if obs.partition_exact { "exact" } else { "INEXACT" },
+        );
+        scope.push(obs);
+    }
+    verdict.checks.extend(gate::evaluate_scope_probe(&scope));
 
     println!("\n{}", verdict.table());
     let out = args.json_out.as_deref().unwrap_or("doctor_verdict.json");

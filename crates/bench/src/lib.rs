@@ -15,11 +15,11 @@
 //! | [`figures`] | Figures 3, 4, 6, 8 — CSTG, layout, trace, task flow | `fig3_cstg` … `fig8_taskflow` |
 //!
 //! `dsa_timing` reports the §5.1 synthesis times; `run_all` drives the
-//! whole evaluation and writes EXPERIMENTS-ready output.
+//! whole evaluation and writes EXPERIMENTS-ready output; `bamboo-doctor`
+//! diagnoses a threaded run and gates CI.
 //!
-//! Criterion benches live under `benches/`: `speedup` measures the
-//! end-to-end pipeline per benchmark, `synthesis` the synthesis stages,
-//! and `ablation` the design-choice ablations DESIGN.md §6 lists.
+//! Timing claims go through the repository's one benchmark
+//! (`benchmark/`, declared by `BENCHMARK.json`), not through this crate.
 
 pub mod fig10;
 pub mod fig11;

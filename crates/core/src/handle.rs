@@ -28,8 +28,8 @@
 use crate::error::Error;
 use crate::Compiler;
 use bamboo_runtime::{
-    AdaptPolicy, Deployment, FaultSpec, NativePayload, QuiescencePolicy, ResidentRun, RunOptions,
-    StealPolicy, ThreadedExecutor, ThreadedReport,
+    AdaptPolicy, Deployment, FaultSpec, NativePayload, ResidentRun, RunOptions, ThreadedExecutor,
+    ThreadedReport,
 };
 use bamboo_schedule::{Layout, SynthesisResult};
 use bamboo_serving::{
@@ -122,18 +122,6 @@ impl DeploymentHandle {
     /// Attaches a telemetry session.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.options = self.options.with_telemetry(telemetry);
-        self
-    }
-
-    /// Sets the work-stealing policy.
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.options = self.options.with_steal(steal);
-        self
-    }
-
-    /// Sets the quiescence protocol.
-    pub fn with_quiescence(mut self, quiescence: QuiescencePolicy) -> Self {
-        self.options = self.options.with_quiescence(quiescence);
         self
     }
 

@@ -95,9 +95,8 @@ pub use bamboo_profile::{Cycles, MarkovModel, Profile, ProfileCollector};
 pub use bamboo_runtime::{
     body, AdaptPolicy, AdaptReport, AdaptiveController, Completion, CoreKill, CoreStall, CostModel,
     Deployment, ExecConfig, ExecError, FaultPlan, FaultSpec, KillTarget, NativeBody, NativePayload,
-    PayloadTypeError, Program, QuiescencePolicy, RecoveryPolicy, RelayoutError, RelayoutHandle,
-    RequestLedger, ResidentRun, RouterPolicy, RunOptions, RunReport, StealPolicy, ThreadedExecutor,
-    ThreadedReport, VirtualExecutor,
+    PayloadTypeError, Program, RecoveryPolicy, RelayoutError, RelayoutHandle, RequestLedger,
+    ResidentRun, RunOptions, RunReport, ThreadedExecutor, ThreadedReport, VirtualExecutor,
 };
 pub use bamboo_schedule::{
     simulate, DsaOptions, ExecutionTrace, GroupGraph, Layout, Replication, SimOptions, SimResult,

@@ -21,7 +21,7 @@ pub use bamboo_machine::MachineDescription;
 pub use bamboo_profile::Profile;
 pub use bamboo_runtime::{
     body, AdaptPolicy, AdaptReport, Deployment, ExecConfig, ExecError, FaultSpec, NativeBody,
-    Program, RelayoutError, RunOptions, StealPolicy, ThreadedExecutor, VirtualExecutor,
+    Program, RelayoutError, RunOptions, ThreadedExecutor, VirtualExecutor,
 };
 pub use bamboo_schedule::{GroupGraph, Layout, SynthesisOptions, SynthesisResult};
 pub use bamboo_serving::{Bursty, Poisson, ScopeConfig, Server, ServingOptions};

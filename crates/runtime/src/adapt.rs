@@ -84,9 +84,7 @@ impl Error for RelayoutError {}
 /// under an alternating workload mix).
 const FLAP_MEMORY: usize = 4;
 
-/// Configuration of the adaptive re-layout controller. Sits alongside
-/// [`StealPolicy`](crate::deploy::StealPolicy) and
-/// [`QuiescencePolicy`](crate::deploy::QuiescencePolicy) in
+/// Configuration of the adaptive re-layout controller. Part of
 /// [`RunOptions`](crate::deploy::RunOptions): pass one via
 /// [`with_adapt`](crate::deploy::RunOptions::with_adapt) to arm the
 /// live estimator, then drive an [`AdaptiveController`] against the

@@ -8,9 +8,9 @@
 //! value, so predicted-vs-observed comparisons are guaranteed to run
 //! the identical plan.
 //!
-//! [`RunOptions`] carries the per-run knobs (startup payload,
-//! telemetry session, steal policy, quiescence protocol) that used to
-//! be positional arguments or hard-coded constants.
+//! [`RunOptions`] carries what a caller sets per run: the startup
+//! payload, the telemetry session, fault injection and adaptive
+//! re-layout.
 
 use crate::adapt::AdaptPolicy;
 use crate::chaos::FaultSpec;
@@ -19,7 +19,6 @@ use bamboo_analysis::{Cstg, DependenceAnalysis, DisjointnessAnalysis};
 use bamboo_profile::ProfileCollector;
 use bamboo_schedule::{GroupGraph, Layout, SynthesisResult};
 use bamboo_telemetry::Telemetry;
-use std::time::Duration;
 
 /// A fully synthesized, executable plan: `(program, graph, layout,
 /// locks)` as one artifact.
@@ -94,49 +93,6 @@ impl Deployment {
     }
 }
 
-/// When a worker with an empty run queue may take invocations formed at
-/// another core.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StealPolicy {
-    /// Never steal; every invocation executes on the core that formed
-    /// it (the pre-redesign behavior).
-    Disabled,
-    /// Steal an invocation whose group also has an instance on the
-    /// thief's core. Legal by the paper's data-parallelization rule:
-    /// replicas of a group are interchangeable, so any core hosting a
-    /// copy of the group may execute its invocations.
-    #[default]
-    SameGroup,
-}
-
-/// How the driver thread detects that the run has drained.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QuiescencePolicy {
-    /// Event-driven: the worker that drops the activity count to zero
-    /// signals a condvar the driver waits on. No latency floor.
-    #[default]
-    EventDriven,
-    /// Sleep-polling at a fixed interval with one confirming re-check
-    /// (the pre-redesign behavior; ~2× the interval of latency floor).
-    /// Kept for A/B benchmarking.
-    Polling {
-        /// Sleep granularity between activity checks.
-        interval: Duration,
-    },
-}
-
-/// How routing state is partitioned between workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RouterPolicy {
-    /// One router stripe per core: route calls from different cores
-    /// never contend.
-    #[default]
-    Sharded,
-    /// A single global stripe every route call serializes through (the
-    /// pre-redesign behavior). Kept for A/B benchmarking.
-    Global,
-}
-
 /// Per-run configuration for [`crate::ThreadedExecutor::run`].
 ///
 /// Not `Clone`: the startup payload is an owned `Box<dyn Any>`.
@@ -145,10 +101,9 @@ pub enum RouterPolicy {
 /// use bamboo_runtime::RunOptions;
 /// use bamboo_telemetry::Telemetry;
 ///
-/// let opts = RunOptions::default()
-///     .with_telemetry(Telemetry::enabled(4))
-///     .with_queue_capacity(128);
-/// assert_eq!(opts.run_queue_capacity, 128);
+/// let opts = RunOptions::default().with_telemetry(Telemetry::enabled(4));
+/// assert!(opts.telemetry.is_enabled());
+/// assert!(opts.faults.is_none());
 /// ```
 #[derive(Debug, Default)]
 pub struct RunOptions {
@@ -157,21 +112,6 @@ pub struct RunOptions {
     /// Telemetry session to record into ([`Telemetry::disabled`] makes
     /// every recording site a no-op).
     pub telemetry: Telemetry,
-    /// Work-stealing policy between same-group instances.
-    pub steal: StealPolicy,
-    /// Quiescence detection protocol.
-    pub quiescence: QuiescencePolicy,
-    /// Extra confirmation delay after activity first reaches zero.
-    /// Zero by default: the activity counter is transfer-ordered
-    /// (increments always precede the matching decrement), so zero is
-    /// already definitive.
-    pub quiescence_settle: Duration,
-    /// Router sharding policy.
-    pub router: RouterPolicy,
-    /// Soft bound on each worker's run queue. A worker forming
-    /// invocations past the bound sheds the surplus to the least
-    /// loaded same-group core (if stealing is enabled and one exists).
-    pub run_queue_capacity: usize,
     /// Deterministic fault injection (`None` = fault-free). Compiled
     /// into a [`crate::chaos::FaultPlan`] against the deployment's
     /// steal topology at run start; the resulting fault schedule is
@@ -185,27 +125,10 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Default capacity of each per-worker run queue.
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
-
-    /// The default configuration: sharded router, same-group stealing,
-    /// event-driven quiescence, no telemetry.
+    /// The default configuration: no startup payload, no telemetry,
+    /// no faults, no adaptive re-layout.
     pub fn new() -> Self {
         RunOptions::default()
-    }
-
-    /// The pre-redesign dispatch configuration — global router stripe,
-    /// no stealing, 300µs sleep-polling quiescence — for A/B
-    /// comparisons against the optimized hot path.
-    pub fn baseline() -> Self {
-        RunOptions {
-            steal: StealPolicy::Disabled,
-            quiescence: QuiescencePolicy::Polling {
-                interval: Duration::from_micros(300),
-            },
-            router: RouterPolicy::Global,
-            ..RunOptions::default()
-        }
     }
 
     /// Sets the startup object's payload.
@@ -222,45 +145,10 @@ impl RunOptions {
         self
     }
 
-    /// Sets the steal policy.
-    #[must_use]
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Sets the quiescence protocol.
-    #[must_use]
-    pub fn with_quiescence(mut self, quiescence: QuiescencePolicy) -> Self {
-        self.quiescence = quiescence;
-        self
-    }
-
     /// Arms online adaptive re-layout under `policy`.
     #[must_use]
     pub fn with_adapt(mut self, policy: AdaptPolicy) -> Self {
         self.adapt = Some(policy);
-        self
-    }
-
-    /// Sets the post-zero confirmation delay.
-    #[must_use]
-    pub fn with_settle(mut self, settle: Duration) -> Self {
-        self.quiescence_settle = settle;
-        self
-    }
-
-    /// Sets the router sharding policy.
-    #[must_use]
-    pub fn with_router(mut self, router: RouterPolicy) -> Self {
-        self.router = router;
-        self
-    }
-
-    /// Sets the per-worker run-queue bound (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.run_queue_capacity = capacity.max(1);
         self
     }
 
@@ -269,15 +157,6 @@ impl RunOptions {
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = Some(faults);
         self
-    }
-
-    /// The effective queue bound (the default when left at 0).
-    pub fn queue_capacity(&self) -> usize {
-        if self.run_queue_capacity == 0 {
-            Self::DEFAULT_QUEUE_CAPACITY
-        } else {
-            self.run_queue_capacity
-        }
     }
 }
 
@@ -288,34 +167,9 @@ mod tests {
     #[test]
     fn defaults_pick_the_optimized_hot_path() {
         let opts = RunOptions::default();
-        assert_eq!(opts.steal, StealPolicy::SameGroup);
-        assert_eq!(opts.quiescence, QuiescencePolicy::EventDriven);
-        assert_eq!(opts.router, RouterPolicy::Sharded);
-        assert_eq!(opts.queue_capacity(), RunOptions::DEFAULT_QUEUE_CAPACITY);
         assert!(opts.startup.is_none());
         assert!(!opts.telemetry.is_enabled());
-    }
-
-    #[test]
-    fn baseline_reproduces_the_old_dispatch_shape() {
-        let opts = RunOptions::baseline();
-        assert_eq!(opts.steal, StealPolicy::Disabled);
-        assert_eq!(opts.router, RouterPolicy::Global);
-        assert_eq!(
-            opts.quiescence,
-            QuiescencePolicy::Polling {
-                interval: Duration::from_micros(300)
-            }
-        );
-    }
-
-    #[test]
-    fn builder_clamps_queue_capacity() {
-        assert_eq!(
-            RunOptions::default()
-                .with_queue_capacity(0)
-                .queue_capacity(),
-            1
-        );
+        assert!(opts.faults.is_none());
+        assert!(opts.adapt.is_none());
     }
 }

@@ -34,7 +34,7 @@ pub mod virtual_exec;
 pub use adapt::{AdaptPolicy, AdaptReport, AdaptiveController, RelayoutError};
 pub use chaos::{CoreKill, CoreStall, FaultPlan, FaultSpec, KillTarget, RecoveryPolicy};
 pub use cost::CostModel;
-pub use deploy::{Deployment, QuiescencePolicy, RouterPolicy, RunOptions, StealPolicy};
+pub use deploy::{Deployment, RunOptions};
 pub use ledger::{Completion, RequestLedger};
 pub use program::{body, NativeBody, NativePayload, Program, TaskCtx};
 pub use router::ShardedRouter;

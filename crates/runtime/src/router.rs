@@ -34,16 +34,14 @@ pub struct ShardedRouter {
     /// [`Counter`] is a no-op then).
     tally: AtomicU64,
     /// `dead[core]`: the core was killed by fault injection and must be
-    /// excluded from re-striped routing (one flag per *core*, not per
-    /// stripe — a global-stripe router still tracks every core).
+    /// excluded from re-striped routing.
     dead: Vec<AtomicBool>,
 }
 
 impl ShardedRouter {
-    /// Creates a router with `shards` stripes (clamped to ≥ 1; pass 1
-    /// for the legacy fully-serialized behavior) tracking liveness for
-    /// `cores` cores. `contended` counts route calls that found their
-    /// stripe locked.
+    /// Creates a router with `shards` stripes (clamped to ≥ 1) tracking
+    /// liveness for `cores` cores. `contended` counts route calls that
+    /// found their stripe locked.
     pub fn new(shards: usize, cores: usize, contended: Counter) -> Self {
         ShardedRouter {
             shards: (0..shards.max(1))
@@ -53,11 +51,6 @@ impl ShardedRouter {
             tally: AtomicU64::new(0),
             dead: (0..cores.max(1)).map(|_| AtomicBool::new(false)).collect(),
         }
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Marks `core` dead: [`Self::restripe`] excludes it from now on.
@@ -140,7 +133,7 @@ impl ShardedRouter {
     /// `from_core` to the stripe of `to_core` during a hot migration,
     /// so the per-(instance, task) distribution sequences continue
     /// exactly where the old core left them. No-op when both cores map
-    /// to the same stripe (always true for a single-stripe router).
+    /// to the same stripe.
     /// Both stripes are locked in index order, so concurrent transfers
     /// cannot deadlock against each other or against route calls.
     pub fn transfer_instance(&self, from_core: usize, to_core: usize, instance: InstanceId) {

@@ -33,7 +33,7 @@
 //! host machine's core count is unrelated to the modeled TILEPro64).
 
 use crate::chaos::FaultPlan;
-use crate::deploy::{Deployment, QuiescencePolicy, RunOptions, StealPolicy};
+use crate::deploy::{Deployment, RunOptions};
 use crate::ledger::{Completion, RequestLedger};
 use crate::program::{NativePayload, Program, TaskCtx};
 use crate::router::ShardedRouter;
@@ -214,7 +214,8 @@ struct Shared {
     shed_tally: AtomicU64,
     senders: Vec<Sender<Message>>,
     /// Per-core run queues of formed invocations (bounded softly by
-    /// `queue_cap`; owners push/pop the front, thieves take the back).
+    /// [`RUN_QUEUE_CAPACITY`]; owners push/pop the front, thieves take
+    /// the back).
     ready: Vec<Mutex<VecDeque<PendingInv>>>,
     /// Whether each worker is parked in `recv` (set before blocking,
     /// cleared on wake); `poke` swaps it to decide whether to send.
@@ -228,8 +229,6 @@ struct Shared {
     /// Per-core steal victims: cores sharing at least one multi-core
     /// group with this core.
     steal_peers: Vec<Vec<usize>>,
-    steal_enabled: bool,
-    queue_cap: usize,
     /// Collects objects that left dispatch (for result extraction).
     graveyard: Sender<Box<TObject>>,
     /// Compiled fault-injection plan (`None` = fault-free run).
@@ -259,6 +258,10 @@ struct Shared {
 /// default of 16 payload words (the threaded executor moves `Box`ed
 /// payloads, so this is an estimate for telemetry, not a transfer cost).
 const OBJ_BYTES_ESTIMATE: u64 = 16 * 8;
+
+/// Soft bound on each worker's run queue: a worker forming invocations
+/// past it sheds the surplus to a less loaded same-group core.
+const RUN_QUEUE_CAPACITY: usize = 256;
 
 impl Shared {
     fn spec(&self) -> &ProgramSpec {
@@ -433,12 +436,11 @@ impl Shared {
     }
 
     /// Picks a live same-group host for an instance whose home core is
-    /// dead, keyed deterministically by the message id. `None` when
-    /// recovery is off, stealing is off (replica interchangeability is
-    /// the correctness argument for both), or no live host remains.
+    /// dead, keyed deterministically by the message id (replica
+    /// interchangeability is the correctness argument, as for stealing).
+    /// `None` when recovery is off or no live host remains.
     fn failover_core(&self, instance: InstanceId, key: u64) -> Option<usize> {
-        let recoverable = self.chaos.as_ref().is_some_and(|p| p.recovery_enabled());
-        if !recoverable || !self.steal_enabled {
+        if !self.chaos.as_ref().is_some_and(|p| p.recovery_enabled()) {
             return None;
         }
         let group = self.group_of_instance(instance);
@@ -515,20 +517,19 @@ impl Shared {
     /// Enqueues a formed invocation. The owner's queue is preferred;
     /// past the soft bound the invocation is shed to the least-loaded
     /// core hosting the same group, if that core's queue is strictly
-    /// shorter (stealing must be enabled — the same interchangeability
-    /// argument makes both legal). Idle same-group peers are poked
+    /// shorter (the interchangeability argument that makes stealing
+    /// legal makes shedding legal too). Idle same-group peers are poked
     /// whenever the queue holds more work than the owner can start
     /// immediately.
     fn enqueue_ready(&self, core: usize, inv: PendingInv) {
         let group = self.group_of_instance(inv.instance);
-        let stealable = self.steal_enabled && self.group_cores[group].len() > 1;
-        if !stealable {
+        if self.group_cores[group].len() < 2 {
             self.ready[core].lock().push_back(inv);
             return;
         }
         let mut queue = self.ready[core].lock();
         let depth = queue.len();
-        if depth < self.queue_cap {
+        if depth < RUN_QUEUE_CAPACITY {
             queue.push_back(inv);
             drop(queue);
             if depth > 0 {
@@ -716,8 +717,8 @@ pub struct ThreadedExecutor {}
 
 impl ThreadedExecutor {
     /// Runs `deployment` with one thread per core, configured by
-    /// `options` (startup payload, telemetry session, steal policy,
-    /// quiescence protocol).
+    /// `options` (startup payload, telemetry session, faults, adaptive
+    /// re-layout).
     ///
     /// With an enabled [`Telemetry`] session the run records dispatch,
     /// contention, traffic, and channel-occupancy events (timestamps in
@@ -738,7 +739,7 @@ impl ThreadedExecutor {
     ///
     /// Returns [`ExecError::NativeOnly`] for interpreted programs,
     /// [`ExecError::CoreLost`] when a killed core's work has no live
-    /// same-group host (or recovery/stealing is disabled), and
+    /// same-group host (or recovery is disabled), and
     /// [`ExecError::MessageLost`] when a message exhausts its
     /// redelivery budget.
     pub fn run(
@@ -827,10 +828,6 @@ impl ThreadedExecutor {
             })
             .collect();
 
-        let router_shards = match options.router {
-            crate::deploy::RouterPolicy::Sharded => core_count,
-            crate::deploy::RouterPolicy::Global => 1,
-        };
         // Compile the fault plan against the steal topology so kill
         // targeting can prove every victim's groups survive elsewhere.
         let chaos = options
@@ -838,7 +835,6 @@ impl ThreadedExecutor {
             .as_ref()
             .map(|fspec| FaultPlan::compile(fspec, &group_cores, &hosted));
         let (ledger, completions) = RequestLedger::new();
-        let queue_cap = options.queue_capacity();
         let adapt = options.adapt;
         let estimator = adapt
             .as_ref()
@@ -859,7 +855,7 @@ impl ThreadedExecutor {
             locks_analysis: locks.clone(),
             lock_table: LockTable::new(),
             router: ShardedRouter::new(
-                router_shards,
+                core_count,
                 core_count,
                 telemetry.counter("threaded.router_contention"),
             ),
@@ -884,8 +880,6 @@ impl ThreadedExecutor {
             group_cores,
             hosted,
             steal_peers,
-            steal_enabled: options.steal == StealPolicy::SameGroup,
-            queue_cap,
             graveyard: grave_tx,
             chaos,
             failure: StdMutex::new(None),
@@ -927,8 +921,6 @@ impl ThreadedExecutor {
             completions,
             driver_sink,
             next_request: 1,
-            quiescence: options.quiescence,
-            quiescence_settle: options.quiescence_settle,
             start,
             adapt,
         })
@@ -946,8 +938,6 @@ pub struct ResidentRun {
     completions: Receiver<Completion>,
     driver_sink: WorkerSink,
     next_request: u64,
-    quiescence: QuiescencePolicy,
-    quiescence_settle: Duration,
     start: std::time::Instant,
     /// The adapt policy the run was started with, parked here for the
     /// serving front-end to claim ([`Self::take_adapt_policy`]).
@@ -1092,11 +1082,6 @@ impl ResidentRun {
         self.adapt.take()
     }
 
-    /// The configured soft bound on each worker's run queue.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_cap
-    }
-
     /// The first unrecoverable fault, if one has been recorded.
     pub fn failure(&self) -> Option<ExecError> {
         self.shared.failure.lock().expect("failure mutex").clone()
@@ -1117,41 +1102,11 @@ impl ResidentRun {
     /// Returns the run's first unrecoverable fault.
     pub fn drain(&mut self) -> Result<(), ExecError> {
         let shared = &self.shared;
-        match self.quiescence {
-            QuiescencePolicy::EventDriven => {
-                let mut guard = shared.quiesce.lock().expect("quiescence mutex");
-                while shared.activity.load(Ordering::SeqCst) != 0 && !shared.failed() {
-                    guard = shared.quiesce_cv.wait(guard).expect("quiescence mutex");
-                }
-                drop(guard);
-            }
-            QuiescencePolicy::Polling { interval } => loop {
-                if shared.failed() {
-                    break;
-                }
-                std::thread::sleep(interval);
-                if shared.failed() {
-                    break;
-                }
-                if shared.activity.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(interval);
-                    if shared.activity.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                }
-            },
+        let mut guard = shared.quiesce.lock().expect("quiescence mutex");
+        while shared.activity.load(Ordering::SeqCst) != 0 && !shared.failed() {
+            guard = shared.quiesce_cv.wait(guard).expect("quiescence mutex");
         }
-        if !self.quiescence_settle.is_zero() && !shared.failed() {
-            // Optional paranoia window: activity is transfer-ordered so
-            // zero is already final, but a caller may ask for a settle
-            // confirmation anyway.
-            loop {
-                std::thread::sleep(self.quiescence_settle);
-                if shared.activity.load(Ordering::SeqCst) == 0 || shared.failed() {
-                    break;
-                }
-            }
-        }
+        drop(guard);
         match self.failure() {
             Some(err) => Err(err),
             None => Ok(()),
@@ -1523,17 +1478,15 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
             continue;
         }
         // 3. Steal from a same-group peer.
-        if shared.steal_enabled {
-            steal_rotation = steal_rotation.wrapping_add(1);
-            if let Some(inv) = shared.try_steal(core, steal_rotation, &mut sink) {
-                dispatch(core, &shared, &spec, &mut state, inv, &mut sink);
-                dispatched += 1;
-                if chaos_tick(core, &shared, dispatched, &mut sink) {
-                    die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
-                    return;
-                }
-                continue;
+        steal_rotation = steal_rotation.wrapping_add(1);
+        if let Some(inv) = shared.try_steal(core, steal_rotation, &mut sink) {
+            dispatch(core, &shared, &spec, &mut state, inv, &mut sink);
+            dispatched += 1;
+            if chaos_tick(core, &shared, dispatched, &mut sink) {
+                die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
+                return;
             }
+            continue;
         }
         // 4. Nothing to do: publish idleness, re-check (an enqueue may
         // have raced the empty check), then park in `recv`.
@@ -1649,7 +1602,7 @@ fn chaos_tick(core: usize, shared: &Shared, dispatched: u64, sink: &mut WorkerSi
 /// hosts. The thread then lingers as a forwarder — late arrivals are
 /// re-routed, never processed — until shutdown.
 ///
-/// With recovery (or stealing) disabled, or when any queued invocation's
+/// With recovery disabled, or when any queued invocation's
 /// group has no live host left, the run fails with
 /// [`ExecError::CoreLost`] instead: typed, immediate, no hang.
 fn die_and_forward(
@@ -1664,8 +1617,7 @@ fn die_and_forward(
     shared.fault_counter.inc();
     sink.fault(sink.now(), fault_code::CORE_KILL, core as u64, NO_ID);
     shared.router.mark_dead(core);
-    let recoverable =
-        shared.chaos.as_ref().is_some_and(|p| p.recovery_enabled()) && shared.steal_enabled;
+    let recoverable = shared.chaos.as_ref().is_some_and(|p| p.recovery_enabled());
     // Every queued invocation needs a live same-group host to steal it;
     // a stranded group means the work is genuinely unrecoverable.
     let stranded = shared.ready[core].lock().iter().any(|inv| {
@@ -2231,7 +2183,6 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::RouterPolicy;
     use crate::program::{body, NativeBody};
     use crate::virtual_exec::tests_support::fanout_setup;
     use bamboo_lang::builder::ProgramBuilder;
@@ -2622,22 +2573,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_options_still_compute_the_same_result() {
-        let deploy = deployment(fanout_setup(16, 4));
-        let report = ThreadedExecutor::default()
-            .run(&deploy, RunOptions::baseline())
-            .unwrap();
-        assert_eq!(report.invocations, 33);
-        assert_eq!(report.steals, 0, "baseline disables stealing");
-        let acc_class = deploy.program.spec.class_by_name("Acc").unwrap();
-        let expected: i64 = (0..16).map(|i| i * i).sum();
-        assert_eq!(
-            report.payloads_of::<(i64, i64, i64)>(acc_class)[0].0,
-            expected
-        );
-    }
-
-    #[test]
     fn interpreted_program_is_rejected() {
         let compiled = bamboo_lang::compile_source(
             "t",
@@ -2792,39 +2727,28 @@ mod tests {
     }
 
     /// ≥ 8 producer instances hammering the sharded router from
-    /// distinct cores at once: the result must stay exact, with or
-    /// without stealing, under both router policies.
+    /// distinct cores at once, with stealing: the result must stay exact.
     #[test]
     fn sharded_router_stress_with_many_producers() {
-        for (router, steal) in [
-            (RouterPolicy::Sharded, StealPolicy::SameGroup),
-            (RouterPolicy::Sharded, StealPolicy::Disabled),
-            (RouterPolicy::Global, StealPolicy::SameGroup),
-        ] {
-            let deploy = deployment(fanout_setup(96, 8));
-            assert!(
-                deploy.layout.instances.len() >= 8,
-                "need ≥ 8 producer instances, got {}",
-                deploy.layout.instances.len()
-            );
-            let telemetry = Telemetry::enabled(8);
-            let opts = RunOptions::default()
-                .with_router(router)
-                .with_steal(steal)
-                .with_telemetry(telemetry.clone());
-            let report = ThreadedExecutor::default().run(&deploy, opts).unwrap();
-            assert_eq!(report.invocations, 1 + 2 * 96, "{router:?}/{steal:?}");
-            let acc_class = deploy.program.spec.class_by_name("Acc").unwrap();
-            let expected: i64 = (0..96).map(|i| i * i).sum();
-            assert_eq!(
-                report.payloads_of::<(i64, i64, i64)>(acc_class)[0].0,
-                expected,
-                "{router:?}/{steal:?}"
-            );
-            let t = telemetry.report();
-            assert_eq!(t.metrics.counters["threaded.dispatches"], 1 + 2 * 96);
-            assert_eq!(t.metrics.counters["threaded.steals"], report.steals);
-        }
+        let deploy = deployment(fanout_setup(96, 8));
+        assert!(
+            deploy.layout.instances.len() >= 8,
+            "need ≥ 8 producer instances, got {}",
+            deploy.layout.instances.len()
+        );
+        let telemetry = Telemetry::enabled(8);
+        let opts = RunOptions::default().with_telemetry(telemetry.clone());
+        let report = ThreadedExecutor::default().run(&deploy, opts).unwrap();
+        assert_eq!(report.invocations, 1 + 2 * 96);
+        let acc_class = deploy.program.spec.class_by_name("Acc").unwrap();
+        let expected: i64 = (0..96).map(|i| i * i).sum();
+        assert_eq!(
+            report.payloads_of::<(i64, i64, i64)>(acc_class)[0].0,
+            expected
+        );
+        let t = telemetry.report();
+        assert_eq!(t.metrics.counters["threaded.dispatches"], 1 + 2 * 96);
+        assert_eq!(t.metrics.counters["threaded.steals"], report.steals);
     }
 
     /// A startup task that allocates nothing: the run must still reach
@@ -2875,10 +2799,7 @@ mod tests {
         let expected = virt.payload::<(i64, i64, i64)>(vacc).0;
         for round in 0..3 {
             let report = ThreadedExecutor::default()
-                .run(
-                    &deploy,
-                    RunOptions::default().with_steal(StealPolicy::SameGroup),
-                )
+                .run(&deploy, RunOptions::default())
                 .unwrap();
             assert_eq!(report.invocations, vreport.invocations, "round {round}");
             assert_eq!(

@@ -20,8 +20,9 @@
 //!    contention, steal storms, load imbalance, wait-dominated paths)
 //!    and predicted-vs-observed divergence against the virtual
 //!    executor's trace (rate-matching violations, task-weight drift).
-//! 5. [`gate`] — the CI regression gate: recorded `BENCH_threaded.json`
-//!    baselines in, pass/fail [`gate::Verdict`] out.
+//! 5. [`gate`] — the CI regression gate: fresh observations and their
+//!    same-process references in (no recorded file), pass/fail
+//!    [`gate::Verdict`] out.
 //!
 //! [`diagnose`] runs stages 1–4 in one call; the `bamboo-doctor` CLI in
 //! the bench crate is a thin shell around it.

@@ -101,10 +101,7 @@ fn main() -> Result<(), Error> {
 
     let telemetry = Telemetry::enabled(handle.deployment().core_count());
     let deployment = handle.deployment().clone();
-    let observed = handle
-        .with_telemetry(telemetry.clone())
-        .with_steal(StealPolicy::SameGroup)
-        .run()?;
+    let observed = handle.with_telemetry(telemetry.clone()).run()?;
     println!(
         "threaded: {} invocations in {:?} ({} stolen, {} lock retries)",
         observed.invocations, observed.wall, observed.steals, observed.lock_retries
