@@ -164,37 +164,22 @@ impl<'p> ReferenceDriver<'p> {
             if !spec.guard.eval(meta.flags) {
                 continue;
             }
-            // Tag constraints: bind or check each.
-            let saved_env = tag_env.clone();
-            let mut ok = true;
-            for tc in &spec.tags {
-                match tag_env[tc.var.index()] {
-                    Some(instance) => {
-                        if !meta.tags.contains(&(tc.tag_type, instance)) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        // Bind to the first instance of the right type.
-                        match meta.tags.iter().find(|(tt, _)| *tt == tc.tag_type) {
-                            Some((_, instance)) => tag_env[tc.var.index()] = Some(*instance),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
+            let Some(updates) = spec.bind_tags(&meta.tags, tag_env) else {
+                continue;
+            };
+            for &(var, instance) in &updates {
+                tag_env[var] = Some(instance);
             }
-            if ok {
-                assignment.push(obj);
-                if self.match_params(task, param + 1, assignment, tag_env) {
-                    return true;
-                }
-                assignment.pop();
+            assignment.push(obj);
+            if self.match_params(task, param + 1, assignment, tag_env) {
+                return true;
             }
-            *tag_env = saved_env;
+            assignment.pop();
+            // A failed deeper match leaves the environment as it found
+            // it, so undoing this object's bindings restores it.
+            for (var, _) in updates {
+                tag_env[var] = None;
+            }
         }
         false
     }

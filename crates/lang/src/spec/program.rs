@@ -8,6 +8,7 @@
 //! (DSL IR, see [`crate::ir`]) or native closures (see the runtime crate).
 
 use crate::ids::{AllocSiteId, ClassId, ExitId, FlagId, ParamIdx, TagTypeId, TagVarId, TaskId};
+use crate::interp::TagInstance;
 use crate::spec::flagset::{FlagSet, MAX_FLAGS};
 use crate::spec::guard::FlagExpr;
 use std::collections::HashMap;
@@ -68,6 +69,43 @@ pub struct ParamSpec {
     pub guard: FlagExpr,
     /// Tag constraints from the `with` clause (empty if none).
     pub tags: Vec<TagConstraint>,
+}
+
+impl ParamSpec {
+    /// Matches an object's `tags` against this parameter's tag
+    /// constraints under the task's tag environment `env` (indexed by
+    /// tag variable). A bound variable requires the object to carry that
+    /// instance; an unbound one binds to the object's first instance of
+    /// the constraint's tag type. Returns the bindings the object adds,
+    /// as `(variable index, instance)`, or `None` when a constraint
+    /// fails.
+    pub fn bind_tags(
+        &self,
+        tags: &[(TagTypeId, TagInstance)],
+        env: &[Option<TagInstance>],
+    ) -> Option<Vec<(usize, TagInstance)>> {
+        let mut updates: Vec<(usize, TagInstance)> = Vec::new();
+        for tc in &self.tags {
+            let var = tc.var.index();
+            let bound = updates
+                .iter()
+                .find(|(v, _)| *v == var)
+                .map(|(_, instance)| *instance)
+                .or(env[var]);
+            match bound {
+                Some(instance) => {
+                    if !tags.contains(&(tc.tag_type, instance)) {
+                        return None;
+                    }
+                }
+                None => {
+                    let (_, instance) = tags.iter().find(|(tt, _)| *tt == tc.tag_type)?;
+                    updates.push((var, *instance));
+                }
+            }
+        }
+        Some(updates)
+    }
 }
 
 /// An update to one parameter object performed at task exit or object

@@ -1,26 +1,32 @@
-//! The request ledger: per-request outstanding-invocation refcounts.
+//! The request ledger: the threaded executor's one count of outstanding
+//! work.
 //!
-//! The threaded executor's quiescence protocol counts *global* activity
-//! (messages in flight + formed-but-incomplete invocations) in one
-//! transfer-ordered atomic. Serving mode needs the same signal per
-//! request: a resident deployment completes request 17 when *its*
-//! activity drains, regardless of what requests 18 and 19 are doing.
+//! Every unit of work holds exactly one ledger unit against the request
+//! it belongs to: a `Message::Deliver` in a worker channel, and a formed
+//! invocation from the moment it is queued until `execute` returns. An
+//! object handed to `take_in` on its own core, or merely buffered in a
+//! parameter set, holds none; the unit of the message or invocation
+//! that handed it over covers it. A completed request's buffered
+//! leftovers never travel: a migration or failover drain re-sends a
+//! leftover only when [`RequestLedger::inc_if_open`] counts it, and
+//! retires it to the result graveyard otherwise.
 //!
-//! The ledger mirrors every global activity increment/decrement into a
-//! per-request count, keyed by the request id stamped on each object
-//! and invocation. Because every unit of work inherits the request of
+//! The count is *transfer-ordered*. Every increment happens before the
+//! matching hand-off, and a handler counts all follow-on work before it
+//! releases its own unit. Every unit of work inherits the request of
 //! the work that spawned it (request isolation: an invocation only
 //! combines objects of one request, and everything it releases or
-//! creates carries that request), the per-request count obeys the same
-//! transfer-ordered invariant as the global counter — every increment
-//! happens before the matching hand-off and every decrement after all
-//! follow-on work was counted — so a count reaching zero is a
-//! *definitive* completion signal, never a transient dip.
+//! creates carries that request). So a request's count reaching zero is
+//! a *definitive* completion signal, never a transient dip, and
+//! "no request open" ([`RequestLedger::outstanding`] `== 0`) is the
+//! run's quiescence. A batch run is one request.
 //!
 //! Completions are pushed to an unbounded channel the driver (or the
-//! serving front-end) drains; each carries the request's executed
-//! invocation tally so per-request exactness can be cross-checked
-//! against the virtual executor's causal graph.
+//! serving front-end) drains, *before* the open-request count drops:
+//! whoever reads `outstanding() == 0` finds every completion already on
+//! the channel. Each carries the request's executed invocation tally so
+//! per-request exactness can be cross-checked against the virtual
+//! executor's causal graph.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -39,7 +45,7 @@ pub struct Completion {
     /// Task invocations the request executed (transitively, from its
     /// root object to quiescence).
     pub invocations: u64,
-    /// When the last unit of the request's activity was released.
+    /// When the request's last unit of work was released.
     pub completed_at: Instant,
 }
 
@@ -49,8 +55,8 @@ struct Entry {
     invocations: u64,
 }
 
-/// Striped per-request activity counts with a completion channel. See
-/// the module docs for the correctness argument.
+/// Striped per-request counts of outstanding work with a completion
+/// channel. See the module docs for the correctness argument.
 #[derive(Debug)]
 pub struct RequestLedger {
     stripes: Vec<Mutex<HashMap<u64, Entry>>>,
@@ -75,8 +81,8 @@ impl RequestLedger {
         &self.stripes[(request % STRIPES as u64) as usize]
     }
 
-    /// Counts one unit of activity against `request` (mirror of the
-    /// global `activity.fetch_add`). The first unit opens the request.
+    /// Counts one unit of work against `request`. The first unit opens
+    /// the request.
     pub fn inc(&self, request: u64) {
         let mut map = self.stripe(request).lock();
         let entry = map.entry(request).or_default();
@@ -86,12 +92,12 @@ impl RequestLedger {
         entry.count += 1;
     }
 
-    /// Counts one unit of activity against `request` only when the
-    /// request is still open, and reports whether it was counted. Used
-    /// when re-sending *buffered* objects — a hot-migration drain or a
-    /// dead core's failover — where the request may have already
-    /// completed: a completed request's leftovers must travel without
-    /// re-opening its ledger entry, or the completion would fire twice.
+    /// Counts one unit of work against `request` only when the request
+    /// is still open, and reports whether it was counted. Used when
+    /// re-sending *buffered* objects — a hot-migration drain or a dead
+    /// core's failover — where the request may have already completed:
+    /// a completed request's leftover is retired instead of sent, so its
+    /// entry is never re-opened and its completion fires once.
     pub fn inc_if_open(&self, request: u64) -> bool {
         let mut map = self.stripe(request).lock();
         match map.get_mut(&request) {
@@ -104,8 +110,8 @@ impl RequestLedger {
     }
 
     /// Charges one executed invocation to `request` (called while the
-    /// invocation's own activity unit is still held, so the entry is
-    /// guaranteed live).
+    /// invocation's own unit is still held, so the entry is guaranteed
+    /// live).
     pub fn charge_invocation(&self, request: u64) {
         let mut map = self.stripe(request).lock();
         if let Some(entry) = map.get_mut(&request) {
@@ -113,13 +119,16 @@ impl RequestLedger {
         }
     }
 
-    /// Releases one unit of `request`'s activity (mirror of the global
-    /// `release_activity`). The release that drains the request removes
-    /// its entry, pushes a [`Completion`] on the channel, and returns
-    /// it so the caller can emit telemetry and sweep buffered objects.
+    /// Releases one unit of `request`'s work. The release that drains
+    /// the request removes its entry, pushes a [`Completion`] on the
+    /// channel, then closes the request in [`Self::outstanding`], and
+    /// returns the completion so the caller can emit telemetry and
+    /// sweep buffered objects. Every release must match a counted unit.
     pub fn dec(&self, request: u64) -> Option<Completion> {
         let mut map = self.stripe(request).lock();
-        let entry = map.get_mut(&request)?;
+        let entry = map.get_mut(&request);
+        debug_assert!(entry.is_some(), "request {request} released uncounted");
+        let entry = entry?;
         entry.count -= 1;
         if entry.count > 0 {
             return None;
@@ -128,7 +137,6 @@ impl RequestLedger {
         let invocations = entry.invocations;
         map.remove(&request);
         drop(map);
-        self.open.fetch_sub(1, Ordering::Relaxed);
         let completion = Completion {
             request,
             invocations,
@@ -137,15 +145,18 @@ impl RequestLedger {
         // Receiver gone (batch caller dropped it) is fine: the return
         // value still drives events and sweeps.
         let _ = self.completions.send(completion);
+        // Release after the send: a reader that sees the request closed
+        // (Acquire in `outstanding`) also sees its completion queued.
+        self.open.fetch_sub(1, Ordering::Release);
         Some(completion)
     }
 
-    /// Requests currently holding activity.
+    /// Requests currently holding work; zero is quiescence.
     pub fn outstanding(&self) -> usize {
-        self.open.load(Ordering::Relaxed)
+        self.open.load(Ordering::Acquire)
     }
 
-    /// Whether no request holds activity (the no-leak invariant checked
+    /// Whether no request holds work (the no-leak invariant checked
     /// after a drain).
     pub fn is_empty(&self) -> bool {
         self.outstanding() == 0 && self.stripes.iter().all(|s| s.lock().is_empty())
@@ -193,9 +204,54 @@ mod tests {
         assert!(ledger.dec(3).is_none());
         assert!(ledger.dec(3).is_some());
         assert!(!ledger.inc_if_open(3), "completed request stays closed");
-        assert!(ledger.dec(3).is_none(), "orphan release is a no-op");
         assert!(ledger.is_empty());
         assert_eq!(rx.try_iter().count(), 1, "exactly one completion");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released uncounted")]
+    fn release_without_a_unit_is_a_bug() {
+        let (ledger, _rx) = RequestLedger::new();
+        ledger.dec(5);
+    }
+
+    /// Whoever reads a request closed finds its completion queued. A
+    /// second thread releases each request while this one polls
+    /// `outstanding()`, so the read lands right after the decrement.
+    #[test]
+    fn completion_is_queued_before_the_request_closes() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Arc;
+        const ROUNDS: u64 = 20_000;
+        let (ledger, rx) = RequestLedger::new();
+        let ledger = Arc::new(ledger);
+        let release = Arc::new(AtomicU64::new(0));
+        let releaser = {
+            let (ledger, release) = (ledger.clone(), release.clone());
+            std::thread::spawn(move || {
+                for request in 1..=ROUNDS {
+                    while release.load(Ordering::Acquire) != request {
+                        std::thread::yield_now();
+                    }
+                    ledger.dec(request);
+                }
+            })
+        };
+        for request in 1..=ROUNDS {
+            ledger.inc(request);
+            release.store(request, Ordering::Release);
+            let mut polls = 0u32;
+            while ledger.outstanding() != 0 {
+                polls += 1;
+                if polls.is_multiple_of(64) {
+                    std::thread::yield_now();
+                }
+            }
+            let done = rx.try_recv().map(|c| c.request).ok();
+            assert_eq!(done, Some(request), "closed before its completion");
+        }
+        releaser.join().unwrap();
     }
 
     #[test]

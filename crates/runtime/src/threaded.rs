@@ -24,8 +24,9 @@
 //!   queues; an idle core may steal an invocation whose group also has
 //!   an instance on it (replicas are interchangeable by the paper's
 //!   data-parallelization rule).
-//! - **Event-driven quiescence** — the worker that drops the activity
-//!   count to zero signals the driver thread through a condvar; no
+//! - **Event-driven quiescence** — the [`RequestLedger`] is the one
+//!   count of outstanding work; the worker whose release completes the
+//!   last open request signals the driver thread through a condvar; no
 //!   sleep-polling latency floor.
 //!
 //! This executor demonstrates genuine concurrent semantics; performance
@@ -51,7 +52,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
@@ -92,17 +93,18 @@ struct TObject {
 enum Message {
     Deliver(Box<TObject>),
     /// Wakes a blocked worker so it re-checks its run queue and its
-    /// steal peers. Carries no activity.
+    /// steal peers. Holds no ledger unit.
     Poke,
     /// A request completed: evict its leftover buffered objects to the
     /// graveyard. Safe because a request's ledger count reaching zero
-    /// is final — no new work for it can appear. Carries no activity.
+    /// is final — no new work for it can appear. Holds no ledger unit.
     Sweep(u64),
     /// A hot relayout moved `instance` off this core: drain its
     /// buffered parameter-set objects by re-sending them (the live
     /// assignment already points at the new host, so `send` routes them
-    /// there). Carries no activity; the drain mints fresh units before
-    /// each hand-off, exactly like the failover drain.
+    /// there). Holds no ledger unit; the drain counts each leftover of
+    /// an open request before its hand-off and retires a completed
+    /// request's leftovers, exactly like the failover drain.
     Migrate(InstanceId),
     Shutdown,
 }
@@ -180,18 +182,14 @@ struct Shared {
     locks_analysis: DisjointnessAnalysis,
     lock_table: LockTable,
     router: ShardedRouter,
-    /// Messages in flight + formed-but-incomplete invocations. Zero means
-    /// quiescence: every increment happens *before* the matching work is
-    /// handed off, and every decrement *after* all follow-on work was
-    /// counted, so the count never transiently dips to zero.
-    activity: AtomicI64,
-    /// Lock + condvar the driver thread parks on; the worker that drops
-    /// `activity` to zero notifies under the lock (no lost wakeups).
+    /// Lock + condvar the driver thread parks on; the worker that closes
+    /// the last open request notifies under the lock (no lost wakeups).
     quiesce: StdMutex<()>,
     quiesce_cv: Condvar,
-    /// Per-request mirror of `activity`: outstanding-invocation
-    /// refcounts keyed by request id, so a resident deployment detects
-    /// each request's completion without waiting for global quiescence.
+    /// The one count of outstanding work: a unit per message in flight
+    /// and per formed-but-incomplete invocation, keyed by request id. A
+    /// request completes when its count drains; the run is quiescent
+    /// when no request is open.
     ledger: RequestLedger,
     /// Whether a completed request's leftover buffered objects are
     /// swept to the graveyard (resident mode; batch runs keep the
@@ -235,7 +233,7 @@ struct Shared {
     chaos: Option<FaultPlan>,
     /// First unrecoverable fault, if any. Setting it wakes the
     /// quiescence waiter, so a run that loses a core errors out instead
-    /// of hanging on activity that will never drain.
+    /// of hanging on work that will never drain.
     failure: StdMutex<Option<ExecError>>,
     /// Injected faults that fired (kills, stalls, drops, delays,
     /// slowdowns). Mirrors the `chaos.faults` counter.
@@ -282,7 +280,7 @@ impl Shared {
     /// delayed in flight. A destination on a dead core is re-striped to
     /// a live host of the same group; with none left the run fails with
     /// [`ExecError::CoreLost`] (the object retires to the graveyard and
-    /// no activity is counted, so quiescence still resolves).
+    /// no ledger unit is counted).
     fn send(&self, src: u64, instance: InstanceId, obj: Box<TObject>, sink: &mut WorkerSink) {
         self.send_impl(src, instance, obj, sink, false, None);
     }
@@ -290,9 +288,10 @@ impl Shared {
     /// [`Self::send`] for *adopted* objects — buffered leftovers
     /// re-sent by a hot-migration or failover drain. Identical wire
     /// semantics, except the ledger unit is only counted when the
-    /// request is still open: a completed request's leftovers travel
-    /// under global activity alone, so the completion never fires
-    /// twice ([`RequestLedger::inc_if_open`]).
+    /// request is still open ([`RequestLedger::inc_if_open`]): a
+    /// completed request's leftover is finished, so it retires to the
+    /// graveyard instead of travelling, and the completion never fires
+    /// twice.
     fn send_adopted(
         &self,
         src: u64,
@@ -400,23 +399,26 @@ impl Shared {
                 }
             }
         }
+        if adopt && !self.ledger.inc_if_open(request) {
+            // The request completed while this leftover sat buffered.
+            // Retire it where `Sweep` or shutdown would have put it.
+            let _ = self.graveyard.send(obj);
+            return;
+        }
         sink.obj_send(ts, OBJ_BYTES_ESTIMATE, core as u64, msg);
         if let Some((here, state)) = local {
             if here == core {
                 // Same-core hand-off: no message, so no message unit.
-                // The sending invocation holds its own activity and
-                // ledger unit until `execute` returns, and `take_in`
-                // counts each invocation it forms before queueing it,
-                // so neither count can reach zero in between.
+                // The sending invocation holds its own ledger unit until
+                // `execute` returns, and `take_in` counts each invocation
+                // it forms before queueing it, so the request's count
+                // cannot reach zero in between.
                 self.bytes_sent.add(OBJ_BYTES_ESTIMATE);
                 take_in(core, self, self.spec(), state, obj, sink);
                 return;
             }
         }
-        self.activity.fetch_add(1, Ordering::SeqCst);
-        if adopt {
-            self.ledger.inc_if_open(request);
-        } else {
+        if !adopt {
             self.ledger.inc(request);
         }
         match self.senders[core].send(Message::Deliver(obj)) {
@@ -430,7 +432,7 @@ impl Shared {
                 if let Message::Deliver(obj) = returned.into_inner() {
                     let _ = self.graveyard.send(obj);
                 }
-                self.release_activity(request, sink);
+                self.release(request, sink);
             }
         }
     }
@@ -448,7 +450,7 @@ impl Shared {
     }
 
     /// Records the first unrecoverable fault and wakes the quiescence
-    /// waiter so the driver stops waiting on activity that will never
+    /// waiter so the driver stops waiting on work that will never
     /// drain. Later failures are ignored (first error wins).
     fn fail(&self, err: ExecError) {
         let mut slot = self.failure.lock().expect("failure mutex");
@@ -465,21 +467,21 @@ impl Shared {
         self.failure.lock().expect("failure mutex").is_some()
     }
 
-    /// Releases one unit of activity for `request`; mirrors the global
-    /// decrement into the request ledger. The release that drains a
+    /// Releases one ledger unit of `request`. The release that drains a
     /// request records its completion event (and broadcasts a sweep in
-    /// resident mode); the release that reaches global zero wakes the
-    /// quiescence waiter.
-    fn release_activity(&self, request: u64, sink: &mut WorkerSink) {
-        if let Some(done) = self.ledger.dec(request) {
-            sink.req_complete(sink.now(), done.request, done.invocations);
-            if self.sweep_on_complete {
-                for tx in &self.senders {
-                    let _ = tx.send(Message::Sweep(request));
-                }
+    /// resident mode); when it closed the last open request, it wakes
+    /// the quiescence waiter.
+    fn release(&self, request: u64, sink: &mut WorkerSink) {
+        let Some(done) = self.ledger.dec(request) else {
+            return;
+        };
+        sink.req_complete(sink.now(), done.request, done.invocations);
+        if self.sweep_on_complete {
+            for tx in &self.senders {
+                let _ = tx.send(Message::Sweep(request));
             }
         }
-        if self.activity.fetch_sub(1, Ordering::SeqCst) == 1 {
+        if self.ledger.outstanding() == 0 {
             let _guard = self.quiesce.lock().expect("quiescence mutex");
             self.quiesce_cv.notify_all();
         }
@@ -859,7 +861,6 @@ impl ThreadedExecutor {
                 core_count,
                 telemetry.counter("threaded.router_contention"),
             ),
-            activity: AtomicI64::new(0),
             quiesce: StdMutex::new(()),
             quiesce_cv: Condvar::new(),
             ledger,
@@ -1011,15 +1012,10 @@ impl ResidentRun {
         self.completions.recv_timeout(timeout).ok()
     }
 
-    /// Requests currently holding outstanding work.
+    /// Requests currently holding outstanding work; zero exactly when
+    /// the run is quiescent.
     pub fn outstanding(&self) -> usize {
         self.shared.ledger.outstanding()
-    }
-
-    /// Messages in flight plus formed-but-unfinished invocations, over
-    /// all requests; zero exactly when the run is quiescent.
-    pub fn activity(&self) -> i64 {
-        self.shared.activity.load(Ordering::SeqCst)
     }
 
     /// Whether the request ledger is fully drained (the no-leak
@@ -1094,8 +1090,10 @@ impl ResidentRun {
         &mut self.driver_sink
     }
 
-    /// Blocks until global activity drains (all injected requests
-    /// complete) or an unrecoverable fault fires.
+    /// Blocks until every injected request has completed (the ledger
+    /// holds no open request) or an unrecoverable fault fires. Every
+    /// completion is on the completion channel by then, so
+    /// [`Self::try_completions`] right after a drain returns them all.
     ///
     /// # Errors
     ///
@@ -1103,7 +1101,7 @@ impl ResidentRun {
     pub fn drain(&mut self) -> Result<(), ExecError> {
         let shared = &self.shared;
         let mut guard = shared.quiesce.lock().expect("quiescence mutex");
-        while shared.activity.load(Ordering::SeqCst) != 0 && !shared.failed() {
+        while shared.ledger.outstanding() != 0 && !shared.failed() {
             guard = shared.quiesce_cv.wait(guard).expect("quiescence mutex");
         }
         drop(guard);
@@ -1223,8 +1221,10 @@ impl RelayoutHandle {
     /// swapped; one epoch bump publishes the batch, and each source
     /// core is told to drain the moved instance's buffered objects to
     /// its new host (`Message::Migrate`). Requests in flight are
-    /// never lost or double-counted — drained objects travel as
-    /// *adopted* sends (see [`RequestLedger::inc_if_open`]).
+    /// never lost or double-counted — a drained object travels counted
+    /// only while its request is open, and a completed request's
+    /// leftover retires to the result graveyard
+    /// (see [`RequestLedger::inc_if_open`]).
     ///
     /// Returns the epoch the batch committed as (the pre-commit epoch
     /// when every move was already in place).
@@ -1524,11 +1524,12 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
 
 /// Drains a migrated-away instance's buffered objects by re-sending
 /// them: the live assignment already points at the new host, so `send`
-/// routes each object there, minting fresh activity before the hand-off
-/// — buffered objects hold none, the same transfer-order argument as
-/// the failover drain. Objects of completed requests travel as adopted
-/// (no ledger resurrection). Emits one `Relayout` event carrying the
-/// epoch, the instance, and the number of objects moved.
+/// routes each object there, counting a fresh ledger unit before the
+/// hand-off — buffered objects hold none, the same transfer-order
+/// argument as the failover drain. A completed request's leftovers are
+/// not re-sent but retired to the graveyard (no ledger resurrection).
+/// Emits one `Relayout` event carrying the epoch, the instance, and the
+/// number of objects drained.
 fn migrate_drain(
     core: usize,
     shared: &Shared,
@@ -1599,8 +1600,9 @@ fn chaos_tick(core: usize, shared: &Shared, dispatched: u64, sink: &mut WorkerSi
 /// The die sequence for a killed core. The worker stops dispatching
 /// forever; its queued invocations drain through peers' steal path and
 /// its buffered parameter-set objects are re-sent to live same-group
-/// hosts. The thread then lingers as a forwarder — late arrivals are
-/// re-routed, never processed — until shutdown.
+/// hosts, except a completed request's leftovers, which retire to the
+/// graveyard. The thread then lingers as a forwarder — late arrivals
+/// are re-routed, never processed — until shutdown.
 ///
 /// With recovery disabled, or when any queued invocation's
 /// group has no live host left, the run fails with
@@ -1635,11 +1637,11 @@ fn die_and_forward(
         let mut moved = 0u64;
         for (&inst, sets) in state.hosted.iter_mut() {
             for obj in sets.drain() {
-                // Buffered objects hold no activity (their delivery
-                // units were released on arrival); the re-send mints a
-                // fresh unit inside `send` before the handoff. A
-                // completed request's leftovers travel adopted so its
-                // ledger entry is never resurrected.
+                // Buffered objects hold no ledger unit (their delivery
+                // units were released on arrival); the re-send counts a
+                // fresh one inside `send` before the handoff, or retires
+                // a completed request's leftover so its ledger entry is
+                // never resurrected.
                 shared.send_adopted(core as u64, inst, obj, sink);
                 moved += 1;
             }
@@ -1659,12 +1661,12 @@ fn die_and_forward(
         }
         match rx.recv_timeout(Duration::from_millis(1)) {
             Ok(Message::Deliver(obj)) => {
-                // Late arrival: re-route it (activity stays
+                // Late arrival: re-route it (the ledger stays
                 // transfer-ordered — the re-send is counted before this
                 // message's unit is released).
                 let request = obj.request;
                 forward_obj(core, shared, spec, state, obj, sink);
-                shared.release_activity(request, sink);
+                shared.release(request, sink);
             }
             Ok(Message::Poke) => {}
             // This core's sets were already drained in the failover;
@@ -1723,7 +1725,7 @@ fn forward_obj(
 }
 
 /// Handles one object that arrived as a message: takes it in, then
-/// releases the message's activity (the invocations it formed carry
+/// releases the message's ledger unit (the invocations it formed carry
 /// their own, counted first).
 fn on_deliver(
     core: usize,
@@ -1735,13 +1737,13 @@ fn on_deliver(
 ) {
     let request = obj.request;
     take_in(core, shared, spec, state, obj, sink);
-    shared.release_activity(request, sink);
+    shared.release(request, sink);
 }
 
 /// Takes one object in at `core`, whether it came off the channel or
 /// straight from an invocation executing here: buffer or forward it and
-/// form every invocation it completes. Holds and releases no activity of
-/// its own — the caller's unit (the message's, or the executing
+/// form every invocation it completes. Holds and releases no ledger unit
+/// of its own — the caller's unit (the message's, or the executing
 /// invocation's) covers it, and a buffered object holds none.
 ///
 /// Formation is attempted only for the task whose slot the object landed
@@ -1784,9 +1786,8 @@ fn take_in(
                     sink.inv_link(ts, id, obj.producer, obj.msg);
                 }
             }
-            // Count the invocation's activity *before* it becomes
-            // visible to this core's queue (and to thieves).
-            shared.activity.fetch_add(1, Ordering::SeqCst);
+            // Count the invocation *before* it becomes visible to this
+            // core's queue (and to thieves).
             shared.ledger.inc(request);
             shared.enqueue_ready(
                 core,
@@ -1942,31 +1943,7 @@ fn try_form(tspec: &TaskSpec, sets: &[VecDeque<Box<TObject>>]) -> Option<(Vec<us
             if !pspec.guard.eval(cand.flags) {
                 continue;
             }
-            let mut ok = true;
-            let mut updates = Vec::new();
-            for tc in &pspec.tags {
-                let bound = updates
-                    .iter()
-                    .find(|(v, _)| *v == tc.var.index())
-                    .map(|(_, inst)| *inst)
-                    .or(tag_env[tc.var.index()]);
-                match bound {
-                    Some(instn) => {
-                        if !cand.tags.contains(&(tc.tag_type, instn)) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => match cand.tags.iter().find(|(tt, _)| *tt == tc.tag_type) {
-                        Some((_, instn)) => updates.push((tc.var.index(), *instn)),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                }
-            }
-            if ok {
+            if let Some(updates) = pspec.bind_tags(&cand.tags, &tag_env) {
                 for (v, instn) in updates {
                     tag_env[v] = Some(instn);
                 }
@@ -2177,7 +2154,7 @@ fn execute(
         inv.instance.index() as u64,
         inv.id,
     );
-    shared.release_activity(inv.request, sink);
+    shared.release(inv.request, sink);
 }
 
 #[cfg(test)]
@@ -2890,5 +2867,136 @@ mod tests {
             let ts: Vec<u64> = t.events_on(core).map(|e| e.ts).collect();
             assert!(ts.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    /// A program whose request leaves a `Lone` object buffered in
+    /// `pair`'s first slot on completion (no `Mate` is ever created),
+    /// deployed on two cores with everything on core 0; returns it with
+    /// `pair`'s instance.
+    fn leftover_deployment() -> (Deployment, InstanceId) {
+        let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("leftover");
+        let s = b.class("StartupObject", &["initialstate"]);
+        let init = b.flag(s, "initialstate");
+        let lone = b.class("Lone", &["waiting"]);
+        let waiting = b.flag(lone, "waiting");
+        let mate = b.class("Mate", &["here"]);
+        let here = b.flag(mate, "here");
+        b.task("startup")
+            .param("s", s, FlagExpr::flag(init))
+            .alloc(lone, &[(waiting, true)], &[])
+            .exit("", |e| e.set(0, init, false))
+            .body(body(|ctx| {
+                let request = *ctx.param::<u64>(0);
+                ctx.create(0, request);
+                0
+            }))
+            .finish();
+        let pair = b
+            .task("pair")
+            .param("l", lone, FlagExpr::flag(waiting))
+            .param("m", mate, FlagExpr::flag(here))
+            .exit("", |e| e.set(0, waiting, false).set(1, here, false))
+            .body(body(|_| 0))
+            .finish();
+        let program = Program::from_native(b.build().unwrap());
+        let mut deploy =
+            Deployment::single_core(&program, &DisjointnessAnalysis::all_disjoint(&program.spec));
+        deploy.layout.core_count = 2;
+        let group = deploy.graph.group_of_task(pair).expect("pair is grouped");
+        let inst = deploy.layout.instances_of(group)[0];
+        (deploy, inst)
+    }
+
+    /// The `Lone` payloads (request ids) among a run's finished objects.
+    fn finished_lones(deploy: &Deployment, report: &ThreadedReport) -> Vec<u64> {
+        let lone = deploy.program.spec.class_by_name("Lone").unwrap();
+        let mut lones: Vec<u64> = report
+            .payloads_of::<u64>(lone)
+            .into_iter()
+            .copied()
+            .collect();
+        lones.sort_unstable();
+        lones
+    }
+
+    /// A completed request's buffered leftover never travels: the
+    /// migration drain retires it to the graveyard, so the request
+    /// completes once and the leftover is finished once. (Sent instead,
+    /// its delivery would release a unit the ledger never counted.)
+    #[test]
+    fn migration_retires_a_completed_requests_leftover() {
+        let (deploy, inst) = leftover_deployment();
+        // Batch mode sweeps nothing on completion, so only the drain can
+        // move the leftover.
+        let mut run = ThreadedExecutor::default()
+            .start_with(&deploy, RunOptions::default(), false)
+            .unwrap();
+        let shared = run.shared.clone();
+        let completions = run.completions.clone();
+        assert_eq!(run.inject(Box::new(1u64)), 1);
+        run.drain().unwrap();
+        // Request 1's `Lone` sits at `inst` on core 0. Moving `inst` to
+        // core 1 makes core 0 drain it; shutdown queues behind the drain.
+        run.relayout_handle().migrate(&[(inst, 1)]).unwrap();
+        let report = run.shutdown().unwrap();
+        assert_eq!(shared.ledger.outstanding(), 0);
+        assert!(shared.ledger.is_empty());
+        let done: Vec<(u64, u64)> = completions
+            .try_iter()
+            .map(|c| (c.request, c.invocations))
+            .collect();
+        assert_eq!(done, [(1, 1)], "request 1 completes exactly once");
+        assert_eq!(report.relayouts, 1);
+        assert_eq!(finished_lones(&deploy, &report), [1]);
+    }
+
+    /// A leftover of a request that is still open is re-sent counted
+    /// against that request: the request completes only after the
+    /// leftover's delivery and the holder's unit are both released.
+    #[test]
+    fn migration_drain_counts_an_open_requests_leftover() {
+        let (deploy, inst) = leftover_deployment();
+        let mut run = ThreadedExecutor::default()
+            .start_with(&deploy, RunOptions::default(), false)
+            .unwrap();
+        let shared = run.shared.clone();
+        run.relayout_handle().migrate(&[(inst, 1)]).unwrap();
+        // The test holds a unit of request 2, standing in for an
+        // invocation still running, and drains a buffered `Lone` of
+        // request 2 itself, as core 0 would.
+        shared.ledger.inc(2);
+        let spec = shared.spec().clone();
+        let group = shared.group_of_instance(inst);
+        let mut sets = InstanceSets::new(&spec, &deploy.graph.groups[group].tasks);
+        let obj = Box::new(TObject {
+            class: spec.class_by_name("Lone").unwrap(),
+            flags: FlagSet::from_bits(1),
+            tags: Vec::new(),
+            payload: Box::new(2u64),
+            lock: UNSHARED,
+            producer: NO_ID,
+            msg: NO_ID,
+            src_core: NO_ID,
+            request: 2,
+            instance: inst,
+        });
+        let slot = sets.slot_for(&spec, &obj).expect("pair takes a Lone");
+        sets.push(slot, obj);
+        let mut state = WorkerSets::new();
+        state.hosted.insert(inst, sets);
+        let mut sink = WorkerSink::disabled();
+        migrate_drain(0, &shared, &spec, &mut state, inst, &mut sink);
+        assert_eq!(run.outstanding(), 1, "request 2 is still open");
+        shared.release(2, &mut sink);
+        run.drain().unwrap();
+        assert!(run.ledger_is_empty());
+        let done: Vec<(u64, u64)> = run
+            .try_completions()
+            .iter()
+            .map(|c| (c.request, c.invocations))
+            .collect();
+        assert_eq!(done, [(2, 0)]);
+        let report = run.shutdown().unwrap();
+        assert_eq!(finished_lones(&deploy, &report), [2]);
     }
 }

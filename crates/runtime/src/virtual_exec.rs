@@ -534,32 +534,7 @@ impl<'p> VirtualExecutor<'p> {
                     scan += 1;
                     continue;
                 }
-                // Tag constraints.
-                let mut env_updates: Vec<(usize, TagInstance)> = Vec::new();
-                let mut ok = true;
-                for tc in &pspec.tags {
-                    let bound = env_updates
-                        .iter()
-                        .find(|(v, _)| *v == tc.var.index())
-                        .map(|(_, i)| *i)
-                        .or(tag_env[tc.var.index()]);
-                    match bound {
-                        Some(inst) => {
-                            if !o.tags.contains(&(tc.tag_type, inst)) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => match o.tags.iter().find(|(tt, _)| *tt == tc.tag_type) {
-                            Some((_, inst)) => env_updates.push((tc.var.index(), *inst)),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        },
-                    }
-                }
-                if ok {
+                if let Some(env_updates) = pspec.bind_tags(&o.tags, &tag_env) {
                     found = Some((scan, cand, env_updates));
                     break;
                 }

@@ -277,7 +277,7 @@ fn relayout_between_handoffs_delivers_every_object() {
     *target.lock().expect("target mutex") = Some((run.relayout_handle(), fold_inst));
     run.inject(Box::new(()));
     run.drain().expect("drain");
-    assert_eq!(run.activity(), 0);
+    assert_eq!(run.outstanding(), 0);
     assert!(run.ledger_is_empty(), "ledger leaked");
     let report = run.shutdown().expect("shutdown");
     // The handle keeps the run's shared state alive, and the body holds

@@ -274,7 +274,7 @@ fn resident_counts_stay_exact_on_one_and_two_workers() {
             .expect("resident start");
         run.inject_batch((0..total).map(|_| Box::new(()) as NativePayload).collect());
         run.drain().expect("drain");
-        assert_eq!(run.activity(), 0, "{cores} workers");
+        assert_eq!(run.outstanding(), 0, "{cores} workers");
         assert!(run.ledger_is_empty(), "{cores} workers: ledger leaked");
         let completions = run.try_completions();
         assert_eq!(completions.len(), total, "{cores} workers");
@@ -284,6 +284,33 @@ fn resident_counts_stay_exact_on_one_and_two_workers() {
         let report = run.shutdown().expect("shutdown");
         assert_eq!(report.invocations, expected * total as u64);
         assert_eq!(report.lock_retries, 0, "KMeans is all-disjoint");
+    }
+}
+
+/// `drain()` returns only after every completion is on the channel, the
+/// order stepped serving relies on when it reads `try_completions()`
+/// right after a drain. Each of 300 inject-drain-read cycles, on one
+/// and on two workers, finds exactly the request it injected, with the
+/// program's invocation count.
+#[test]
+fn drain_then_try_completions_finds_every_completion() {
+    for cores in [1, 2] {
+        let (compiler, deployment, machine) = deploy_for("kmeans", cores, 42);
+        let expected = predicted_invocations(&compiler, &deployment, &machine);
+        assert_eq!(expected, 37, "KMeans at Scale::Small");
+        let mut run = ThreadedExecutor::default()
+            .start(&deployment, RunOptions::default())
+            .expect("resident start");
+        for cycle in 0..300 {
+            let request = run.inject(Box::new(()));
+            run.drain().expect("drain");
+            let completions = run.try_completions();
+            assert_eq!(completions.len(), 1, "{cores} workers, cycle {cycle}");
+            assert_eq!(completions[0].request, request, "{cores} workers");
+            assert_eq!(completions[0].invocations, expected, "{cores} workers");
+        }
+        assert!(run.ledger_is_empty(), "{cores} workers: ledger leaked");
+        run.shutdown().expect("shutdown");
     }
 }
 
