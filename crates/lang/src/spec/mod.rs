@@ -13,5 +13,5 @@ pub use flagset::{FlagSet, MAX_FLAGS};
 pub use guard::FlagExpr;
 pub use program::{
     AllocSiteSpec, ClassSpec, ExitSpec, FlagOrTagAction, GlobalAllocSite, ParamSpec, ProgramSpec,
-    StartupSpec, TagConstraint, TagTypeSpec, TagVarSpec, TaskSpec,
+    StartupSpec, TagConstraint, TagTypeSpec, TagVarSpec, TaskSpec, MAX_PARAMS,
 };

@@ -14,6 +14,10 @@ use crate::spec::guard::FlagExpr;
 use std::collections::HashMap;
 use std::fmt;
 
+/// Maximum number of parameters a task may declare. Every executor forms
+/// an invocation into a fixed buffer of this many parameter positions.
+pub const MAX_PARAMS: usize = 16;
+
 /// A class declaration: a name plus its flag (abstract state) declarations.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ClassSpec {
@@ -405,6 +409,12 @@ impl ProgramSpec {
                     .to_string(),
             ));
         }
+        if task.params.len() > MAX_PARAMS {
+            problems.push(bad(format!(
+                "declares {} parameters; the limit is {MAX_PARAMS}",
+                task.params.len()
+            )));
+        }
         for param in &task.params {
             if param.class.index() >= self.classes.len() {
                 problems.push(bad(format!(
@@ -669,6 +679,18 @@ mod tests {
         let mut spec = tiny_spec();
         spec.tasks[1].params[0].guard = FlagExpr::flag(FlagId::new(7));
         assert!(!spec.validate().is_empty());
+    }
+
+    #[test]
+    fn validation_detects_too_many_params() {
+        let mut spec = tiny_spec();
+        let param = spec.tasks[1].params[0].clone();
+        spec.tasks[1].params = vec![param.clone(); MAX_PARAMS];
+        assert!(spec.validate().is_empty());
+        spec.tasks[1].params.push(param);
+        let problems = spec.validate();
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("the limit is 16"), "{problems:?}");
     }
 
     #[test]

@@ -39,10 +39,11 @@ use crate::ledger::{Completion, RequestLedger};
 use crate::program::{NativePayload, Program, TaskCtx};
 use crate::router::ShardedRouter;
 use bamboo_analysis::{DisjointnessAnalysis, UnionFind};
-use bamboo_lang::ids::{ClassId, ExitId, ParamIdx, TagTypeId, TaskId};
+use bamboo_lang::ids::{ClassId, ExitId, TagTypeId, TaskId};
 use bamboo_lang::interp::TagInstance;
-use bamboo_lang::spec::{FlagOrTagAction, FlagSet, ProgramSpec, TaskSpec};
+use bamboo_lang::spec::{FlagOrTagAction, FlagSet, ProgramSpec};
 use bamboo_profile::Cycles;
+use bamboo_schedule::formation::{self, Probe, SlotTable};
 use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision};
 use bamboo_telemetry::analyze::LiveEstimator;
 use bamboo_telemetry::event::{fault_code, recover_code};
@@ -161,6 +162,9 @@ struct Shared {
     program: Program,
     graph: GroupGraph,
     layout: Layout,
+    /// Slot table per group: which slots of an instance accept an
+    /// object, and where each task's parameter sets sit.
+    slot_tables: Vec<SlotTable>,
     /// Live instance→core assignment, indexed by instance id. `layout`
     /// stays the immutable synthesis artifact (group membership, slot
     /// shapes); a hot relayout mutates only this table, and every send
@@ -497,6 +501,10 @@ impl Shared {
 
     fn group_of_instance(&self, inst: InstanceId) -> usize {
         self.layout.instances[inst.index()].group.index()
+    }
+
+    fn slot_table(&self, inst: InstanceId) -> &SlotTable {
+        &self.slot_tables[self.group_of_instance(inst)]
     }
 
     /// The core currently hosting `inst` per the live assignment table
@@ -845,6 +853,7 @@ impl ThreadedExecutor {
             program: program.clone(),
             graph: graph.clone(),
             layout: layout.clone(),
+            slot_tables: SlotTable::per_group(&program.spec, graph),
             assignment: layout
                 .instances
                 .iter()
@@ -1301,78 +1310,59 @@ type Bucket = Vec<VecDeque<Box<TObject>>>;
 type TagEnv = Vec<Option<TagInstance>>;
 
 /// One hosted instance's parameter sets (§4.6: one set per task
-/// parameter), keyed by request. An invocation only ever combines
-/// objects of one request, so each request's objects sit in their own
-/// bucket: formation looks at that bucket alone and a completed request
-/// is swept by dropping it — request isolation is structural. Buckets
-/// iterate in ascending request id, so every drain is deterministic; a
-/// batch run is one request, hence one bucket.
+/// parameter, one per slot of the group's [`SlotTable`]), keyed by
+/// request. An invocation only ever combines objects of one request, so
+/// each request's objects sit in their own bucket: formation looks at
+/// that bucket alone and a completed request is swept by dropping it —
+/// request isolation is structural. Buckets iterate in ascending request
+/// id, so every drain is deterministic; a batch run is one request, hence
+/// one bucket.
+#[derive(Default)]
 struct InstanceSets {
-    /// The `(task, param)` key of every slot, in group task order; a
-    /// task's slots are contiguous.
-    keys: Vec<(TaskId, ParamIdx)>,
-    /// First slot of each hosted task, indexed by task id: parameter `p`
-    /// buffers in slot `first_slot[task] + p`.
-    first_slot: Vec<usize>,
     buckets: BTreeMap<u64, Bucket>,
 }
 
 impl InstanceSets {
-    fn new(spec: &ProgramSpec, tasks: &[TaskId]) -> Self {
-        let mut keys = Vec::new();
-        let mut first_slot = vec![usize::MAX; spec.tasks.len()];
-        for &task in tasks {
-            first_slot[task.index()] = keys.len();
-            keys.extend((0..spec.task(task).params.len()).map(|p| (task, ParamIdx::new(p))));
-        }
-        InstanceSets {
-            keys,
-            first_slot,
-            buckets: BTreeMap::new(),
-        }
-    }
-
-    /// The first slot whose parameter accepts `obj` (class and guard).
-    fn slot_for(&self, spec: &ProgramSpec, obj: &TObject) -> Option<usize> {
-        self.keys
-            .iter()
-            .enumerate()
-            .find_map(|(slot, (task, param))| {
-                let pspec = &spec.task(*task).params[param.index()];
-                (pspec.class == obj.class && pspec.guard.eval(obj.flags)).then_some(slot)
-            })
-    }
-
     /// Buffers `obj` in `slot` of its request's bucket; returns the task
     /// the slot belongs to.
-    fn push(&mut self, slot: usize, obj: Box<TObject>) -> TaskId {
-        let slots = self.keys.len();
+    fn push(&mut self, table: &SlotTable, slot: usize, obj: Box<TObject>) -> TaskId {
         self.buckets
             .entry(obj.request)
-            .or_insert_with(|| (0..slots).map(|_| VecDeque::new()).collect())[slot]
+            .or_insert_with(|| table.slots().iter().map(|_| VecDeque::new()).collect())[slot]
             .push_back(obj);
-        self.keys[slot].0
+        table.slots()[slot].task
     }
 
     /// Removes and returns one full parameter set of `task` from
-    /// `request`'s bucket, with the tag environment it bound.
+    /// `request`'s bucket, with the tag environment it bound. Buffered
+    /// objects are owned here and never change state, so none is stale
+    /// and none sits in two slots: only the tags decide.
     #[allow(clippy::vec_box)] // see `PendingInv::objs`
     fn form(
         &mut self,
+        table: &SlotTable,
         spec: &ProgramSpec,
         task: TaskId,
         request: u64,
     ) -> Option<(Vec<Box<TObject>>, TagEnv)> {
         let tspec = spec.task(task);
-        let base = self.first_slot[task.index()];
-        let sets = &mut self.buckets.get_mut(&request)?[base..base + tspec.params.len()];
-        let (picks, tag_env) = try_form(tspec, sets)?;
-        let objs = picks
-            .into_iter()
-            .zip(sets)
-            .map(|(idx, set)| set.remove(idx).expect("picked index valid"))
-            .collect();
-        Some((objs, tag_env))
+        let sets = &mut self.buckets.get_mut(&request)?[table.task_slots(task)];
+        let mut tag_env: TagEnv = vec![None; tspec.tag_vars.len()];
+        let picked = formation::pick(sets, |p, cand| {
+            #[cfg(test)]
+            CANDIDATES.with(|n| n.set(n.get() + 1));
+            match tspec.params[p].bind_tags(&cand.tags, &tag_env) {
+                Some(updates) => {
+                    for (v, instn) in updates {
+                        tag_env[v] = Some(instn);
+                    }
+                    Probe::Fits
+                }
+                None => Probe::Skip,
+            }
+        })
+        .ok()?;
+        Some((picked.take(sets).collect(), tag_env))
     }
 
     /// Removes every buffered object: ascending request, then slot
@@ -1413,7 +1403,7 @@ impl WorkerSets {
     /// `Layout::instances_on` order, so an adapt-free run is
     /// byte-identical to the pre-adapt executor. An instance this
     /// worker has never buffered for gets its (empty) sets here.
-    fn refresh(&mut self, core: usize, shared: &Shared, spec: &ProgramSpec) {
+    fn refresh(&mut self, core: usize, shared: &Shared) {
         let epoch = shared.epoch.load(Ordering::Acquire);
         if epoch == self.epoch {
             return;
@@ -1424,11 +1414,20 @@ impl WorkerSets {
             .map(|i| InstanceId(i as u32))
             .collect();
         for &inst in &self.assigned {
-            self.hosted.entry(inst).or_insert_with(|| {
-                let group = shared.layout.instances[inst.index()].group.index();
-                InstanceSets::new(spec, &shared.graph.groups[group].tasks)
-            });
+            self.hosted.entry(inst).or_default();
         }
+    }
+
+    /// The first instance on this core, in assigned order, with a slot
+    /// that accepts `obj`, and that slot.
+    fn accepting_slot(&self, shared: &Shared, obj: &TObject) -> Option<(InstanceId, usize)> {
+        self.assigned.iter().find_map(|&inst| {
+            let slot = shared
+                .slot_table(inst)
+                .accepting(obj.class, obj.flags)
+                .next()?;
+            Some((inst, slot))
+        })
     }
 }
 
@@ -1436,7 +1435,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
     let spec = shared.spec().clone();
     let mut sink = shared.telemetry.worker(core);
     let mut state = WorkerSets::new();
-    state.refresh(core, &shared, &spec);
+    state.refresh(core, &shared);
     let mut steal_rotation = core;
     // Chaos bookkeeping: faults are scheduled at exact dispatch counts,
     // so the tick runs once per count — at count 0 before any work, then
@@ -1447,24 +1446,17 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
         return;
     }
 
-    'outer: loop {
-        // 1. Drain a pending message without blocking.
+    loop {
+        // 1. Drain a pending message without blocking. A poke only
+        // wakes the loop, so the loop goes straight on to its run queue.
         match rx.try_recv() {
-            Ok(Message::Deliver(obj)) => {
-                on_deliver(core, &shared, &spec, &mut state, obj, &mut sink);
+            Ok(Message::Poke) | Err(_) => {}
+            Ok(msg) => {
+                if on_message(core, &shared, &spec, &mut state, msg, &mut sink) {
+                    break;
+                }
                 continue;
             }
-            Ok(Message::Poke) => {}
-            Ok(Message::Sweep(request)) => {
-                sweep_sets(&shared.graveyard, &mut state, request);
-                continue;
-            }
-            Ok(Message::Migrate(inst)) => {
-                migrate_drain(core, &shared, &spec, &mut state, inst, &mut sink);
-                continue;
-            }
-            Ok(Message::Shutdown) => break,
-            Err(_) => {}
         }
         // 2. Work the local run queue.
         let local = shared.ready[core].lock().pop_front();
@@ -1498,16 +1490,8 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
         match rx.recv() {
             Ok(msg) => {
                 shared.idle[core].store(false, Ordering::SeqCst);
-                match msg {
-                    Message::Deliver(obj) => {
-                        on_deliver(core, &shared, &spec, &mut state, obj, &mut sink);
-                    }
-                    Message::Poke => {}
-                    Message::Sweep(request) => sweep_sets(&shared.graveyard, &mut state, request),
-                    Message::Migrate(inst) => {
-                        migrate_drain(core, &shared, &spec, &mut state, inst, &mut sink)
-                    }
-                    Message::Shutdown => break 'outer,
+                if on_message(core, &shared, &spec, &mut state, msg, &mut sink) {
+                    break;
                 }
             }
             Err(_) => break,
@@ -1522,6 +1506,32 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
     }
 }
 
+/// Handles one message off the worker's channel; returns whether the
+/// worker must stop (`Shutdown`).
+fn on_message(
+    core: usize,
+    shared: &Shared,
+    spec: &ProgramSpec,
+    state: &mut WorkerSets,
+    msg: Message,
+    sink: &mut WorkerSink,
+) -> bool {
+    match msg {
+        Message::Deliver(obj) => {
+            // Take it in, then release the message's ledger unit: the
+            // invocations it formed carry their own, counted first.
+            let request = obj.request;
+            take_in(core, shared, spec, state, obj, sink);
+            shared.release(request, sink);
+        }
+        Message::Poke => {}
+        Message::Sweep(request) => sweep_sets(&shared.graveyard, state, request),
+        Message::Migrate(inst) => migrate_drain(core, shared, state, inst, sink),
+        Message::Shutdown => return true,
+    }
+    false
+}
+
 /// Drains a migrated-away instance's buffered objects by re-sending
 /// them: the live assignment already points at the new host, so `send`
 /// routes each object there, counting a fresh ledger unit before the
@@ -1533,14 +1543,13 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
 fn migrate_drain(
     core: usize,
     shared: &Shared,
-    spec: &ProgramSpec,
     state: &mut WorkerSets,
     inst: InstanceId,
     sink: &mut WorkerSink,
 ) {
     // Pick up the new epoch first so the drained instance leaves the
     // assigned cache before any follow-on delivery is handled.
-    state.refresh(core, shared, spec);
+    state.refresh(core, shared);
     let mut moved = 0u64;
     // The emptied sets stay: the instance may already be assigned here
     // again (it migrated back before this drain ran).
@@ -1661,11 +1670,17 @@ fn die_and_forward(
         }
         match rx.recv_timeout(Duration::from_millis(1)) {
             Ok(Message::Deliver(obj)) => {
-                // Late arrival: re-route it (the ledger stays
-                // transfer-ordered — the re-send is counted before this
-                // message's unit is released).
+                // Late arrival: re-send it to the local instance whose
+                // slot would have buffered it (`send`'s dead-destination
+                // failover redirects to a live same-group host), or on
+                // along the route a live worker would have used. The
+                // re-send is counted before this message's unit is
+                // released, so the ledger stays transfer-ordered.
                 let request = obj.request;
-                forward_obj(core, shared, spec, state, obj, sink);
+                match state.accepting_slot(shared, &obj) {
+                    Some((inst, _)) => shared.send(core as u64, inst, obj, sink),
+                    None => forward_or_retire(core, shared, spec, state, obj, sink),
+                }
                 shared.release(request, sink);
             }
             Ok(Message::Poke) => {}
@@ -1684,11 +1699,9 @@ fn die_and_forward(
     }
 }
 
-/// Re-routes an object that reached a dead core: sends it to the local
-/// instance whose slot would have buffered it (the dead-destination
-/// failover in `send` redirects to a live same-group host), or forwards
-/// it along the route a live worker would have used.
-fn forward_obj(
+/// No slot on this core accepts `obj`: forwards it to the consuming
+/// group, or retires it if no task can ever consume it.
+fn forward_or_retire(
     core: usize,
     shared: &Shared,
     spec: &ProgramSpec,
@@ -1696,17 +1709,9 @@ fn forward_obj(
     obj: Box<TObject>,
     sink: &mut WorkerSink,
 ) {
-    let target = state
-        .assigned
-        .iter()
-        .find(|inst| state.hosted[inst].slot_for(spec, &obj).is_some());
-    if let Some(&inst) = target {
-        shared.send(core as u64, inst, obj, sink);
-        return;
-    }
     let inst = state.assigned.first().copied().unwrap_or(InstanceId(0));
     let hash = obj.tags.first().map(|(_, i)| i.0);
-    let decision = shared.router.route_transition(
+    match shared.router.route_transition(
         core,
         spec,
         &shared.graph,
@@ -1715,29 +1720,15 @@ fn forward_obj(
         obj.class,
         obj.flags,
         hash,
-    );
-    match decision {
+    ) {
+        // Forwarding keeps the object's original producer: the
+        // eventual consumer's causal edge must point at whoever
+        // released the object, not at the hop that relayed it.
         RouteDecision::Move(dest) => shared.send(core as u64, dest, obj, sink),
         _ => {
             let _ = shared.graveyard.send(obj);
         }
     }
-}
-
-/// Handles one object that arrived as a message: takes it in, then
-/// releases the message's ledger unit (the invocations it formed carry
-/// their own, counted first).
-fn on_deliver(
-    core: usize,
-    shared: &Shared,
-    spec: &ProgramSpec,
-    state: &mut WorkerSets,
-    obj: Box<TObject>,
-    sink: &mut WorkerSink,
-) {
-    let request = obj.request;
-    take_in(core, shared, spec, state, obj, sink);
-    shared.release(request, sink);
 }
 
 /// Takes one object in at `core`, whether it came off the channel or
@@ -1763,7 +1754,7 @@ fn take_in(
     // Pick up any relayout that committed since the last delivery
     // *before* matching slots: a freshly adopted instance must already
     // be in the assigned cache when its first object arrives.
-    state.refresh(core, shared, spec);
+    state.refresh(core, shared);
     if sink.is_enabled() {
         let ts = sink.now();
         sink.obj_recv(ts, OBJ_BYTES_ESTIMATE, obj.src_core, obj.msg);
@@ -1773,7 +1764,8 @@ fn take_in(
     let request = obj.request;
     if let Some((inst, task)) = deliver(core, shared, spec, state, obj, sink) {
         let sets = state.hosted.get_mut(&inst).expect("delivered there");
-        while let Some((objs, tag_env)) = sets.form(spec, task, request) {
+        let table = shared.slot_table(inst);
+        while let Some((objs, tag_env)) = sets.form(table, spec, task, request) {
             // Mint the invocation id and record formation (the
             // queue-enter timestamp) plus one causal edge per consumed
             // object before the invocation becomes stealable — after
@@ -1890,70 +1882,23 @@ fn deliver(
     // guards overlap and only the second can make progress — the
     // synthesis pipeline never produces such programs, and the virtual
     // executor handles them.
-    for &inst in &state.assigned {
-        let sets = state.hosted.get_mut(&inst).expect("created by refresh");
-        if let Some(slot) = sets.slot_for(spec, &obj) {
-            return Some((inst, sets.push(slot, obj)));
+    match state.accepting_slot(shared, &obj) {
+        Some((inst, slot)) => {
+            let sets = state.hosted.get_mut(&inst).expect("created by refresh");
+            Some((inst, sets.push(shared.slot_table(inst), slot, obj)))
+        }
+        None => {
+            forward_or_retire(core, shared, spec, state, obj, sink);
+            None
         }
     }
-    // No local slot matches: forward to the consuming group, or retire
-    // the object if no task can ever consume it.
-    let inst = state.assigned.first().copied().unwrap_or(InstanceId(0));
-    let hash = obj.tags.first().map(|(_, i)| i.0);
-    let decision = shared.router.route_transition(
-        core,
-        spec,
-        &shared.graph,
-        &shared.layout,
-        inst,
-        obj.class,
-        obj.flags,
-        hash,
-    );
-    match decision {
-        // Forwarding keeps the object's original producer: the
-        // eventual consumer's causal edge must point at whoever
-        // released the object, not at the hop that relayed it.
-        RouteDecision::Move(dest) => shared.send(core as u64, dest, obj, sink),
-        _ => {
-            let _ = shared.graveyard.send(obj);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Candidates `try_form` examined on this thread (depth test).
+    /// Candidates `InstanceSets::form` examined on this thread (depth
+    /// test).
     static CANDIDATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Attempts to pick one object per parameter of a task from one
-/// request's queues (`sets[p]` buffers parameter `p`). Returns each
-/// parameter's picked position and the bound tag environment, or `None`
-/// when the request cannot complete a full parameter set yet.
-fn try_form(tspec: &TaskSpec, sets: &[VecDeque<Box<TObject>>]) -> Option<(Vec<usize>, TagEnv)> {
-    let mut tag_env: TagEnv = vec![None; tspec.tag_vars.len()];
-    let mut picks = Vec::with_capacity(sets.len());
-    for (pspec, set) in tspec.params.iter().zip(sets) {
-        let mut found = None;
-        for (idx, cand) in set.iter().enumerate() {
-            #[cfg(test)]
-            CANDIDATES.with(|n| n.set(n.get() + 1));
-            if !pspec.guard.eval(cand.flags) {
-                continue;
-            }
-            if let Some(updates) = pspec.bind_tags(&cand.tags, &tag_env) {
-                for (v, instn) in updates {
-                    tag_env[v] = Some(instn);
-                }
-                found = Some(idx);
-                break;
-            }
-        }
-        picks.push(found?);
-    }
-    Some((picks, tag_env))
 }
 
 /// Runs `inv` on `core` (its home core, or a thief's) and routes what
@@ -2163,7 +2108,7 @@ mod tests {
     use crate::program::{body, NativeBody};
     use crate::virtual_exec::tests_support::fanout_setup;
     use bamboo_lang::builder::ProgramBuilder;
-    use bamboo_lang::ids::FlagId;
+    use bamboo_lang::ids::{FlagId, ParamIdx};
     use bamboo_lang::spec::FlagExpr;
 
     fn deployment(
@@ -2259,17 +2204,38 @@ mod tests {
         })
     }
 
-    /// What `deliver` + `on_deliver` do to the sets, without the
+    /// Instances hosting each task list: their slot tables and empty
+    /// parameter sets.
+    fn hosted_sets(
+        spec: &ProgramSpec,
+        hosted: &[Vec<TaskId>],
+    ) -> (Vec<SlotTable>, Vec<InstanceSets>) {
+        let tables = hosted
+            .iter()
+            .map(|tasks| SlotTable::new(spec, tasks))
+            .collect();
+        (
+            tables,
+            hosted.iter().map(|_| InstanceSets::default()).collect(),
+        )
+    }
+
+    /// What `deliver` + `take_in` do to the sets, without the
     /// executor around them: buffer at the first instance with a
     /// matching slot, then form that task for that request until no
     /// full pick remains.
-    fn arrive(spec: &ProgramSpec, insts: &mut [InstanceSets], obj: Box<TObject>) -> Vec<Formed> {
+    fn arrive(
+        spec: &ProgramSpec,
+        tables: &[SlotTable],
+        insts: &mut [InstanceSets],
+        obj: Box<TObject>,
+    ) -> Vec<Formed> {
         let request = obj.request;
         let mut formed = Vec::new();
-        for (i, sets) in insts.iter_mut().enumerate() {
-            if let Some(slot) = sets.slot_for(spec, &obj) {
-                let task = sets.push(slot, obj);
-                while let Some((objs, tag_env)) = sets.form(spec, task, request) {
+        for (i, (table, sets)) in tables.iter().zip(insts).enumerate() {
+            if let Some(slot) = table.accepting(obj.class, obj.flags).next() {
+                let task = sets.push(table, slot, obj);
+                while let Some((objs, tag_env)) = sets.form(table, spec, task, request) {
                     let ids = objs.iter().map(|o| o.lock).collect();
                     formed.push((task, i, request, ids, tag_env));
                 }
@@ -2414,12 +2380,13 @@ mod tests {
             ),
         ) {
             let (spec, hosted) = formation_spec();
-            let mut new: Vec<InstanceSets> =
-                hosted.iter().map(|tasks| InstanceSets::new(&spec, tasks)).collect();
+            let (tables, mut new) = hosted_sets(&spec, &hosted);
             let mut old: Vec<RefSets> = hosted
                 .iter()
-                .map(|tasks| {
-                    let keys = InstanceSets::new(&spec, tasks).keys;
+                .zip(&tables)
+                .map(|(tasks, table)| {
+                    let keys: Vec<(TaskId, ParamIdx)> =
+                        table.slots().iter().map(|slot| (slot.task, slot.param)).collect();
                     RefSets {
                         tasks: tasks.clone(),
                         sets: keys.iter().map(|_| VecDeque::new()).collect(),
@@ -2431,7 +2398,8 @@ mod tests {
                 // Three objects in four carry `f` (flag bit 0), the
                 // flag every guard but `overlap`'s `k` asks for.
                 let (flags, request) = (flags.max(1), 1 + request % requests);
-                let formed = arrive(&spec, &mut new, test_obj(id, class, flags, tag, request));
+                let formed =
+                    arrive(&spec, &tables, &mut new, test_obj(id, class, flags, tag, request));
                 let expected =
                     ref_arrive(&spec, &mut old, test_obj(id, class, flags, tag, request));
                 proptest::prop_assert_eq!(formed, expected, "after delivery {}", id);
@@ -2453,10 +2421,7 @@ mod tests {
     #[test]
     fn sweep_drops_one_request_and_leaves_the_rest_untouched() {
         let (spec, hosted) = formation_spec();
-        let mut insts: Vec<InstanceSets> = hosted
-            .iter()
-            .map(|tasks| InstanceSets::new(&spec, tasks))
-            .collect();
+        let (tables, mut insts) = hosted_sets(&spec, &hosted);
         // Nothing here completes a set: `overlap` never sees its `b`,
         // `pair` never its `d`, `triple` never its `x`.
         let mut swept = Vec::new();
@@ -2464,7 +2429,7 @@ mod tests {
             let request = 1 + (id % 3) as u64;
             let (class, flags) = [(1, 0b10), (3, 1), (5, 1), (7, 1)][id % 4];
             let obj = test_obj(id, class, flags, 1 + (id % 2) as u64, request);
-            assert!(arrive(&spec, &mut insts, obj).is_empty());
+            assert!(arrive(&spec, &tables, &mut insts, obj).is_empty());
             if request == 2 {
                 swept.push(id);
             }
@@ -2495,14 +2460,14 @@ mod tests {
     }
 
     /// A burst of N requests buffered side by side at one instance: the
-    /// candidates `try_form` examines grow with the objects delivered,
-    /// not with their product — each arrival looks only into its own
-    /// request's bucket.
+    /// candidates `InstanceSets::form` examines grow with the objects
+    /// delivered, not with their product — each arrival looks only into
+    /// its own request's bucket.
     #[test]
     fn formation_work_is_linear_in_objects_delivered() {
         let (spec, hosted) = formation_spec();
         let per_object = |burst: usize| {
-            let mut insts = vec![InstanceSets::new(&spec, &hosted[1])];
+            let (tables, mut insts) = hosted_sets(&spec, &hosted[1..]);
             CANDIDATES.with(|n| n.set(0));
             let mut formed = 0;
             // Every request's `c` first, so all of them are buffered
@@ -2510,7 +2475,7 @@ mod tests {
             for (phase, class) in [(0, 3), (1, 4)] {
                 for r in 0..burst {
                     let obj = test_obj(phase * burst + r, class, 1, 1, 1 + r as u64);
-                    formed += arrive(&spec, &mut insts, obj).len();
+                    formed += arrive(&spec, &tables, &mut insts, obj).len();
                 }
             }
             assert_eq!(formed, burst);
@@ -2966,8 +2931,8 @@ mod tests {
         // request 2 itself, as core 0 would.
         shared.ledger.inc(2);
         let spec = shared.spec().clone();
-        let group = shared.group_of_instance(inst);
-        let mut sets = InstanceSets::new(&spec, &deploy.graph.groups[group].tasks);
+        let table = shared.slot_table(inst);
+        let mut sets = InstanceSets::default();
         let obj = Box::new(TObject {
             class: spec.class_by_name("Lone").unwrap(),
             flags: FlagSet::from_bits(1),
@@ -2980,12 +2945,15 @@ mod tests {
             request: 2,
             instance: inst,
         });
-        let slot = sets.slot_for(&spec, &obj).expect("pair takes a Lone");
-        sets.push(slot, obj);
+        let slot = table
+            .accepting(obj.class, obj.flags)
+            .next()
+            .expect("pair takes a Lone");
+        sets.push(table, slot, obj);
         let mut state = WorkerSets::new();
         state.hosted.insert(inst, sets);
         let mut sink = WorkerSink::disabled();
-        migrate_drain(0, &shared, &spec, &mut state, inst, &mut sink);
+        migrate_drain(0, &shared, &mut state, inst, &mut sink);
         assert_eq!(run.outstanding(), 1, "request 2 is still open");
         shared.release(2, &mut sink);
         run.drain().unwrap();

@@ -17,11 +17,12 @@ use crate::program::{NativePayload, Program, TaskCtx};
 use crate::store::{ObjId, ObjectStore, PayloadSlot, RtObject};
 use bamboo_analysis::DisjointnessAnalysis;
 use bamboo_lang::ids::TagTypeId;
-use bamboo_lang::ids::{ExitId, ParamIdx, TaskId};
+use bamboo_lang::ids::{ExitId, TaskId};
 use bamboo_lang::interp::{Interp, TagInstance};
-use bamboo_lang::spec::{FlagOrTagAction, FlagSet, ProgramSpec};
+use bamboo_lang::spec::{FlagOrTagAction, FlagSet};
 use bamboo_machine::MachineDescription;
 use bamboo_profile::{Cycles, Profile, ProfileCollector};
+use bamboo_schedule::formation::{self, Probe, SlotTable};
 use bamboo_schedule::trace::{DataDep, ExecutionTrace, TraceTask};
 use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision, Router};
 use bamboo_telemetry::{Telemetry, TimeUnit, WorkerSink};
@@ -187,8 +188,10 @@ pub struct VirtualExecutor<'p> {
     pub store: ObjectStore,
     interp: Option<Interp<'p>>,
     router: Router,
+    /// Slot table per group.
+    slot_tables: Vec<SlotTable>,
+    /// Parameter sets per instance, one per slot of its group's table.
     param_sets: Vec<Vec<VecDeque<ObjId>>>,
-    param_keys: Vec<Vec<(TaskId, ParamIdx)>>,
     ready: Vec<VecDeque<ReadyInv>>,
     running: Vec<Option<Running>>,
     events: BinaryHeap<Reverse<(Cycles, u64, EventKey)>>,
@@ -229,19 +232,12 @@ impl<'p> VirtualExecutor<'p> {
         config: ExecConfig,
     ) -> Self {
         let spec = &program.spec;
-        let mut param_keys = Vec::with_capacity(layout.instances.len());
-        let mut param_sets = Vec::with_capacity(layout.instances.len());
-        for inst in &layout.instances {
-            let group = &graph.groups[inst.group.index()];
-            let mut keys = Vec::new();
-            for task in &group.tasks {
-                for p in 0..spec.task(*task).params.len() {
-                    keys.push((*task, ParamIdx::new(p)));
-                }
-            }
-            param_sets.push(vec![VecDeque::new(); keys.len()]);
-            param_keys.push(keys);
-        }
+        let slot_tables = SlotTable::per_group(spec, graph);
+        let param_sets = layout
+            .instances
+            .iter()
+            .map(|inst| vec![VecDeque::new(); slot_tables[inst.group.index()].slots().len()])
+            .collect();
         let interp = program.compiled().map(|c| Interp::new(c));
         let collector = config
             .profile_input
@@ -257,8 +253,8 @@ impl<'p> VirtualExecutor<'p> {
             store: ObjectStore::new(),
             interp,
             router: Router::new(),
+            slot_tables,
             param_sets,
-            param_keys,
             ready: vec![VecDeque::new(); layout.core_count],
             running: (0..layout.core_count).map(|_| None).collect(),
             events: BinaryHeap::new(),
@@ -298,10 +294,6 @@ impl<'p> VirtualExecutor<'p> {
             &deployment.locks,
             config,
         )
-    }
-
-    fn spec(&self) -> &ProgramSpec {
-        &self.program.spec
     }
 
     fn push_event(&mut self, time: Cycles, key: EventKey) {
@@ -413,23 +405,20 @@ impl<'p> VirtualExecutor<'p> {
         let home = self.store.get(obj).home;
         let class = self.store.get(obj).class;
         let flags = self.store.get(obj).flags;
-        let arrival_core = self.layout.core_of(home).index();
+        let core = self.layout.core_of(home).index();
         if !self.sinks.is_empty() {
             let bytes = self.config.payload_words_of(class) * 8;
-            let queued = self.ready[arrival_core].len() as u64;
-            let sink = &mut self.sinks[arrival_core];
+            let queued = self.ready[core].len() as u64;
+            let sink = &mut self.sinks[core];
             sink.obj_recv(self.now, bytes, u64::MAX, u64::MAX);
             sink.queue_depth(self.now, queued, 0);
         }
+        let group = self.layout.instances[home.index()].group.index();
         let mut touched = false;
-        for (slot, (task, param)) in self.param_keys[home.index()].iter().enumerate() {
-            let pspec = &self.spec().tasks[task.index()].params[param.index()];
-            if pspec.class == class && pspec.guard.eval(flags) {
-                self.param_sets[home.index()][slot].push_back(obj);
-                touched = true;
-            }
+        for slot in self.slot_tables[group].accepting(class, flags) {
+            self.param_sets[home.index()][slot].push_back(obj);
+            touched = true;
         }
-        let core = self.layout.core_of(home).index();
         if touched {
             self.pending_enqueue[core] += self.config.cost.enqueue;
             self.try_form_invocations(home);
@@ -447,34 +436,35 @@ impl<'p> VirtualExecutor<'p> {
                 flags,
                 hash,
             ) {
-                let cost = self.machine.transfer_cycles(
-                    self.layout.core_of(home),
-                    self.layout.core_of(dest),
-                    self.config.payload_words_of(class),
-                );
-                self.transfers += 1;
-                if !self.sinks.is_empty() {
-                    let bytes = self.config.payload_words_of(class) * 8;
-                    let dest_core = self.layout.core_of(dest).index() as u64;
-                    self.sinks[arrival_core].obj_send(self.now, bytes, dest_core, u64::MAX);
-                }
-                self.store.get_mut(obj).home = dest;
-                self.set_arrival(obj, self.now + cost);
-                self.push_event(self.now + cost, EventKey::Arrival(obj.0));
+                self.move_to(obj, dest);
             }
         }
         self.maybe_start(core);
     }
 
+    /// Moves `obj` from its home instance to `dest`: one counted
+    /// transfer, arriving after its cost.
+    fn move_to(&mut self, obj: ObjId, dest: InstanceId) {
+        let (class, home) = (self.store.get(obj).class, self.store.get(obj).home);
+        let words = self.config.payload_words_of(class);
+        let (from, to) = (self.layout.core_of(home), self.layout.core_of(dest));
+        let cost = self.machine.transfer_cycles(from, to, words);
+        self.transfers += 1;
+        if !self.sinks.is_empty() {
+            self.sinks[from.index()].obj_send(self.now, words * 8, to.index() as u64, u64::MAX);
+        }
+        self.store.get_mut(obj).home = dest;
+        self.set_arrival(obj, self.now + cost);
+        self.push_event(self.now + cost, EventKey::Arrival(obj.0));
+    }
+
     fn try_form_invocations(&mut self, instance: InstanceId) {
         let core = self.layout.core_of(instance).index();
+        let graph = self.graph;
+        let tasks = &graph.groups[self.layout.instances[instance.index()].group.index()].tasks;
         loop {
             let mut formed = false;
-            let tasks: Vec<TaskId> = self.graph.groups
-                [self.layout.instances[instance.index()].group.index()]
-            .tasks
-            .clone();
-            for task in tasks {
+            for &task in tasks {
                 if let Some((objs, tag_env)) = self.match_task(instance, task) {
                     self.ready[core].push_back(ReadyInv {
                         task,
@@ -493,74 +483,49 @@ impl<'p> VirtualExecutor<'p> {
 
     /// Tries to assemble one invocation of `task` at `instance`:
     /// one live object per parameter with consistent tag bindings. Objects
-    /// chosen are removed from all of the task's parameter sets at this
-    /// instance (they are "locked" for the invocation — in virtual time
-    /// the try-lock always succeeds because reservation is atomic).
+    /// chosen are removed from the task's parameter sets at this instance
+    /// and reserved (they are "locked" for the invocation — in virtual
+    /// time the try-lock always succeeds because reservation is atomic).
     fn match_task(
         &mut self,
         instance: InstanceId,
         task: TaskId,
     ) -> Option<(Vec<ObjId>, Vec<Option<TagInstance>>)> {
-        let spec = self.program.spec.clone();
-        let tspec = spec.task(task);
-        let n = tspec.params.len();
-        if n == 0 {
-            return None;
-        }
-        let mut chosen: Vec<ObjId> = Vec::with_capacity(n);
+        let tspec = self.program.spec.task(task);
+        let table = &self.slot_tables[self.layout.instances[instance.index()].group.index()];
+        let span = table.task_slots(task);
+        let slots = &table.slots()[span.clone()];
+        let sets = &mut self.param_sets[instance.index()][span];
+        let store = &self.store;
+        let mut chosen: Vec<ObjId> = Vec::with_capacity(slots.len());
         let mut tag_env: Vec<Option<TagInstance>> = vec![None; tspec.tag_vars.len()];
-        for p in 0..n {
-            let slot = self.param_keys[instance.index()]
-                .iter()
-                .position(|(t, pi)| *t == task && pi.index() == p)
-                .expect("param slot exists");
-            let pspec = &tspec.params[p];
-            let mut found = None;
-            let mut scan = 0;
-            while scan < self.param_sets[instance.index()][slot].len() {
-                let cand = self.param_sets[instance.index()][slot][scan];
-                let o: &RtObject = self.store.get(cand);
-                // Reserved objects are removed too: their invocation's
-                // completion re-delivers them, creating fresh entries.
-                let stale = o.reserved
-                    || !pspec.guard.eval(o.flags)
-                    || matches!(o.payload, PayloadSlot::Taken)
-                    || o.home != instance;
-                if stale {
-                    self.param_sets[instance.index()][slot].remove(scan);
-                    continue;
-                }
-                if chosen.contains(&cand) {
-                    scan += 1;
-                    continue;
-                }
-                if let Some(env_updates) = pspec.bind_tags(&o.tags, &tag_env) {
-                    found = Some((scan, cand, env_updates));
-                    break;
-                }
-                scan += 1;
+        let picked = formation::pick(sets, |p, &cand| {
+            let o: &RtObject = store.get(cand);
+            // Reserved objects are stale too: their invocation's
+            // completion re-delivers them, creating fresh entries.
+            if o.reserved
+                || !slots[p].guard.eval(o.flags)
+                || matches!(o.payload, PayloadSlot::Taken)
+                || o.home != instance
+            {
+                return Probe::Stale;
             }
-            match found {
-                Some((idx, cand, env_updates)) => {
-                    self.param_sets[instance.index()][slot].remove(idx);
-                    for (v, inst) in env_updates {
+            if chosen.contains(&cand) {
+                return Probe::Skip;
+            }
+            match tspec.params[p].bind_tags(&o.tags, &tag_env) {
+                Some(updates) => {
+                    for (v, inst) in updates {
                         tag_env[v] = Some(inst);
                     }
                     chosen.push(cand);
+                    Probe::Fits
                 }
-                None => {
-                    // Put reserved objects back.
-                    for (pi, o) in chosen.into_iter().enumerate() {
-                        let slot = self.param_keys[instance.index()]
-                            .iter()
-                            .position(|(t, q)| *t == task && q.index() == pi)
-                            .expect("param slot exists");
-                        self.param_sets[instance.index()][slot].push_front(o);
-                    }
-                    return None;
-                }
+                None => Probe::Skip,
             }
-        }
+        })
+        .ok()?;
+        picked.take(sets).for_each(drop);
         // Reserve the chosen objects: an object whose state satisfies
         // several task guards sits in several parameter sets, and without
         // the reservation a second invocation could capture it before
@@ -823,22 +788,7 @@ impl<'p> VirtualExecutor<'p> {
                     self.set_arrival(obj, self.now);
                     self.push_event(self.now, EventKey::Arrival(obj.0));
                 }
-                RouteDecision::Move(dest) => {
-                    let cost = self.machine.transfer_cycles(
-                        self.layout.core_of(home),
-                        self.layout.core_of(dest),
-                        self.config.payload_words_of(class),
-                    );
-                    self.transfers += 1;
-                    if !self.sinks.is_empty() {
-                        let bytes = self.config.payload_words_of(class) * 8;
-                        let dest_core = self.layout.core_of(dest).index() as u64;
-                        self.sinks[core].obj_send(self.now, bytes, dest_core, u64::MAX);
-                    }
-                    self.store.get_mut(obj).home = dest;
-                    self.set_arrival(obj, self.now + cost);
-                    self.push_event(self.now + cost, EventKey::Arrival(obj.0));
-                }
+                RouteDecision::Move(dest) => self.move_to(obj, dest),
                 RouteDecision::Dead => {
                     // The object leaves dispatch; its payload stays
                     // available for result extraction.
@@ -1034,6 +984,7 @@ mod tests {
     use super::*;
     use bamboo_analysis::astg::DependenceAnalysis;
     use bamboo_analysis::cstg::Cstg;
+    use bamboo_lang::ids::ParamIdx;
     use bamboo_machine::CoreId;
     use bamboo_profile::ProfileCollector;
     use bamboo_schedule::transforms::Replication;

@@ -16,7 +16,8 @@
 //!    random subspace skipping;
 //! 5. [`layout`] — candidate layouts and the object [`layout::Router`]
 //!    shared with the runtime;
-//! 6. [`sim`] — the Markov-driven discrete-event scheduling simulator;
+//! 6. [`sim`] — the Markov-driven discrete-event scheduling simulator
+//!    (and [`formation`], the invocation rule it shares with the runtime);
 //! 7. [`trace`] / [`critpath`] — execution traces and critical-path
 //!    analysis;
 //! 8. [`dsa`] — directed simulated annealing;
@@ -29,6 +30,7 @@
 
 pub mod critpath;
 pub mod dsa;
+pub mod formation;
 pub mod groups;
 pub mod layout;
 pub mod mapping;

@@ -3,7 +3,7 @@
 //! Bit-identical to the `super::reference` oracle, but built to be called
 //! hundreds of times per DSA run. All per-simulation setup the oracle
 //! pays on every call is either hoisted into a shared [`SimProgram`]
-//! (dispatch tables, slot templates, payload sizes, transfer-cost
+//! (dispatch tables, slot tables, payload sizes, transfer-cost
 //! matrices) or kept in the [`SimEngine`] across calls (prediction
 //! streams, stamp/route memos, object/event arenas that reset without
 //! deallocating).
@@ -28,13 +28,14 @@
 //! live in a flat arena, so the event-loop hot path walks contiguous
 //! memory instead of chasing `Vec<VecDeque<Box<…>>>` indirections.
 
+use crate::formation::{self, Miss, Probe, SlotTable};
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout};
 use crate::sim::{SimOptions, SimResult};
 use crate::trace::{DataDep, ExecutionTrace, TraceTask};
 use bamboo_analysis::cstg::enabled_params;
 use bamboo_lang::ids::{AllocSiteId, ClassId, ParamIdx, TaskId};
-use bamboo_lang::spec::{FlagExpr, FlagSet, ProgramSpec};
+use bamboo_lang::spec::{FlagSet, ProgramSpec, MAX_PARAMS};
 use bamboo_machine::{CoreId, MachineDescription};
 use bamboo_profile::{Cycles, MarkovModel, Profile};
 use std::cmp::Reverse;
@@ -57,82 +58,6 @@ fn pack_event(time: Cycles, seq: u32, payload: u32) -> u128 {
 /// object id (arrivals) or core id (core-free).
 const EV_CORE_FREE: u32 = 1 << 31;
 
-/// One (task, param) dispatch slot template of a group.
-struct SlotInfo<'a> {
-    class: ClassId,
-    guard: CompiledGuard<'a>,
-    tagged: bool,
-}
-
-/// A [`FlagExpr`] compiled to a truth table over its mentioned flags.
-///
-/// A guard's value depends only on the flags it mentions, so when those
-/// number at most six the whole function fits in one 64-entry bit table
-/// indexed by the gathered mentioned bits — exact, and an order of
-/// magnitude cheaper than walking the boxed expression tree on the
-/// engine's per-object dispatch path. Wider guards (not seen in
-/// practice) keep the interpreted fallback.
-struct CompiledGuard<'a> {
-    /// Bit positions of the mentioned flags, low to high.
-    positions: [u8; 6],
-    k: u8,
-    table: u64,
-    /// Interpreted fallback for guards mentioning > 6 flags.
-    fallback: Option<&'a FlagExpr>,
-}
-
-impl<'a> CompiledGuard<'a> {
-    fn compile(guard: &'a FlagExpr) -> Self {
-        let mask = guard.mentioned_flags().bits();
-        let k = mask.count_ones() as usize;
-        if k > 6 {
-            return CompiledGuard {
-                positions: [0; 6],
-                k: 0,
-                table: 0,
-                fallback: Some(guard),
-            };
-        }
-        let mut positions = [0u8; 6];
-        let mut at = 0;
-        for bit in 0..64u8 {
-            if mask & (1 << bit) != 0 {
-                positions[at] = bit;
-                at += 1;
-            }
-        }
-        let mut table = 0u64;
-        for idx in 0..(1u64 << k) {
-            let mut bits = 0u64;
-            for (i, &pos) in positions[..k].iter().enumerate() {
-                bits |= ((idx >> i) & 1) << pos;
-            }
-            if guard.eval(FlagSet::from_bits(bits)) {
-                table |= 1 << idx;
-            }
-        }
-        CompiledGuard {
-            positions,
-            k: k as u8,
-            table,
-            fallback: None,
-        }
-    }
-
-    #[inline]
-    fn eval(&self, flags: FlagSet) -> bool {
-        if let Some(guard) = self.fallback {
-            return guard.eval(flags);
-        }
-        let bits = flags.bits();
-        let mut idx = 0u64;
-        for i in 0..self.k as usize {
-            idx |= ((bits >> self.positions[i]) & 1) << i;
-        }
-        (self.table >> idx) & 1 != 0
-    }
-}
-
 /// Immutable tables shared by every simulation of one `(spec, graph,
 /// profile, machine, opts)` tuple — i.e. by all candidate evaluations of
 /// one DSA run. Layout-independent by construction; `Sync`, so worker
@@ -143,16 +68,9 @@ pub struct SimProgram<'a> {
     pub(crate) profile: &'a Profile,
     pub(crate) machine: &'a MachineDescription,
     pub(crate) opts: SimOptions,
-    /// Slot templates per group, in the oracle's slot order.
-    group_slots: Vec<Vec<SlotInfo<'a>>>,
-    /// Task lists per group (the formation scan order).
-    group_tasks: Vec<Vec<TaskId>>,
-    /// `groups × tasks →` first slot offset of the task within its
-    /// group's template (`NONE_U32` when the task is not in the group).
-    task_slot_base: Vec<u32>,
+    /// Slot table per group, in the oracle's slot order.
+    slot_tables: Vec<SlotTable>,
     n_tasks: usize,
-    /// Per-task parameter count.
-    task_nparams: Vec<u32>,
     /// Per-task: does the task mint a fresh tag instance?
     task_mints_tag: Vec<bool>,
     /// Per-task base into the flat global alloc-site tables.
@@ -177,32 +95,12 @@ impl<'a> SimProgram<'a> {
         opts: &SimOptions,
     ) -> Self {
         let n_tasks = spec.tasks.len();
-        let mut group_slots = Vec::with_capacity(graph.groups.len());
-        let mut group_tasks = Vec::with_capacity(graph.groups.len());
-        let mut task_slot_base = vec![NONE_U32; graph.groups.len() * n_tasks];
-        for (g, group) in graph.groups.iter().enumerate() {
-            let mut slots = Vec::new();
-            for task in &group.tasks {
-                task_slot_base[g * n_tasks + task.index()] = slots.len() as u32;
-                for p in &spec.task(*task).params {
-                    slots.push(SlotInfo {
-                        class: p.class,
-                        guard: CompiledGuard::compile(&p.guard),
-                        tagged: !p.tags.is_empty(),
-                    });
-                }
-            }
-            group_slots.push(slots);
-            group_tasks.push(group.tasks.clone());
-        }
-        let mut task_nparams = Vec::with_capacity(n_tasks);
         let mut task_mints_tag = Vec::with_capacity(n_tasks);
         let mut task_site_base = Vec::with_capacity(n_tasks);
         let mut site_class = Vec::new();
         let mut site_tagged = Vec::new();
         let mut site_flags = Vec::new();
         for task in &spec.tasks {
-            task_nparams.push(task.params.len() as u32);
             task_mints_tag.push(task.tag_vars.iter().any(|v| !v.from_param));
             task_site_base.push(site_class.len() as u32);
             for site in &task.alloc_sites {
@@ -220,11 +118,8 @@ impl<'a> SimProgram<'a> {
             profile,
             machine,
             opts: opts.clone(),
-            group_slots,
-            group_tasks,
-            task_slot_base,
+            slot_tables: SlotTable::per_group(spec, graph),
             n_tasks,
-            task_nparams,
             task_mints_tag,
             n_sites: site_class.len(),
             task_site_base,
@@ -401,7 +296,7 @@ impl<'a> SimEngine<'a> {
         for (i, inst) in layout.instances.iter().enumerate() {
             self.group_insts[inst.group.index()].push(i as u32);
             self.inst_slot_base.push(total_slots);
-            total_slots += program.group_slots[inst.group.index()].len() as u32;
+            total_slots += program.slot_tables[inst.group.index()].slots().len() as u32;
         }
         self.param_sets = vec![VecDeque::new(); total_slots as usize];
         self.site_rr = vec![0; layout.instances.len() * program.n_sites];
@@ -817,11 +712,9 @@ impl<'a> SimEngine<'a> {
         let group = self.shape[home as usize] as usize;
         let base = self.inst_slot_base[home as usize] as usize;
         let mut touched = false;
-        for (offset, slot) in program.group_slots[group].iter().enumerate() {
-            if slot.class == class && slot.guard.eval(flags) {
-                self.param_sets[base + offset].push_back(obj);
-                touched = true;
-            }
+        for offset in program.slot_tables[group].accepting(class, flags) {
+            self.param_sets[base + offset].push_back(obj);
+            touched = true;
         }
         if touched {
             self.try_form_invocations(home);
@@ -829,31 +722,35 @@ impl<'a> SimEngine<'a> {
             // No local slot matches: forward to the consuming group.
             let tag = self.obj_tag[obj as usize];
             if let Routed::Move(dest) = self.route_transition(home, class, flags, tag) {
-                let words = program.class_words[class.index()];
-                let cost = self.transfer(
-                    self.inst_core[home as usize],
-                    self.inst_core[dest as usize],
-                    words,
-                );
-                self.obj_home[obj as usize] = dest;
-                self.obj_arrival[obj as usize] = self.now + cost;
-                self.push_event(self.now + cost, obj);
+                self.send_to(obj, dest);
             }
         }
         let core = self.inst_core[home as usize];
         self.maybe_start(core);
     }
 
+    /// Sends `obj` from its home instance to `dest` (which may be the
+    /// home itself): it arrives there after the transfer.
+    fn send_to(&mut self, obj: u32, dest: u32) {
+        let o = obj as usize;
+        let words = self.program.class_words[self.obj_class[o].index()];
+        let from = self.inst_core[self.obj_home[o] as usize];
+        let cost = self.transfer(from, self.inst_core[dest as usize], words);
+        self.obj_home[o] = dest;
+        self.obj_arrival[o] = self.now + cost;
+        self.push_event(self.now + cost, obj);
+    }
+
     /// Forms as many ready invocations at `instance` as possible.
     ///
-    /// The scan repeats until a full pass forms nothing. Tasks whose
-    /// match failed *permanently* — some parameter slot held no live
-    /// guard-passing object at all — are skipped for the rest of the
+    /// The scan repeats until a full pass forms nothing. A task whose
+    /// pick missed with [`Miss::Empty`] — some parameter slot held no
+    /// live guard-passing object at all — is skipped for the rest of the
     /// call: parameter sets only shrink while forming (objects are
     /// consumed, never released, until the invocation completes), so an
-    /// empty slot stays empty. Failures involving tag consistency or
-    /// object sharing are *not* permanent (consuming a mismatched head
-    /// object can unblock them) and stay unmasked.
+    /// empty slot stays empty. A [`Miss::Blocked`] (tag consistency or
+    /// object sharing) is *not* permanent — consuming a mismatched head
+    /// object can unblock it — and stays unmasked.
     fn try_form_invocations(&mut self, instance: u32) {
         let program = self.program;
         let core = self.inst_core[instance as usize];
@@ -861,28 +758,22 @@ impl<'a> SimEngine<'a> {
         let mut dead_mask: u64 = 0;
         loop {
             let mut formed = false;
-            for (ti, &task) in program.group_tasks[group].iter().enumerate() {
+            for (ti, &task) in program.graph.groups[group].tasks.iter().enumerate() {
                 if ti < 64 && dead_mask & (1 << ti) != 0 {
                     continue;
                 }
-                let (chosen, n) = match self.match_task(instance, task) {
-                    Ok(hit) => hit,
-                    Err(permanent) => {
-                        if permanent && ti < 64 {
-                            dead_mask |= 1 << ti;
-                        }
-                        continue;
+                let objs_start = self.inv_obj_pool.len();
+                if let Err(miss) = self.match_task(instance, task) {
+                    if miss == Miss::Empty && ti < 64 {
+                        dead_mask |= 1 << ti;
                     }
-                };
-                let objs_start = self.inv_obj_pool.len() as u32;
-                for &o in &chosen[..n] {
-                    self.obj_consumed[o as usize] = true;
-                    self.inv_obj_pool.push(o);
+                    continue;
                 }
+                let n = self.inv_obj_pool.len() - objs_start;
                 // The primary object's release-time stamp is this
                 // invocation's record; stamping guarantees a stamped
                 // object can only be consumed by the stamped task.
-                let first = chosen[0] as usize;
+                let first = self.inv_obj_pool[objs_start] as usize;
                 let pred = if self.obj_pred[first].0 != 0 {
                     let (t, at) = self.obj_pred[first];
                     self.obj_pred[first] = (0, 0);
@@ -895,7 +786,7 @@ impl<'a> SimEngine<'a> {
                 let inv = self.inv_task.len() as u32;
                 self.inv_task.push(task.index() as u32);
                 self.inv_instance.push(instance);
-                self.inv_objs.push((objs_start, n as u32));
+                self.inv_objs.push((objs_start as u32, n as u32));
                 self.inv_pred.push(pred);
                 self.ready[core as usize].push_back(inv);
                 formed = true;
@@ -906,77 +797,46 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Attempts to assemble one invocation of `task` at `instance`:
-    /// a live object per parameter, tag-consistent. On success returns
-    /// the chosen objects (a fixed buffer plus its filled length); on
-    /// failure returns whether the failure is *permanent* for the
-    /// current formation call — true only when the failing parameter
-    /// slot held no live guard-passing object whatsoever, which no
-    /// amount of other-task consumption can fix.
-    fn match_task(&mut self, instance: u32, task: TaskId) -> Result<([u32; 16], usize), bool> {
-        let program = self.program;
-        let n = program.task_nparams[task.index()] as usize;
-        debug_assert!(n <= 16, "task arity beyond engine buffer");
-        let group = self.shape[instance as usize] as usize;
-        let task_base = program.task_slot_base[group * program.n_tasks + task.index()] as usize;
-        let inst_base = self.inst_slot_base[instance as usize] as usize;
-        let slots = &program.group_slots[group];
-        let mut chosen = [0u32; 16];
-        let mut chosen_len = 0usize;
-        let mut required_hash: u64 = 0;
-        for p in 0..n {
-            let slot = &slots[task_base + p];
-            let set = &mut self.param_sets[inst_base + task_base + p];
-            // Drop stale entries lazily.
-            let mut found = None;
-            let mut live = 0usize;
-            let mut scan = 0;
-            while scan < set.len() {
-                let cand = set[scan];
-                let consumed = self.obj_consumed[cand as usize];
-                let guard_ok = slot.guard.eval(self.obj_flags[cand as usize]);
-                if consumed || !guard_ok {
-                    set.remove(scan);
-                    continue;
-                }
-                live += 1;
-                if chosen[..chosen_len].contains(&cand) {
-                    scan += 1;
-                    continue;
-                }
-                // Tag consistency across constrained parameters.
-                if slot.tagged {
-                    let tag = self.obj_tag[cand as usize];
-                    if tag == 0 || (required_hash != 0 && required_hash != tag) {
-                        scan += 1;
-                        continue;
-                    }
-                }
-                found = Some((scan, cand));
-                break;
+    /// Forms one invocation of `task` at `instance` when its parameter
+    /// sets hold a live, tag-consistent object per parameter: the chosen
+    /// objects are marked consumed and appended to the invocation object
+    /// pool in parameter order. Tags compare by hash; an object sitting
+    /// in several of the task's slots is picked at most once.
+    fn match_task(&mut self, instance: u32, task: TaskId) -> Result<(), Miss> {
+        let table = &self.program.slot_tables[self.shape[instance as usize] as usize];
+        let span = table.task_slots(task);
+        let slots = &table.slots()[span.clone()];
+        let base = self.inst_slot_base[instance as usize] as usize;
+        let sets = &mut self.param_sets[base + span.start..base + span.end];
+        let (consumed, flags, tags) = (&self.obj_consumed, &self.obj_flags, &self.obj_tag);
+        let mut chosen = [0u32; MAX_PARAMS];
+        let mut n = 0;
+        let mut required_hash = 0u64;
+        let picked = formation::pick(sets, |p, &cand| {
+            let slot = &slots[p];
+            let o = cand as usize;
+            if consumed[o] || !slot.guard.eval(flags[o]) {
+                return Probe::Stale;
             }
-            match found {
-                Some((idx, cand)) => {
-                    set.remove(idx);
-                    if slot.tagged {
-                        required_hash = self.obj_tag[cand as usize];
-                    }
-                    chosen[chosen_len] = cand;
-                    chosen_len += 1;
-                }
-                None => {
-                    // Return reserved objects to their sets.
-                    for (pi, &o) in chosen[..chosen_len].iter().enumerate() {
-                        self.param_sets[inst_base + task_base + pi].push_front(o);
-                    }
-                    return Err(live == 0);
-                }
+            if chosen[..n].contains(&cand) {
+                return Probe::Skip;
             }
+            if slot.tagged {
+                let tag = tags[o];
+                if tag == 0 || (required_hash != 0 && required_hash != tag) {
+                    return Probe::Skip;
+                }
+                required_hash = tag;
+            }
+            chosen[n] = cand;
+            n += 1;
+            Probe::Fits
+        })?;
+        for obj in picked.take(sets) {
+            self.obj_consumed[obj as usize] = true;
+            self.inv_obj_pool.push(obj);
         }
-        if chosen_len == 0 {
-            return Err(true);
-        }
-        Ok((chosen, chosen_len))
+        Ok(())
     }
 
     /// Starts the next ready invocation on `core` if it is idle.
@@ -1083,20 +943,11 @@ impl<'a> SimEngine<'a> {
             match self.route_transition(home, class, new_flags, tag) {
                 Routed::Stay => {
                     self.stamp(obj as u32);
-                    self.obj_arrival[obj] = self.now;
-                    self.push_event(self.now, obj as u32);
+                    self.send_to(obj as u32, home);
                 }
                 Routed::Move(dest) => {
                     self.stamp(obj as u32);
-                    let words = program.class_words[class.index()];
-                    let cost = self.transfer(
-                        self.inst_core[home as usize],
-                        self.inst_core[dest as usize],
-                        words,
-                    );
-                    self.obj_home[obj] = dest;
-                    self.obj_arrival[obj] = self.now + cost;
-                    self.push_event(self.now + cost, obj as u32);
+                    self.send_to(obj as u32, dest);
                 }
                 Routed::Dead => {
                     self.obj_consumed[obj] = true;

@@ -354,6 +354,7 @@ impl<'a> Simulator<'a> {
         let n = tspec.params.len();
         let keys = &self.param_keys[instance.index()];
         let mut chosen: Vec<usize> = Vec::with_capacity(n);
+        let mut picked: Vec<(usize, usize)> = Vec::with_capacity(n);
         let mut required_hash: Option<u64> = None;
         for p in 0..n {
             let slot = keys
@@ -400,15 +401,13 @@ impl<'a> Simulator<'a> {
                         required_hash = self.objects[cand].tag_hash;
                     }
                     chosen.push(cand);
+                    picked.push((slot, idx));
                 }
                 None => {
-                    // Return reserved objects to their sets.
-                    for (pi, o) in chosen.into_iter().enumerate() {
-                        let slot = keys
-                            .iter()
-                            .position(|(t, q)| *t == task && q.index() == pi)
-                            .expect("param slot exists");
-                        self.param_sets[instance.index()][slot].push_front(o);
+                    // A failed pick leaves every set as it was, minus
+                    // stale entries: each pick goes back where it was.
+                    for ((slot, idx), o) in picked.into_iter().zip(chosen) {
+                        self.param_sets[instance.index()][slot].insert(idx, o);
                     }
                     return None;
                 }

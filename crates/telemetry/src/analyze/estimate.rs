@@ -13,9 +13,6 @@
 //!   session end, while the controller needs a *mid-run* snapshot. The
 //!   estimator is a flat array of atomics instead, readable at any
 //!   moment from any thread.
-//! - [`estimate_profile`] — the offline twin: folds recorded
-//!   [`EventKind::TaskExit`]/[`EventKind::TaskAlloc`] events back into
-//!   a profile, for post-hoc analysis (`bamboo-doctor`).
 //! - [`rate_divergence`] — the scalar the `adapt-improves-or-holds`
 //!   doctor check gates on: how far two profiles' exit-rate
 //!   distributions sit apart.
@@ -25,9 +22,6 @@
 //! profile is deterministic under stepped pacing — which is what makes
 //! migration decisions reproducible at any worker-thread count.
 
-use crate::event::{unpack_task_exit, EventKind};
-use crate::report::TelemetryReport;
-use bamboo_lang::ids::TaskId;
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_profile::{ExitStats, Profile, TaskProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,49 +179,6 @@ pub fn profile_fingerprint(profile: &Profile) -> u64 {
     h
 }
 
-/// Folds recorded [`EventKind::TaskExit`] / [`EventKind::TaskAlloc`]
-/// events back into a [`Profile`] — the offline twin of
-/// [`LiveEstimator`], for post-hoc analysis of a run that recorded the
-/// `adapt.*` sample stream. Tasks the report never observed fall back
-/// to `baseline` exactly as in [`LiveEstimator::snapshot`].
-pub fn estimate_profile(
-    report: &TelemetryReport,
-    spec: &ProgramSpec,
-    input: &str,
-    baseline: Option<&Profile>,
-) -> Profile {
-    let estimator = LiveEstimator::new(spec);
-    let mut allocs_scratch: Vec<u64> = Vec::new();
-    for event in &report.events {
-        match event.kind {
-            EventKind::TaskExit => {
-                let (task, exit) = unpack_task_exit(event.a);
-                estimator.record(task as usize, exit as usize, event.b, &[]);
-            }
-            EventKind::TaskAlloc => {
-                let (task, exit) = unpack_task_exit(event.a);
-                let (task, exit, site) = (task as usize, exit as usize, event.b as usize);
-                let Some(&(_, exits, sites)) = estimator.shape.get(task) else {
-                    continue;
-                };
-                if exit >= exits || site >= sites {
-                    continue;
-                }
-                allocs_scratch.clear();
-                allocs_scratch.resize(sites, 0);
-                allocs_scratch[site] = event.c;
-                // Allocation-only record: counts stay untouched by
-                // feeding the slot directly, not via `record` (which
-                // would add a phantom invocation).
-                let abase = estimator.alloc_base[task] + exit * sites;
-                estimator.allocs[abase + site].fetch_add(event.c, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-    estimator.snapshot(input, baseline)
-}
-
 /// How far apart two profiles' exit-rate distributions sit, in
 /// `[0, 1]`: the invocation-weighted mean, over tasks observed in
 /// both, of the total-variation distance between their per-task exit
@@ -266,14 +217,6 @@ pub fn rate_divergence(observed: &Profile, model: &Profile) -> f64 {
     } else {
         weighted / weight_total
     }
-}
-
-/// Convenience: the tasks of `spec` the profile observed at least once.
-pub fn observed_tasks(profile: &Profile, spec: &ProgramSpec) -> Vec<TaskId> {
-    (0..spec.tasks.len())
-        .filter(|&t| profile.tasks.get(t).is_some_and(|tp| tp.invocations() > 0))
-        .map(TaskId::new)
-        .collect()
 }
 
 #[cfg(test)]
@@ -350,7 +293,6 @@ mod tests {
         // Without a baseline the task stays unobserved.
         let p = est.snapshot("live", None);
         assert_eq!(p.tasks[1].invocations(), 0);
-        assert_eq!(observed_tasks(&p, &spec), vec![TaskId::new(0)]);
     }
 
     #[test]
@@ -383,26 +325,5 @@ mod tests {
         let b = est.snapshot("b", None);
         let d = rate_divergence(&a, &b);
         assert!(d > 0.0 && d <= 1.0, "divergence {d}");
-    }
-
-    #[test]
-    fn offline_estimate_matches_live() {
-        use crate::Telemetry;
-        let spec = spec();
-        let telemetry = Telemetry::enabled(1);
-        let mut sink = telemetry.worker(0);
-        sink.task_exit(1, 0, 0, 100, 1);
-        sink.task_alloc(1, 0, 0, 0, 4);
-        sink.task_exit(2, 1, 0, 10, 2);
-        sink.task_exit(3, 1, 1, 20, 3);
-        sink.submit();
-        let offline = estimate_profile(&telemetry.report(), &spec, "live", None);
-
-        let est = LiveEstimator::new(&spec);
-        est.record(0, 0, 100, &[4]);
-        est.record(1, 0, 10, &[]);
-        est.record(1, 1, 20, &[]);
-        let live = est.snapshot("live", None);
-        assert_eq!(offline, live);
     }
 }

@@ -39,7 +39,7 @@ pub mod serving;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use estimate::{estimate_profile, profile_fingerprint, rate_divergence, LiveEstimator};
+pub use estimate::{profile_fingerprint, rate_divergence, LiveEstimator};
 pub use findings::{Evidence, Finding, Severity};
 pub use graph::{ObsEdge, ObsInvocation, ObservedGraph};
 pub use ledger::{CoreLedger, Ledger};

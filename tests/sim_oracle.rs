@@ -12,18 +12,24 @@
 //!   must agree on every result field including the full trace;
 //! * a proptest that **random transform chains stay on the oracle** on a
 //!   small over-replicated fan-out program, the engine reused along the
-//!   chain so state leaking from one simulation into the next would show.
+//!   chain so state leaking from one simulation into the next would show;
+//! * a hand-built program whose trace depends on **where a failed pick
+//!   leaves the entries it had picked** (the formation rule, DESIGN.md
+//!   §18).
 
+use bamboo::lang::ids::TagVarId;
 use bamboo::machine::CoreId;
+use bamboo::profile::profile::InvocationRecord;
+use bamboo::profile::{ExitStats, TaskProfile};
 use bamboo::schedule::critpath::apply_move;
 use bamboo::schedule::sim::reference;
 use bamboo::schedule::{
-    compute_replication, random_layouts, simulate, InstanceId, Layout, MoveProposal, Replication,
-    SimEngine, SimOptions, SimProgram, SimResult,
+    compute_replication, random_layouts, simulate, Group, GroupId, InstanceId, Layout,
+    MoveProposal, Replication, SimEngine, SimOptions, SimProgram, SimResult,
 };
 use bamboo::{
-    body, Compiler, FlagExpr, GroupGraph, MachineDescription, NativeBody, Profile, ProgramBuilder,
-    ProgramSpec, SynthesisOptions,
+    body, ClassId, Compiler, FlagExpr, FlagId, GroupGraph, MachineDescription, NativeBody, Profile,
+    ProgramBuilder, ProgramSpec, SynthesisOptions, TaskId,
 };
 use bamboo_apps::{all, Scale};
 use proptest::prelude::*;
@@ -228,4 +234,148 @@ proptest! {
             layout = random_child(&layout, &mut rng);
         }
     }
+}
+
+// ---- the formation rule on a hand-built program ---------------------------
+
+/// A program whose trace depends on where a failed pick leaves its
+/// entries. `quad(T t, A a, A b, B d)` binds `t` and `a` through one tag,
+/// takes any `A` as `b`, and gets its `B` last; `claim(T, C)` consumes
+/// the first `T`. Every task sits in one group on one core, so objects
+/// arrive in release order:
+///
+/// 1. `A_e` (tag 1, from `startup`), then `W` (untagged, from `emit`),
+///    enter both `A` slots. `T1` (tag 1, from `emit`) arrives: `quad`
+///    picks `T1`, `A_e` for `a`, skips `A_e` for `b` and picks `W`
+///    behind it, then misses on `d`. `claim` takes `T1`.
+/// 2. `mk` releases `T2` and `A_z` (tag 2), then `B`. With `T2` and
+///    `A_z` in, `quad`'s tagged slot `a` holds `A_e` and the untagged
+///    `W` ahead of `A_z`: the pick takes `A_z` and misses on `d` again.
+/// 3. `B` completes `quad`, whose `b` is the first `A` in its slot.
+///    A failed pick leaves every entry where it was, so that is `A_e`;
+///    restoring `W` to the front in step 1 would make it `W`, which
+///    another invocation produced at another time.
+///
+/// Returns the spec, its one-group graph and a profile of one recorded
+/// invocation per task, each allocating one object per site.
+fn formation_program() -> (ProgramSpec, GroupGraph, Profile) {
+    let mut b: ProgramBuilder<()> = ProgramBuilder::new("formation");
+    let s = b.class("StartupObject", &["initialstate"]);
+    let init = b.flag(s, "initialstate");
+    let [a, bee, c, p, seed, t] =
+        ["A", "B", "C", "P", "Seed", "T"].map(|name| b.class(name, &["f"]));
+    let f = FlagId::new(0);
+    let k = b.tag_type("K");
+    let tag = TagVarId::new(0);
+    b.task("startup")
+        .param("s", s, FlagExpr::flag(init))
+        .new_tag_var(k, "n")
+        .alloc(a, &[(f, true)], &[tag])
+        .alloc(c, &[(f, true)], &[])
+        .alloc(p, &[(f, true)], &[tag])
+        .alloc(seed, &[(f, true)], &[])
+        .exit("", |e| e.set(0, init, false))
+        .body(())
+        .finish();
+    b.task("emit")
+        .param("p", p, FlagExpr::flag(f))
+        .with_tag(k, "n")
+        .alloc(a, &[(f, true)], &[])
+        .alloc(t, &[(f, true)], &[tag])
+        .exit("", |e| e.set(0, f, false))
+        .body(())
+        .finish();
+    b.task("mk")
+        .param("s", seed, FlagExpr::flag(f))
+        .new_tag_var(k, "n")
+        .alloc(t, &[(f, true)], &[tag])
+        .alloc(a, &[(f, true)], &[tag])
+        .alloc(bee, &[(f, true)], &[])
+        .exit("", |e| e.set(0, f, false))
+        .body(())
+        .finish();
+    b.task("quad")
+        .param("t", t, FlagExpr::flag(f))
+        .with_tag(k, "n")
+        .param("a", a, FlagExpr::flag(f))
+        .with_tag(k, "n")
+        .param("b", a, FlagExpr::flag(f))
+        .param("d", bee, FlagExpr::flag(f))
+        .exit("", |e| {
+            e.set(0, f, false)
+                .set(1, f, false)
+                .set(2, f, false)
+                .set(3, f, false)
+        })
+        .body(())
+        .finish();
+    b.task("claim")
+        .param("t", t, FlagExpr::flag(f))
+        .param("c", c, FlagExpr::flag(f))
+        .exit("", |e| e.set(0, f, false).set(1, f, false))
+        .body(())
+        .finish();
+    let spec = b.build().expect("valid program").spec;
+    let graph = GroupGraph {
+        groups: vec![Group {
+            tasks: (0..spec.tasks.len()).map(TaskId::new).collect(),
+            states: Vec::new(),
+            classes: (0..spec.classes.len()).map(ClassId::new).collect(),
+            origin: 0,
+        }],
+        new_edges: Vec::new(),
+        startup_group: GroupId(0),
+    };
+    let tasks = spec
+        .tasks
+        .iter()
+        .map(|task| {
+            let sites = task.alloc_sites.len();
+            TaskProfile {
+                exits: vec![ExitStats {
+                    count: 1,
+                    total_cycles: 10,
+                    site_allocs: vec![1; sites],
+                }],
+                sequence: vec![InvocationRecord {
+                    exit: 0,
+                    cycles: 10,
+                    allocs: (0..sites as u16).map(|site| (site, 1)).collect(),
+                }],
+            }
+        })
+        .collect();
+    let profile = Profile {
+        program: spec.name.clone(),
+        input: "hand-built".to_string(),
+        tasks,
+        total_cycles: 50,
+    };
+    (spec, graph, profile)
+}
+
+#[test]
+fn failed_picks_leave_their_entries_in_place() {
+    let (spec, graph, profile) = formation_program();
+    let layout = Layout::single_core(&graph);
+    let machine = MachineDescription::n_cores(1);
+    let opts = SimOptions {
+        collect_trace: true,
+        ..SimOptions::default()
+    };
+    let oracle = reference::simulate(&spec, &graph, &layout, &profile, &machine, &opts);
+    let program = SimProgram::new(&spec, &graph, &profile, &machine, &opts);
+    agree(&SimEngine::new(&program).simulate(&layout, true), &oracle)
+        .unwrap_or_else(|e| panic!("engine vs oracle: {e}"));
+    assert!(oracle.completed);
+    assert_eq!(oracle.invocations, spec.tasks.len());
+    let trace = oracle.trace.as_ref().expect("traced");
+    let quad = spec.task_by_name("quad").expect("declared");
+    let quad = trace
+        .tasks
+        .iter()
+        .find(|task| task.task == quad)
+        .expect("quad formed");
+    // `b` is `A_e`, released by `startup` (trace id 0), not `W` from `emit`.
+    assert_eq!(trace.deps_of(quad)[2].producer, Some(0));
 }
