@@ -42,11 +42,9 @@
 pub mod astg;
 pub mod cstg;
 pub mod disjoint;
-pub mod dispatch;
 pub mod union_find;
 
 pub use astg::{AbstractState, Astg, DependenceAnalysis, StateIdx, TagCount};
 pub use cstg::{enabled_params, Cstg, NewEdge, NodeId, TaskEdge};
 pub use disjoint::{DisjointnessAnalysis, LockPlan};
-pub use dispatch::DispatchTable;
 pub use union_find::UnionFind;

@@ -450,8 +450,8 @@ fn diagnose_mode(args: &Args) -> Result<(), String> {
     let diagnosis = analyze::diagnose(&report, Some(&predicted));
     print!("{}", diagnosis.summary(Some(&compiler.program.spec)));
     println!(
-        "\nthreaded run: {} invocations, {} steals, {} lock retries, {} router contentions, wall {:?}",
-        run.invocations, run.steals, run.lock_retries, run.router_contention, run.wall,
+        "\nthreaded run: {} invocations, {} steals, {} lock retries, wall {:?}",
+        run.invocations, run.steals, run.lock_retries, run.wall,
     );
     if let Some(schedule) = &run.fault_schedule {
         println!(

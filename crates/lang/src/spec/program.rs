@@ -236,6 +236,69 @@ impl TaskSpec {
         &self.exits[exit.index()]
     }
 
+    /// Binds a fresh instance from `mint` to every body-created tag
+    /// variable (`new tag`) still unbound in the tag environment `env`
+    /// (indexed by tag variable).
+    pub fn mint_tags(
+        &self,
+        env: &mut [Option<TagInstance>],
+        mut mint: impl FnMut() -> TagInstance,
+    ) {
+        for (var, bound) in self.tag_vars.iter().zip(env.iter_mut()) {
+            if !var.from_param && bound.is_none() {
+                *bound = Some(mint());
+            }
+        }
+    }
+
+    /// The tags of an object created at `site` under `env`: each of the
+    /// site's bound tag variables that holds an instance, with its type.
+    pub fn created_tags(
+        &self,
+        site: AllocSiteId,
+        env: &[Option<TagInstance>],
+    ) -> Vec<(TagTypeId, TagInstance)> {
+        self.alloc_sites[site.index()]
+            .bound_tags
+            .iter()
+            .filter_map(|var| env[var.index()].map(|i| (self.tag_vars[var.index()].tag_type, i)))
+            .collect()
+    }
+
+    /// Applies `exit`'s actions for parameter `param` to that object's
+    /// `flags` and `tags`: `SetFlag` sets the flag, and `AddTag` /
+    /// `ClearTag` bind / unbind the instance the variable holds in `env`
+    /// (an unbound variable does nothing).
+    pub fn apply_exit(
+        &self,
+        exit: ExitId,
+        param: ParamIdx,
+        flags: &mut FlagSet,
+        tags: &mut Vec<(TagTypeId, TagInstance)>,
+        env: &[Option<TagInstance>],
+    ) {
+        let actions = self.exit(exit).actions.iter().filter(|(p, _)| *p == param);
+        for action in actions.flat_map(|(_, actions)| actions) {
+            match *action {
+                FlagOrTagAction::SetFlag(flag, value) => flags.set(flag, value),
+                FlagOrTagAction::AddTag(var) => {
+                    if let Some(i) = env[var.index()] {
+                        let tag = (self.tag_vars[var.index()].tag_type, i);
+                        if !tags.contains(&tag) {
+                            tags.push(tag);
+                        }
+                    }
+                }
+                FlagOrTagAction::ClearTag(var) => {
+                    if let Some(i) = env[var.index()] {
+                        let tag = (self.tag_vars[var.index()].tag_type, i);
+                        tags.retain(|t| *t != tag);
+                    }
+                }
+            }
+        }
+    }
+
     /// Returns whether every parameter shares at least one common tag
     /// variable sourced from the `with` clauses — the condition under which
     /// the runtime may replicate a multi-parameter task and route by tag

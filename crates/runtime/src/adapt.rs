@@ -16,7 +16,7 @@
 //! 3. when the predicted improvement clears a hysteresis threshold,
 //!    commits a *hot migration* of the diverging instances through
 //!    [`RelayoutHandle::migrate`](crate::threaded::RelayoutHandle::migrate)
-//!    — queues drain, router stripes transfer, the layout epoch bumps,
+//!    — queues drain, the live assignment swaps, the layout epoch bumps,
 //!    and not a single in-flight request is lost or double-counted.
 //!
 //! The controller is deliberately passive: it only acts when [`tick`]

@@ -19,6 +19,7 @@
 //! correct under every interleaving, which is exactly what the chaos
 //! tests exercise.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Which core a [`CoreKill`] takes down.
@@ -60,8 +61,9 @@ pub struct CoreStall {
 pub enum RecoveryPolicy {
     /// Dead-core failover: the victim's run queue is drained by
     /// same-group peers through the steal path, its parameter-set
-    /// objects are re-sent to live hosts, and the router re-stripes
-    /// around the dead core. Requires same-group stealing.
+    /// objects are re-sent to live hosts, and sends re-stripe around
+    /// the dead core ([`Liveness::restripe`]). Requires same-group
+    /// stealing.
     #[default]
     Enabled,
     /// A kill fails the run with `ExecError::CoreLost` (typed, never a
@@ -204,6 +206,64 @@ impl FaultSpec {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.message_deadline = deadline;
         self
+    }
+}
+
+/// Which cores fault injection has killed: what the threaded executor's
+/// failover routes around.
+#[derive(Debug)]
+pub struct Liveness {
+    /// `dead[core]`: the core was killed and must be excluded from
+    /// re-striped routing.
+    dead: Vec<AtomicBool>,
+}
+
+impl Liveness {
+    /// Every one of `cores` cores (at least one) live.
+    pub fn new(cores: usize) -> Self {
+        Liveness {
+            dead: (0..cores.max(1)).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// Marks `core` dead: [`Self::restripe`] excludes it from now on.
+    pub fn mark_dead(&self, core: usize) {
+        if let Some(flag) = self.dead.get(core) {
+            flag.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Whether `core` was marked dead.
+    pub fn is_dead(&self, core: usize) -> bool {
+        self.dead
+            .get(core)
+            .is_some_and(|flag| flag.load(Ordering::SeqCst))
+    }
+
+    /// Number of cores still live.
+    pub fn live_count(&self) -> usize {
+        self.dead
+            .iter()
+            .filter(|flag| !flag.load(Ordering::SeqCst))
+            .count()
+    }
+
+    /// Re-stripes a routing decision around dead cores: of the
+    /// `candidates` (the cores hosting the destination group), keeps
+    /// the live ones and picks `live[key % live.len()]`. Total over any
+    /// non-empty live subset, and — for a dense key range — each live
+    /// core receives a load within 1 of uniform. Returns `None` when
+    /// every candidate is dead (the caller must fail the run, typed).
+    pub fn restripe(&self, candidates: &[usize], key: u64) -> Option<usize> {
+        let live: Vec<usize> = candidates
+            .iter()
+            .copied()
+            .filter(|&c| !self.is_dead(c))
+            .collect();
+        if live.is_empty() {
+            return None;
+        }
+        Some(live[(key % live.len() as u64) as usize])
     }
 }
 

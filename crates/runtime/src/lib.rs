@@ -32,11 +32,12 @@ pub mod threaded;
 pub mod virtual_exec;
 
 pub use adapt::{AdaptPolicy, AdaptReport, AdaptiveController, RelayoutError};
-pub use chaos::{CoreKill, CoreStall, FaultPlan, FaultSpec, KillTarget, RecoveryPolicy};
+pub use chaos::{CoreKill, CoreStall, FaultPlan, FaultSpec, KillTarget, Liveness, RecoveryPolicy};
 pub use cost::CostModel;
 pub use deploy::{Deployment, RunOptions};
 pub use ledger::{Completion, RequestLedger};
 pub use program::{body, NativeBody, NativePayload, Program, TaskCtx};
+#[doc(hidden)]
 pub use router::ShardedRouter;
 // The layout is part of the runtime's public surface (deployments carry
 // one; `RelayoutHandle::current_layout` returns the live view), so

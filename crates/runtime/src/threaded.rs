@@ -17,9 +17,9 @@
 //!
 //! The dispatch hot path (see DESIGN.md "The threaded hot path"):
 //!
-//! - **Sharded routing** — routing state is striped per core in a
-//!   [`ShardedRouter`]; concurrent sends from different cores never
-//!   contend.
+//! - **Static routing** — every core routes through one immutable
+//!   [`RouteTable`]; the round-robin counters are per-instance atomics,
+//!   so a send takes no lock.
 //! - **Work stealing** — formed invocations sit in per-core bounded run
 //!   queues; an idle core may steal an invocation whose group also has
 //!   an instance on it (replicas are interchangeable by the paper's
@@ -33,18 +33,17 @@
 //! numbers come from the virtual-time executor (see DESIGN.md §2 — the
 //! host machine's core count is unrelated to the modeled TILEPro64).
 
-use crate::chaos::FaultPlan;
+use crate::chaos::{FaultPlan, Liveness};
 use crate::deploy::{Deployment, RunOptions};
 use crate::ledger::{Completion, RequestLedger};
 use crate::program::{NativePayload, Program, TaskCtx};
-use crate::router::ShardedRouter;
 use bamboo_analysis::{DisjointnessAnalysis, UnionFind};
-use bamboo_lang::ids::{ClassId, ExitId, TagTypeId, TaskId};
+use bamboo_lang::ids::{ClassId, ExitId, ParamIdx, TagTypeId, TaskId};
 use bamboo_lang::interp::TagInstance;
-use bamboo_lang::spec::{FlagOrTagAction, FlagSet, ProgramSpec};
+use bamboo_lang::spec::{FlagSet, ProgramSpec};
 use bamboo_profile::Cycles;
 use bamboo_schedule::formation::{self, Probe, SlotTable};
-use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision};
+use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision, RouteTable};
 use bamboo_telemetry::analyze::LiveEstimator;
 use bamboo_telemetry::event::{fault_code, recover_code};
 use bamboo_telemetry::{Counter, Telemetry, TimeUnit, WorkerSink, NO_ID};
@@ -174,8 +173,8 @@ struct Shared {
     /// their cached assigned-instance list on each delivery and rebuild
     /// the cache when it moved (one atomic load on the hot path).
     epoch: AtomicU64,
-    /// Serializes relayout commits so each batch's stripe transfers and
-    /// assignment swaps land atomically with respect to other commits.
+    /// Serializes relayout commits so each batch's assignment swaps land
+    /// atomically with respect to other commits.
     relayout_lock: Mutex<()>,
     /// Instances migrated by hot relayouts. Mirrors the
     /// `relayout.migrations` counter.
@@ -185,7 +184,15 @@ struct Shared {
     estimator: Option<Arc<LiveEstimator>>,
     locks_analysis: DisjointnessAnalysis,
     lock_table: LockTable,
-    router: ShardedRouter,
+    routes: RouteTable,
+    /// Round-robin counters per `(instance, task)` and per `(instance,
+    /// alloc site)`, indexed by `routes`. They belong to instances, not
+    /// cores: a thief advances the victim instance's counter, and a
+    /// migrated instance keeps its own.
+    flow_rr: Vec<AtomicUsize>,
+    site_rr: Vec<AtomicUsize>,
+    /// Cores killed by fault injection (failover routes around them).
+    liveness: Liveness,
     /// Lock + condvar the driver thread parks on; the worker that closes
     /// the last open request notifies under the lock (no lost wakeups).
     quiesce: StdMutex<()>,
@@ -387,7 +394,7 @@ impl Shared {
             }
         }
         let mut core = self.core_of(instance);
-        if self.router.is_dead(core) {
+        if self.liveness.is_dead(core) {
             match self.failover_core(instance, msg) {
                 Some(live) => {
                     self.recovery_tally.fetch_add(1, Ordering::Relaxed);
@@ -450,7 +457,7 @@ impl Shared {
             return None;
         }
         let group = self.group_of_instance(instance);
-        self.router.restripe(&self.group_cores[group], key)
+        self.liveness.restripe(&self.group_cores[group], key)
     }
 
     /// Records the first unrecoverable fault and wakes the quiescence
@@ -497,6 +504,21 @@ impl Shared {
         if self.idle[core].swap(false, Ordering::SeqCst) {
             let _ = self.senders[core].send(Message::Poke);
         }
+    }
+
+    /// Where an object of `class` whose flags just became `flags` at
+    /// `home` goes next.
+    fn route_transition(
+        &self,
+        home: InstanceId,
+        class: ClassId,
+        flags: FlagSet,
+        tag_hash: Option<u64>,
+    ) -> RouteDecision {
+        self.routes
+            .route_transition(&self.layout, home, class, flags, tag_hash, |at| {
+                self.flow_rr[at].fetch_add(1, Ordering::Relaxed)
+            })
     }
 
     fn group_of_instance(&self, inst: InstanceId) -> usize {
@@ -560,7 +582,7 @@ impl Shared {
         let target = self.group_cores[group]
             .iter()
             .copied()
-            .filter(|&c| c != core && !self.router.is_dead(c))
+            .filter(|&c| c != core && !self.liveness.is_dead(c))
             .map(|c| (self.ready[c].lock().len(), c))
             .min()
             .filter(|&(len, _)| len < depth);
@@ -651,9 +673,9 @@ pub struct ThreadedReport {
     /// Failed try-lock-all attempts across the run. Mirrors the
     /// `threaded.lock_retries` counter.
     pub lock_retries: u64,
-    /// Route calls that found their router stripe locked. Mirrors the
-    /// `threaded.router_contention` counter (reported here even when
-    /// telemetry is disabled).
+    /// Always 0: routing takes no lock. Kept only until the benchmark
+    /// stops reading it, then deleted.
+    #[doc(hidden)]
     pub router_contention: u64,
     /// Invocations shed off their forming core's full run queue to a
     /// same-group peer (`enqueue_ready`'s overflow path). Zero in any
@@ -733,8 +755,7 @@ impl ThreadedExecutor {
     /// With an enabled [`Telemetry`] session the run records dispatch,
     /// contention, traffic, and channel-occupancy events (timestamps in
     /// nanoseconds since the session's creation) plus the
-    /// `threaded.steals` / `threaded.lock_retries` /
-    /// `threaded.router_contention` counters. With
+    /// `threaded.steals` / `threaded.lock_retries` counters. With
     /// [`Telemetry::disabled`] every recording site is a no-op and the
     /// dispatch hot path performs no telemetry allocations.
     ///
@@ -849,6 +870,9 @@ impl ThreadedExecutor {
         let estimator = adapt
             .as_ref()
             .map(|_| Arc::new(LiveEstimator::new(&program.spec)));
+        let routes = RouteTable::new(&program.spec, graph);
+        let (flows, sites) = routes.counter_lens(layout.instances.len());
+        let counters = |n: usize| (0..n).map(|_| AtomicUsize::new(0)).collect();
         let shared = Arc::new(Shared {
             program: program.clone(),
             graph: graph.clone(),
@@ -865,11 +889,10 @@ impl ThreadedExecutor {
             estimator,
             locks_analysis: locks.clone(),
             lock_table: LockTable::new(),
-            router: ShardedRouter::new(
-                core_count,
-                core_count,
-                telemetry.counter("threaded.router_contention"),
-            ),
+            routes,
+            flow_rr: counters(flows),
+            site_rr: counters(sites),
+            liveness: Liveness::new(core_count),
             quiesce: StdMutex::new(()),
             quiesce_cv: Condvar::new(),
             ledger,
@@ -1151,7 +1174,7 @@ impl ResidentRun {
             body_cycles: shared.body_cycles.load(Ordering::SeqCst),
             steals: shared.steal_tally.load(Ordering::SeqCst),
             lock_retries: shared.retry_tally.load(Ordering::SeqCst),
-            router_contention: shared.router.contention_count(),
+            router_contention: 0,
             router_shed: shared.shed_tally.load(Ordering::SeqCst),
             finished,
             wall: self.start.elapsed(),
@@ -1213,7 +1236,7 @@ impl RelayoutHandle {
 
     /// Whether `core` was killed by fault injection.
     pub fn is_core_dead(&self, core: usize) -> bool {
-        self.shared.router.is_dead(core)
+        self.shared.liveness.is_dead(core)
     }
 
     /// The run's live profile estimator (`None` unless the run was
@@ -1225,15 +1248,15 @@ impl RelayoutHandle {
     /// Commits one batch of hot migrations: each `(instance, core)`
     /// pair re-homes that instance onto that core *while the run is
     /// live*. The whole batch is validated first (typed errors, nothing
-    /// mutated on failure), then per move the instance's router-stripe
-    /// state transfers to the destination and the live assignment is
-    /// swapped; one epoch bump publishes the batch, and each source
-    /// core is told to drain the moved instance's buffered objects to
-    /// its new host (`Message::Migrate`). Requests in flight are
-    /// never lost or double-counted — a drained object travels counted
-    /// only while its request is open, and a completed request's
-    /// leftover retires to the result graveyard
-    /// (see [`RequestLedger::inc_if_open`]).
+    /// mutated on failure), then per move the live assignment is
+    /// swapped — no routing state moves, since an instance's round-robin
+    /// counters are keyed by its id; one epoch bump publishes the batch,
+    /// and each source core is told to drain the moved instance's
+    /// buffered objects to its new host (`Message::Migrate`). Requests
+    /// in flight are never lost or double-counted — a drained object
+    /// travels counted only while its request is open, and a completed
+    /// request's leftover retires to the result graveyard (see
+    /// [`RequestLedger::inc_if_open`]).
     ///
     /// Returns the epoch the batch committed as (the pre-commit epoch
     /// when every move was already in place).
@@ -1256,7 +1279,7 @@ impl RelayoutHandle {
             if to >= cores {
                 return Err(RelayoutError::UnknownCore { core: to });
             }
-            if shared.router.is_dead(to) {
+            if shared.liveness.is_dead(to) {
                 return Err(RelayoutError::DeadCore { core: to });
             }
         }
@@ -1266,7 +1289,6 @@ impl RelayoutHandle {
             if from == to {
                 continue;
             }
-            shared.router.transfer_instance(from, to, inst);
             shared.assignment[inst.index()].store(to, Ordering::Release);
             sources.push((from, inst));
         }
@@ -1442,7 +1464,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
     // after every completed dispatch.
     let mut dispatched: u64 = 0;
     if chaos_tick(core, &shared, dispatched, &mut sink) {
-        die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
+        die_and_forward(core, &rx, &shared, &mut state, &mut sink);
         return;
     }
 
@@ -1464,7 +1486,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
             dispatch(core, &shared, &spec, &mut state, inv, &mut sink);
             dispatched += 1;
             if chaos_tick(core, &shared, dispatched, &mut sink) {
-                die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
+                die_and_forward(core, &rx, &shared, &mut state, &mut sink);
                 return;
             }
             continue;
@@ -1475,7 +1497,7 @@ fn worker_loop(core: usize, rx: Receiver<Message>, shared: Arc<Shared>) {
             dispatch(core, &shared, &spec, &mut state, inv, &mut sink);
             dispatched += 1;
             if chaos_tick(core, &shared, dispatched, &mut sink) {
-                die_and_forward(core, &rx, &shared, &spec, &mut state, &mut sink);
+                die_and_forward(core, &rx, &shared, &mut state, &mut sink);
                 return;
             }
             continue;
@@ -1620,14 +1642,13 @@ fn die_and_forward(
     core: usize,
     rx: &Receiver<Message>,
     shared: &Shared,
-    spec: &ProgramSpec,
     state: &mut WorkerSets,
     sink: &mut WorkerSink,
 ) {
     shared.faults_injected.fetch_add(1, Ordering::Relaxed);
     shared.fault_counter.inc();
     sink.fault(sink.now(), fault_code::CORE_KILL, core as u64, NO_ID);
-    shared.router.mark_dead(core);
+    shared.liveness.mark_dead(core);
     let recoverable = shared.chaos.as_ref().is_some_and(|p| p.recovery_enabled());
     // Every queued invocation needs a live same-group host to steal it;
     // a stranded group means the work is genuinely unrecoverable.
@@ -1635,7 +1656,7 @@ fn die_and_forward(
         let group = shared.group_of_instance(inv.instance);
         !shared.group_cores[group]
             .iter()
-            .any(|&c| !shared.router.is_dead(c))
+            .any(|&c| !shared.liveness.is_dead(c))
     });
     if !recoverable || stranded {
         shared.fail(ExecError::CoreLost { core });
@@ -1664,7 +1685,7 @@ fn die_and_forward(
     // fired would otherwise sleep through the steal it owes us.
     loop {
         for &peer in &shared.steal_peers[core] {
-            if !shared.router.is_dead(peer) {
+            if !shared.liveness.is_dead(peer) {
                 shared.poke(peer);
             }
         }
@@ -1679,7 +1700,7 @@ fn die_and_forward(
                 let request = obj.request;
                 match state.accepting_slot(shared, &obj) {
                     Some((inst, _)) => shared.send(core as u64, inst, obj, sink),
-                    None => forward_or_retire(core, shared, spec, state, obj, sink),
+                    None => forward_or_retire(core, shared, state, obj, sink),
                 }
                 shared.release(request, sink);
             }
@@ -1704,23 +1725,13 @@ fn die_and_forward(
 fn forward_or_retire(
     core: usize,
     shared: &Shared,
-    spec: &ProgramSpec,
     state: &WorkerSets,
     obj: Box<TObject>,
     sink: &mut WorkerSink,
 ) {
     let inst = state.assigned.first().copied().unwrap_or(InstanceId(0));
     let hash = obj.tags.first().map(|(_, i)| i.0);
-    match shared.router.route_transition(
-        core,
-        spec,
-        &shared.graph,
-        &shared.layout,
-        inst,
-        obj.class,
-        obj.flags,
-        hash,
-    ) {
+    match shared.route_transition(inst, obj.class, obj.flags, hash) {
         // Forwarding keeps the object's original producer: the
         // eventual consumer's causal edge must point at whoever
         // released the object, not at the hop that relayed it.
@@ -1762,7 +1773,7 @@ fn take_in(
         sink.queue_depth(ts, shared.senders[core].len() as u64, ready);
     }
     let request = obj.request;
-    if let Some((inst, task)) = deliver(core, shared, spec, state, obj, sink) {
+    if let Some((inst, task)) = deliver(core, shared, state, obj, sink) {
         let sets = state.hosted.get_mut(&inst).expect("delivered there");
         let table = shared.slot_table(inst);
         while let Some((objs, tag_env)) = sets.form(table, spec, task, request) {
@@ -1857,7 +1868,6 @@ fn dispatch(
 fn deliver(
     core: usize,
     shared: &Shared,
-    spec: &ProgramSpec,
     state: &mut WorkerSets,
     obj: Box<TObject>,
     sink: &mut WorkerSink,
@@ -1867,7 +1877,7 @@ fn deliver(
     // live — a dead assigned core keeps the failover semantics (the
     // object was deliberately re-striped here; handle it locally).
     let assigned = shared.core_of(obj.instance);
-    if assigned != core && !shared.router.is_dead(assigned) {
+    if assigned != core && !shared.liveness.is_dead(assigned) {
         shared.send(core as u64, obj.instance, obj, sink);
         return None;
     }
@@ -1888,7 +1898,7 @@ fn deliver(
             Some((inst, sets.push(shared.slot_table(inst), slot, obj)))
         }
         None => {
-            forward_or_retire(core, shared, spec, state, obj, sink);
+            forward_or_retire(core, shared, state, obj, sink);
             None
         }
     }
@@ -1919,17 +1929,11 @@ fn execute(
         inv.id,
     );
     let tspec = spec.task(inv.task);
-    // Routing state stays striped by the invocation's *home* core, so a
-    // stolen invocation continues the victim instance's round-robin
-    // sequences. The home core is the *live* assignment's host: after a
-    // hot relayout the moved instance's stripe state moved with it.
+    // Sends name the invocation's *home* core (the live assignment's
+    // host) as their source, so a stolen invocation's traffic is
+    // attributed to the victim instance.
     let home_core = shared.core_of(inv.instance);
-    // Mint body-created tag variables.
-    for (v, var) in tspec.tag_vars.iter().enumerate() {
-        if !var.from_param && inv.tag_env[v].is_none() {
-            inv.tag_env[v] = Some(shared.mint_tag());
-        }
-    }
+    tspec.mint_tags(&mut inv.tag_env, || shared.mint_tag());
     // Run the body.
     let body = shared
         .program
@@ -2004,28 +2008,14 @@ fn execute(
     }
 
     // Exit actions.
-    let exit_spec = tspec.exit(exit);
-    for (param_idx, actions) in &exit_spec.actions {
-        let obj = &mut inv.objs[param_idx.index()];
-        for action in actions {
-            match action {
-                FlagOrTagAction::SetFlag(flag, value) => obj.flags.set(*flag, *value),
-                FlagOrTagAction::AddTag(var) => {
-                    if let Some(instn) = inv.tag_env[var.index()] {
-                        let tt = tspec.tag_vars[var.index()].tag_type;
-                        if !obj.tags.contains(&(tt, instn)) {
-                            obj.tags.push((tt, instn));
-                        }
-                    }
-                }
-                FlagOrTagAction::ClearTag(var) => {
-                    if let Some(instn) = inv.tag_env[var.index()] {
-                        let tt = tspec.tag_vars[var.index()].tag_type;
-                        obj.tags.retain(|t| *t != (tt, instn));
-                    }
-                }
-            }
-        }
+    for (p, obj) in inv.objs.iter_mut().enumerate() {
+        tspec.apply_exit(
+            exit,
+            ParamIdx::new(p),
+            &mut obj.flags,
+            &mut obj.tags,
+            &inv.tag_env,
+        );
     }
 
     // Route parameters. Released objects are re-stamped with this
@@ -2034,17 +2024,7 @@ fn execute(
     for mut obj in inv.objs {
         obj.producer = inv.id;
         let hash = obj.tags.first().map(|(_, i)| i.0);
-        let decision = shared.router.route_transition(
-            home_core,
-            spec,
-            &shared.graph,
-            &shared.layout,
-            inv.instance,
-            obj.class,
-            obj.flags,
-            hash,
-        );
-        let dest = match decision {
+        let dest = match shared.route_transition(inv.instance, obj.class, obj.flags, hash) {
             RouteDecision::Stay => inv.instance,
             RouteDecision::Move(dest) => dest,
             RouteDecision::Dead => {
@@ -2059,24 +2039,14 @@ fn execute(
     for (site_idx, payload) in created {
         let site = bamboo_lang::ids::AllocSiteId::new(site_idx);
         let site_spec = &tspec.alloc_sites[site.index()];
-        let tags: Vec<(TagTypeId, TagInstance)> = site_spec
-            .bound_tags
-            .iter()
-            .filter_map(|var| {
-                inv.tag_env[var.index()].map(|instn| (tspec.tag_vars[var.index()].tag_type, instn))
-            })
-            .collect();
+        let tags = tspec.created_tags(site, &inv.tag_env);
         let hash = tags.first().map(|(_, i)| i.0);
-        let dest = shared.router.route_new(
-            home_core,
-            spec,
-            &shared.graph,
-            &shared.layout,
-            inv.instance,
-            inv.task,
-            site,
-            hash,
-        );
+        let dest =
+            shared
+                .routes
+                .route_new(&shared.layout, inv.instance, inv.task, site, hash, |at| {
+                    shared.site_rr[at].fetch_add(1, Ordering::Relaxed)
+                });
         let obj = Box::new(TObject {
             class: site_spec.class,
             flags: site_spec.initial_flag_set(),

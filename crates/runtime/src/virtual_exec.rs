@@ -17,14 +17,15 @@ use crate::program::{NativePayload, Program, TaskCtx};
 use crate::store::{ObjId, ObjectStore, PayloadSlot, RtObject};
 use bamboo_analysis::DisjointnessAnalysis;
 use bamboo_lang::ids::TagTypeId;
-use bamboo_lang::ids::{ExitId, TaskId};
+use bamboo_lang::ids::{ExitId, ParamIdx, TaskId};
 use bamboo_lang::interp::{Interp, TagInstance};
-use bamboo_lang::spec::{FlagOrTagAction, FlagSet};
+use bamboo_lang::spec::FlagSet;
 use bamboo_machine::MachineDescription;
 use bamboo_profile::{Cycles, Profile, ProfileCollector};
 use bamboo_schedule::formation::{self, Probe, SlotTable};
+use bamboo_schedule::routing::{bump, RouteTable};
 use bamboo_schedule::trace::{DataDep, ExecutionTrace, TraceTask};
-use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision, Router};
+use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision};
 use bamboo_telemetry::{Telemetry, TimeUnit, WorkerSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -187,7 +188,11 @@ pub struct VirtualExecutor<'p> {
     /// The object store (inspect after `run` for results).
     pub store: ObjectStore,
     interp: Option<Interp<'p>>,
-    router: Router,
+    routes: RouteTable,
+    /// Round-robin counters per `(instance, task)` and per `(instance,
+    /// alloc site)`, indexed by `routes`.
+    flow_rr: Vec<usize>,
+    site_rr: Vec<usize>,
     /// Slot table per group.
     slot_tables: Vec<SlotTable>,
     /// Parameter sets per instance, one per slot of its group's table.
@@ -233,6 +238,8 @@ impl<'p> VirtualExecutor<'p> {
     ) -> Self {
         let spec = &program.spec;
         let slot_tables = SlotTable::per_group(spec, graph);
+        let routes = RouteTable::new(spec, graph);
+        let (flows, sites) = routes.counter_lens(layout.instances.len());
         let param_sets = layout
             .instances
             .iter()
@@ -252,7 +259,9 @@ impl<'p> VirtualExecutor<'p> {
             config,
             store: ObjectStore::new(),
             interp,
-            router: Router::new(),
+            routes,
+            flow_rr: vec![0; flows],
+            site_rr: vec![0; sites],
             slot_tables,
             param_sets,
             ready: vec![VecDeque::new(); layout.core_count],
@@ -425,21 +434,21 @@ impl<'p> VirtualExecutor<'p> {
         } else {
             // No slot here matches: the consuming task lives in another
             // group (or nowhere). Forward the object like a transition.
-            let hash = self.store.get(obj).tag_hash();
-            let spec = self.program.spec.clone();
-            if let RouteDecision::Move(dest) = self.router.route_transition(
-                &spec,
-                self.graph,
-                self.layout,
-                home,
-                class,
-                flags,
-                hash,
-            ) {
+            if let RouteDecision::Move(dest) = self.route_transition(obj) {
                 self.move_to(obj, dest);
             }
         }
         self.maybe_start(core);
+    }
+
+    /// Where `obj`, in its current state, goes next from its home.
+    fn route_transition(&mut self, obj: ObjId) -> RouteDecision {
+        let o = self.store.get(obj);
+        let flow_rr = &mut self.flow_rr;
+        self.routes
+            .route_transition(self.layout, o.home, o.class, o.flags, o.tag_hash(), |at| {
+                bump(&mut flow_rr[at])
+            })
     }
 
     /// Moves `obj` from its home instance to `dest`: one counted
@@ -548,11 +557,7 @@ impl<'p> VirtualExecutor<'p> {
         let tspec = spec.task(inv.task);
 
         // Mint fresh tag instances for body-created tag variables.
-        for (v, var) in tspec.tag_vars.iter().enumerate() {
-            if !var.from_param && inv.tag_env[v].is_none() {
-                inv.tag_env[v] = Some(self.store.mint_tag());
-            }
-        }
+        tspec.mint_tags(&mut inv.tag_env, || self.store.mint_tag());
 
         // Execute the body now; effects apply at completion time.
         let (exit, charged, created) = match self.program.native_body(inv.task) {
@@ -575,19 +580,10 @@ impl<'p> VirtualExecutor<'p> {
                     .into_iter()
                     .map(|(site, payload)| {
                         let site = bamboo_lang::ids::AllocSiteId::new(site);
-                        let site_spec = &tspec.alloc_sites[site.index()];
-                        let tags = site_spec
-                            .bound_tags
-                            .iter()
-                            .filter_map(|var| {
-                                inv.tag_env[var.index()]
-                                    .map(|inst| (tspec.tag_vars[var.index()].tag_type, inst))
-                            })
-                            .collect();
                         CreatedRt {
                             site,
                             payload: PayloadSlot::Native(payload),
-                            tags,
+                            tags: tspec.created_tags(site, &inv.tag_env),
                         }
                     })
                     .collect();
@@ -726,7 +722,6 @@ impl<'p> VirtualExecutor<'p> {
         };
         let spec = self.program.spec.clone();
         let tspec = spec.task(inv.task);
-        let exit_spec = tspec.exit(exit);
 
         // Shared-lock directive: merge lock classes of grouped params.
         for group in &self.locks.lock_plans[inv.task.index()].groups {
@@ -737,32 +732,15 @@ impl<'p> VirtualExecutor<'p> {
         }
 
         // Exit actions.
-        for (param_idx, actions) in &exit_spec.actions {
-            let obj = inv.objs[param_idx.index()];
-            for action in actions {
-                match action {
-                    FlagOrTagAction::SetFlag(flag, value) => {
-                        let o = self.store.get_mut(obj);
-                        o.flags.set(*flag, *value);
-                    }
-                    FlagOrTagAction::AddTag(var) => {
-                        if let Some(inst) = inv.tag_env[var.index()] {
-                            let tt = tspec.tag_vars[var.index()].tag_type;
-                            let o = self.store.get_mut(obj);
-                            if !o.tags.contains(&(tt, inst)) {
-                                o.tags.push((tt, inst));
-                            }
-                        }
-                    }
-                    FlagOrTagAction::ClearTag(var) => {
-                        if let Some(inst) = inv.tag_env[var.index()] {
-                            let tt = tspec.tag_vars[var.index()].tag_type;
-                            let o = self.store.get_mut(obj);
-                            o.tags.retain(|t| *t != (tt, inst));
-                        }
-                    }
-                }
-            }
+        for (p, &obj) in inv.objs.iter().enumerate() {
+            let o = self.store.get_mut(obj);
+            tspec.apply_exit(
+                exit,
+                ParamIdx::new(p),
+                &mut o.flags,
+                &mut o.tags,
+                &inv.tag_env,
+            );
         }
 
         // Route parameters (releasing their reservations first).
@@ -771,19 +749,7 @@ impl<'p> VirtualExecutor<'p> {
             if let Some(id) = trace_id {
                 self.set_producer(obj, Some(id));
             }
-            let (class, flags, home, hash) = {
-                let o = self.store.get(obj);
-                (o.class, o.flags, o.home, o.tag_hash())
-            };
-            match self.router.route_transition(
-                &spec,
-                self.graph,
-                self.layout,
-                home,
-                class,
-                flags,
-                hash,
-            ) {
+            match self.route_transition(obj) {
                 RouteDecision::Stay => {
                     self.set_arrival(obj, self.now);
                     self.push_event(self.now, EventKey::Arrival(obj.0));
@@ -800,15 +766,12 @@ impl<'p> VirtualExecutor<'p> {
         for c in created {
             let site_spec = &tspec.alloc_sites[c.site.index()];
             let hash = c.tags.first().map(|(_, i)| i.0);
-            let dest = self.router.route_new(
-                &spec,
-                self.graph,
-                self.layout,
-                inv.instance,
-                inv.task,
-                c.site,
-                hash,
-            );
+            let site_rr = &mut self.site_rr;
+            let dest =
+                self.routes
+                    .route_new(self.layout, inv.instance, inv.task, c.site, hash, |at| {
+                        bump(&mut site_rr[at])
+                    });
             let cost = self.machine.transfer_cycles(
                 self.layout.core_of(inv.instance),
                 self.layout.core_of(dest),

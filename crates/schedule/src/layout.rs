@@ -1,8 +1,10 @@
 //! Candidate layouts and object routing (paper §4.3.4 and §4.7).
 //!
 //! A [`Layout`] maps *group instances* (replicated core groups) onto
-//! cores. It also answers, for both the scheduling simulator and the real
-//! runtime, the operational question: *where does an object go next?*
+//! cores. The [`Router`] here is the reference answer to the question
+//! *where does an object go next?*; the executors and the simulator ask
+//! [`crate::routing::RouteTable`], which gives the same answers from a
+//! static table.
 //!
 //! - On **allocation**, the object is delivered to one of the destination
 //!   group's instances: round-robin across copies, or by tag hash when the
@@ -256,20 +258,20 @@ pub enum RouteDecision {
     Dead,
 }
 
-/// Stateful router: layout plus round-robin distribution counters.
+/// The reference router: works each decision out again from the spec,
+/// the graph and the layout, and keeps its own round-robin counters.
 ///
-/// Both the scheduling simulator and the runtime create one router per
-/// execution so their distribution decisions match.
+/// No executor routes through it. The executors and the simulator use
+/// the static [`crate::routing::RouteTable`]; this independent
+/// implementation of the same decisions stays for the simulator's
+/// oracle (`sim::reference`) and the table's differential tests.
 #[derive(Clone, Debug)]
 pub struct Router {
     /// Round-robin counters keyed by (sending instance, allocation site).
     site_rr: HashMap<(InstanceId, TaskId, AllocSiteId), usize>,
     /// Round-robin counters keyed by (home instance, destination task).
     flow_rr: HashMap<(InstanceId, TaskId), usize>,
-    /// Memoized `(class, flags) → enabled tasks` — the runtime-side
-    /// materialization of the dispatch tables the static analysis
-    /// produces (paper §4.7; see `bamboo_analysis::DispatchTable` for the
-    /// fully static form).
+    /// Memoized `(class, flags) → enabled tasks`.
     dispatch_memo: HashMap<(ClassId, u64), Vec<(TaskId, bamboo_lang::ids::ParamIdx)>>,
 }
 
@@ -419,69 +421,6 @@ impl Router {
 impl Default for Router {
     fn default() -> Self {
         Router::new()
-    }
-}
-
-/// One instance's routing state, detached for a hot migration: the
-/// round-robin counters keyed by that instance. Produced by
-/// [`Router::extract_instance`], re-attached with
-/// [`Router::absorb_instance`] on the destination stripe, so the
-/// per-(instance, task) distribution sequences continue exactly where
-/// they left off — a relayout must not reset round-robin fairness.
-/// The dispatch memo is deliberately not carried: it is a pure cache
-/// keyed by `(class, flags)` and rebuilds identically anywhere.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RouterInstanceState {
-    /// `(task, site) → counter` entries from [`Router::route_new`].
-    site_rr: Vec<((TaskId, AllocSiteId), usize)>,
-    /// `task → counter` entries from [`Router::route_transition`].
-    flow_rr: Vec<(TaskId, usize)>,
-}
-
-impl RouterInstanceState {
-    /// Whether the instance had accumulated any routing state.
-    pub fn is_empty(&self) -> bool {
-        self.site_rr.is_empty() && self.flow_rr.is_empty()
-    }
-}
-
-impl Router {
-    /// Removes and returns every round-robin counter keyed by
-    /// `instance` (as sender/home). See [`RouterInstanceState`].
-    pub fn extract_instance(&mut self, instance: InstanceId) -> RouterInstanceState {
-        let mut state = RouterInstanceState::default();
-        self.site_rr.retain(|&(inst, task, site), counter| {
-            if inst == instance {
-                state.site_rr.push(((task, site), *counter));
-                false
-            } else {
-                true
-            }
-        });
-        self.flow_rr.retain(|&(inst, task), counter| {
-            if inst == instance {
-                state.flow_rr.push((task, *counter));
-                false
-            } else {
-                true
-            }
-        });
-        state.site_rr.sort_unstable_by_key(|&(k, _)| k);
-        state.flow_rr.sort_unstable_by_key(|&(k, _)| k);
-        state
-    }
-
-    /// Installs counters extracted by [`Router::extract_instance`]
-    /// under `instance` on this router. Counters the destination
-    /// already holds for the instance (it hosted the instance before)
-    /// are overwritten — the extracted state is the newer truth.
-    pub fn absorb_instance(&mut self, instance: InstanceId, state: RouterInstanceState) {
-        for ((task, site), counter) in state.site_rr {
-            self.site_rr.insert((instance, task, site), counter);
-        }
-        for (task, counter) in state.flow_rr {
-            self.flow_rr.insert((instance, task), counter);
-        }
     }
 }
 

@@ -14,8 +14,8 @@
 //! 3. [`transforms`] — data-parallelization and rate-matching rules;
 //! 4. [`mapping`] — non-isomorphic instance→core mapping enumeration with
 //!    random subspace skipping;
-//! 5. [`layout`] — candidate layouts and the object [`layout::Router`]
-//!    shared with the runtime;
+//! 5. [`layout`] — candidate layouts, and [`routing`], the static
+//!    [`routing::RouteTable`] the simulator shares with the runtime;
 //! 6. [`sim`] — the Markov-driven discrete-event scheduling simulator
 //!    (and [`formation`], the invocation rule it shares with the runtime);
 //! 7. [`trace`] / [`critpath`] — execution traces and critical-path
@@ -35,6 +35,7 @@ pub mod groups;
 pub mod layout;
 pub mod mapping;
 pub mod preprocess;
+pub mod routing;
 pub mod sim;
 pub mod synthesis;
 #[cfg(test)]
@@ -46,11 +47,12 @@ pub mod util;
 pub use critpath::{critical_path, propose_moves, MoveProposal};
 pub use dsa::{optimize, optimize_with_cache, DsaOptions, DsaStats};
 pub use groups::{Group, GroupGraph, GroupId, GroupNewEdge};
-pub use layout::{GroupInstance, InstanceId, Layout, RouteDecision, Router, RouterInstanceState};
+pub use layout::{GroupInstance, InstanceId, Layout, RouteDecision, Router};
 pub use mapping::{
     control_spread_layout, enumerate_mappings, random_layouts, spread_layout, MappingOptions,
 };
 pub use preprocess::scc_tree_transform;
+pub use routing::RouteTable;
 pub use sim::{simulate, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
 pub use synthesis::{single_core_plan, synthesize, SynthesisOptions, SynthesisResult};
 pub use trace::{DataDep, ExecutionTrace, TraceTask};

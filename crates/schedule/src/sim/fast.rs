@@ -3,10 +3,9 @@
 //! Bit-identical to the `super::reference` oracle, but built to be called
 //! hundreds of times per DSA run. All per-simulation setup the oracle
 //! pays on every call is either hoisted into a shared [`SimProgram`]
-//! (dispatch tables, slot tables, payload sizes, transfer-cost
+//! (the routing table, slot tables, payload sizes, transfer-cost
 //! matrices) or kept in the [`SimEngine`] across calls (prediction
-//! streams, stamp/route memos, object/event arenas that reset without
-//! deallocating).
+//! streams, object/event arenas that reset without deallocating).
 //!
 //! The two load-bearing observations:
 //!
@@ -17,12 +16,10 @@
 //!   engine materializes each task's stream lazily once and every
 //!   simulation just walks a cursor over it — no per-call model state,
 //!   no per-prediction allocation.
-//! * **Routing is core-free.** `route_new`/`route_transition` select
-//!   *instances*, and their target-group decisions depend only on
-//!   `(spec, graph)` plus which groups are deployed — all constant
-//!   across the candidates of one optimize run. The engine memoizes
-//!   those decisions once and replays them; only the round-robin
-//!   counters (per-simulation state) reset per call.
+//! * **Routing is static.** Where an object goes next depends only on
+//!   `(spec, graph)` and the layout's instances, so the engine routes
+//!   through the one [`RouteTable`] the runtime uses; only the
+//!   round-robin counters (per-simulation state) reset per call.
 //!
 //! Object state is struct-of-arrays (`obj_*` vectors) and invocations
 //! live in a flat arena, so the event-loop hot path walks contiguous
@@ -30,11 +27,11 @@
 
 use crate::formation::{self, Miss, Probe, SlotTable};
 use crate::groups::GroupGraph;
-use crate::layout::{InstanceId, Layout};
+use crate::layout::{InstanceId, Layout, RouteDecision};
+use crate::routing::{bump, RouteTable};
 use crate::sim::{SimOptions, SimResult};
 use crate::trace::{DataDep, ExecutionTrace, TraceTask};
-use bamboo_analysis::cstg::enabled_params;
-use bamboo_lang::ids::{AllocSiteId, ClassId, ParamIdx, TaskId};
+use bamboo_lang::ids::{ClassId, ParamIdx, TaskId};
 use bamboo_lang::spec::{FlagSet, ProgramSpec, MAX_PARAMS};
 use bamboo_machine::{CoreId, MachineDescription};
 use bamboo_profile::{Cycles, MarkovModel, Profile};
@@ -70,15 +67,12 @@ pub struct SimProgram<'a> {
     pub(crate) opts: SimOptions,
     /// Slot table per group, in the oracle's slot order.
     slot_tables: Vec<SlotTable>,
+    routes: RouteTable,
     n_tasks: usize,
+    /// Per-task: was the task ever profiled (can its record be replayed)?
+    task_profiled: Vec<bool>,
     /// Per-task: does the task mint a fresh tag instance?
     task_mints_tag: Vec<bool>,
-    /// Per-task base into the flat global alloc-site tables.
-    task_site_base: Vec<u32>,
-    n_sites: usize,
-    site_class: Vec<ClassId>,
-    site_tagged: Vec<bool>,
-    site_flags: Vec<FlagSet>,
     /// Payload words per class (`SimOptions::payload_words_of`).
     class_words: Vec<u64>,
     startup_flags: FlagSet,
@@ -95,20 +89,6 @@ impl<'a> SimProgram<'a> {
         opts: &SimOptions,
     ) -> Self {
         let n_tasks = spec.tasks.len();
-        let mut task_mints_tag = Vec::with_capacity(n_tasks);
-        let mut task_site_base = Vec::with_capacity(n_tasks);
-        let mut site_class = Vec::new();
-        let mut site_tagged = Vec::new();
-        let mut site_flags = Vec::new();
-        for task in &spec.tasks {
-            task_mints_tag.push(task.tag_vars.iter().any(|v| !v.from_param));
-            task_site_base.push(site_class.len() as u32);
-            for site in &task.alloc_sites {
-                site_class.push(site.class);
-                site_tagged.push(!site.bound_tags.is_empty());
-                site_flags.push(site.initial_flag_set());
-            }
-        }
         let class_words = (0..spec.classes.len())
             .map(|c| opts.payload_words_of(ClassId::new(c)))
             .collect();
@@ -119,53 +99,34 @@ impl<'a> SimProgram<'a> {
             machine,
             opts: opts.clone(),
             slot_tables: SlotTable::per_group(spec, graph),
+            routes: RouteTable::new(spec, graph),
             n_tasks,
-            task_mints_tag,
-            n_sites: site_class.len(),
-            task_site_base,
-            site_class,
-            site_tagged,
-            site_flags,
+            task_profiled: (0..n_tasks)
+                .map(|t| profile.task(TaskId::new(t)).invocations() > 0)
+                .collect(),
+            task_mints_tag: spec
+                .tasks
+                .iter()
+                .map(|task| task.tag_vars.iter().any(|v| !v.from_param))
+                .collect(),
             class_words,
             startup_flags: FlagSet::new().with(spec.startup.flag, true),
         }
     }
 }
 
-/// A memoized `route_transition` decision for one `(class, flags)`
-/// state. Layout-shape-independent: deployment (which groups have
-/// instances) is re-checked at use time against the flow list.
-struct TransitionPlan {
-    /// No task is ever enabled for the state.
-    dead: bool,
-    /// Per group: does the group host an enabled task (the "stay"
-    /// locality rule)?
-    stay: Box<[bool]>,
-    /// Enabled `(task, group-of-task)` pairs in dispatch-table order
-    /// (`NONE_U32` group when the task is unassigned).
-    flow: Box<[(u32, u32)]>,
-}
-
 /// A reusable simulation engine over one [`SimProgram`].
 ///
 /// Not `Sync` — each worker thread owns its own engine (they duplicate
-/// the lazily-grown memo state, which is cheap and keeps results
+/// the lazily-grown prediction streams, which is cheap and keeps results
 /// deterministic without any cross-thread coordination).
 pub struct SimEngine<'a> {
     program: &'a SimProgram<'a>,
-    // Persistent across simulations: prediction streams plus pure memos.
-    // The memos are flat per-class (or per-group×site) tables scanned
-    // linearly — each holds a handful of entries, and a linear probe of
-    // a short `Vec` beats hashing the key on every lookup of the event
-    // loop.
+    // Persistent across simulations: the prediction streams.
     markov: MarkovModel<'a>,
     streams: Vec<Vec<bamboo_profile::Prediction>>,
-    stamp_memo: Vec<Vec<(u64, u32)>>,
-    transition_memo: Vec<Vec<(u64, TransitionPlan)>>,
-    route_new_memo: Vec<u32>,
     // Layout-shape tables (rebuilt when the instance structure changes).
     shape: Vec<u32>,
-    group_insts: Vec<Vec<u32>>,
     inst_slot_base: Vec<u32>,
     core_count: usize,
     xfer_base: Vec<Cycles>,
@@ -197,8 +158,10 @@ pub struct SimEngine<'a> {
     /// the majority of all events.
     now_events: VecDeque<u64>,
     cursors: Vec<u32>,
-    site_rr: Vec<u32>,
-    flow_rr: Vec<u32>,
+    /// Round-robin counters per `(instance, alloc site)` and per
+    /// `(instance, task)`, indexed by the routing table.
+    site_rr: Vec<usize>,
+    flow_rr: Vec<usize>,
     last_on_core: Vec<u32>,
     trace: Vec<TraceTask>,
     trace_deps: Vec<DataDep>,
@@ -211,14 +174,8 @@ pub struct SimEngine<'a> {
     makespan: Cycles,
 }
 
-enum Routed {
-    Stay,
-    Move(u32),
-    Dead,
-}
-
 impl<'a> SimEngine<'a> {
-    /// Creates an engine over `program` with empty memo state.
+    /// Creates an engine over `program` with empty prediction streams.
     pub fn new(program: &'a SimProgram<'a>) -> Self {
         SimEngine {
             program,
@@ -228,13 +185,7 @@ impl<'a> SimEngine<'a> {
                 MarkovModel::without_replay(program.profile)
             },
             streams: vec![Vec::new(); program.n_tasks],
-            stamp_memo: vec![Vec::new(); program.spec.classes.len()],
-            transition_memo: (0..program.spec.classes.len())
-                .map(|_| Vec::new())
-                .collect(),
-            route_new_memo: vec![NONE_U32; program.graph.groups.len() * program.n_sites],
             shape: Vec::new(),
-            group_insts: Vec::new(),
             inst_slot_base: Vec::new(),
             core_count: 0,
             xfer_base: Vec::new(),
@@ -290,17 +241,16 @@ impl<'a> SimEngine<'a> {
             return;
         }
         self.shape = layout.instances.iter().map(|inst| inst.group.0).collect();
-        self.group_insts = vec![Vec::new(); program.graph.groups.len()];
         self.inst_slot_base = Vec::with_capacity(layout.instances.len());
         let mut total_slots = 0u32;
-        for (i, inst) in layout.instances.iter().enumerate() {
-            self.group_insts[inst.group.index()].push(i as u32);
+        for inst in &layout.instances {
             self.inst_slot_base.push(total_slots);
             total_slots += program.slot_tables[inst.group.index()].slots().len() as u32;
         }
         self.param_sets = vec![VecDeque::new(); total_slots as usize];
-        self.site_rr = vec![0; layout.instances.len() * program.n_sites];
-        self.flow_rr = vec![0; layout.instances.len() * program.n_tasks];
+        let (flows, sites) = program.routes.counter_lens(layout.instances.len());
+        self.flow_rr = vec![0; flows];
+        self.site_rr = vec![0; sites];
         if self.core_count != layout.core_count {
             self.core_count = layout.core_count;
             self.ready = vec![VecDeque::new(); layout.core_count];
@@ -470,9 +420,9 @@ impl<'a> SimEngine<'a> {
             self.makespan = self.makespan.max(time);
             let payload = key as u32;
             if payload & EV_CORE_FREE == 0 {
-                self.handle_arrival(payload);
+                self.handle_arrival(layout, payload);
             } else {
-                self.handle_core_free(payload & !EV_CORE_FREE);
+                self.handle_core_free(layout, payload & !EV_CORE_FREE);
             }
         }
         self.finish(layout, completed)
@@ -529,182 +479,47 @@ impl<'a> SimEngine<'a> {
     /// rationale).
     fn stamp(&mut self, obj: u32) {
         let program = self.program;
-        let class = self.obj_class[obj as usize];
-        let flags = self.obj_flags[obj as usize];
-        let bits = flags.bits();
-        let memo = &mut self.stamp_memo[class.index()];
-        let task = match memo.iter().find(|&&(b, _)| b == bits) {
-            Some(&(_, t)) => t,
-            None => {
-                let enabled = enabled_params(program.spec, class, flags);
-                let t = match enabled.as_slice() {
-                    // Never-profiled tasks can't be replayed — leave
-                    // their objects unstamped (formation-order fallback).
-                    [(t, p)] if p.index() == 0 && program.profile.task(*t).invocations() > 0 => {
-                        t.index() as u32
-                    }
-                    _ => NONE_U32,
-                };
-                memo.push((bits, t));
-                t
+        let o = obj as usize;
+        // Never-profiled tasks can't be replayed — leave their objects
+        // unstamped (formation-order fallback).
+        let task = program
+            .routes
+            .sole_consumer(self.obj_class[o], self.obj_flags[o])
+            .filter(|t| program.task_profiled[t.index()]);
+        self.obj_pred[o] = match task {
+            Some(t) => {
+                let t = t.index() as u32;
+                let at = self.take_pred(t);
+                (t + 1, at)
             }
-        };
-        self.obj_pred[obj as usize] = if task == NONE_U32 {
-            (0, 0)
-        } else {
-            let at = self.take_pred(task);
-            (task + 1, at)
+            None => (0, 0),
         };
     }
 
-    /// The memoized `route_transition` decision for `(home, class,
-    /// flags, tag)`. Matches `Router::route_transition` exactly,
-    /// including round-robin counter consumption.
-    fn route_transition(&mut self, home: u32, class: ClassId, flags: FlagSet, tag: u64) -> Routed {
-        let program = self.program;
-        let bits = flags.bits();
-        let memo = &self.transition_memo[class.index()];
-        let at = match memo.iter().position(|&(b, _)| b == bits) {
-            Some(at) => at,
-            None => {
-                let enabled = enabled_params(program.spec, class, flags);
-                let plan = if enabled.is_empty() {
-                    TransitionPlan {
-                        dead: true,
-                        stay: Box::new([]),
-                        flow: Box::new([]),
-                    }
-                } else {
-                    let stay = program
-                        .graph
-                        .groups
-                        .iter()
-                        .map(|g| enabled.iter().any(|(t, _)| g.has_task(*t)))
-                        .collect();
-                    let flow = enabled
-                        .iter()
-                        .map(|(t, _)| {
-                            let group = program
-                                .graph
-                                .group_of_task(*t)
-                                .map(|g| g.0)
-                                .unwrap_or(NONE_U32);
-                            (t.index() as u32, group)
-                        })
-                        .collect();
-                    TransitionPlan {
-                        dead: false,
-                        stay,
-                        flow,
-                    }
-                };
-                let memo = &mut self.transition_memo[class.index()];
-                memo.push((bits, plan));
-                memo.len() - 1
-            }
-        };
-        let plan = &self.transition_memo[class.index()][at].1;
-        if plan.dead {
-            return Routed::Dead;
-        }
-        let home_group = self.shape[home as usize];
-        if plan.stay[home_group as usize] {
-            return Routed::Stay;
-        }
-        let mut pick_of: Option<(u32, usize)> = None;
-        for &(task, group) in plan.flow.iter() {
-            if group == NONE_U32 {
-                continue;
-            }
-            let candidates = &self.group_insts[group as usize];
-            if candidates.is_empty() {
-                continue;
-            }
-            pick_of = Some((task, group as usize));
-            break;
-        }
-        let Some((task, group)) = pick_of else {
-            return Routed::Dead;
-        };
-        let candidates = &self.group_insts[group];
-        let pick = if tag != 0 {
-            (tag as usize) % candidates.len()
-        } else {
-            let counter = &mut self.flow_rr[home as usize * self.program.n_tasks + task as usize];
-            let pick = *counter as usize % candidates.len();
-            *counter += 1;
-            pick
-        };
-        Routed::Move(candidates[pick])
-    }
-
-    /// The memoized `route_new` destination instance. Matches
-    /// `Router::route_new` exactly.
-    fn route_new(&mut self, from: u32, task: u32, site: u32, tag: u64) -> u32 {
-        let program = self.program;
-        let from_group = self.shape[from as usize];
-        let site_global = program.task_site_base[task as usize] + site;
-        let key = from_group as usize * program.n_sites + site_global as usize;
-        let target_group = match self.route_new_memo[key] {
-            g if g != NONE_U32 => g,
-            _ => {
-                let task_id = TaskId::new(task as usize);
-                let site_id = AllocSiteId::new(site as usize);
-                let dest_group = program
-                    .graph
-                    .new_edges
-                    .iter()
-                    .find(|e| e.from.0 == from_group && e.task == task_id && e.site.site == site_id)
-                    .map(|e| e.to.0)
-                    .unwrap_or_else(|| {
-                        // Fallback: any group holding the destination
-                        // state class; happens only for layouts built
-                        // from hand-made graphs.
-                        let class = program.site_class[site_global as usize];
-                        program
-                            .graph
-                            .groups
-                            .iter()
-                            .position(|g| g.classes.contains(&class))
-                            .expect("destination group exists") as u32
-                    });
-                // Deliver to the group that will *consume* the object
-                // first (see Router::route_new).
-                let class = program.site_class[site_global as usize];
-                let initial_flags = program.site_flags[site_global as usize];
-                let enabled = enabled_params(program.spec, class, initial_flags);
-                let consumer_in_dest = enabled
-                    .iter()
-                    .any(|(t, _)| program.graph.groups[dest_group as usize].has_task(*t));
-                let target = if consumer_in_dest || enabled.is_empty() {
-                    dest_group
-                } else {
-                    enabled
-                        .iter()
-                        .find_map(|(t, _)| program.graph.group_of_task(*t))
-                        .map(|g| g.0)
-                        .unwrap_or(dest_group)
-                };
-                self.route_new_memo[key] = target;
-                target
-            }
-        };
-        let candidates = &self.group_insts[target_group as usize];
-        assert!(!candidates.is_empty(), "destination group has no instance");
-        let pick = if tag != 0 {
-            (tag as usize) % candidates.len()
-        } else {
-            let counter = &mut self.site_rr[from as usize * program.n_sites + site_global as usize];
-            let pick = *counter as usize % candidates.len();
-            *counter += 1;
-            pick
-        };
-        candidates[pick]
+    /// Routes an object of `class` whose flags just became `flags` at
+    /// `home`; a zero `tag` is untagged.
+    fn route_transition(
+        &mut self,
+        layout: &Layout,
+        home: u32,
+        class: ClassId,
+        flags: FlagSet,
+        tag: u64,
+    ) -> RouteDecision {
+        let flow_rr = &mut self.flow_rr;
+        self.program.routes.route_transition(
+            layout,
+            InstanceId(home),
+            class,
+            flags,
+            (tag != 0).then_some(tag),
+            |at| bump(&mut flow_rr[at]),
+        )
     }
 
     /// Delivers an object to its home instance's parameter sets and
     /// tries to form invocations.
-    fn handle_arrival(&mut self, obj: u32) {
+    fn handle_arrival(&mut self, layout: &Layout, obj: u32) {
         let program = self.program;
         let home = self.obj_home[obj as usize];
         let class = self.obj_class[obj as usize];
@@ -721,8 +536,10 @@ impl<'a> SimEngine<'a> {
         } else {
             // No local slot matches: forward to the consuming group.
             let tag = self.obj_tag[obj as usize];
-            if let Routed::Move(dest) = self.route_transition(home, class, flags, tag) {
-                self.send_to(obj, dest);
+            if let RouteDecision::Move(dest) =
+                self.route_transition(layout, home, class, flags, tag)
+            {
+                self.send_to(obj, dest.0);
             }
         }
         let core = self.inst_core[home as usize];
@@ -897,7 +714,7 @@ impl<'a> SimEngine<'a> {
         self.push_event(end, EV_CORE_FREE | core);
     }
 
-    fn handle_core_free(&mut self, core: u32) {
+    fn handle_core_free(&mut self, layout: &Layout, core: u32) {
         let program = self.program;
         let (inv_plus, trace_id) =
             std::mem::replace(&mut self.running[core as usize], (0, NONE_U32));
@@ -940,16 +757,16 @@ impl<'a> SimEngine<'a> {
             let class = self.obj_class[obj];
             let tag = self.obj_tag[obj];
             let home = self.obj_home[obj];
-            match self.route_transition(home, class, new_flags, tag) {
-                Routed::Stay => {
+            match self.route_transition(layout, home, class, new_flags, tag) {
+                RouteDecision::Stay => {
                     self.stamp(obj as u32);
                     self.send_to(obj as u32, home);
                 }
-                Routed::Move(dest) => {
+                RouteDecision::Move(dest) => {
                     self.stamp(obj as u32);
-                    self.send_to(obj as u32, dest);
+                    self.send_to(obj as u32, dest.0);
                 }
-                Routed::Dead => {
+                RouteDecision::Dead => {
                     self.obj_consumed[obj] = true;
                     self.obj_pred[obj] = (0, 0);
                 }
@@ -960,11 +777,9 @@ impl<'a> SimEngine<'a> {
         let n_allocs = self.streams[pt as usize][pi as usize].allocs.len();
         for ai in 0..n_allocs {
             let (site, count) = self.streams[pt as usize][pi as usize].allocs[ai];
-            let site_global =
-                (program.task_site_base[task as usize] + site.index() as u32) as usize;
-            let tagged = program.site_tagged[site_global];
-            let class = program.site_class[site_global];
-            let flags = program.site_flags[site_global];
+            let site_spec = &tspec.alloc_sites[site.index()];
+            let tagged = !site_spec.bound_tags.is_empty();
+            let (class, flags) = (site_spec.class, site_spec.initial_flag_set());
             let words = program.class_words[class.index()];
             for _ in 0..count {
                 let tag = if tagged {
@@ -976,7 +791,18 @@ impl<'a> SimEngine<'a> {
                 } else {
                     0
                 };
-                let dest = self.route_new(instance, task, site.index() as u32, tag);
+                let site_rr = &mut self.site_rr;
+                let dest = program
+                    .routes
+                    .route_new(
+                        layout,
+                        InstanceId(instance),
+                        TaskId::new(task as usize),
+                        site,
+                        (tag != 0).then_some(tag),
+                        |at| bump(&mut site_rr[at]),
+                    )
+                    .0;
                 let cost = self.transfer(
                     self.inst_core[instance as usize],
                     self.inst_core[dest as usize],

@@ -17,8 +17,9 @@
 //!    unreachable threshold commits nothing at all.
 
 use bamboo::prelude::*;
-use bamboo::schedule::InstanceId;
-use bamboo::{CoreId, Pacing, RelayoutHandle, ServingOptions, ServingReport};
+use bamboo::schedule::{InstanceId, Layout, Replication};
+use bamboo::telemetry::EventKind;
+use bamboo::{CoreId, Pacing, RelayoutHandle, ServingOptions, ServingReport, Telemetry};
 use bamboo_apps::{all, by_name, Benchmark, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -290,6 +291,106 @@ fn relayout_between_handoffs_delivers_every_object() {
         report.payloads_of::<(i64, i64)>(acc),
         [&(ITEMS * (ITEMS + 1) / 2, ITEMS)]
     );
+}
+
+/// A hot migration keeps round-robin fairness. `gen`'s one instance
+/// hands one untagged `Item` per invocation to a `consume` group with a
+/// copy on each of two cores, so the copies alternate. After an odd
+/// number of items `gen` moves its own instance to the other core (that
+/// invocation creates nothing) and carries on: its round-robin counter
+/// belongs to the instance, not the core, so the alternation continues
+/// where it stopped and each copy consumes exactly half of the items.
+#[test]
+fn migration_keeps_round_robin_continuity() {
+    const ITEMS: i64 = 40;
+    const BEFORE_MOVE: i64 = 7;
+    let target: Arc<Mutex<Option<(RelayoutHandle, InstanceId)>>> = Arc::default();
+    let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("round-robin-relayout");
+    let s = b.class("StartupObject", &["initialstate"]);
+    let gen = b.class("Gen", &["go"]);
+    let item = b.class("Item", &["ready"]);
+    let init = b.flag(s, "initialstate");
+    let go = b.flag(gen, "go");
+    let ready = b.flag(item, "ready");
+    b.task("startup")
+        .param("s", s, FlagExpr::flag(init))
+        .alloc(gen, &[(go, true)], &[])
+        .exit("", |e| e.set(0, init, false))
+        .body(body(|ctx| {
+            ctx.create(0, 0i64);
+            0
+        }))
+        .finish();
+    let relayout = target.clone();
+    let gen_task = b
+        .task("gen")
+        .param("g", gen, FlagExpr::flag(go))
+        .alloc(item, &[(ready, true)], &[])
+        .exit("again", |e| e)
+        .exit("done", |e| e.set(0, go, false))
+        .body(body(move |ctx| {
+            let calls = ctx.param_mut::<i64>(0);
+            *calls += 1;
+            let n = *calls;
+            if n == BEFORE_MOVE + 1 {
+                let armed = relayout.lock().expect("target mutex");
+                let (handle, gen_inst) = armed.as_ref().expect("armed before injection");
+                handle.migrate(&[(*gen_inst, 1)]).expect("relayout commits");
+                return 0;
+            }
+            ctx.create(0, n);
+            let made = if n > BEFORE_MOVE { n - 1 } else { n };
+            usize::from(made == ITEMS)
+        }))
+        .finish();
+    let consume = b
+        .task("consume")
+        .param("i", item, FlagExpr::flag(ready))
+        .exit("", |e| e.set(0, ready, false))
+        .body(body(|_| 0))
+        .finish();
+    let compiler = Compiler::from_native(b.build().expect("valid program"));
+    let mut deployment = Deployment::single_core(&compiler.program, &compiler.locks);
+    let graph = &deployment.graph;
+    let consume_group = graph.group_of_task(consume).expect("grouped");
+    let copies: Vec<usize> = (0..graph.groups.len())
+        .map(|g| if g == consume_group.index() { 2 } else { 1 })
+        .collect();
+    let cores: Vec<Vec<CoreId>> = copies
+        .iter()
+        .map(|&n| (0..n).map(CoreId::new).collect())
+        .collect();
+    deployment.layout = Layout::new(graph, &Replication { copies }, 2, &cores);
+    let gen_group = graph.group_of_task(gen_task).expect("grouped");
+    let gen_inst = deployment.layout.instances_of(gen_group)[0];
+    let replicas = deployment.layout.instances_of(consume_group).to_vec();
+
+    let telemetry = Telemetry::enabled(2);
+    let options = RunOptions::default().with_telemetry(telemetry.clone());
+    let mut run = ThreadedExecutor::default()
+        .start(&deployment, options)
+        .expect("resident start");
+    *target.lock().expect("target mutex") = Some((run.relayout_handle(), gen_inst));
+    run.inject(Box::new(()));
+    run.drain().expect("drain");
+    let report = run.shutdown().expect("shutdown");
+    target.lock().expect("target mutex").take();
+    assert_eq!(report.relayouts, 1);
+    assert_eq!(report.invocations, 1 + (ITEMS as u64 + 1) + ITEMS as u64);
+    // Which copy consumed each item: the instance of every `consume`
+    // invocation's start event, whichever core ran it.
+    let events = telemetry.report().events;
+    for replica in replicas {
+        let consumed = events
+            .iter()
+            .filter(|e| {
+                e.kind == EventKind::TaskStart
+                    && e.a == consume.index() as u64
+                    && e.b == u64::from(replica.0)
+            })
+            .count();
+        assert_eq!(consumed as i64, ITEMS / 2, "{replica} consumed {consumed}");
+    }
 }
 
 /// A relayout rejected up front (dead/unknown target) mutates nothing:

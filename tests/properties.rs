@@ -287,11 +287,9 @@ proptest! {
     fn restripe_is_total_and_balanced_over_live_cores(
         cores in 1usize..12,
         dead_mask in any::<u16>(),
-        shards in 1usize..5,
     ) {
-        use bamboo::runtime::ShardedRouter;
-        use bamboo::telemetry::Counter;
-        let router = ShardedRouter::new(shards, cores, Counter::noop());
+        use bamboo::runtime::Liveness;
+        let router = Liveness::new(cores);
         let candidates: Vec<usize> = (0..cores).collect();
         for c in 0..cores {
             if dead_mask & (1 << c) != 0 {

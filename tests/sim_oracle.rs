@@ -15,21 +15,26 @@
 //!   chain so state leaking from one simulation into the next would show;
 //! * a hand-built program whose trace depends on **where a failed pick
 //!   leaves the entries it had picked** (the formation rule, DESIGN.md
-//!   §18).
+//!   §18);
+//! * a proptest that **the routing table decides as the reference
+//!   router does** on the six apps' 2-core and 62-core plans, round-robin
+//!   counters included (the oracle routes through its own `Router`).
 
-use bamboo::lang::ids::TagVarId;
+use bamboo::lang::ids::{AllocSiteId, TagVarId};
 use bamboo::machine::CoreId;
 use bamboo::profile::profile::InvocationRecord;
 use bamboo::profile::{ExitStats, TaskProfile};
 use bamboo::schedule::critpath::apply_move;
+use bamboo::schedule::routing::bump;
 use bamboo::schedule::sim::reference;
 use bamboo::schedule::{
     compute_replication, random_layouts, simulate, Group, GroupId, InstanceId, Layout,
-    MoveProposal, Replication, SimEngine, SimOptions, SimProgram, SimResult,
+    MoveProposal, Replication, RouteDecision, RouteTable, Router, SimEngine, SimOptions,
+    SimProgram, SimResult,
 };
 use bamboo::{
-    body, ClassId, Compiler, FlagExpr, FlagId, GroupGraph, MachineDescription, NativeBody, Profile,
-    ProgramBuilder, ProgramSpec, SynthesisOptions, TaskId,
+    body, ClassId, Compiler, FlagExpr, FlagId, FlagSet, GroupGraph, MachineDescription, NativeBody,
+    Profile, ProgramBuilder, ProgramSpec, SynthesisOptions, TaskId,
 };
 use bamboo_apps::{all, Scale};
 use proptest::prelude::*;
@@ -378,4 +383,106 @@ fn failed_picks_leave_their_entries_in_place() {
         .expect("quad formed");
     // `b` is `A_e`, released by `startup` (trace id 0), not `W` from `emit`.
     assert_eq!(trace.deps_of(quad)[2].producer, Some(0));
+}
+
+// ---- the routing table against the reference router -----------------------
+
+/// The six apps at small scale, each with its 2-core and its 62-core
+/// plan: `(spec, graph, layout)`.
+fn routed_plans() -> &'static Vec<(ProgramSpec, GroupGraph, Layout)> {
+    static PLANS: OnceLock<Vec<(ProgramSpec, GroupGraph, Layout)>> = OnceLock::new();
+    PLANS.get_or_init(|| {
+        let mut plans = Vec::new();
+        for bench in all() {
+            let compiler = bench.compiler(Scale::Small);
+            let (profile, _, ()) = compiler
+                .profile_run(None, "t", |_| ())
+                .expect("profile run");
+            for machine in [
+                MachineDescription::n_cores(2),
+                MachineDescription::tilepro64(),
+            ] {
+                let mut rng = StdRng::seed_from_u64(42);
+                let synthesis = SynthesisOptions::default();
+                let plan = compiler.synthesize(&profile, &machine, &synthesis, &mut rng);
+                plans.push(((*compiler.program.spec).clone(), plan.graph, plan.layout));
+            }
+        }
+        plans
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// The same random queries to a `RouteTable` with its counters and to
+    /// a fresh reference `Router`: transitions of a random class in any
+    /// flag valuation at a random home, and allocations at a random
+    /// instance by one of its group's tasks at one of that task's sites,
+    /// each untagged or tagged. Every decision is equal, and exactly an
+    /// untagged pick among copies advances one counter: the querying
+    /// instance's, for the chosen task or site.
+    #[test]
+    fn route_table_matches_the_reference_router(
+        which in 0usize..12,
+        queries in collection::vec((0u8..4, any::<u64>(), any::<u64>(), any::<u64>()), 1..64),
+    ) {
+        let (spec, graph, layout) = &routed_plans()[which];
+        let table = RouteTable::new(spec, graph);
+        let (flows, sites) = table.counter_lens(layout.instances.len());
+        let (mut flow_rr, mut site_rr) = (vec![0; flows], vec![0; sites]);
+        let mut router = Router::new();
+        let n_tasks = spec.tasks.len();
+        let n_sites = sites / layout.instances.len();
+        let instances = layout.instances.len() as u64;
+        for (kind, r1, r2, r3) in queries {
+            let tag = (kind % 2 == 1).then_some(r1 >> 8);
+            let mut advanced = None;
+            if kind < 2 {
+                let class = ClassId::new((r1 % spec.classes.len() as u64) as usize);
+                let width = spec.class(class).flags.len();
+                let flags = FlagSet::from_bits(r2 & ((1u64 << width) - 1));
+                let home = InstanceId((r3 % instances) as u32);
+                let want = router.route_transition(spec, graph, layout, home, class, flags, tag);
+                let got = table.route_transition(layout, home, class, flags, tag, |at| {
+                    advanced = Some(at);
+                    bump(&mut flow_rr[at])
+                });
+                prop_assert_eq!(got, want);
+                let moved = match got {
+                    RouteDecision::Move(dest) => Some(dest),
+                    _ => None,
+                };
+                prop_assert_eq!(advanced.is_some(), tag.is_none() && moved.is_some());
+                if let (Some(at), Some(dest)) = (advanced, moved) {
+                    prop_assert_eq!(at / n_tasks, home.index());
+                    let group = &graph.groups[layout.instances[dest.index()].group.index()];
+                    prop_assert!(group.has_task(TaskId::new(at % n_tasks)));
+                }
+            } else {
+                let from = InstanceId((r1 % instances) as u32);
+                let tasks = &graph.groups[layout.instances[from.index()].group.index()].tasks;
+                if tasks.is_empty() {
+                    continue;
+                }
+                let task = tasks[(r2 % tasks.len() as u64) as usize];
+                let task_sites = spec.task(task).alloc_sites.len() as u64;
+                if task_sites == 0 {
+                    continue;
+                }
+                let site = AllocSiteId::new((r3 % task_sites) as usize);
+                let want = router.route_new(spec, graph, layout, from, task, site, tag);
+                let got = table.route_new(layout, from, task, site, tag, |at| {
+                    advanced = Some(at);
+                    bump(&mut site_rr[at])
+                });
+                prop_assert_eq!(got, want);
+                let site_base: usize = spec.tasks[..task.index()]
+                    .iter()
+                    .map(|t| t.alloc_sites.len())
+                    .sum();
+                let counter = from.index() * n_sites + site_base + site.index();
+                prop_assert_eq!(advanced, tag.is_none().then_some(counter));
+            }
+        }
+    }
 }
