@@ -1,9 +1,10 @@
 //! The runtime object store: dispatch metadata plus payloads.
 //!
 //! Every object participating in task dispatch has a store entry holding
-//! its class, flag valuation, bound tag instances, home group instance,
-//! and lock class. Payloads are either native `Box<dyn Any>` values or
-//! references into the DSL interpreter heap.
+//! its class, bound tag instances, lock class and payload; its dispatch
+//! state (flags, home instance) lives in the event kernel's columns.
+//! Payloads are either native `Box<dyn Any>` values or references into
+//! the DSL interpreter heap.
 //!
 //! Lock classes implement the disjointness analysis's shared-lock
 //! directive: when a task that may introduce sharing between two
@@ -14,8 +15,6 @@ use crate::program::NativePayload;
 use bamboo_analysis::UnionFind;
 use bamboo_lang::ids::{ClassId, TagTypeId};
 use bamboo_lang::interp::{ObjRef, TagInstance};
-use bamboo_lang::spec::FlagSet;
-use bamboo_schedule::InstanceId;
 use std::fmt;
 
 /// Identifies an object in the [`ObjectStore`].
@@ -69,28 +68,12 @@ impl fmt::Debug for PayloadSlot {
 pub struct RtObject {
     /// The object's class.
     pub class: ClassId,
-    /// Current flag valuation.
-    pub flags: FlagSet,
     /// Bound tag instances.
     pub tags: Vec<(TagTypeId, TagInstance)>,
-    /// The group instance currently owning the object.
-    pub home: InstanceId,
     /// Lock class index (see [`ObjectStore::merge_locks`]).
     pub lock: usize,
-    /// Reserved by a formed-but-incomplete invocation (the virtual-time
-    /// analog of holding the object's lock; prevents an object whose
-    /// state satisfies several task guards from being captured twice).
-    pub reserved: bool,
     /// The payload.
     pub payload: PayloadSlot,
-}
-
-impl RtObject {
-    /// A deterministic routing hash derived from the first bound tag
-    /// instance, if any.
-    pub fn tag_hash(&self) -> Option<u64> {
-        self.tags.first().map(|(_, inst)| inst.0)
-    }
 }
 
 /// The store: objects, lock classes, and the tag-instance counter.
@@ -121,20 +104,15 @@ impl ObjectStore {
     pub fn alloc(
         &mut self,
         class: ClassId,
-        flags: FlagSet,
         tags: Vec<(TagTypeId, TagInstance)>,
-        home: InstanceId,
         payload: PayloadSlot,
     ) -> ObjId {
         let lock = self.locks.push();
         let id = ObjId(self.objects.len() as u32);
         self.objects.push(RtObject {
             class,
-            flags,
             tags,
-            home,
             lock,
-            reserved: false,
             payload,
         });
         id
@@ -222,20 +200,8 @@ mod tests {
 
     fn store_with_two() -> (ObjectStore, ObjId, ObjId) {
         let mut store = ObjectStore::new();
-        let a = store.alloc(
-            ClassId::new(0),
-            FlagSet::EMPTY,
-            vec![],
-            InstanceId(0),
-            PayloadSlot::Native(Box::new(1i64)),
-        );
-        let b = store.alloc(
-            ClassId::new(0),
-            FlagSet::EMPTY,
-            vec![],
-            InstanceId(0),
-            PayloadSlot::Native(Box::new(2i64)),
-        );
+        let a = store.alloc(ClassId::new(0), vec![], PayloadSlot::Native(Box::new(1i64)));
+        let b = store.alloc(ClassId::new(0), vec![], PayloadSlot::Native(Box::new(2i64)));
         (store, a, b)
     }
 
