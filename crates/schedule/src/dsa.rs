@@ -34,7 +34,7 @@
 //! # Per-candidate cost
 //!
 //! Candidates score on reusable [`SimEngine`]s (one per worker) over a
-//! shared [`SimProgram`]: prediction streams, routing memos, and event
+//! shared [`SimProgram`]: prediction streams and the event kernel's
 //! arenas persist across the hundreds of simulations of one search
 //! instead of being rebuilt per candidate. Results carry their execution
 //! trace behind an [`std::sync::Arc`], so the cache inserts, replays, and

@@ -622,14 +622,21 @@ fn dsl_mandelbrot_matches_native_kernel() {
     assert_eq!(dsl_counts, native_counts);
 }
 
-/// Virtual-time execution is deterministic: two runs of the same layout
-/// produce identical traces, invocation for invocation.
+/// Virtual-time execution is deterministic: profiling runs record equal
+/// profiles, and two runs of the same layout produce identical traces,
+/// invocation for invocation.
 #[test]
 fn virtual_execution_is_deterministic() {
     use bamboo_apps::Benchmark as _;
     let bench = bamboo_apps::montecarlo::MonteCarlo;
     let compiler = bench.compiler(bamboo_apps::Scale::Small);
     let (profile, _, ()) = compiler.profile_run(None, "t", |_| ()).expect("profiles");
+    // The startup invocation allocates at several sites; its record must
+    // list them in one order on every run.
+    for _ in 0..8 {
+        let (again, _, ()) = compiler.profile_run(None, "t", |_| ()).expect("profiles");
+        assert_eq!(again, profile, "profiling runs disagree");
+    }
     let machine = MachineDescription::n_cores(5);
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
