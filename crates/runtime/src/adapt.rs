@@ -54,9 +54,10 @@ pub enum RelayoutError {
         /// The out-of-range core index.
         core: usize,
     },
-    /// A move targeted a core killed by fault injection.
+    /// A move's destination, or the moved instance's current host, was
+    /// killed by fault injection.
     DeadCore {
-        /// The dead destination core.
+        /// The dead core.
         core: usize,
     },
 }
@@ -390,6 +391,7 @@ impl AdaptiveController {
             if target == live
                 || self.policy.freeze.contains(&inst.group)
                 || self.handle.is_core_dead(target)
+                || self.handle.is_core_dead(live)
             {
                 continue;
             }

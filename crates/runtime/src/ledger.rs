@@ -109,6 +109,24 @@ impl RequestLedger {
         }
     }
 
+    /// Runs `during` with every stripe locked, then counts one unit of
+    /// every open request and returns their ids. A migration or a kill
+    /// moves a host inside it, so no request completes before the old
+    /// host's drain releases these units.
+    pub(crate) fn hold_open(&self, during: impl FnOnce()) -> Vec<u64> {
+        let mut stripes: Vec<_> = self.stripes.iter().map(|s| s.lock()).collect();
+        during();
+        let mut held = Vec::new();
+        for map in &mut stripes {
+            for (&request, entry) in map.iter_mut() {
+                entry.count += 1;
+                held.push(request);
+            }
+        }
+        held.sort_unstable();
+        held
+    }
+
     /// Charges one executed invocation to `request` (called while the
     /// invocation's own unit is still held, so the entry is guaranteed
     /// live).

@@ -24,12 +24,15 @@ pub mod adapt;
 pub mod chaos;
 pub mod cost;
 pub mod deploy;
+#[cfg(test)]
+mod explore;
 pub mod ledger;
 pub mod program;
 pub mod router;
 pub mod store;
 pub mod threaded;
 pub mod virtual_exec;
+mod worker;
 
 pub use adapt::{AdaptPolicy, AdaptReport, AdaptiveController, RelayoutError};
 pub use chaos::{CoreKill, CoreStall, FaultPlan, FaultSpec, KillTarget, Liveness, RecoveryPolicy};

@@ -185,6 +185,17 @@ impl Telemetry {
         }
     }
 
+    /// The counter named `name`, or a [`Counter::detached`] one when
+    /// disabled: for a fact its caller reports either way, so one cell
+    /// serves both the report and the named metric.
+    pub fn tally(&self, name: &str) -> Counter {
+        if self.is_enabled() {
+            self.counter(name)
+        } else {
+            Counter::detached()
+        }
+    }
+
     /// The gauge named `name` (a shared no-op when disabled).
     pub fn gauge(&self, name: &str) -> Gauge {
         match &self.inner {

@@ -33,6 +33,11 @@ impl Counter {
         Counter(None)
     }
 
+    /// A live counter registered under no name.
+    pub fn detached() -> Self {
+        Counter(Some(Arc::new(AtomicU64::new(0))))
+    }
+
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
