@@ -61,8 +61,10 @@ pub struct CoreStall {
 pub enum RecoveryPolicy {
     /// Dead-core failover: the victim's run queue is drained by
     /// same-group peers through the steal path, its parameter-set
-    /// objects are re-sent to live hosts, and sends re-stripe around
-    /// the dead core ([`Liveness::restripe`]). Requires same-group
+    /// objects are re-sent to live hosts, and a send bound for the dead
+    /// core is retargeted to a live replica of its instance in the live
+    /// assignment, picked by the object's tag (else its message id), so
+    /// objects routed together stay together. Requires same-group
     /// stealing.
     #[default]
     Enabled,
@@ -213,8 +215,7 @@ impl FaultSpec {
 /// failover routes around.
 #[derive(Debug)]
 pub struct Liveness {
-    /// `dead[core]`: the core was killed and must be excluded from
-    /// re-striped routing.
+    /// `dead[core]`: the core was killed; failover sends nothing to it.
     dead: Vec<AtomicBool>,
 }
 
@@ -226,7 +227,8 @@ impl Liveness {
         }
     }
 
-    /// Marks `core` dead: [`Self::restripe`] excludes it from now on.
+    /// Marks `core` dead: from now on failover retargets every send
+    /// bound for it to a live replica.
     pub fn mark_dead(&self, core: usize) {
         if let Some(flag) = self.dead.get(core) {
             flag.store(true, Ordering::SeqCst);
@@ -238,32 +240,6 @@ impl Liveness {
         self.dead
             .get(core)
             .is_some_and(|flag| flag.load(Ordering::SeqCst))
-    }
-
-    /// Number of cores still live.
-    pub fn live_count(&self) -> usize {
-        self.dead
-            .iter()
-            .filter(|flag| !flag.load(Ordering::SeqCst))
-            .count()
-    }
-
-    /// Re-stripes a routing decision around dead cores: of the
-    /// `candidates` (the cores hosting the destination group), keeps
-    /// the live ones and picks `live[key % live.len()]`. Total over any
-    /// non-empty live subset, and — for a dense key range — each live
-    /// core receives a load within 1 of uniform. Returns `None` when
-    /// every candidate is dead (the caller must fail the run, typed).
-    pub fn restripe(&self, candidates: &[usize], key: u64) -> Option<usize> {
-        let live: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&c| !self.is_dead(c))
-            .collect();
-        if live.is_empty() {
-            return None;
-        }
-        Some(live[(key % live.len() as u64) as usize])
     }
 }
 

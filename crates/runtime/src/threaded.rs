@@ -85,7 +85,8 @@ pub(crate) struct Shared {
     /// Mailboxes. Both ends live here, so a send never fails.
     senders: Vec<Sender<Message>>,
     receivers: Vec<Receiver<Message>>,
-    /// Run queues: owners pop the front, thieves take the back.
+    /// Run queues, oldest request first (see `push_ready`): owners pop
+    /// the front, thieves take the back.
     ready: Vec<Mutex<VecDeque<PendingInv>>>,
     /// Whether each worker is parked (a poke swaps it off to decide).
     idle: Vec<AtomicBool>,
@@ -217,7 +218,11 @@ impl Port for Shared {
         if depth >= bound {
             return Err((inv, depth));
         }
-        queue.push_back(inv);
+        // Oldest request first, FIFO within a request: behind every
+        // entry of the same or an older request (request ids rise with
+        // admission). One request, as in a batch run, always appends.
+        let at = queue.partition_point(|queued| queued.request <= inv.request);
+        queue.insert(at, inv);
         Ok(depth)
     }
 
@@ -1570,6 +1575,98 @@ mod tests {
             let ts: Vec<u64> = t.events_on(core).map(|e| e.ts).collect();
             assert!(ts.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    // ---- run-queue order --------------------------------------------------
+
+    /// A run queue dispatches oldest request first, then FIFO within a
+    /// request, whatever order its entries arrive in; a thief takes the
+    /// newest request's rearmost eligible entry.
+    #[test]
+    fn run_queue_dispatches_oldest_request_first() {
+        let deploy = deployment(fanout_setup(4, 2));
+        let (shared, _graves, _completions) = Shared::new(&deploy, &RunOptions::default(), true);
+        let instance_of = |task: &str| {
+            let task = deploy.program.spec.task_by_name(task).unwrap();
+            let group = deploy.graph.group_of_task(task).unwrap();
+            deploy.layout.instances_of(group)[0]
+        };
+        let (work, reduce) = (instance_of("work"), instance_of("reduce"));
+        // (id, request, instance): request 1 arrives after 3 and 5.
+        let pushes = [
+            (1, 5, work),
+            (2, 3, work),
+            (3, 5, work),
+            (4, 3, reduce),
+            (5, 1, work),
+            (6, 7, reduce),
+            (7, 3, work),
+        ];
+        for (depth, (id, request, instance)) in pushes.into_iter().enumerate() {
+            let pushed = shared.push_ready(0, PendingInv::stub(id, instance, request), usize::MAX);
+            assert_eq!(pushed.ok(), Some(depth));
+        }
+        // Request 7's one entry is ineligible, so request 5's rear goes.
+        let stolen = shared.steal_from(0, |inv| inv.instance == work).unwrap();
+        assert_eq!((stolen.id, stolen.request), (3, 5));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| shared.pop_ready(0))
+            .map(|inv| (inv.id, inv.request))
+            .collect();
+        assert_eq!(order, [(5, 1), (2, 3), (4, 3), (7, 3), (1, 5), (6, 7)]);
+    }
+
+    /// End to end on one core: a burst of requests injected at once
+    /// drains in arrival order — no invocation starts while one of an
+    /// older request sits queued.
+    #[test]
+    fn one_core_backlog_drains_oldest_request_first() {
+        use bamboo_telemetry::event::unpack_inv_request;
+        use bamboo_telemetry::EventKind;
+        use std::collections::{BTreeMap, HashMap};
+        const REQUESTS: u64 = 24;
+        let deploy = deployment(fanout_setup(4, 1));
+        let telemetry = Telemetry::enabled(2);
+        let mut run = ThreadedExecutor::default()
+            .start(
+                &deploy,
+                RunOptions::default().with_telemetry(telemetry.clone()),
+            )
+            .unwrap();
+        let payloads = (0..REQUESTS).map(|_| Box::new(()) as NativePayload);
+        run.inject_batch(payloads.collect());
+        run.shutdown().unwrap();
+        let t = telemetry.report();
+        let mut request_of = HashMap::new();
+        let mut queued: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut starts = 0;
+        for e in t.events_on(0) {
+            match e.kind {
+                EventKind::InvQueued => {
+                    let (_, request) = unpack_inv_request(e.b);
+                    request_of.insert(e.a, request);
+                    *queued.entry(request).or_default() += 1;
+                }
+                EventKind::TaskStart => {
+                    let request = request_of[&e.c];
+                    let oldest = *queued.keys().next().expect("started a queued invocation");
+                    assert_eq!(
+                        oldest, request,
+                        "invocation {} of request {request} started with request {oldest} queued",
+                        e.c
+                    );
+                    let left = queued.get_mut(&request).expect("queued");
+                    *left -= 1;
+                    if *left == 0 {
+                        queued.remove(&request);
+                    }
+                    starts += 1;
+                }
+                _ => {}
+            }
+        }
+        // 1 startup + 4 work + 4 reduce per request.
+        assert_eq!(starts, REQUESTS * 9);
+        assert!(queued.is_empty());
     }
 
     /// A kill after a migration: `reduce`'s lone instance moves to core

@@ -219,9 +219,15 @@ pub(crate) trait Port {
     fn try_recv(&self, core: usize) -> Option<Message>;
     fn park(&self, core: usize, timeout: Option<Duration>) -> Option<Message>;
     fn mailbox_len(&self, core: usize) -> usize;
-    // Run queues: `push_ready` appends below `bound` entries, returning
-    // the depth it found; `steal_from` takes the rearmost `eligible`
-    // entry unless the victim's queue is contended.
+    // Run queues, in dispatch order: oldest request first, then FIFO
+    // within a request. Below `bound` entries, `push_ready` inserts
+    // behind every entry of the same or an older request and returns
+    // the depth it found; `pop_ready` takes the front, the oldest open
+    // request's oldest invocation. `steal_from` takes the rearmost
+    // `eligible` entry — the newest request's — unless the victim's
+    // queue is contended. Every insert goes through `push_ready`, so a
+    // lock retry lands behind its own request's entries only, and a
+    // shed lands on the peer in the same order.
     fn push_ready(&self, core: usize, inv: PendingInv, bound: usize) -> Result<usize, Full>;
     fn pop_ready(&self, core: usize) -> Option<PendingInv>;
     fn steal_from(
@@ -273,7 +279,7 @@ fn poke<P: Port>(port: &P, core: usize) {
     }
 }
 
-/// Appends `inv` to `core`'s run queue, whatever its depth.
+/// Queues `inv` on `core`'s run queue, whatever its depth.
 fn queue<P: Port>(port: &P, core: usize, inv: PendingInv) {
     let unbounded = port.push_ready(core, inv, usize::MAX);
     debug_assert!(unbounded.is_ok());
@@ -496,8 +502,25 @@ pub(crate) struct PendingInv {
     tag_env: TagEnv,
     /// Failed try-lock-all attempts this invocation has survived.
     retries: u64,
-    /// The request of every parameter (sets never mix requests).
-    request: u64,
+    /// The request of every parameter (sets never mix requests); run
+    /// queues order by it.
+    pub(crate) request: u64,
+}
+
+#[cfg(test)]
+impl PendingInv {
+    /// A parameterless invocation of task 0, for run-queue tests.
+    pub(crate) fn stub(id: u64, instance: InstanceId, request: u64) -> Self {
+        PendingInv {
+            id,
+            task: TaskId::new(0),
+            instance,
+            objs: Vec::new(),
+            tag_env: Vec::new(),
+            retries: 0,
+            request,
+        }
+    }
 }
 
 /// An invocation a full run queue turned away, with the depth it found.
@@ -731,9 +754,9 @@ impl CoreState {
         msg
     }
 
-    /// Steals from the back of a peer's queue (owners work the front) an
-    /// invocation whose group this core hosts; the rotation spreads
-    /// thieves across victims.
+    /// Steals an invocation whose group this core hosts from the back of
+    /// a peer's queue, the newest request's (owners work the front); the
+    /// rotation spreads thieves across victims.
     fn steal<P: Port>(&mut self, port: &P) -> Option<PendingInv> {
         let plan = port.plan();
         let thief = self.core;
@@ -975,8 +998,8 @@ impl CoreState {
     }
 
     /// Locks the invocation's lock classes (an unshared parameter's `Box`
-    /// is exclusive already) and executes it, or re-queues it at the back:
-    /// transactional retry, nothing held.
+    /// is exclusive already) and executes it, or re-queues it behind its
+    /// own request's entries: transactional retry, nothing held.
     pub(crate) fn run<P: Port>(&mut self, port: &P, mut inv: PendingInv) {
         // Lock slowdown: first attempt only, so retries do not compound.
         let slow = port.plan().chaos.as_ref().filter(|_| inv.retries == 0);
@@ -1152,4 +1175,62 @@ fn route_transition<P: Port>(
         .route_transition(&plan.layout, home, class, flags, tag_hash, |at| {
             port.next_flow(at)
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deploy::RunOptions;
+    use crate::threaded::Shared;
+    use crate::virtual_exec::tests_support::fanout_setup;
+
+    /// Failover's pick (DESIGN.md §14): whichever cores are dead, it is
+    /// total onto the replicas on live cores, and over a dense key range
+    /// each live replica takes a load within 1 of uniform. With none
+    /// live it is `None`, and the send fails the run, typed.
+    #[test]
+    fn failover_is_total_and_balanced_over_live_replicas() {
+        const KEYS: u64 = 1_000;
+        for cores in 1..=5 {
+            let (program, graph, layout, _machine, locks) = fanout_setup(4, cores);
+            let deploy = Deployment::new(program, graph, layout, locks);
+            let work = deploy.program.spec.task_by_name("work").unwrap();
+            let group = deploy.graph.group_of_task(work).unwrap();
+            let replicas = deploy.layout.instances_of(group).to_vec();
+            assert_eq!(replicas.len(), cores);
+            let options = RunOptions::default().with_faults(FaultSpec::seeded(1));
+            for dead in 0..1u32 << cores {
+                let (shared, _graves, _completions) = Shared::new(&deploy, &options, true);
+                for core in (0..cores).filter(|c| dead & 1 << c != 0) {
+                    shared.mark_dead(core);
+                }
+                let live: Vec<InstanceId> = (replicas.iter().copied())
+                    .filter(|&r| !shared.is_dead(shared.core_of(r)))
+                    .collect();
+                let mut load: BTreeMap<InstanceId, u64> = BTreeMap::new();
+                for key in 0..KEYS {
+                    match failover(&shared, replicas[0], key) {
+                        Some(replica) => {
+                            assert!(live.contains(&replica), "key {key} to dead {replica:?}");
+                            *load.entry(replica).or_default() += 1;
+                        }
+                        None => assert!(live.is_empty(), "None with {} live", live.len()),
+                    }
+                }
+                if live.is_empty() {
+                    continue;
+                }
+                assert_eq!(load.values().sum::<u64>(), KEYS, "failover must be total");
+                let floor = KEYS / live.len() as u64;
+                for replica in &live {
+                    let got = load.get(replica).copied().unwrap_or(0);
+                    assert!(
+                        got == floor || got == floor + 1,
+                        "{replica:?} took {got} of {KEYS} keys over {} live replicas",
+                        live.len()
+                    );
+                }
+            }
+        }
+    }
 }

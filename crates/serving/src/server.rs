@@ -456,7 +456,12 @@ impl Server {
             scope.arrive(snow, request);
         }
         self.arrivals += 1;
-        let depth = self.run.ingress_depth() + queued;
+        // Probing the depth locks every startup core's run queue, so
+        // only a depth bound pays for it.
+        let depth = match self.admission.max_ingress_depth {
+            Some(_) => self.run.ingress_depth() + queued,
+            None => queued,
+        };
         match self.admission.decide(self.clock, depth) {
             AdmissionVerdict::Admit => Some(make(request)),
             AdmissionVerdict::Shed(reason) => {

@@ -275,56 +275,6 @@ proptest! {
     }
 }
 
-// ---- chaos: router re-striping ---------------------------------------------
-
-proptest! {
-    /// Dead-core re-striping (DESIGN.md §14): for any subset of dead
-    /// cores, `restripe` is a total function onto the live cores, and
-    /// over a dense key range each live core's load is within 1 of
-    /// uniform. With every candidate dead it returns `None` (the caller
-    /// fails the run with a typed error instead of routing blind).
-    #[test]
-    fn restripe_is_total_and_balanced_over_live_cores(
-        cores in 1usize..12,
-        dead_mask in any::<u16>(),
-    ) {
-        use bamboo::runtime::Liveness;
-        let router = Liveness::new(cores);
-        let candidates: Vec<usize> = (0..cores).collect();
-        for c in 0..cores {
-            if dead_mask & (1 << c) != 0 {
-                router.mark_dead(c);
-            }
-        }
-        let live: Vec<usize> =
-            candidates.iter().copied().filter(|&c| !router.is_dead(c)).collect();
-        prop_assert_eq!(router.live_count(), live.len());
-
-        let keys: u64 = 10_000;
-        let mut load = vec![0u64; cores];
-        for key in 0..keys {
-            match router.restripe(&candidates, key) {
-                Some(c) => {
-                    prop_assert!(!router.is_dead(c), "routed key {key} to dead core {c}");
-                    load[c] += 1;
-                }
-                None => prop_assert!(live.is_empty(), "None with {} live cores", live.len()),
-            }
-        }
-        if !live.is_empty() {
-            prop_assert_eq!(load.iter().sum::<u64>(), keys, "restripe must be total");
-            let floor = keys / live.len() as u64;
-            for &c in &live {
-                prop_assert!(
-                    load[c] == floor || load[c] == floor + 1,
-                    "core {} took {} of {} keys over {} live cores",
-                    c, load[c], keys, live.len()
-                );
-            }
-        }
-    }
-}
-
 // ---- ASTG soundness --------------------------------------------------------
 
 proptest! {
