@@ -57,7 +57,8 @@ fn dump_request(bench: &dyn Benchmark, cores: usize, which: &str) {
     let report = session.stop().expect("serving finish");
     let observed = telemetry.report();
 
-    let completed = analyze::scope::completed_requests(&observed);
+    let graph = analyze::ObservedGraph::from_report(&observed);
+    let completed = graph.completed_requests();
     let wanted: Vec<u64> = if which == "all" {
         completed.clone()
     } else {
@@ -69,7 +70,7 @@ fn dump_request(bench: &dyn Benchmark, cores: usize, which: &str) {
             }
         }
     };
-    let trees = analyze::span_trees(&observed, &wanted);
+    let trees = graph.span_trees(&wanted);
     if trees.is_empty() {
         eprintln!("request(s) {wanted:?} not found in the session; completed ids: {completed:?}");
         std::process::exit(1);
@@ -189,6 +190,6 @@ fn main() {
         "{name} on {cores} cores: predicted makespan {} cycles, observed {} cycles ({} tasks, {} transfers)",
         sim.makespan, run.makespan, run.invocations, run.transfers
     );
-    print!("{}", summary::per_core_table(&report));
+    print!("{}", analyze::Ledger::from_report(&report).table());
     println!("wrote {trace_path} and {metrics_path}");
 }

@@ -33,8 +33,8 @@
 //! Every lifecycle edge is stamped into the ordinary telemetry rings
 //! (`serving.*` namespace in METRICS.md: `req_arrive`, `req_admit`,
 //! `req_shed`, `req_complete`) so latency distributions can also be
-//! reconstructed offline from a recorded report via
-//! [`bamboo_telemetry::analyze::ServingStats`].
+//! reconstructed offline from a recorded report via the analysis fold,
+//! [`bamboo_telemetry::analyze::ObservedGraph`].
 //!
 //! With [`ServingOptions::with_scope`] the same lifecycle also feeds
 //! the *live* observability plane (`bamboo-scope`, DESIGN.md §17):

@@ -14,8 +14,7 @@ use super::findings::{Evidence, Finding, Severity};
 use super::graph::ObservedGraph;
 use super::ledger::Ledger;
 use super::path::ObservedPath;
-use crate::event::{fault_code, recover_code, EventKind};
-use crate::report::TelemetryReport;
+use crate::event::{fault_code, recover_code};
 use bamboo_schedule::trace::ExecutionTrace;
 use std::collections::HashMap;
 
@@ -169,7 +168,7 @@ pub fn local_findings(
                             "busiest: core {} computed {}",
                             busiest.core, busiest.compute
                         ),
-                        (0, ledger.span),
+                        (ledger.start, ledger.start + ledger.span),
                         busiest.core,
                     ),
                     Evidence::at(
@@ -177,7 +176,7 @@ pub fn local_findings(
                             "lightest active: core {} computed {}",
                             lightest.core, lightest.compute
                         ),
-                        (0, ledger.span),
+                        (ledger.start, ledger.start + ledger.span),
                         lightest.core,
                     ),
                 ],
@@ -193,21 +192,9 @@ pub fn local_findings(
 /// precisely, so the diagnosis can say "core 3 was killed and peers
 /// absorbed its work" instead of guessing from symptoms. Recovery
 /// events are matched against their faults to price the recovery cost.
-pub fn fault_findings(report: &TelemetryReport) -> Vec<Finding> {
+pub fn fault_findings(graph: &ObservedGraph) -> Vec<Finding> {
     let mut out = Vec::new();
-    let faults: Vec<_> = report
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::Fault)
-        .collect();
-    if faults.is_empty() {
-        return out;
-    }
-    let recovers: Vec<_> = report
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::Recover)
-        .collect();
+    let (faults, recovers) = (&graph.faults, &graph.recoveries);
 
     // Core kills: name the dead core and price its failover.
     for kill in faults.iter().filter(|e| e.a == fault_code::CORE_KILL) {
@@ -654,7 +641,8 @@ mod tests {
 
     #[test]
     fn fault_findings_attribute_injected_faults() {
-        use crate::event::Event;
+        use crate::event::{Event, EventKind};
+        use crate::report::TelemetryReport;
         let mut report = TelemetryReport::empty();
         report.events = vec![
             Event {
@@ -706,7 +694,7 @@ mod tests {
                 c: 11,
             },
         ];
-        let findings = fault_findings(&report);
+        let findings = fault_findings(&ObservedGraph::from_report(&report));
         let kill = findings
             .iter()
             .find(|f| f.rule == "injected-core-kill")
@@ -730,7 +718,7 @@ mod tests {
 
     #[test]
     fn fault_free_report_yields_no_fault_findings() {
-        assert!(fault_findings(&two_core_report()).is_empty());
-        assert!(fault_findings(&TelemetryReport::empty()).is_empty());
+        assert!(fault_findings(&ObservedGraph::from_report(&two_core_report())).is_empty());
+        assert!(fault_findings(&ObservedGraph::default()).is_empty());
     }
 }

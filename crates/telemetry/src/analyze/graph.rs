@@ -1,18 +1,23 @@
-//! Causal invocation-graph reconstruction from observed telemetry.
+//! The analysis fold: one pass over the event stream.
 //!
 //! The threaded executor records, per invocation, a formation event
 //! ([`EventKind::InvQueued`]), one causal edge per consumed object
 //! ([`EventKind::InvLink`], carrying the producing invocation's id and
 //! the delivering message's id), the dispatch window
 //! ([`EventKind::TaskStart`]/[`EventKind::TaskEnd`]), lock outcomes,
-//! and thefts ([`EventKind::Steal`]). This module folds that flat
-//! event stream back into an [`ObservedGraph`]: the who-enabled-whom
-//! DAG the paper's critical-path analysis needs, but over a *real*
-//! execution instead of a simulated one. [`ObservedGraph::to_trace`]
-//! converts the graph into the scheduler's [`ExecutionTrace`] shape so
-//! `bamboo_schedule::critpath` runs on observed data unchanged.
+//! and thefts ([`EventKind::Steal`]); the serving driver stamps each
+//! request's lifecycle (`Req*`), and a chaos plan its faults and
+//! recoveries. [`ObservedGraph::from_report`] folds that flat stream,
+//! once, into the who-enabled-whom invocation DAG the paper's
+//! critical-path analysis needs, the per-request rows, and the
+//! fault/recover record. Every other analysis (span trees, latency
+//! attribution, fault findings, the critical path) is a view over the
+//! fold; [`ObservedGraph::to_trace`] converts the graph into the
+//! scheduler's [`ExecutionTrace`] shape so `bamboo_schedule::critpath`
+//! runs on observed data unchanged.
 
-use crate::event::{EventKind, Timestamp, NO_ID};
+use crate::analyze::serving::LatencyHistogram;
+use crate::event::{Event, EventKind, Timestamp, NO_ID};
 use crate::report::TelemetryReport;
 use bamboo_lang::ids::TaskId;
 use bamboo_machine::CoreId;
@@ -62,6 +67,9 @@ pub struct ObsInvocation {
     pub end: Timestamp,
     /// Failed try-lock-all attempts this invocation survived.
     pub retries: u64,
+    /// The first failed try-lock-all: where its lock-wait window opens
+    /// (`None` when every attempt succeeded).
+    pub lock_failed: Option<Timestamp>,
     /// The victim core, when the invocation was work-stolen.
     pub stolen_from: Option<u32>,
     /// Causal inputs (one per consumed object).
@@ -80,7 +88,33 @@ impl ObsInvocation {
     }
 }
 
-/// The reconstructed causal graph of one recorded execution.
+/// One serving request's lifecycle milestones, in the report's time
+/// base.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObsRequest {
+    /// Request id.
+    pub id: u64,
+    /// `ReqArrive` timestamp, if recorded.
+    pub arrived: Option<Timestamp>,
+    /// `ReqAdmit` timestamp, if recorded.
+    pub admitted: Option<Timestamp>,
+    /// Whether admission shed the request (`ReqShed`).
+    pub shed: bool,
+    /// `ReqComplete` timestamp, if recorded.
+    pub completed: Option<Timestamp>,
+    /// Invocations the request executed (from the complete event).
+    pub invocations: u64,
+}
+
+impl ObsRequest {
+    /// Admit→complete latency, when both ends were recorded.
+    pub(crate) fn latency(&self) -> Option<u64> {
+        Some(self.completed?.saturating_sub(self.admitted?))
+    }
+}
+
+/// The fold of one recorded execution: its causal graph, its requests,
+/// and its injected faults.
 #[derive(Clone, Debug, Default)]
 pub struct ObservedGraph {
     /// Completed invocations, ordered by start timestamp.
@@ -89,6 +123,13 @@ pub struct ObservedGraph {
     /// invocation (formed but never started, or start/end lost to ring
     /// overwrites). Non-zero means the graph under-approximates.
     pub incomplete: usize,
+    /// Every request with at least one lifecycle event, sorted by id.
+    pub requests: Vec<ObsRequest>,
+    /// Injected faults ([`EventKind::Fault`]), in stream order.
+    pub faults: Vec<Event>,
+    /// Completed recovery actions ([`EventKind::Recover`]), in stream
+    /// order.
+    pub recoveries: Vec<Event>,
 }
 
 #[derive(Default)]
@@ -107,14 +148,24 @@ struct Builder {
 }
 
 impl ObservedGraph {
-    /// Reconstructs the causal graph from a recorded report. Events
-    /// whose invocation-id word is [`NO_ID`] (executors that predate
-    /// causal linkage, or the virtual executor's cycle traces) are
-    /// skipped; an empty graph means the report carries no linkage.
+    /// Folds a recorded report in one pass. Invocation events whose
+    /// id word is [`NO_ID`] (executors that predate causal linkage, or
+    /// the virtual executor's cycle traces) are skipped; an empty graph
+    /// means the report carries no linkage.
     pub fn from_report(report: &TelemetryReport) -> Self {
         let mut builders: HashMap<u64, Builder> = HashMap::new();
         let mut sent: HashMap<u64, Timestamp> = HashMap::new();
         let mut received: HashMap<u64, Timestamp> = HashMap::new();
+        let mut lock_failed: HashMap<u64, Timestamp> = HashMap::new();
+        let mut requests: HashMap<u64, ObsRequest> = HashMap::new();
+        let mut faults = Vec::new();
+        let mut recoveries = Vec::new();
+        fn request(rows: &mut HashMap<u64, ObsRequest>, id: u64) -> &mut ObsRequest {
+            rows.entry(id).or_insert(ObsRequest {
+                id,
+                ..ObsRequest::default()
+            })
+        }
         for e in &report.events {
             match e.kind {
                 EventKind::InvQueued => {
@@ -142,6 +193,9 @@ impl ObservedGraph {
                 EventKind::LockAcquired if e.c != NO_ID => {
                     builders.entry(e.c).or_default().retries = e.b;
                 }
+                EventKind::LockFailed if e.c != NO_ID => {
+                    lock_failed.entry(e.c).or_insert(e.ts);
+                }
                 EventKind::Steal => {
                     builders.entry(e.a).or_default().stolen_from = Some(e.b as u32);
                 }
@@ -151,6 +205,16 @@ impl ObservedGraph {
                 EventKind::ObjRecv if e.c != NO_ID => {
                     received.insert(e.c, e.ts);
                 }
+                EventKind::ReqArrive => request(&mut requests, e.a).arrived = Some(e.ts),
+                EventKind::ReqAdmit => request(&mut requests, e.a).admitted = Some(e.ts),
+                EventKind::ReqShed => request(&mut requests, e.a).shed = true,
+                EventKind::ReqComplete => {
+                    let row = request(&mut requests, e.a);
+                    row.completed = Some(e.ts);
+                    row.invocations = e.b;
+                }
+                EventKind::Fault => faults.push(*e),
+                EventKind::Recover => recoveries.push(*e),
                 _ => {}
             }
         }
@@ -172,6 +236,7 @@ impl ObservedGraph {
                 start,
                 end,
                 retries: b.retries,
+                lock_failed: lock_failed.get(&id).copied(),
                 stolen_from: b.stolen_from,
                 deps: b
                     .deps
@@ -186,15 +251,30 @@ impl ObservedGraph {
             });
         }
         invocations.sort_by_key(|inv| (inv.start, inv.id));
+        let mut requests: Vec<ObsRequest> = requests.into_values().collect();
+        requests.sort_unstable_by_key(|r| r.id);
         ObservedGraph {
             invocations,
             incomplete,
+            requests,
+            faults,
+            recoveries,
         }
     }
 
-    /// Position of invocation `id` in [`Self::invocations`].
-    pub fn index_of(&self, id: u64) -> Option<usize> {
-        self.invocations.iter().position(|inv| inv.id == id)
+    /// The row of request `id`, if it recorded any lifecycle event.
+    pub(crate) fn request(&self, id: u64) -> Option<&ObsRequest> {
+        let at = self.requests.binary_search_by_key(&id, |r| r.id).ok()?;
+        Some(&self.requests[at])
+    }
+
+    /// Admit→complete latency of every completed request.
+    pub fn latency(&self) -> LatencyHistogram {
+        let mut latency = LatencyHistogram::new();
+        for sample in self.requests.iter().filter_map(ObsRequest::latency) {
+            latency.record(sample);
+        }
+        latency
     }
 
     /// Invocations executed on a core other than the one that formed
@@ -367,5 +447,6 @@ mod tests {
         let graph = ObservedGraph::from_report(&TelemetryReport::empty());
         assert!(graph.invocations.is_empty());
         assert_eq!(graph.incomplete, 0);
+        assert!(graph.requests.is_empty());
     }
 }

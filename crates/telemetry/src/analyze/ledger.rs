@@ -1,12 +1,15 @@
-//! Per-core time-breakdown ledger.
+//! Per-core time-breakdown ledger: the one per-core table.
 //!
-//! Every core's session span is partitioned into six buckets by
-//! walking its event stream once: each gap between consecutive events
-//! is attributed to the activity that *ended* with the later event
-//! (inside a task body it is compute regardless). The partition is
-//! constructive — nothing is estimated, every moment lands in exactly
-//! one bucket — so per-core buckets sum to the span exactly, and the
-//! whole ledger sums to `span × cores`.
+//! Every core's covered window (`[covered_from, end]`, see
+//! [`TelemetryReport::covered_from`]) is partitioned into six buckets
+//! in one walk over the event stream: each gap between a core's
+//! consecutive events is attributed to the activity that *ended* with
+//! the later event (inside a task body it is compute regardless). The
+//! partition is constructive — nothing is estimated, every moment
+//! lands in exactly one bucket — so per-core buckets sum to the span
+//! exactly, and the whole ledger sums to `span × cores`. The same walk
+//! counts each core's tasks, lock retries, traffic, deepest queue and
+//! steals.
 
 use crate::event::EventKind;
 use crate::report::TelemetryReport;
@@ -37,10 +40,25 @@ pub struct CoreLedger {
     /// Time ended by an object arrival, plus the tail after the last
     /// event: the core genuinely had nothing to do.
     pub idle: u64,
+    /// Task bodies finished (`TaskEnd` events).
+    pub tasks: u64,
+    /// Failed try-lock-all attempts (`LockFailed` events).
+    pub retries: u64,
+    /// Objects sent.
+    pub sends: u64,
+    /// Objects received.
+    pub recvs: u64,
+    /// Bytes sent.
+    pub bytes_out: u64,
+    /// The deepest queue-occupancy sample.
+    pub max_queue: u64,
+    /// Invocations this core stole.
+    pub steals: u64,
 }
 
 impl CoreLedger {
-    /// Sum of all buckets; equals the ledger's span by construction.
+    /// Sum of the six time buckets; equals the ledger's span by
+    /// construction.
     pub fn total(&self) -> u64 {
         self.compute + self.lock_wait + self.queue_wait + self.steal + self.routing + self.idle
     }
@@ -59,7 +77,11 @@ impl CoreLedger {
 /// The per-core time breakdown of one recorded session.
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
-    /// The partitioned span (per core).
+    /// Start of the partitioned window: the report's
+    /// [`TelemetryReport::covered_from`].
+    pub start: u64,
+    /// The partitioned span (per core), from `start` to the end of the
+    /// session.
     pub span: u64,
     /// Time base of `span` and every bucket.
     pub unit: TimeUnit,
@@ -69,9 +91,10 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Builds the ledger by partitioning each core's event stream.
+    /// Builds the ledger in one walk over the report's events.
     pub fn from_report(report: &TelemetryReport) -> Self {
-        let span = match report.unit {
+        let start = report.covered_from;
+        let end = match report.unit {
             TimeUnit::Nanos => report.wall_ns.max(report.last_ts()),
             TimeUnit::Cycles => report.last_ts(),
         };
@@ -83,62 +106,77 @@ impl Ledger {
                 ..CoreLedger::default()
             })
             .collect();
-        for row in &mut cores {
-            let mut cursor = 0u64;
-            let mut in_task = false;
-            for e in report.events_on(row.core) {
-                let gap = e.ts.saturating_sub(cursor);
-                let bucket = if in_task {
-                    &mut row.compute
-                } else {
-                    match e.kind {
-                        EventKind::TaskStart => &mut row.queue_wait,
-                        // An end without a recorded start: the body was
-                        // running even though the opening event was lost.
-                        EventKind::TaskEnd => &mut row.compute,
-                        EventKind::LockFailed => &mut row.lock_wait,
-                        EventKind::LockAcquired if e.b > 0 => &mut row.lock_wait,
-                        EventKind::LockAcquired => &mut row.queue_wait,
-                        EventKind::Steal => &mut row.steal,
-                        // Time leading up to a fault firing is ordinary
-                        // idleness; time leading up to a completed
-                        // recovery action was spent re-routing work.
-                        // Serving ingress events land on the driver's
-                        // pseudo-core: the gap leading up to an arrival
-                        // or a detected completion is time the core was
-                        // not doing its own work (idle); admitting or
-                        // shedding a request is routing-side work.
-                        EventKind::ObjRecv
-                        | EventKind::Fault
-                        | EventKind::ReqArrive
-                        | EventKind::ReqComplete => &mut row.idle,
-                        EventKind::ObjSend
-                        | EventKind::QueueDepth
-                        | EventKind::InvQueued
-                        | EventKind::InvLink
-                        | EventKind::Recover
-                        | EventKind::ReqAdmit
-                        | EventKind::ReqShed
-                        | EventKind::Relayout => &mut row.routing,
-                        // Estimation samples are emitted inside the
-                        // body span (before TaskEnd); the gap leading
-                        // up to one is compute, already attributed by
-                        // the `in_task` arm — standalone they carry no
-                        // wait semantics.
-                        EventKind::TaskExit | EventKind::TaskAlloc => &mut row.compute,
-                    }
-                };
-                *bucket += gap;
-                cursor = e.ts.max(cursor);
+        // Per core: the end of the last attributed gap, and whether a
+        // task body is open.
+        let mut cursor = vec![start; n];
+        let mut in_task = vec![false; n];
+        for e in &report.events {
+            let core = e.core as usize;
+            let row = &mut cores[core];
+            let gap = e.ts.saturating_sub(cursor[core]);
+            let bucket = if in_task[core] {
+                &mut row.compute
+            } else {
                 match e.kind {
-                    EventKind::TaskStart => in_task = true,
-                    EventKind::TaskEnd => in_task = false,
-                    _ => {}
+                    EventKind::TaskStart => &mut row.queue_wait,
+                    // An end without a recorded start: the body was
+                    // running even though the opening event was lost.
+                    EventKind::TaskEnd => &mut row.compute,
+                    EventKind::LockFailed => &mut row.lock_wait,
+                    EventKind::LockAcquired if e.b > 0 => &mut row.lock_wait,
+                    EventKind::LockAcquired => &mut row.queue_wait,
+                    EventKind::Steal => &mut row.steal,
+                    // Time leading up to a fault firing is ordinary
+                    // idleness; time leading up to a completed
+                    // recovery action was spent re-routing work.
+                    // Serving ingress events land on the driver's
+                    // pseudo-core: the gap leading up to an arrival
+                    // or a detected completion is time the core was
+                    // not doing its own work (idle); admitting or
+                    // shedding a request is routing-side work.
+                    EventKind::ObjRecv
+                    | EventKind::Fault
+                    | EventKind::ReqArrive
+                    | EventKind::ReqComplete => &mut row.idle,
+                    EventKind::ObjSend
+                    | EventKind::QueueDepth
+                    | EventKind::InvQueued
+                    | EventKind::InvLink
+                    | EventKind::Recover
+                    | EventKind::ReqAdmit
+                    | EventKind::ReqShed
+                    | EventKind::Relayout => &mut row.routing,
+                    // Estimation samples are emitted inside the
+                    // body span (before TaskEnd); the gap leading
+                    // up to one is compute, already attributed by
+                    // the `in_task` arm — standalone they carry no
+                    // wait semantics.
+                    EventKind::TaskExit | EventKind::TaskAlloc => &mut row.compute,
                 }
+            };
+            *bucket += gap;
+            cursor[core] = e.ts.max(cursor[core]);
+            match e.kind {
+                EventKind::TaskStart => in_task[core] = true,
+                EventKind::TaskEnd => {
+                    in_task[core] = false;
+                    row.tasks += 1;
+                }
+                EventKind::LockFailed => row.retries += 1,
+                EventKind::ObjSend => {
+                    row.sends += 1;
+                    row.bytes_out += e.a;
+                }
+                EventKind::ObjRecv => row.recvs += 1,
+                EventKind::QueueDepth => row.max_queue = row.max_queue.max(e.a),
+                EventKind::Steal => row.steals += 1,
+                _ => {}
             }
-            // Tail after the last event. A body left open (lost end
-            // event) still counts as compute.
-            let tail = span.saturating_sub(cursor);
+        }
+        // Tail after each core's last event. A body left open (lost end
+        // event) still counts as compute.
+        for (row, (&cursor, &in_task)) in cores.iter_mut().zip(cursor.iter().zip(&in_task)) {
+            let tail = end.saturating_sub(cursor);
             if in_task {
                 row.compute += tail;
             } else {
@@ -146,13 +184,15 @@ impl Ledger {
             }
         }
         Ledger {
-            span,
+            start,
+            span: end.saturating_sub(start),
             unit: report.unit,
             cores,
         }
     }
 
-    /// The whole-session aggregate (core field is meaningless).
+    /// The whole-session aggregate (core field is meaningless;
+    /// `max_queue` is the deepest sample on any core).
     pub fn totals(&self) -> CoreLedger {
         let mut total = CoreLedger::default();
         for row in &self.cores {
@@ -162,26 +202,42 @@ impl Ledger {
             total.steal += row.steal;
             total.routing += row.routing;
             total.idle += row.idle;
+            total.tasks += row.tasks;
+            total.retries += row.retries;
+            total.sends += row.sends;
+            total.recvs += row.recvs;
+            total.bytes_out += row.bytes_out;
+            total.max_queue = total.max_queue.max(row.max_queue);
+            total.steals += row.steals;
         }
         total
     }
 
-    /// Renders the breakdown as an aligned table, one row per core plus
-    /// a totals row.
+    /// Renders the breakdown as two aligned tables, time buckets then
+    /// counts, each with one row per core plus a totals row.
     pub fn table(&self) -> String {
         let label = match self.unit {
             TimeUnit::Nanos => "ns",
             TimeUnit::Cycles => "cycles",
         };
         let mut out = format!(
-            "per-core time breakdown (span {} {} per core)\n",
+            "per-core time breakdown (span {} {} per core",
             self.span, label
         );
+        if self.start > 0 {
+            let _ = write!(out, ", covered from {}", self.start);
+        }
+        out.push_str(")\n");
         let _ = writeln!(
             out,
             "core      compute    lock-wait   queue-wait        steal      routing         idle  util%"
         );
-        let mut render = |name: String, row: &CoreLedger| {
+        let totals = self.totals();
+        let rows = || {
+            let named = self.cores.iter().map(|row| (row.core.to_string(), row));
+            named.chain(std::iter::once(("all".to_string(), &totals)))
+        };
+        for (name, row) in rows() {
             let _ = writeln!(
                 out,
                 "{name:>4} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>6.1}",
@@ -193,11 +249,24 @@ impl Ledger {
                 row.idle,
                 100.0 * row.utilization(),
             );
-        };
-        for row in &self.cores {
-            render(row.core.to_string(), row);
         }
-        render("all".into(), &self.totals());
+        let _ = writeln!(
+            out,
+            "core   tasks  retries   sends   recvs    bytes-out  max-queue  steals"
+        );
+        for (name, row) in rows() {
+            let _ = writeln!(
+                out,
+                "{name:>4} {:>7} {:>8} {:>7} {:>7} {:>12} {:>10} {:>7}",
+                row.tasks,
+                row.retries,
+                row.sends,
+                row.recvs,
+                row.bytes_out,
+                row.max_queue,
+                row.steals,
+            );
+        }
         out
     }
 
@@ -280,6 +349,51 @@ mod tests {
         let doc = json::parse(&ledger.json()).unwrap();
         assert_eq!(doc.get("span").unwrap().as_f64(), Some(10_000.0));
         assert_eq!(doc.get("cores").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn the_walk_counts_per_core_activity() {
+        let ev = |ts, kind, core, a| crate::event::Event {
+            ts,
+            kind,
+            core,
+            a,
+            b: 0,
+            c: 0,
+        };
+        let mut report = TelemetryReport {
+            unit: TimeUnit::Cycles,
+            events: vec![
+                ev(0, EventKind::TaskStart, 0, 1),
+                ev(80, EventKind::TaskEnd, 0, 1),
+                ev(10, EventKind::LockFailed, 1, 2),
+                ev(20, EventKind::ObjSend, 1, 128),
+                ev(30, EventKind::QueueDepth, 1, 7),
+                ev(100, EventKind::TaskEnd, 1, 1),
+            ],
+            ..TelemetryReport::empty()
+        };
+        report.events.sort_by_key(|e| e.ts);
+        let ledger = Ledger::from_report(&report);
+        assert_eq!(ledger.span, 100);
+        let core0 = &ledger.cores[0];
+        assert_eq!((core0.tasks, core0.compute), (1, 80));
+        assert_eq!(core0.utilization(), 0.8);
+        let core1 = &ledger.cores[1];
+        assert_eq!((core1.retries, core1.sends, core1.bytes_out), (1, 1, 128));
+        assert_eq!(core1.max_queue, 7);
+        let totals = ledger.totals();
+        assert_eq!((totals.tasks, totals.max_queue), (2, 7));
+        let table = ledger.table();
+        assert!(table.contains("span 100 cycles"), "{table}");
+        let counts: Vec<&str> = table
+            .lines()
+            .filter(|l| l.trim_start().starts_with("1 "))
+            .nth(1)
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        assert_eq!(counts, ["1", "1", "1", "1", "0", "128", "7", "0"]);
     }
 
     #[test]

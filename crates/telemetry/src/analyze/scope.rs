@@ -3,12 +3,12 @@
 //!
 //! The serving driver stamps `ReqAdmit`/`ReqComplete`, and every
 //! invocation formed on a request's behalf carries the request id in
-//! its [`EventKind::InvQueued`] word (see
-//! [`crate::event::pack_inv_request`]). Folding those together yields,
-//! per request, the admit→complete span and the invocations (with
-//! their queue/lock/dispatch windows and message deps) that produced
-//! it — the request-scoped analogue of the per-core [`Ledger`]
-//! partition.
+//! its `InvQueued` word (see [`crate::event::pack_inv_request`]). The
+//! fold ([`ObservedGraph`]) pairs those, so each span tree is a view
+//! over it: per request, the admit→complete span and the invocations
+//! (with their queue/lock/dispatch windows and message deps) that
+//! produced it — the request-scoped analogue of the per-core
+//! [`Ledger`] partition.
 //!
 //! The partition is *constructive*: the admit→complete span is swept
 //! over elementary segments, each attributed to the highest-priority
@@ -21,8 +21,6 @@
 
 use crate::analyze::findings::{Evidence, Finding, Severity};
 use crate::analyze::graph::{ObsInvocation, ObservedGraph};
-use crate::analyze::serving::ServingStats;
-use crate::event::EventKind;
 use crate::report::TelemetryReport;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -201,114 +199,96 @@ fn partition(lo: u64, hi: u64, classes: &[Vec<(u64, u64)>]) -> Vec<u64> {
     totals
 }
 
-/// Reconstructs span trees for `requests` (ascending by request id)
-/// from a drained report. Requests with no recorded admit/complete
-/// pair are skipped — the scope plane samples ids online, and this
-/// materializes trees for exactly the sampled survivors.
+/// Reconstructs span trees for `requests` from a drained report: the
+/// fold plus [`ObservedGraph::span_trees`].
 pub fn span_trees(report: &TelemetryReport, requests: &[u64]) -> Vec<SpanTree> {
-    let graph = ObservedGraph::from_report(report);
-    let stats = ServingStats::from_report(report);
-    // First LockFailed timestamp per invocation id: the start of its
-    // lock-wait window (retries count alone has no time extent).
-    let mut first_lock_failed: HashMap<u64, u64> = HashMap::new();
-    for e in &report.events {
-        if e.kind == EventKind::LockFailed && e.c != crate::event::NO_ID {
-            first_lock_failed.entry(e.c).or_insert(e.ts);
-        }
-    }
-    // The request's invocations, grouped once.
-    let mut by_request: HashMap<u64, Vec<&ObsInvocation>> = HashMap::new();
-    for inv in &graph.invocations {
-        by_request.entry(inv.request).or_default().push(inv);
-    }
-    let mut wanted: Vec<u64> = requests.to_vec();
-    wanted.sort_unstable();
-    wanted.dedup();
-    let mut trees = Vec::with_capacity(wanted.len());
-    for request in wanted {
-        let Some(timeline) = stats
-            .timelines
-            .iter()
-            .find(|t| t.request == request)
-            .copied()
-        else {
-            continue;
-        };
-        let (Some(admitted), Some(completed)) = (timeline.admitted, timeline.completed) else {
-            continue;
-        };
-        let mut invocations: Vec<ObsInvocation> = by_request
-            .get(&request)
-            .map(|invs| invs.iter().map(|&inv| inv.clone()).collect())
-            .unwrap_or_default();
-        invocations.sort_by_key(|inv| (inv.start, inv.id));
-        let mut compute = Vec::new();
-        let mut lock = Vec::new();
-        let mut queue = Vec::new();
-        let mut routing = Vec::new();
-        for inv in &invocations {
-            compute.extend(clip(admitted, completed, inv.start, inv.end));
-            if let Some(&failed) = first_lock_failed.get(&inv.id) {
-                lock.extend(clip(admitted, completed, failed, inv.start));
-            }
-            queue.extend(clip(admitted, completed, inv.queued, inv.start));
-            for dep in &inv.deps {
-                if let (Some(sent), Some(received)) = (dep.sent, dep.received) {
-                    routing.extend(clip(admitted, completed, sent, received));
-                }
-            }
-        }
-        let totals = partition(admitted, completed, &[compute, lock, queue, routing]);
-        trees.push(SpanTree {
-            request,
-            arrived: timeline.arrived,
-            admitted,
-            completed,
-            invocations,
-            breakdown: SpanBreakdown {
-                total: completed - admitted,
-                compute: totals[0],
-                lock_wait: totals[1],
-                queue_wait: totals[2],
-                routing: totals[3],
-                idle: totals[4],
-            },
-        });
-    }
-    trees
+    ObservedGraph::from_report(report).span_trees(requests)
 }
 
-/// All completed request ids in a report, ascending.
-pub fn completed_requests(report: &TelemetryReport) -> Vec<u64> {
-    ServingStats::from_report(report)
-        .timelines
-        .iter()
-        .filter(|t| t.admitted.is_some() && t.completed.is_some())
-        .map(|t| t.request)
-        .collect()
+impl ObservedGraph {
+    /// Span trees for `requests` (ascending by request id). Requests
+    /// with no recorded admit/complete pair are skipped — the scope
+    /// plane samples ids online, and this materializes trees for
+    /// exactly the sampled survivors.
+    pub fn span_trees(&self, requests: &[u64]) -> Vec<SpanTree> {
+        // The request's invocations, grouped once (in start order).
+        let mut by_request: HashMap<u64, Vec<&ObsInvocation>> = HashMap::new();
+        for inv in &self.invocations {
+            by_request.entry(inv.request).or_default().push(inv);
+        }
+        let mut wanted: Vec<u64> = requests.to_vec();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut trees = Vec::with_capacity(wanted.len());
+        for request in wanted {
+            let Some(row) = self.request(request) else {
+                continue;
+            };
+            let (Some(admitted), Some(completed)) = (row.admitted, row.completed) else {
+                continue;
+            };
+            let invocations: Vec<ObsInvocation> = by_request
+                .get(&request)
+                .map(|invs| invs.iter().map(|&inv| inv.clone()).collect())
+                .unwrap_or_default();
+            let mut compute = Vec::new();
+            let mut lock = Vec::new();
+            let mut queue = Vec::new();
+            let mut routing = Vec::new();
+            for inv in &invocations {
+                compute.extend(clip(admitted, completed, inv.start, inv.end));
+                if let Some(failed) = inv.lock_failed {
+                    lock.extend(clip(admitted, completed, failed, inv.start));
+                }
+                queue.extend(clip(admitted, completed, inv.queued, inv.start));
+                for dep in &inv.deps {
+                    if let (Some(sent), Some(received)) = (dep.sent, dep.received) {
+                        routing.extend(clip(admitted, completed, sent, received));
+                    }
+                }
+            }
+            let totals = partition(admitted, completed, &[compute, lock, queue, routing]);
+            trees.push(SpanTree {
+                request,
+                arrived: row.arrived,
+                admitted,
+                completed,
+                invocations,
+                breakdown: SpanBreakdown {
+                    total: completed - admitted,
+                    compute: totals[0],
+                    lock_wait: totals[1],
+                    queue_wait: totals[2],
+                    routing: totals[3],
+                    idle: totals[4],
+                },
+            });
+        }
+        trees
+    }
+
+    /// Every completed request id, ascending.
+    pub fn completed_requests(&self) -> Vec<u64> {
+        self.requests
+            .iter()
+            .filter(|r| r.latency().is_some())
+            .map(|r| r.id)
+            .collect()
+    }
 }
 
 /// The `latency-attribution` analysis: names the dominant span
 /// component for the tail cohort (completions at or above the p99
-/// latency). Empty when the report carries no completed requests.
-pub fn latency_attribution(report: &TelemetryReport) -> Vec<Finding> {
-    let stats = ServingStats::from_report(report);
-    if stats.completed == 0 {
-        return Vec::new();
-    }
-    let p99 = stats.latency.p99();
-    let mut tail: Vec<(u64, u64)> = stats
-        .timelines
+/// latency). Empty when the fold holds no completed requests.
+pub fn latency_attribution(graph: &ObservedGraph) -> Vec<Finding> {
+    let p99 = graph.latency().p99();
+    let tail: Vec<u64> = graph
+        .requests
         .iter()
-        .filter_map(|t| {
-            let (admit, done) = (t.admitted?, t.completed?);
-            let latency = done.saturating_sub(admit);
-            (latency >= p99).then_some((latency, t.request))
-        })
+        .filter(|r| r.latency().is_some_and(|latency| latency >= p99))
+        .map(|r| r.id)
         .collect();
-    tail.sort_unstable_by(|a, b| b.cmp(a));
-    let ids: Vec<u64> = tail.iter().map(|&(_, r)| r).collect();
-    let trees = span_trees(report, &ids);
+    let trees = graph.span_trees(&tail);
     if trees.is_empty() {
         return Vec::new();
     }
@@ -382,7 +362,7 @@ pub fn latency_attribution(report: &TelemetryReport) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{pack_inv_request, Event, NO_ID};
+    use crate::event::{pack_inv_request, Event, EventKind, NO_ID};
     use crate::TimeUnit;
 
     fn ev(ts: u64, core: u32, kind: EventKind, a: u64, b: u64, c: u64) -> Event {
@@ -428,6 +408,7 @@ mod tests {
             cores: 2,
             events,
             dropped: 0,
+            covered_from: 0,
             metrics: Default::default(),
         }
     }
@@ -463,7 +444,10 @@ mod tests {
         assert!(span_trees(&report, &[42]).is_empty());
         // Duplicate ids collapse to one tree.
         assert_eq!(span_trees(&report, &[7, 7, 42]).len(), 1);
-        assert_eq!(completed_requests(&report), vec![7]);
+        assert_eq!(
+            ObservedGraph::from_report(&report).completed_requests(),
+            vec![7]
+        );
     }
 
     #[test]
@@ -483,7 +467,7 @@ mod tests {
     #[test]
     fn latency_attribution_names_the_dominant_component() {
         let report = one_request_report();
-        let findings = latency_attribution(&report);
+        let findings = latency_attribution(&ObservedGraph::from_report(&report));
         assert_eq!(findings.len(), 1);
         let f = &findings[0];
         assert_eq!(f.rule, "latency-attribution");
@@ -492,6 +476,6 @@ mod tests {
         assert_eq!(f.severity, Severity::Info);
         assert!(f.evidence[0].detail.contains("lock-wait 12.5%"));
         // No serving events → no finding.
-        assert!(latency_attribution(&TelemetryReport::empty()).is_empty());
+        assert!(latency_attribution(&ObservedGraph::default()).is_empty());
     }
 }

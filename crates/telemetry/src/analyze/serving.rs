@@ -1,15 +1,12 @@
-//! Serving-mode analysis: request latencies out of the event stream.
+//! The latency histogram: serving latency distributions.
 //!
 //! The serving front-end (`bamboo-serving`) stamps every request's
-//! lifecycle into the ordinary event rings — [`EventKind::ReqArrive`],
-//! [`EventKind::ReqAdmit`], [`EventKind::ReqShed`],
-//! [`EventKind::ReqComplete`] — so latency distributions fall out of a
-//! recorded [`TelemetryReport`] with no serving-specific recording
-//! machinery: pair each request's admit and complete timestamps and
-//! feed the spans into a [`LatencyHistogram`].
+//! lifecycle into the ordinary event rings, and the fold
+//! ([`crate::analyze::ObservedGraph`]) pairs each request's admit and
+//! complete timestamps; [`LatencyHistogram`] is the one distribution
+//! type the analyses, the serving report and the scope plane record
+//! those spans into.
 
-use crate::event::EventKind;
-use crate::report::TelemetryReport;
 use std::fmt::Write as _;
 
 /// Sub-buckets per power-of-two octave: ~3% relative resolution,
@@ -188,100 +185,12 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-request lifecycle milestones reconstructed from the event
-/// stream (timestamps in the report's time base).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RequestTimeline {
-    /// Request id.
-    pub request: u64,
-    /// `ReqArrive` timestamp, if recorded.
-    pub arrived: Option<u64>,
-    /// `ReqAdmit` timestamp, if recorded.
-    pub admitted: Option<u64>,
-    /// `ReqComplete` timestamp, if recorded.
-    pub completed: Option<u64>,
-    /// Invocations the request executed (from the complete event).
-    pub invocations: u64,
-}
-
-/// Serving statistics reconstructed from a recorded report: arrival /
-/// admission / shed / completion counts and the admit→complete latency
-/// distribution.
-#[derive(Clone, Debug, Default)]
-pub struct ServingStats {
-    /// `ReqArrive` events seen.
-    pub arrivals: u64,
-    /// `ReqAdmit` events seen.
-    pub admitted: u64,
-    /// `ReqShed` events seen.
-    pub shed: u64,
-    /// `ReqComplete` events seen.
-    pub completed: u64,
-    /// Admit→complete latency per completed request, in the report's
-    /// time base (nanoseconds for threaded runs).
-    pub latency: LatencyHistogram,
-    /// Every request with at least one lifecycle event, sorted by id.
-    pub timelines: Vec<RequestTimeline>,
-}
-
-impl ServingStats {
-    /// Reconstructs serving statistics by pairing each request id's
-    /// admit and complete events.
-    pub fn from_report(report: &TelemetryReport) -> Self {
-        let mut stats = ServingStats::default();
-        let mut timelines: Vec<RequestTimeline> = Vec::new();
-        let slot = |req: u64, rows: &mut Vec<RequestTimeline>| -> usize {
-            match rows.binary_search_by_key(&req, |t| t.request) {
-                Ok(pos) => pos,
-                Err(pos) => {
-                    rows.insert(
-                        pos,
-                        RequestTimeline {
-                            request: req,
-                            ..RequestTimeline::default()
-                        },
-                    );
-                    pos
-                }
-            }
-        };
-        for e in &report.events {
-            match e.kind {
-                EventKind::ReqArrive => {
-                    stats.arrivals += 1;
-                    let i = slot(e.a, &mut timelines);
-                    timelines[i].arrived = Some(e.ts);
-                }
-                EventKind::ReqAdmit => {
-                    stats.admitted += 1;
-                    let i = slot(e.a, &mut timelines);
-                    timelines[i].admitted = Some(e.ts);
-                }
-                EventKind::ReqShed => stats.shed += 1,
-                EventKind::ReqComplete => {
-                    stats.completed += 1;
-                    let i = slot(e.a, &mut timelines);
-                    timelines[i].completed = Some(e.ts);
-                    timelines[i].invocations = e.b;
-                }
-                _ => {}
-            }
-        }
-        for t in &timelines {
-            if let (Some(admit), Some(done)) = (t.admitted, t.completed) {
-                stats.latency.record(done.saturating_sub(admit));
-            }
-        }
-        stats.timelines = timelines;
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
-    use crate::TimeUnit;
+    use crate::analyze::graph::{ObsRequest, ObservedGraph};
+    use crate::event::{Event, EventKind};
+    use crate::report::TelemetryReport;
 
     #[test]
     fn small_values_are_exact() {
@@ -393,8 +302,6 @@ mod tests {
 
     #[test]
     fn stats_pair_admit_and_complete_by_request() {
-        let mut report = TelemetryReport::empty();
-        report.unit = TimeUnit::Nanos;
         let ev = |ts, kind, a, b| Event {
             ts,
             kind,
@@ -403,26 +310,30 @@ mod tests {
             b,
             c: 0,
         };
-        report.events = vec![
-            ev(10, EventKind::ReqArrive, 1, 1),
-            ev(11, EventKind::ReqAdmit, 1, 1),
-            ev(20, EventKind::ReqArrive, 2, 1),
-            ev(21, EventKind::ReqShed, 2, 2),
-            ev(511, EventKind::ReqComplete, 1, 37),
-        ];
-        let stats = ServingStats::from_report(&report);
-        assert_eq!(stats.arrivals, 2);
-        assert_eq!(stats.admitted, 1);
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.latency.count(), 1);
-        assert_eq!(stats.latency.max(), 500);
-        let t = stats
-            .timelines
-            .iter()
-            .find(|t| t.request == 1)
-            .expect("request 1 timeline");
-        assert_eq!(t.invocations, 37);
-        assert_eq!(t.arrived, Some(10));
+        let report = TelemetryReport {
+            events: vec![
+                ev(10, EventKind::ReqArrive, 1, 1),
+                ev(11, EventKind::ReqAdmit, 1, 1),
+                ev(20, EventKind::ReqArrive, 2, 1),
+                ev(21, EventKind::ReqShed, 2, 2),
+                ev(511, EventKind::ReqComplete, 1, 37),
+            ],
+            ..TelemetryReport::empty()
+        };
+        let graph = ObservedGraph::from_report(&report);
+        let count =
+            |keep: fn(&ObsRequest) -> bool| graph.requests.iter().filter(|r| keep(r)).count();
+        assert_eq!(count(|r| r.arrived.is_some()), 2);
+        assert_eq!(count(|r| r.admitted.is_some()), 1);
+        assert_eq!(count(|r| r.shed), 1);
+        assert_eq!(count(|r| r.completed.is_some()), 1);
+        let latency = graph.latency();
+        assert_eq!(latency.count(), 1);
+        assert_eq!(latency.max(), 500);
+        let row = graph.request(1).expect("request 1 row");
+        assert_eq!(row.invocations, 37);
+        assert_eq!(row.arrived, Some(10));
+        assert!(graph.request(3).is_none());
+        assert_eq!(graph.completed_requests(), vec![1]);
     }
 }

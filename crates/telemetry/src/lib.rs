@@ -11,11 +11,13 @@
 //!   with byte counts, queue-depth samples) with no locks and no
 //!   allocation on the hot path.
 //! * **Metrics** — a [`metrics::MetricsRegistry`] of atomic counters,
-//!   gauges, and log-2 bucketed histograms.
+//!   gauges, and series.
 //! * **Exporters** — Chrome `chrome://tracing` JSON ([`chrome`],
 //!   including predicted-vs-observed side-by-side rendering of
-//!   [`bamboo_schedule::trace::ExecutionTrace`]), a per-core summary
-//!   table, and metrics JSON dumps ([`summary`]).
+//!   [`bamboo_schedule::trace::ExecutionTrace`]) and metrics JSON dumps
+//!   ([`summary`]).
+//! * **Analysis** — one fold over the event stream and one per-core
+//!   ledger walk, with every diagnosis a view over them ([`analyze`]).
 //!
 //! The cost contract: [`Telemetry::disabled`] hands out sinks and
 //! metric handles that are `None` inside, so every recording call is a
@@ -52,7 +54,7 @@ pub mod scope;
 pub mod summary;
 
 pub use event::{Event, EventKind, Timestamp, NO_ID};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Series};
+pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, Series};
 pub use report::TelemetryReport;
 pub use scope::{ScopeConfig, ScopeHandle, ScopeRecorder, ScopeSnapshot};
 
@@ -207,17 +209,6 @@ impl Telemetry {
         }
     }
 
-    /// The histogram named `name` (a shared no-op when disabled).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        match &self.inner {
-            Some(inner) => {
-                inner.allocations.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.histogram(name)
-            }
-            None => Histogram::noop(),
-        }
-    }
-
     /// The series named `name` (a shared no-op when disabled).
     pub fn series(&self, name: &str) -> Series {
         match &self.inner {
@@ -278,18 +269,30 @@ impl Telemetry {
             Err(_) => Vec::new(),
         };
         let mut dropped = 0;
+        let mut covered_from = 0;
         let mut events: Vec<Event> = Vec::new();
         for ring in rings {
-            dropped += ring.dropped();
-            events.extend(ring.drain_ordered());
+            let overwritten = ring.dropped();
+            let kept = ring.drain_ordered();
+            if overwritten > 0 {
+                dropped += overwritten;
+                covered_from = covered_from.max(kept.first().map_or(0, |e| e.ts));
+            }
+            events.extend(kept);
         }
         events.sort_by_key(|e| (e.ts, e.core));
+        // Cut every core to the window all rings still cover, so no
+        // analysis sees one core's history without the others'.
+        let cut = events.partition_point(|e| e.ts < covered_from);
+        events.drain(..cut);
+        dropped += cut as u64;
         TelemetryReport {
             unit: self.time_unit(),
             wall_ns: inner.start.elapsed().as_nanos() as u64,
             cores: inner.cores,
             events,
             dropped,
+            covered_from,
             metrics: inner.metrics.snapshot(),
         }
     }
@@ -570,6 +573,9 @@ mod tests {
         assert_eq!(ts, vec![2, 4, 5, 9]);
         assert_eq!(report.active_cores(), vec![0, 1]);
         assert_eq!(report.dropped, 0);
+        // Nothing dropped, nothing cut: the ledger starts at 0.
+        assert_eq!(report.covered_from, 0);
+        assert_eq!(analyze::Ledger::from_report(&report).start, 0);
     }
 
     #[test]
@@ -614,6 +620,46 @@ mod tests {
         drop(w0);
         let report = telemetry.report();
         assert!(report.dropped > 0);
+    }
+
+    /// One ring wraps and the other does not: the report keeps only
+    /// the window both cover, and the ledger partitions that window
+    /// instead of charging the lost prefix to whatever the wrapped
+    /// core's first retained event names.
+    #[test]
+    fn a_wrapped_ring_cuts_every_core_to_the_covered_window() {
+        let telemetry = Telemetry::with_capacity(2, 64);
+        telemetry.set_time_unit(TimeUnit::Cycles);
+        let mut w0 = telemetry.worker(0);
+        let mut w1 = telemetry.worker(1);
+        // Core 0: 50 bodies of 5 cycles every 10; 100 events into 64
+        // slots, so the ring keeps bodies 18..50 (from cycle 180).
+        for i in 0..50 {
+            w0.task_start(10 * i, 0, 0, i);
+            w0.task_end(10 * i + 5, 0, 0, i);
+        }
+        // Core 1: one body before the covered window, one inside it.
+        w1.task_start(0, 1, 0, 100);
+        w1.task_end(100, 1, 0, 100);
+        w1.obj_recv(150, 64, 0, 7);
+        w1.task_start(200, 1, 0, 101);
+        w1.task_end(400, 1, 0, 101);
+        drop((w0, w1));
+        let report = telemetry.report();
+        assert_eq!(report.covered_from, 180);
+        assert!(report.events.iter().all(|e| e.ts >= report.covered_from));
+        assert_eq!(report.dropped, 36 + 3, "overwritten plus cut");
+        // By hand, over [180, 495]: core 0 computes 32 bodies of 5 and
+        // waits 5 before each but the first; core 1 waits 20, computes
+        // 200 and idles from 400.
+        let ledger = analyze::Ledger::from_report(&report);
+        assert_eq!((ledger.start, ledger.span), (180, 315));
+        let buckets = |row: &analyze::CoreLedger| (row.compute, row.queue_wait, row.idle);
+        assert_eq!(buckets(&ledger.cores[0]), (160, 155, 0));
+        assert_eq!(buckets(&ledger.cores[1]), (200, 20, 95));
+        for row in &ledger.cores {
+            assert_eq!(row.total(), ledger.span);
+        }
     }
 
     #[test]

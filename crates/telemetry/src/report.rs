@@ -15,10 +15,19 @@ pub struct TelemetryReport {
     pub wall_ns: u64,
     /// Worker/core count the session was created with.
     pub cores: usize,
-    /// Retained events, ordered by `(ts, core)`.
+    /// Retained events, ordered by `(ts, core)`; none is earlier than
+    /// [`Self::covered_from`].
     pub events: Vec<Event>,
-    /// Events lost to ring overwrites (0 unless a ring filled up).
+    /// Recorded events not retained: lost to ring overwrites, or cut
+    /// to keep every core's window the same (0 unless a ring filled
+    /// up).
     pub dropped: u64,
+    /// Start of the window every ring retains: the latest first
+    /// retained timestamp among the rings that overwrote events (0
+    /// when nothing was dropped). Analyses that partition time start
+    /// here rather than at 0, so a busy core's lost prefix is not
+    /// attributed to whatever its first retained event names.
+    pub covered_from: Timestamp,
     /// Metrics at report time.
     pub metrics: MetricsSnapshot,
 }
@@ -32,6 +41,7 @@ impl TelemetryReport {
             cores: 0,
             events: Vec::new(),
             dropped: 0,
+            covered_from: 0,
             metrics: MetricsSnapshot::default(),
         }
     }
@@ -47,24 +57,6 @@ impl TelemetryReport {
     /// Events recorded by `core`, in timestamp order.
     pub fn events_on(&self, core: u32) -> impl Iterator<Item = &Event> {
         self.events.iter().filter(move |e| e.core == core)
-    }
-
-    /// Events recorded by `core` as an owned, timestamp-ordered vector
-    /// (events are small `Copy` records; consumers that index or
-    /// re-scan repeatedly want this over the [`Self::events_on`]
-    /// iterator).
-    pub fn events_for_core(&self, core: u32) -> Vec<Event> {
-        self.events_on(core).copied().collect()
-    }
-
-    /// The contiguous slice of events whose timestamps fall in `range`
-    /// (half-open, like all Rust ranges). O(log n): the event vector is
-    /// ordered by `(ts, core)`, so the window is located by binary
-    /// search rather than a scan.
-    pub fn events_in(&self, range: std::ops::Range<Timestamp>) -> &[Event] {
-        let lo = self.events.partition_point(|e| e.ts < range.start);
-        let hi = self.events.partition_point(|e| e.ts < range.end);
-        &self.events[lo..hi]
     }
 
     /// Number of events of `kind`.
@@ -108,46 +100,6 @@ mod tests {
         assert_eq!(report.events_on(0).count(), 2);
         assert_eq!(report.count(EventKind::TaskStart), 2);
         assert_eq!(report.last_ts(), 3);
-    }
-
-    #[test]
-    fn events_for_core_copies_in_order() {
-        let report = TelemetryReport {
-            events: vec![
-                ev(1, 0, EventKind::TaskStart),
-                ev(2, 1, EventKind::TaskStart),
-                ev(3, 0, EventKind::TaskEnd),
-                ev(4, 1, EventKind::TaskEnd),
-            ],
-            ..TelemetryReport::empty()
-        };
-        let core0 = report.events_for_core(0);
-        assert_eq!(core0.len(), 2);
-        assert_eq!(core0[0].ts, 1);
-        assert_eq!(core0[1].ts, 3);
-        assert!(report.events_for_core(7).is_empty());
-    }
-
-    #[test]
-    fn events_in_slices_the_time_window() {
-        let report = TelemetryReport {
-            events: vec![
-                ev(10, 0, EventKind::TaskStart),
-                ev(20, 1, EventKind::TaskStart),
-                ev(30, 0, EventKind::TaskEnd),
-                ev(40, 1, EventKind::TaskEnd),
-            ],
-            ..TelemetryReport::empty()
-        };
-        // Half-open: [20, 40) keeps ts 20 and 30, drops 40.
-        let window = report.events_in(20..40);
-        assert_eq!(
-            window.iter().map(|e| e.ts).collect::<Vec<_>>(),
-            vec![20, 30]
-        );
-        assert!(report.events_in(0..10).is_empty());
-        assert!(report.events_in(41..100).is_empty());
-        assert_eq!(report.events_in(0..u64::MAX).len(), 4);
     }
 
     #[test]

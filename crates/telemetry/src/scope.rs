@@ -40,13 +40,14 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// Closed windows retained for snapshots (older ones roll off).
+const WINDOWS_KEPT: usize = 8;
+
 /// Configuration of the live scope plane.
 #[derive(Clone, Debug)]
 pub struct ScopeConfig {
     /// Tumbling window width.
     pub window: Duration,
-    /// Closed windows retained for snapshots (older ones roll off).
-    pub windows_kept: usize,
     /// Slowest completed requests sampled per window.
     pub slow_k: usize,
     /// Reservoir size for non-tail completed requests per window.
@@ -69,7 +70,6 @@ impl Default for ScopeConfig {
     fn default() -> Self {
         ScopeConfig {
             window: Duration::from_secs(1),
-            windows_kept: 8,
             slow_k: 4,
             reservoir: 4,
             shed_cap: 16,
@@ -100,12 +100,6 @@ impl ScopeConfig {
     pub fn with_sampling(mut self, slow_k: usize, reservoir: usize) -> Self {
         self.slow_k = slow_k;
         self.reservoir = reservoir;
-        self
-    }
-
-    /// Sets how many closed windows snapshots retain.
-    pub fn with_windows_kept(mut self, kept: usize) -> Self {
-        self.windows_kept = kept.max(1);
         self
     }
 
@@ -229,7 +223,7 @@ impl ScopeState {
         let closed = std::mem::take(&mut self.current);
         self.finalize_samples(&closed);
         self.closed.push_back(closed);
-        while self.closed.len() > self.config.windows_kept {
+        while self.closed.len() > WINDOWS_KEPT {
             self.closed.pop_front();
         }
         // Jump straight to the window containing `now` — idle gaps do
@@ -810,18 +804,22 @@ mod tests {
         let r = ScopeRecorder::new(
             ScopeConfig::default()
                 .with_window(Duration::from_millis(1))
-                .with_windows_kept(2)
                 .with_sampling(1, 0),
         );
-        for i in 0..10u64 {
+        let total = 2 * WINDOWS_KEPT as u64;
+        for i in 0..total {
             let t = i * 1_000; // one request per window
             r.arrive(t, i + 1);
             r.complete(t + 50, i + 1, 1);
         }
         let snap = r.snapshot();
-        assert!(snap.windows.len() <= 3, "2 closed + live partial");
+        assert!(
+            snap.windows.len() <= WINDOWS_KEPT + 1,
+            "kept closed windows + live partial"
+        );
         let oldest = snap.windows[0].index;
+        assert!(oldest > 0, "the first windows rolled off");
         assert!(snap.sampled.iter().all(|s| s.window >= oldest));
-        assert_eq!(snap.totals.completed, 10, "totals survive roll-off");
+        assert_eq!(snap.totals.completed, total, "totals survive roll-off");
     }
 }

@@ -1,104 +1,8 @@
-//! Human-readable per-core summary table and metrics JSON dump.
+//! Metrics JSON dump.
 
-use crate::event::EventKind;
-use crate::json::{write_f64, write_str};
+use crate::json::write_str;
 use crate::metrics::MetricsSnapshot;
-use crate::report::TelemetryReport;
-use crate::TimeUnit;
 use std::fmt::Write as _;
-
-#[derive(Clone, Copy, Debug, Default)]
-struct CoreRow {
-    tasks: u64,
-    busy: u64,
-    retries: u64,
-    sends: u64,
-    recvs: u64,
-    bytes_out: u64,
-    max_queue: u64,
-    steals: u64,
-}
-
-/// Renders a per-core utilization/contention/traffic table.
-///
-/// One row per active core: dispatched tasks, busy time, utilization
-/// against the session's span, lock retries, object traffic, and the
-/// deepest observed queue.
-pub fn per_core_table(report: &TelemetryReport) -> String {
-    let max_core = report.events.iter().map(|e| e.core).max().unwrap_or(0) as usize;
-    let mut rows: Vec<CoreRow> = vec![CoreRow::default(); max_core + 1];
-    let mut open: Vec<Option<u64>> = vec![None; max_core + 1];
-    for e in &report.events {
-        let row = &mut rows[e.core as usize];
-        match e.kind {
-            EventKind::TaskStart => open[e.core as usize] = Some(e.ts),
-            EventKind::TaskEnd => {
-                row.tasks += 1;
-                if let Some(start) = open[e.core as usize].take() {
-                    row.busy += e.ts.saturating_sub(start);
-                }
-            }
-            EventKind::LockFailed => row.retries += 1,
-            EventKind::ObjSend => {
-                row.sends += 1;
-                row.bytes_out += e.a;
-            }
-            EventKind::ObjRecv => row.recvs += 1,
-            EventKind::QueueDepth => row.max_queue = row.max_queue.max(e.a),
-            EventKind::Steal => row.steals += 1,
-            EventKind::LockAcquired
-            | EventKind::InvQueued
-            | EventKind::InvLink
-            | EventKind::Fault
-            | EventKind::Recover
-            | EventKind::ReqArrive
-            | EventKind::ReqAdmit
-            | EventKind::ReqShed
-            | EventKind::ReqComplete
-            | EventKind::TaskExit
-            | EventKind::TaskAlloc
-            | EventKind::Relayout => {}
-        }
-    }
-    let span = match report.unit {
-        TimeUnit::Nanos => report.wall_ns.max(1),
-        TimeUnit::Cycles => report.last_ts().max(1),
-    };
-    let time_label = match report.unit {
-        TimeUnit::Nanos => "ns",
-        TimeUnit::Cycles => "cycles",
-    };
-    let mut out = format!(
-        "per-core summary ({} events, {} dropped, span {} {})\n",
-        report.events.len(),
-        report.dropped,
-        span,
-        time_label
-    );
-    let _ = writeln!(
-        out,
-        "core   tasks        busy  util%  retries   sends   recvs    bytes-out  max-queue  steals"
-    );
-    for (core, row) in rows.iter().enumerate() {
-        if report.events_on(core as u32).next().is_none() {
-            continue;
-        }
-        let util = 100.0 * row.busy as f64 / span as f64;
-        let _ = writeln!(
-            out,
-            "{core:>4} {:>7} {:>11} {util:>6.1} {:>8} {:>7} {:>7} {:>12} {:>10} {:>7}",
-            row.tasks,
-            row.busy,
-            row.retries,
-            row.sends,
-            row.recvs,
-            row.bytes_out,
-            row.max_queue,
-            row.steals
-        );
-    }
-    out
-}
 
 /// Serializes a [`MetricsSnapshot`] as a JSON document, suitable for
 /// dropping into `results/`.
@@ -120,33 +24,6 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
         out.push_str("\n    ");
         write_str(&mut out, name);
         let _ = write!(out, ": {value}");
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        write_str(&mut out, name);
-        let _ = write!(
-            out,
-            ": {{\"count\": {}, \"sum\": {}, \"mean\": ",
-            h.count, h.sum
-        );
-        write_f64(&mut out, h.mean());
-        let _ = write!(
-            out,
-            ", \"p50\": {}, \"p99\": {}, \"buckets\": [",
-            h.quantile(0.5),
-            h.quantile(0.99)
-        );
-        for (j, (idx, n)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{idx},{n}]");
-        }
-        out.push_str("]}");
     }
     out.push_str("\n  },\n  \"series\": {");
     for (i, (name, points)) in snapshot.series.iter().enumerate() {
@@ -171,93 +48,14 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
     use crate::json;
     use crate::metrics::MetricsRegistry;
-
-    #[test]
-    fn table_aggregates_per_core() {
-        let mut report = TelemetryReport::empty();
-        report.unit = TimeUnit::Cycles;
-        report.events = vec![
-            Event {
-                ts: 0,
-                kind: EventKind::TaskStart,
-                core: 0,
-                a: 1,
-                b: 0,
-                c: 0,
-            },
-            Event {
-                ts: 80,
-                kind: EventKind::TaskEnd,
-                core: 0,
-                a: 1,
-                b: 0,
-                c: 0,
-            },
-            Event {
-                ts: 10,
-                kind: EventKind::LockFailed,
-                core: 1,
-                a: 2,
-                b: 1,
-                c: 0,
-            },
-            Event {
-                ts: 20,
-                kind: EventKind::ObjSend,
-                core: 1,
-                a: 128,
-                b: 0,
-                c: 0,
-            },
-            Event {
-                ts: 30,
-                kind: EventKind::QueueDepth,
-                core: 1,
-                a: 7,
-                b: 0,
-                c: 0,
-            },
-            Event {
-                ts: 100,
-                kind: EventKind::TaskEnd,
-                core: 1,
-                a: 1,
-                b: 0,
-                c: 0,
-            },
-        ];
-        report.events.sort_by_key(|e| e.ts);
-        let table = per_core_table(&report);
-        assert!(table.contains("span 100 cycles"), "{table}");
-        let core0: Vec<&str> = table
-            .lines()
-            .find(|l| l.trim_start().starts_with("0 "))
-            .unwrap()
-            .split_whitespace()
-            .collect();
-        assert_eq!(core0[1], "1"); // tasks
-        assert_eq!(core0[2], "80"); // busy
-        assert_eq!(core0[3], "80.0"); // util%
-        let core1: Vec<&str> = table
-            .lines()
-            .find(|l| l.trim_start().starts_with("1 "))
-            .unwrap()
-            .split_whitespace()
-            .collect();
-        assert_eq!(core1[4], "1"); // retries
-        assert_eq!(core1[7], "128"); // bytes out
-        assert_eq!(core1[8], "7"); // max queue
-    }
 
     #[test]
     fn metrics_json_parses_back() {
         let reg = MetricsRegistry::new();
         reg.counter("dispatches").add(9);
         reg.gauge("depth").set(-3);
-        reg.histogram("lat").record(5);
         reg.series("traj").extend(&[30, 20, 20]);
         let text = metrics_json(&reg.snapshot());
         let doc = json::parse(&text).unwrap();
@@ -273,9 +71,6 @@ mod tests {
             doc.get("gauges").unwrap().get("depth").unwrap().as_f64(),
             Some(-3.0)
         );
-        let lat = doc.get("histograms").unwrap().get("lat").unwrap();
-        assert_eq!(lat.get("count").unwrap().as_f64(), Some(1.0));
-        assert_eq!(lat.get("p50").unwrap().as_f64(), Some(4.0));
         let traj = doc
             .get("series")
             .unwrap()

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example serving_deploy`
 
 use bamboo::prelude::*;
-use bamboo::telemetry::analyze::ServingStats;
+use bamboo::telemetry::analyze::ObservedGraph;
 use rand::SeedableRng;
 
 /// Squares `n` numbers per request and reduces them to a sum.
@@ -134,14 +134,15 @@ fn main() -> Result<(), Error> {
 
     // The same story, reconstructed purely from the recorded
     // `serving.*` events (ring timestamps are nanoseconds).
-    let stats = ServingStats::from_report(&telemetry.report());
+    let graph = ObservedGraph::from_report(&telemetry.report());
+    let rows = &graph.requests;
     println!(
         "rings:    {} arrivals, {} admitted, {} shed, {} completed, p99 {}µs",
-        stats.arrivals,
-        stats.admitted,
-        stats.shed,
-        stats.completed,
-        stats.latency.p99() / 1_000,
+        rows.iter().filter(|r| r.arrived.is_some()).count(),
+        rows.iter().filter(|r| r.admitted.is_some()).count(),
+        rows.iter().filter(|r| r.shed).count(),
+        rows.iter().filter(|r| r.completed.is_some()).count(),
+        graph.latency().p99() / 1_000,
     );
     Ok(())
 }

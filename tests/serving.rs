@@ -6,7 +6,7 @@
 //! invocations it transitively spawned finished, with the tally
 //! verified against the deterministic virtual executor's causal graph.
 
-use bamboo::telemetry::analyze::ServingStats;
+use bamboo::telemetry::analyze::ObservedGraph;
 use bamboo::{
     AdmissionControl, Compiler, Deployment, Error, ExecConfig, FaultSpec, KillTarget,
     MachineDescription, NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, Server,
@@ -119,15 +119,29 @@ fn per_request_completion_is_exact_against_virtual_graph() {
         );
 
         // The same numbers fall out of the recorded event rings.
-        let stats = ServingStats::from_report(&telemetry.report());
-        assert_eq!(stats.arrivals, total as u64, "{bench}");
-        assert_eq!(stats.admitted, total as u64, "{bench}");
-        assert_eq!(stats.shed, 0, "{bench}");
-        assert_eq!(stats.completed, total as u64, "{bench}");
-        assert_eq!(stats.latency.count(), total as u64, "{bench}");
-        assert!(stats.latency.p99() >= stats.latency.p50(), "{bench}");
-        for t in &stats.timelines {
-            assert_eq!(t.invocations, expected, "{bench}: request {}", t.request);
+        let graph = ObservedGraph::from_report(&telemetry.report());
+        let rows = &graph.requests;
+        assert_eq!(
+            rows.iter().filter(|r| r.arrived.is_some()).count(),
+            total,
+            "{bench}"
+        );
+        assert_eq!(
+            rows.iter().filter(|r| r.admitted.is_some()).count(),
+            total,
+            "{bench}"
+        );
+        assert_eq!(rows.iter().filter(|r| r.shed).count(), 0, "{bench}");
+        assert_eq!(
+            rows.iter().filter(|r| r.completed.is_some()).count(),
+            total,
+            "{bench}"
+        );
+        let latency = graph.latency();
+        assert_eq!(latency.count(), total as u64, "{bench}");
+        assert!(latency.p99() >= latency.p50(), "{bench}");
+        for r in rows {
+            assert_eq!(r.invocations, expected, "{bench}: request {}", r.id);
         }
     }
 }

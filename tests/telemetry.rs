@@ -6,6 +6,7 @@
 //! exported virtual traces, the predicted-vs-observed side-by-side
 //! export, and DSA search statistics flowing into the metrics registry.
 
+use bamboo::telemetry::analyze::Ledger;
 use bamboo::telemetry::{chrome, json, summary, EventKind};
 use bamboo::{
     simulate, Compiler, ExecConfig, MachineDescription, Profile, SimOptions, SynthesisOptions,
@@ -97,9 +98,9 @@ fn exported_chrome_trace_has_valid_structure() {
         .count() as u64;
     assert_eq!(slices, run.invocations);
 
-    // The human-readable summary and the metrics dump render from the
-    // same report.
-    let table = summary::per_core_table(&report);
+    // The per-core table and the metrics dump render from the same
+    // report.
+    let table = Ledger::from_report(&report).table();
     for core in &active {
         assert!(
             table.contains(&format!("\n{core:>4} ")),
