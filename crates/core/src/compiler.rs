@@ -100,8 +100,11 @@ impl Compiler {
     }
 
     /// Runs the single-core profiling bootstrap (paper §4.3.1): executes
-    /// the program on one core, collecting a [`Profile`], and hands the
-    /// finished executor to `inspect` for result extraction.
+    /// the program on one virtual core, collecting a [`Profile`], and
+    /// hands the finished executor to `inspect` for result extraction.
+    /// The virtual core is sequential, but a native program's formed
+    /// bodies may run ahead on the host's spare hardware threads; the
+    /// profile and report do not depend on it.
     ///
     /// # Errors
     ///

@@ -13,7 +13,9 @@
 //! TILEPro64):
 //!
 //! - [`VirtualExecutor`] — executes real task bodies on N virtual cores
-//!   under a deterministic cycle cost model; single host thread. With a
+//!   under a deterministic cycle cost model. Virtual time advances on one
+//!   host thread; formed native bodies may run ahead on the host's spare
+//!   hardware threads, with the same results at any thread count. With a
 //!   single-core layout this is the sequential profiling/1-core-Bamboo
 //!   executor.
 //! - [`ThreadedExecutor`] — real OS threads, one per core, with real

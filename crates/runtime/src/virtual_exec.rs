@@ -9,11 +9,25 @@
 //! created objects where the simulator reads profile predictions. So
 //! the two are directly comparable (the paper's Figure 9 experiment).
 //!
+//! Virtual time is one host thread's business, but native bodies need
+//! not wait for it. A formed invocation holds all its parameter objects
+//! until it completes, and no body sees anything but its parameters, so
+//! a formed native body can run as soon as it is formed. On a host with
+//! spare hardware threads a body thread per spare thread runs queued
+//! bodies ahead, newest first and only while at least three are queued,
+//! which leaves the kernel the ones it starts next. The kernel takes
+//! each result when the invocation starts and does everything else
+//! there — tag minting, created tags, profile, cost, telemetry — so a
+//! run's report, profile, trace and payloads are the same at any thread
+//! count. Interpreted programs (the interpreter heap is one value) and
+//! native programs whose lock plans merge parameters (their objects may
+//! share heap) run every body inline at its start.
+//!
 //! With a single-core layout this is the sequential reference executor
 //! used for profiling bootstrap and the 1-core Bamboo measurements.
 
 use crate::cost::CostModel;
-use crate::program::{NativePayload, Program, TaskCtx};
+use crate::program::{NativeBody, NativePayload, Program, TaskCtx};
 use crate::store::{ObjId, ObjectStore, PayloadSlot};
 use bamboo_analysis::DisjointnessAnalysis;
 use bamboo_lang::ids::{AllocSiteId, ExitId, ParamIdx, TagTypeId, TaskId};
@@ -24,8 +38,12 @@ use bamboo_schedule::sim::kernel::{Invocation, Kernel, Objects, Source, Tables, 
 use bamboo_schedule::trace::ExecutionTrace;
 use bamboo_schedule::{GroupGraph, Layout};
 use bamboo_telemetry::{Telemetry, TimeUnit, WorkerSink};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, JoinHandle};
 
 /// Executor configuration.
 #[derive(Clone, Debug)]
@@ -224,7 +242,9 @@ impl<'p> VirtualExecutor<'p> {
     ///
     /// # Panics
     ///
-    /// Panics when called a second time: one executor runs once.
+    /// Panics when called a second time: one executor runs once. A
+    /// native body's panic propagates from here when its invocation
+    /// starts, whichever host thread ran the body.
     pub fn run(&mut self, startup: Option<NativePayload>) -> Result<RunReport, ExecError> {
         assert!(self.store.is_empty(), "a VirtualExecutor runs once");
         let telemetry = &self.config.telemetry;
@@ -244,6 +264,10 @@ impl<'p> VirtualExecutor<'p> {
         // The kernel numbers objects as the store does: the startup
         // object is 0, created objects follow in creation order.
         self.store.alloc(spec.startup.class, vec![], payload);
+        #[cfg(test)]
+        tests_support::RAN_AHEAD.set(None);
+        let run_ahead = self.program.is_native()
+            && !self.locks.lock_plans.iter().any(|plan| plan.has_sharing());
         let mut bodies = Bodies {
             program: self.program,
             locks: self.locks,
@@ -258,6 +282,7 @@ impl<'p> VirtualExecutor<'p> {
             sinks,
             tag_env: Vec::new(),
             pending: Vec::new(),
+            ahead: run_ahead.then(RunAhead::new).flatten(),
             body_cycles: 0,
             overhead_cycles: 0,
         };
@@ -268,7 +293,11 @@ impl<'p> VirtualExecutor<'p> {
             self.config.collect_trace,
             Cycles::MAX,
             self.config.max_invocations,
-        )?;
+        );
+        if let Some(ahead) = bodies.ahead.take() {
+            ahead.settle(bodies.store);
+        }
+        let out = out?;
         if !out.completed {
             return Err(ExecError::Diverged(self.config.max_invocations));
         }
@@ -330,6 +359,8 @@ struct Bodies<'e, 'p> {
     /// Tags bound by the pick in progress, and per invocation id.
     tag_env: Vec<Option<TagInstance>>,
     pending: Vec<Pending>,
+    /// Body threads, when native bodies may run ahead of their start.
+    ahead: Option<RunAhead>,
     body_cycles: Cycles,
     overhead_cycles: Cycles,
 }
@@ -347,28 +378,20 @@ impl Bodies<'_, '_> {
     ) -> Result<(ExitId, Cycles, Vec<Created>), ExecError> {
         let tspec = self.program.spec.task(inv.task);
         let pending = &mut self.pending[inv.id as usize];
-        if let Some(body) = self.program.native_body(inv.task) {
-            let mut payloads: Vec<NativePayload> = inv
-                .params
-                .iter()
-                .map(|&o| self.store.take_native(ObjId(o)))
-                .collect();
-            let mut ctx = TaskCtx::new(&mut payloads, tspec.alloc_sites.len(), tspec.exits.len());
-            let exit_idx = body(&mut ctx);
-            let exit = ExitId::new(ctx.check_exit(exit_idx));
-            let (charged, created) = ctx.finish();
-            for (&o, p) in inv.params.iter().zip(payloads) {
-                self.store.put_native(ObjId(o), p);
-            }
-            let created = created
-                .into_iter()
+        if self.program.is_native() {
+            let ran = match &mut self.ahead {
+                Some(ahead) => ahead.take(inv.id),
+                None => Job::take(self.program, self.store, inv).run(),
+            };
+            ran.job.put_back(self.store);
+            let created = (ran.created.into_iter())
                 .map(|(site, payload)| {
                     let site = AllocSiteId::new(site);
                     let tags = tspec.created_tags(site, &pending.tag_env);
                     (site, PayloadSlot::Native(payload), tags)
                 })
                 .collect();
-            return Ok((exit, charged, created));
+            return Ok((ExitId::new(ran.exit), ran.charged, created));
         }
         let refs: Vec<ObjRef> = inv
             .params
@@ -418,6 +441,9 @@ impl Source for Bodies<'_, '_> {
             exit: ExitId::new(0),
             created: Vec::new(),
         });
+        if let Some(ahead) = &mut self.ahead {
+            ahead.queue(inv.id, Job::take(self.program, self.store, inv));
+        }
     }
 
     fn start(
@@ -517,6 +543,252 @@ impl Source for Bodies<'_, '_> {
     }
 }
 
+/// Bodies a body thread leaves queued for the kernel: it takes a job
+/// only while more than this many are queued. The kernel starts the
+/// oldest next, so a body thread that took them would make the kernel
+/// wait where it could have run the body itself.
+const KEPT_FOR_KERNEL: usize = 2;
+
+/// Host threads a run can spare for bodies: all but the kernel's.
+fn spare_threads() -> usize {
+    #[cfg(test)]
+    if tests_support::FORCE_INLINE.get() {
+        return 0;
+    }
+    static SPARE: OnceLock<usize> = OnceLock::new();
+    *SPARE.get_or_init(|| thread::available_parallelism().map_or(0, |n| n.get() - 1))
+}
+
+/// A formed native invocation's body with its parameter payloads, which
+/// stay out of the store until the invocation starts.
+struct Job {
+    body: NativeBody,
+    params: Vec<u32>,
+    payloads: Vec<NativePayload>,
+    sites: usize,
+    exits: usize,
+}
+
+/// A job whose body ran: the job (its payloads as the body left them),
+/// the checked exit index, the charged cycles and the created objects.
+struct Ran {
+    job: Job,
+    exit: usize,
+    charged: Cycles,
+    created: Vec<(usize, NativePayload)>,
+}
+
+impl Job {
+    /// Takes `inv`'s parameter payloads out of `store`.
+    fn take(program: &Program, store: &mut ObjectStore, inv: Invocation<'_>) -> Job {
+        let tspec = program.spec.task(inv.task);
+        Job {
+            body: program
+                .native_body(inv.task)
+                .expect("native program")
+                .clone(),
+            params: inv.params.to_vec(),
+            payloads: (inv.params.iter())
+                .map(|&o| store.take_native(ObjId(o)))
+                .collect(),
+            sites: tspec.alloc_sites.len(),
+            exits: tspec.exits.len(),
+        }
+    }
+
+    fn run(mut self) -> Ran {
+        let mut ctx = TaskCtx::new(&mut self.payloads, self.sites, self.exits);
+        let exit = (self.body)(&mut ctx);
+        let exit = ctx.check_exit(exit);
+        let (charged, created) = ctx.finish();
+        Ran {
+            job: self,
+            exit,
+            charged,
+            created,
+        }
+    }
+
+    /// Returns the parameter payloads to `store`.
+    fn put_back(self, store: &mut ObjectStore) {
+        for (&o, payload) in self.params.iter().zip(self.payloads) {
+            store.put_native(ObjId(o), payload);
+        }
+    }
+}
+
+/// The body threads' side of [`RunAhead`].
+#[derive(Default)]
+struct Shared {
+    state: Mutex<Queue>,
+    /// Body threads wait here for a deep enough queue.
+    work: Condvar,
+    /// The kernel waits here for a body another thread runs.
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// Jobs nobody has taken, by invocation id (formation order).
+    queued: BTreeMap<u32, Job>,
+    /// Bodies run before their invocation started, by invocation id.
+    finished: HashMap<u32, thread::Result<Ran>>,
+    /// Body threads waiting on `work`.
+    idle: usize,
+    /// Whether the kernel waits on `done`.
+    waiting: bool,
+    /// Set when the run ends: body threads exit.
+    closed: bool,
+    /// Bodies the body threads ran.
+    #[cfg(test)]
+    ran_ahead: u64,
+}
+
+impl Shared {
+    /// Locks the queue. Bodies run outside the lock, so a panic never
+    /// poisons it with a half-made change.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn body_thread(&self) {
+        let mut q = self.lock();
+        while !q.closed {
+            if q.queued.len() <= KEPT_FOR_KERNEL {
+                q.idle += 1;
+                q = self.work.wait(q).unwrap_or_else(|e| e.into_inner());
+                q.idle -= 1;
+                continue;
+            }
+            let (id, job) = q.queued.pop_last().expect("queue is deep");
+            drop(q);
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| job.run()));
+            q = self.lock();
+            q.finished.insert(id, ran);
+            #[cfg(test)]
+            {
+                q.ran_ahead += 1;
+            }
+            if q.waiting {
+                self.done.notify_one();
+            }
+        }
+    }
+}
+
+/// Runs formed native bodies on spare hardware threads ahead of their
+/// start (see the module docs). The threads are spawned when the queue
+/// first gets deep enough for them.
+struct RunAhead {
+    shared: Arc<Shared>,
+    spare: usize,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl RunAhead {
+    /// `None` on a host with no thread to spare.
+    fn new() -> Option<RunAhead> {
+        let spare = spare_threads();
+        (spare > 0).then(|| RunAhead {
+            shared: Arc::default(),
+            spare,
+            threads: Vec::new(),
+        })
+    }
+
+    /// Queues formed invocation `id`'s body.
+    fn queue(&mut self, id: u32, job: Job) {
+        let mut q = self.shared.lock();
+        q.queued.insert(id, job);
+        if q.queued.len() <= KEPT_FOR_KERNEL {
+            return;
+        }
+        if q.idle > 0 {
+            self.shared.work.notify_one();
+        }
+        drop(q);
+        while self.spare > 0 {
+            self.spare -= 1;
+            let shared = Arc::clone(&self.shared);
+            // A host that cannot start a thread runs the bodies inline.
+            if let Ok(handle) = thread::Builder::new()
+                .name("bamboo-body".into())
+                .spawn(move || shared.body_thread())
+            {
+                self.threads.push(handle);
+            }
+        }
+    }
+
+    /// Invocation `id`'s body outcome, now that it starts: run ahead, or
+    /// run here if still queued. While another thread runs it, the
+    /// kernel runs the oldest queued body instead of waiting.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the body's panic, wherever the body ran.
+    fn take(&mut self, id: u32) -> Ran {
+        let mut q = self.shared.lock();
+        let ran = loop {
+            if let Some(job) = q.queued.remove(&id) {
+                drop(q);
+                return job.run();
+            }
+            if let Some(ran) = q.finished.remove(&id) {
+                break ran;
+            }
+            if let Some((other, job)) = q.queued.pop_first() {
+                drop(q);
+                let ran = panic::catch_unwind(AssertUnwindSafe(|| job.run()));
+                q = self.shared.lock();
+                q.finished.insert(other, ran);
+                continue;
+            }
+            q.waiting = true;
+            q = self.shared.done.wait(q).unwrap_or_else(|e| e.into_inner());
+            q.waiting = false;
+        };
+        drop(q);
+        ran.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    /// Stops and joins the body threads.
+    fn close(&mut self) {
+        self.shared.lock().closed = true;
+        self.shared.work.notify_all();
+        for handle in self.threads.drain(..) {
+            // Bodies run under `catch_unwind`: a body thread never panics.
+            let _ = handle.join();
+        }
+    }
+
+    /// Ends the run's run-ahead: joins the body threads and returns every
+    /// payload still held by a job to `store`. Only a run that stopped
+    /// early leaves jobs; a body that ran ahead of an invocation the run
+    /// never started leaves its changes on its parameters' payloads, and
+    /// its created objects are dropped.
+    fn settle(mut self, store: &mut ObjectStore) {
+        self.close();
+        let mut q = self.shared.lock();
+        #[cfg(test)]
+        tests_support::RAN_AHEAD.set(Some(q.ran_ahead));
+        for job in std::mem::take(&mut q.queued).into_values() {
+            job.put_back(store);
+        }
+        // A job whose body panicked lost its payloads with it.
+        for ran in std::mem::take(&mut q.finished).into_values().flatten() {
+            ran.job.put_back(store);
+        }
+    }
+}
+
+impl Drop for RunAhead {
+    /// A run that unwinds still joins its body threads.
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests_support {
     //! Fixtures shared between the virtual and threaded executor tests.
@@ -529,6 +801,15 @@ pub(crate) mod tests_support {
     use bamboo_machine::CoreId;
     use bamboo_profile::ProfileCollector;
     use bamboo_schedule::transforms::Replication;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set to run every body of this thread's runs inline.
+        pub(crate) static FORCE_INLINE: Cell<bool> = const { Cell::new(false) };
+        /// Bodies the body threads ran in this thread's last run, `None`
+        /// if no run used them.
+        pub(crate) static RAN_AHEAD: Cell<Option<u64>> = const { Cell::new(None) };
+    }
 
     /// A native fan-out/reduce program: startup creates N work items and
     /// one accumulator; `work` squares each item; `reduce` folds items
@@ -593,8 +874,8 @@ pub(crate) mod tests_support {
         Program::from_native(b.build().unwrap())
     }
 
-    /// Builds the analyses + a layout spreading the work group over
-    /// `cores` cores.
+    /// The analyses + a layout spreading [`native_program`]'s work group
+    /// over `cores` cores.
     pub(crate) fn fanout_setup(
         n: i64,
         cores: usize,
@@ -605,7 +886,21 @@ pub(crate) mod tests_support {
         MachineDescription,
         DisjointnessAnalysis,
     ) {
-        let program = native_program(n);
+        spread_work(native_program(n), cores)
+    }
+
+    /// The analyses + a layout spreading the group of `program`'s `work`
+    /// task over `cores` cores.
+    pub(crate) fn spread_work(
+        program: Program,
+        cores: usize,
+    ) -> (
+        Program,
+        GroupGraph,
+        Layout,
+        MachineDescription,
+        DisjointnessAnalysis,
+    ) {
         let analysis = DependenceAnalysis::run(&program.spec);
         let cstg = Cstg::build(&program.spec, &analysis);
         let empty_profile = ProfileCollector::new(&program.spec, "bootstrap").finish();
@@ -918,6 +1213,212 @@ mod tests {
 }
 
 #[cfg(test)]
+mod ahead_tests {
+    //! Run-ahead changes when a body runs, never what a run produces.
+    use super::tests_support::{spread_work, FORCE_INLINE, RAN_AHEAD};
+    use super::*;
+    use crate::program::body;
+    use bamboo_lang::builder::ProgramBuilder;
+    use bamboo_lang::spec::FlagExpr;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    const ITEMS: i64 = 64;
+
+    /// A deep fan-out: `startup` creates `n` items and an accumulator;
+    /// `work` mixes its item in a loop, charges by item, takes exit
+    /// "even" or "odd" and creates a `Note` for every third item;
+    /// `reduce` folds the items into the accumulator. Item `panic_at`'s
+    /// body panics. With `hold`, item 1's body waits (ten seconds at
+    /// most) until item `hold`'s body has started: on one core the
+    /// kernel runs item 1 itself with every other item queued, so only
+    /// a body thread can start item `hold` meanwhile.
+    fn deep_fanout(n: i64, panic_at: Option<i64>, hold: Option<i64>) -> Program {
+        let started: Arc<Vec<AtomicBool>> =
+            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
+        let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("deep-fanout");
+        let s = b.class("StartupObject", &["initialstate"]);
+        let w = b.class("Work", &["ready", "done"]);
+        let acc = b.class("Acc", &["open", "closed"]);
+        let note = b.class("Note", &["fresh"]);
+        let init = b.flag(s, "initialstate");
+        let ready = b.flag(w, "ready");
+        let done = b.flag(w, "done");
+        let open = b.flag(acc, "open");
+        let closed = b.flag(acc, "closed");
+        let fresh = b.flag(note, "fresh");
+        b.task("startup")
+            .param("s", s, FlagExpr::flag(init))
+            .alloc(w, &[(ready, true)], &[])
+            .alloc(acc, &[(open, true)], &[])
+            .exit("", |e| e.set(0, init, false))
+            .body(body(move |ctx| {
+                for i in 0..n {
+                    ctx.create(0, i);
+                }
+                ctx.create(1, (0i64, 0i64, n));
+                ctx.charge(50);
+                0
+            }))
+            .finish();
+        b.task("work")
+            .param("w", w, FlagExpr::flag(ready))
+            .alloc(note, &[(fresh, true)], &[])
+            .exit("even", |e| e.set(0, ready, false).set(0, done, true))
+            .exit("odd", |e| e.set(0, ready, false).set(0, done, true))
+            .body(body(move |ctx| {
+                let item = *ctx.param::<i64>(0);
+                started[item as usize].store(true, Ordering::SeqCst);
+                if Some(item) == panic_at {
+                    panic!("work item {item} failed");
+                }
+                if let (1, Some(h)) = (item, hold) {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !started[h as usize].load(Ordering::SeqCst) && Instant::now() < deadline {
+                        thread::yield_now();
+                    }
+                }
+                let mut x = item as u64 + 1;
+                for _ in 0..2_000 {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                }
+                *ctx.param_mut::<i64>(0) = (x >> 33) as i64;
+                ctx.charge(1000 + 13 * (item % 7) as Cycles);
+                if item % 3 == 0 {
+                    ctx.create(0, (item, x));
+                }
+                (item % 2) as usize
+            }))
+            .finish();
+        b.task("reduce")
+            .param("a", acc, FlagExpr::flag(open))
+            .param("w", w, FlagExpr::flag(done))
+            .exit("more", |e| e.set(1, done, false))
+            .exit("finish", |e| {
+                e.set(0, open, false)
+                    .set(0, closed, true)
+                    .set(1, done, false)
+            })
+            .body(body(|ctx| {
+                let w = *ctx.param::<i64>(1);
+                let a = ctx.param_mut::<(i64, i64, i64)>(0);
+                a.0 += w;
+                a.1 += 1;
+                let finished = a.1 == a.2;
+                ctx.charge(60);
+                usize::from(finished)
+            }))
+            .finish();
+        Program::from_native(b.build().unwrap())
+    }
+
+    /// What one run produced: the report, the telemetry events and every
+    /// object's payload, as text; and the bodies run ahead.
+    struct Observed {
+        report: String,
+        events: String,
+        payloads: Vec<String>,
+        ran_ahead: Option<u64>,
+    }
+
+    fn digest(payload: &NativePayload) -> String {
+        if let Some(item) = payload.downcast_ref::<i64>() {
+            item.to_string()
+        } else if let Some(note) = payload.downcast_ref::<(i64, u64)>() {
+            format!("{note:?}")
+        } else if let Some(acc) = payload.downcast_ref::<(i64, i64, i64)>() {
+            format!("{acc:?}")
+        } else {
+            "startup".to_string()
+        }
+    }
+
+    fn observe(program: Program, cores: usize, inline: bool) -> Observed {
+        let (program, graph, layout, machine, locks) = spread_work(program, cores);
+        let config = ExecConfig {
+            collect_trace: true,
+            profile_input: Some("deep".to_string()),
+            telemetry: Telemetry::enabled(cores),
+            ..ExecConfig::default()
+        };
+        let telemetry = config.telemetry.clone();
+        let mut exec = VirtualExecutor::new(&program, &graph, &layout, &machine, &locks, config);
+        FORCE_INLINE.set(inline);
+        let report = exec.run(None);
+        FORCE_INLINE.set(false);
+        let payloads = (exec.store.iter())
+            .map(|(id, obj)| match &obj.payload {
+                PayloadSlot::Native(p) => format!("{id} {}", digest(p)),
+                other => format!("{id} {other:?}"),
+            })
+            .collect();
+        Observed {
+            report: format!("{:?}", report.expect("runs")),
+            events: format!("{:?}", telemetry.report().events),
+            payloads,
+            ran_ahead: RAN_AHEAD.get(),
+        }
+    }
+
+    #[test]
+    fn run_ahead_is_invisible() {
+        let parallel = spare_threads() > 0;
+        for cores in [1, 4] {
+            let hold = (parallel && cores == 1).then_some(ITEMS - 1);
+            let ahead = observe(deep_fanout(ITEMS, None, hold), cores, false);
+            let inline = observe(deep_fanout(ITEMS, None, None), cores, true);
+            assert_eq!(ahead.report, inline.report, "report on {cores} cores");
+            assert_eq!(ahead.events, inline.events, "telemetry on {cores} cores");
+            assert_eq!(ahead.payloads, inline.payloads, "payloads on {cores} cores");
+            assert_eq!(inline.ran_ahead, None);
+            if hold.is_some() {
+                assert!(
+                    ahead.ran_ahead >= Some(1),
+                    "no body ran ahead: {:?}",
+                    ahead.ran_ahead
+                );
+            }
+            // 64 items, 22 notes, one accumulator, the startup object.
+            assert_eq!(inline.payloads.len(), 88);
+            assert!(
+                inline.report.contains("invocations: 129"),
+                "{}",
+                inline.report
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_panics_the_run() {
+        // With a body thread, item 1 holds the kernel until item 40 has
+        // started there, so the panic happens on the body thread.
+        let hold = (spare_threads() > 0).then_some(40);
+        for (inline, hold) in [(false, hold), (true, None)] {
+            let (program, graph, layout, machine, locks) =
+                spread_work(deep_fanout(ITEMS, Some(40), hold), 1);
+            let mut exec = VirtualExecutor::new(
+                &program,
+                &graph,
+                &layout,
+                &machine,
+                &locks,
+                ExecConfig::default(),
+            );
+            FORCE_INLINE.set(inline);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| exec.run(None)));
+            FORCE_INLINE.set(false);
+            let payload = caught.expect_err("the run panics");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert_eq!(message, "work item 40 failed", "inline: {inline}");
+        }
+    }
+}
+
+#[cfg(test)]
 mod error_tests {
     use super::tests_support::fanout_setup;
     use super::*;
@@ -944,23 +1445,65 @@ mod error_tests {
         Program::from_native(b.build().expect("valid"))
     }
 
+    /// `startup` creates `n` spinners, each of which re-enables itself
+    /// forever: the run stops with most of them formed and queued.
+    fn spinners_program(n: i64) -> Program {
+        let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("spinners");
+        let s = b.class("StartupObject", &["initialstate"]);
+        let spinner = b.class("Spinner", &["ready"]);
+        let init = b.flag(s, "initialstate");
+        let ready = b.flag(spinner, "ready");
+        b.task("startup")
+            .param("s", s, FlagExpr::flag(init))
+            .alloc(spinner, &[(ready, true)], &[])
+            .exit("", |e| e.set(0, init, false))
+            .body(body(move |ctx| {
+                for i in 0..n {
+                    ctx.create(0, i);
+                }
+                0
+            }))
+            .finish();
+        b.task("spin")
+            .param("w", spinner, FlagExpr::flag(ready))
+            .exit("again", |e| e.set(0, ready, true))
+            .body(body(|ctx| {
+                *ctx.param_mut::<i64>(0) += 1;
+                ctx.charge(1);
+                0
+            }))
+            .finish();
+        Program::from_native(b.build().expect("valid"))
+    }
+
     #[test]
     fn divergent_program_hits_the_invocation_budget() {
-        let program = livelock_program();
-        let analysis = DependenceAnalysis::run(&program.spec);
-        let cstg = Cstg::build(&program.spec, &analysis);
-        let empty = ProfileCollector::new(&program.spec, "x").finish();
-        let graph = GroupGraph::build(&program.spec, &cstg, &empty);
-        let layout = Layout::single_core(&graph);
-        let machine = MachineDescription::n_cores(1);
-        let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
-        let config = ExecConfig {
-            max_invocations: 500,
-            ..ExecConfig::default()
-        };
-        let mut exec = VirtualExecutor::new(&program, &graph, &layout, &machine, &locks, config);
-        let err = exec.run(None).unwrap_err();
-        assert_eq!(err, ExecError::Diverged(500));
+        // The spinners keep a deep queue, so body threads run ahead of
+        // invocations the run never starts; their payloads come back.
+        for program in [livelock_program(), spinners_program(64)] {
+            let analysis = DependenceAnalysis::run(&program.spec);
+            let cstg = Cstg::build(&program.spec, &analysis);
+            let empty = ProfileCollector::new(&program.spec, "x").finish();
+            let graph = GroupGraph::build(&program.spec, &cstg, &empty);
+            let layout = Layout::single_core(&graph);
+            let machine = MachineDescription::n_cores(1);
+            let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
+            let config = ExecConfig {
+                max_invocations: 500,
+                ..ExecConfig::default()
+            };
+            let mut exec =
+                VirtualExecutor::new(&program, &graph, &layout, &machine, &locks, config);
+            let err = exec.run(None).unwrap_err();
+            assert_eq!(err, ExecError::Diverged(500));
+            for (id, obj) in exec.store.iter() {
+                assert!(
+                    matches!(obj.payload, PayloadSlot::Native(_)),
+                    "{id} of {program:?}: {:?}",
+                    obj.payload
+                );
+            }
+        }
     }
 
     #[test]
