@@ -337,20 +337,11 @@ mod tests {
 
     #[test]
     fn parallel_execution_on_many_cores_matches_too() {
-        use rand::SeedableRng;
         let bench = Series;
         let compiler = bench.compiler(Scale::Small);
-        let (profile, _, ()) = compiler.profile_run(None, "test", |_| ()).unwrap();
         let machine = bamboo::MachineDescription::n_cores(8);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let plan = compiler.synthesize(
-            &profile,
-            &machine,
-            &bamboo::SynthesisOptions::default(),
-            &mut rng,
-        );
-        let mut exec =
-            compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+        let plan = compiler.plan("test", &machine, 3).unwrap();
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
         exec.run(None).unwrap();
         assert_eq!(
             bench.parallel_checksum(&compiler, &exec),

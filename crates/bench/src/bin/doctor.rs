@@ -71,10 +71,9 @@ use bamboo::telemetry::analyze::{self, gate};
 use bamboo::{
     AdaptPolicy, Bursty, Compiler, CoreId, Deployment, DeploymentHandle, ExecConfig, FaultSpec,
     MachineDescription, Pacing, Poisson, RunOptions, ScopeConfig, ScopeSnapshot, Server,
-    ServingOptions, SynthesisOptions, Telemetry, ThreadedExecutor,
+    ServingOptions, Telemetry, ThreadedExecutor, VirtualExecutor,
 };
 use bamboo_apps::{all, by_name, Benchmark, Scale};
-use rand::SeedableRng;
 use std::process::ExitCode;
 
 /// Synthesis and arrival seed of every `--check` deployment and probe.
@@ -175,13 +174,8 @@ fn parse_args() -> Result<Args, String> {
 /// Profiles, synthesizes (fixed seed), and deploys `bench` for `machine`.
 fn deployment_for(bench: &dyn Benchmark, machine: &MachineDescription) -> (Compiler, Deployment) {
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "doctor", |_| ())
-        .expect("profile run");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let plan = compiler.synthesize(&profile, machine, &SynthesisOptions::default(), &mut rng);
-    let deployment = compiler.deploy(&plan);
-    (compiler, deployment)
+    let plan = compiler.plan("doctor", machine, SEED).expect("profile run");
+    (compiler, plan.deployment)
 }
 
 /// One telemetry-enabled threaded run, optionally under an injected
@@ -246,19 +240,17 @@ fn adapt_observation(
     bench: &dyn Benchmark,
     machine: &MachineDescription,
 ) -> Result<gate::AdaptObservation, String> {
-    let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "doctor", |_| ())
+    let plan = bench
+        .compiler(Scale::Small)
+        .plan("doctor", machine, SEED)
         .map_err(|e| format!("{}: profile failed: {e}", bench.name()))?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let plan = compiler.synthesize(&profile, machine, &SynthesisOptions::default(), &mut rng);
-    let mut deployment = compiler.deploy(&plan);
+    let mut deployment = plan.deployment;
     for inst in &mut deployment.layout.instances {
         inst.core = CoreId::new(0);
     }
     let policy = AdaptPolicy::new(machine.clone())
         .with_min_invocations(16)
-        .with_baseline(profile)
+        .with_baseline(plan.profile)
         .with_seed(SEED);
     let mut session = DeploymentHandle::from_deployment(deployment)
         .with_adapt(policy)
@@ -439,8 +431,7 @@ fn diagnose_mode(args: &Args) -> Result<(), String> {
         collect_trace: true,
         ..ExecConfig::default()
     };
-    let mut virtual_exec =
-        compiler.executor(&deployment.graph, &deployment.layout, &machine, config);
+    let mut virtual_exec = VirtualExecutor::over(&deployment, &machine, config);
     let predicted = virtual_exec
         .run(None)
         .expect("virtual run")
@@ -562,16 +553,10 @@ fn check_mode(args: &Args) -> Result<bool, String> {
     let mut observations = Vec::new();
     for name in THREADED_APPS {
         let bench = app(name)?;
-        let (compiler, deployment) = deployment_for(bench.as_ref(), &machine);
+        let (_compiler, deployment) = deployment_for(bench.as_ref(), &machine);
         // The virtual executor on the same deployment is the exact
         // reference for the invocation count.
-        let expected = compiler
-            .executor(
-                &deployment.graph,
-                &deployment.layout,
-                &machine,
-                ExecConfig::default(),
-            )
+        let expected = VirtualExecutor::over(&deployment, &machine, ExecConfig::default())
             .run(None)
             .map_err(|e| format!("{name}: virtual run failed: {e}"))?
             .invocations;

@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p bamboo-bench --bin scaling [cores...]`
 //! (default core counts: 1 2 4 8 16 31 62)
 
-use bamboo::{ExecConfig, MachineDescription, SynthesisOptions};
+use bamboo::{ExecConfig, MachineDescription, SynthesisOptions, VirtualExecutor};
 use bamboo_apps::Scale;
 use rand::SeedableRng;
 
@@ -48,8 +48,8 @@ fn main() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(42 + n as u64);
             let plan =
                 compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-            let mut exec =
-                compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+            let deployment = compiler.deploy(&plan);
+            let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
             let report = exec.run(None).expect("run succeeds");
             assert!(
                 bench.parallel_checksum(&compiler, &exec) == serial.checksum,

@@ -24,11 +24,9 @@ use bamboo::telemetry::chrome::{ChromeTrace, PID_OBSERVED, PID_PREDICTED};
 use bamboo::telemetry::summary;
 use bamboo::{
     simulate, DeploymentHandle, ExecConfig, MachineDescription, Pacing, Poisson, ServingOptions,
-    SimOptions, SynthesisOptions, Telemetry,
+    SimOptions, Telemetry, VirtualExecutor,
 };
 use bamboo_apps::{all, by_name, Benchmark, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Requests served by the `--request` session — enough traffic that
 /// requests overlap and the queue/lock/routing components show up.
@@ -38,15 +36,13 @@ const REQUEST_DUMP_REQS: usize = 32;
 /// tree(s) for `which` (a request id, or `all`).
 fn dump_request(bench: &dyn Benchmark, cores: usize, which: &str) {
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "trace_dump", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(17);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+    let plan = compiler
+        .plan("trace_dump", &machine, 17)
+        .expect("profile run");
     // Workers plus the serving driver's own ring.
     let telemetry = Telemetry::enabled(cores + 1);
-    let mut session = DeploymentHandle::deploy(&compiler, &plan)
+    let mut session = DeploymentHandle::from_deployment(plan.deployment)
         .with_telemetry(telemetry.clone())
         .serve(ServingOptions::new().with_pacing(Pacing::Stepped))
         .expect("server starts");
@@ -129,24 +125,17 @@ fn main() {
 
     // Profile, synthesize a layout, and predict its timeline.
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "trace_dump", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(17);
+    let plan = compiler
+        .plan("trace_dump", &machine, 17)
+        .expect("profile run");
     let telemetry = Telemetry::enabled(cores);
-    let plan = compiler.synthesize_with_telemetry(
-        &profile,
-        &machine,
-        &SynthesisOptions::default(),
-        &mut rng,
-        &telemetry,
-    );
+    telemetry.record_dsa(&plan.synthesis.stats);
     let sim = simulate(
         &compiler.program.spec,
-        &plan.graph,
-        &plan.layout,
-        &profile,
+        &plan.deployment.graph,
+        &plan.deployment.layout,
+        &plan.profile,
         &machine,
         &SimOptions {
             collect_trace: true,
@@ -159,7 +148,7 @@ fn main() {
         telemetry: telemetry.clone(),
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+    let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
     let run = exec.run(None).expect("benchmark runs");
     let report = telemetry.report();
 

@@ -9,10 +9,8 @@
 //! paper highlights MonteCarlo, where only the larger profile yielded the
 //! pipelined implementation.
 
-use bamboo::{Compiler, ExecConfig, MachineDescription, SynthesisOptions};
+use bamboo::{Compiler, ExecConfig, MachineDescription, VirtualExecutor};
 use bamboo_apps::{Benchmark, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One row of the Figure 11 table.
 #[derive(Clone, Debug)]
@@ -54,59 +52,34 @@ pub fn run_benchmark_scaled(
 ) -> Fig11Row {
     let serial_double = bench.serial(larger);
 
-    // Profile the original input.
+    // Plan from the original input's profile, and from the doubled
+    // input's (also the 1-core number on the new input).
     let compiler_orig: Compiler = bench.compiler(base);
-    let (profile_orig, _, ()) = compiler_orig
-        .profile_run(None, "original", |_| ())
+    let plan_orig = compiler_orig
+        .plan("original", machine, seed)
         .expect("profiling run succeeds");
-
-    // Profile the doubled input (also the 1-core number on the new input).
     let compiler_double: Compiler = bench.compiler(larger);
-    let (profile_double, one_core_double, ()) = compiler_double
-        .profile_run(None, "double", |_| ())
+    let plan_double = compiler_double
+        .plan("double", machine, seed)
         .expect("profiling run succeeds");
-
-    // Synthesize both layouts.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan_orig = compiler_orig.synthesize(
-        &profile_orig,
-        machine,
-        &SynthesisOptions::default(),
-        &mut rng,
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan_double = compiler_double.synthesize(
-        &profile_double,
-        machine,
-        &SynthesisOptions::default(),
-        &mut rng,
-    );
 
     // Execute the doubled input under both layouts. (The spec — classes,
     // tasks, guards — is scale-independent, so the original-profile plan
     // applies directly to the doubled program.)
-    let mut exec_orig = compiler_double.executor(
-        &plan_orig.graph,
-        &plan_orig.layout,
-        machine,
-        ExecConfig::default(),
-    );
+    let orig_on_double = compiler_double.deploy(&plan_orig.synthesis);
+    let mut exec_orig = VirtualExecutor::over(&orig_on_double, machine, ExecConfig::default());
     let run_orig = exec_orig.run(None).expect("run succeeds");
     let ok_orig = bench.parallel_checksum(&compiler_double, &exec_orig) == serial_double.checksum;
 
-    let mut exec_double = compiler_double.executor(
-        &plan_double.graph,
-        &plan_double.layout,
-        machine,
-        ExecConfig::default(),
-    );
+    let mut exec_double =
+        VirtualExecutor::over(&plan_double.deployment, machine, ExecConfig::default());
     let run_double = exec_double.run(None).expect("run succeeds");
     let ok_double =
         bench.parallel_checksum(&compiler_double, &exec_double) == serial_double.checksum;
 
     Fig11Row {
         name: bench.name(),
-        one_core_cycles: one_core_double.makespan,
+        one_core_cycles: plan_double.single.makespan,
         cycles_profile_original: run_orig.makespan,
         cycles_profile_double: run_double.makespan,
         verified: ok_orig && ok_double,

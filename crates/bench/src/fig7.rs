@@ -7,7 +7,7 @@
 //! the virtual-time executor, and report cycles, speedups, and the
 //! language overhead — the exact columns of the paper's table.
 
-use bamboo::{Compiler, ExecConfig, MachineDescription, SynthesisOptions};
+use bamboo::{Compiler, ExecConfig, MachineDescription, SynthesisOptions, VirtualExecutor};
 use bamboo_apps::{Benchmark, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +55,8 @@ pub fn run_benchmark(
         .expect("single-core run succeeds");
     let mut rng = StdRng::seed_from_u64(seed);
     let plan = compiler.synthesize(&profile, machine, &SynthesisOptions::default(), &mut rng);
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, machine, ExecConfig::default());
+    let deployment = compiler.deploy(&plan);
+    let mut exec = VirtualExecutor::over(&deployment, machine, ExecConfig::default());
     let many_core = exec.run(None).expect("many-core run succeeds");
     let ok_n = bench.parallel_checksum(&compiler, &exec) == serial.checksum;
     let paper = bench.paper();

@@ -10,11 +10,9 @@
 //! shows paper-sized errors on iteration-structured benchmarks).
 
 use bamboo::{
-    simulate, Compiler, ExecConfig, Layout, MachineDescription, SimOptions, SynthesisOptions,
+    simulate, Compiler, ExecConfig, Layout, MachineDescription, SimOptions, VirtualExecutor,
 };
 use bamboo_apps::{Benchmark, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One benchmark's accuracy numbers.
 #[derive(Clone, Debug)]
@@ -58,32 +56,30 @@ pub fn run_benchmark(
     seed: u64,
 ) -> Fig9Row {
     let compiler: Compiler = bench.compiler(scale);
-    let (profile, one_core, ()) = compiler
-        .profile_run(None, "original", |_| ())
+    let plan = compiler
+        .plan("original", machine, seed)
         .expect("single-core run succeeds");
     // Single-core estimate: simulate the single-core layout.
-    let graph1 = compiler.graph_with_profile(&profile);
+    let graph1 = compiler.graph_with_profile(&plan.profile);
     let layout1 = Layout::single_core(&graph1);
     let machine1 = MachineDescription::n_cores(1);
     let est1 = simulate(
         &compiler.program.spec,
         &graph1,
         &layout1,
-        &profile,
+        &plan.profile,
         &machine1,
         &SimOptions::default(),
     );
 
-    // Many-core: synthesize, then compare estimate vs real execution.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = compiler.synthesize(&profile, machine, &SynthesisOptions::default(), &mut rng);
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, machine, ExecConfig::default());
+    // Many-core: compare the synthesized estimate with real execution.
+    let mut exec = VirtualExecutor::over(&plan.deployment, machine, ExecConfig::default());
     let real_n = exec.run(None).expect("many-core run succeeds");
     let est_n_aggregate = simulate(
         &compiler.program.spec,
-        &plan.graph,
-        &plan.layout,
-        &profile,
+        &plan.synthesis.graph,
+        &plan.synthesis.layout,
+        &plan.profile,
         machine,
         &SimOptions {
             replay: false,
@@ -93,8 +89,8 @@ pub fn run_benchmark(
     Fig9Row {
         name: bench.name(),
         est_1core: est1.makespan,
-        real_1core: one_core.makespan,
-        est_n: plan.estimate.makespan,
+        real_1core: plan.single.makespan,
+        est_n: plan.synthesis.estimate.makespan,
         real_n: real_n.makespan,
         est_n_aggregate: est_n_aggregate.makespan,
     }

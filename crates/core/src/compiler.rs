@@ -4,18 +4,21 @@
 //! source or native builder) → dependence analysis (ASTG/CSTG) →
 //! disjointness analysis (lock plans) → profiling run → implementation
 //! synthesis → execution on one of the runtime's executors.
+//! [`Compiler::plan`] is the path from an analysed program to a
+//! [`Deployment`], written once.
 
 use bamboo_analysis::{Cstg, DependenceAnalysis, DisjointnessAnalysis};
 use bamboo_lang::builder::BuiltProgram;
 use bamboo_lang::span::CompileError;
 use bamboo_machine::MachineDescription;
-use bamboo_profile::{Profile, ProfileCollector};
+use bamboo_profile::Profile;
 use bamboo_runtime::{
     Deployment, ExecConfig, ExecError, NativeBody, NativePayload, Program, RunReport,
     VirtualExecutor,
 };
-use bamboo_schedule::{synthesize, GroupGraph, Layout, SynthesisOptions, SynthesisResult};
-use rand::Rng;
+use bamboo_schedule::{bootstrap_plan, synthesize, GroupGraph, SynthesisOptions, SynthesisResult};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A fully analyzed, executable Bamboo program.
 #[derive(Debug)]
@@ -30,6 +33,19 @@ pub struct Compiler {
     pub locks: DisjointnessAnalysis,
 }
 
+/// What [`Compiler::plan`] produced: every pass's output, in pass order.
+#[derive(Debug)]
+pub struct Plan {
+    /// The profile the one-core run collected.
+    pub profile: Profile,
+    /// The one-core profiling run.
+    pub single: RunReport,
+    /// The synthesized implementation.
+    pub synthesis: SynthesisResult,
+    /// The synthesized implementation bundled for the executors.
+    pub deployment: Deployment,
+}
+
 impl Compiler {
     /// Compiles DSL source, running all analyses.
     ///
@@ -38,16 +54,8 @@ impl Compiler {
     /// Returns every frontend diagnostic.
     pub fn from_source(name: &str, source: &str) -> Result<Self, CompileError> {
         let compiled = bamboo_lang::compile_source(name, source)?;
-        let dependence = DependenceAnalysis::run(&compiled.spec);
-        let cstg = Cstg::build(&compiled.spec, &dependence);
         let locks = DisjointnessAnalysis::run(&compiled.spec, &compiled.ir);
-        let program = Program::from_compiled(compiled);
-        Ok(Compiler {
-            program,
-            dependence,
-            cstg,
-            locks,
-        })
+        Ok(Self::analyse(Program::from_compiled(compiled), locks))
     }
 
     /// Wraps a natively built program.
@@ -57,9 +65,14 @@ impl Compiler {
     /// stores references across parameters.
     pub fn from_native(built: BuiltProgram<NativeBody>) -> Self {
         let program = Program::from_native(built);
+        let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
+        Self::analyse(program, locks)
+    }
+
+    /// Both frontends' tail: dependence analysis, then the CSTG.
+    fn analyse(program: Program, locks: DisjointnessAnalysis) -> Self {
         let dependence = DependenceAnalysis::run(&program.spec);
         let cstg = Cstg::build(&program.spec, &dependence);
-        let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
         Compiler {
             program,
             dependence,
@@ -75,28 +88,37 @@ impl Compiler {
         self
     }
 
-    /// Builds the base group graph using an empty bootstrap profile
-    /// (allocation means default to 1; layout-independent execution does
-    /// not consult them).
-    pub fn bootstrap_graph(&self) -> GroupGraph {
-        let empty = ProfileCollector::new(&self.program.spec, "bootstrap").finish();
-        GroupGraph::build(&self.program.spec, &self.cstg, &empty)
-    }
-
     /// Builds the group graph annotated by `profile`.
     pub fn graph_with_profile(&self, profile: &Profile) -> GroupGraph {
         GroupGraph::build(&self.program.spec, &self.cstg, profile)
     }
 
-    /// Creates a virtual-time executor over the given plan.
-    pub fn executor<'a>(
-        &'a self,
-        graph: &'a GroupGraph,
-        layout: &'a Layout,
-        machine: &'a MachineDescription,
-        config: ExecConfig,
-    ) -> VirtualExecutor<'a> {
-        VirtualExecutor::new(&self.program, graph, layout, machine, &self.locks, config)
+    /// The developer's path, one pass per line: profile on one core,
+    /// synthesize for `machine` with default options and a `StdRng`
+    /// seeded with `seed`, deploy. `label` names the profiling input.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure of the profiling run.
+    pub fn plan(
+        &self,
+        label: &str,
+        machine: &MachineDescription,
+        seed: u64,
+    ) -> Result<Plan, ExecError> {
+        // Profiling run on one virtual core (paper §4.3.1).
+        let (profile, single, ()) = self.profile_run(None, label, |_| ())?;
+        // Seeded implementation synthesis: groups, transforms, mapping, DSA (§4.3–§4.5).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let synthesis = self.synthesize(&profile, machine, &SynthesisOptions::default(), &mut rng);
+        // The artifact both executors run.
+        let deployment = self.deploy(&synthesis);
+        Ok(Plan {
+            profile,
+            single,
+            synthesis,
+            deployment,
+        })
     }
 
     /// Runs the single-core profiling bootstrap (paper §4.3.1): executes
@@ -115,14 +137,20 @@ impl Compiler {
         input_label: &str,
         inspect: impl FnOnce(&VirtualExecutor<'_>) -> T,
     ) -> Result<(Profile, RunReport, T), ExecError> {
-        let graph = self.bootstrap_graph();
-        let layout = Layout::single_core(&graph);
+        let (graph, layout) = bootstrap_plan(&self.program.spec, &self.cstg);
         let machine = MachineDescription::n_cores(1);
         let config = ExecConfig {
             profile_input: Some(input_label.to_string()),
             ..ExecConfig::default()
         };
-        let mut exec = self.executor(&graph, &layout, &machine, config);
+        let mut exec = VirtualExecutor::new(
+            &self.program,
+            &graph,
+            &layout,
+            &machine,
+            &self.locks,
+            config,
+        );
         let mut report = exec.run(startup)?;
         let profile = report
             .profile
@@ -156,23 +184,6 @@ impl Compiler {
         rng: &mut R,
     ) -> SynthesisResult {
         synthesize(&self.program.spec, &self.cstg, profile, machine, opts, rng)
-    }
-
-    /// Like [`Self::synthesize`], additionally recording the DSA
-    /// optimizer's search statistics (iterations, simulations,
-    /// acceptance rate, simulation-cache hits/misses, best-cost
-    /// trajectory) into `telemetry` as `dsa.*` metrics.
-    pub fn synthesize_with_telemetry<R: Rng>(
-        &self,
-        profile: &Profile,
-        machine: &MachineDescription,
-        opts: &SynthesisOptions,
-        rng: &mut R,
-        telemetry: &bamboo_telemetry::Telemetry,
-    ) -> SynthesisResult {
-        let result = self.synthesize(profile, machine, opts, rng);
-        telemetry.record_dsa(&result.stats);
-        result
     }
 }
 
@@ -217,23 +228,43 @@ mod tests {
     #[test]
     fn full_pipeline_profiles_synthesizes_and_speeds_up() {
         let compiler = native_fanout(32);
-        let (profile, report, ()) = compiler.profile_run(None, "original", |_| ()).unwrap();
-        assert_eq!(report.invocations, 33);
         let machine = MachineDescription::sixteen();
-        let mut rng = StdRng::seed_from_u64(9);
-        let result =
-            compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+        let plan = compiler.plan("original", &machine, 9).unwrap();
+        assert_eq!(plan.single.invocations, 33);
         // Run the synthesized layout for real.
-        let mut exec = compiler.executor(
-            &result.graph,
-            &result.layout,
-            &machine,
-            ExecConfig::default(),
-        );
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
         let parallel = exec.run(None).unwrap();
         assert!(parallel.quiesced);
-        let speedup = report.makespan as f64 / parallel.makespan as f64;
+        let speedup = plan.single.makespan as f64 / parallel.makespan as f64;
         assert!(speedup > 4.0, "speedup only {speedup:.2}x");
+    }
+
+    #[test]
+    fn plan_matches_the_passes_run_one_by_one() {
+        let machine = MachineDescription::n_cores(8);
+        for name in ["KMeans", "Series"] {
+            let bench = bamboo_apps::by_name(name).unwrap();
+            let compiler = bench.compiler(bamboo_apps::Scale::Small);
+            let plan = compiler.plan("t", &machine, 5).unwrap();
+
+            let (profile, single, ()) = compiler.profile_run(None, "t", |_| ()).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let opts = SynthesisOptions::default();
+            let synthesis = compiler.synthesize(&profile, &machine, &opts, &mut rng);
+            let deployment = compiler.deploy(&synthesis);
+
+            assert_eq!(plan.single.makespan, single.makespan, "{name}");
+            assert_eq!(plan.synthesis.layout, synthesis.layout, "{name}");
+            assert_eq!(
+                plan.synthesis.estimate.makespan, synthesis.estimate.makespan,
+                "{name}"
+            );
+            assert_eq!(plan.synthesis.stats, synthesis.stats, "{name}");
+            assert_eq!(
+                plan.deployment.layout.instances, deployment.layout.instances,
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -30,12 +30,11 @@
 //!
 //! # Examples
 //!
-//! Compile, profile, synthesize for 62 cores, and execute (the paper's
-//! end-to-end flow):
+//! Compile, then plan — profile on one core, synthesize for 62 cores,
+//! deploy — and execute (the paper's end-to-end flow):
 //!
 //! ```
-//! use bamboo::{Compiler, ExecConfig, MachineDescription, SynthesisOptions};
-//! use rand::SeedableRng;
+//! use bamboo::{Compiler, ExecConfig, MachineDescription, VirtualExecutor};
 //!
 //! let compiler = Compiler::from_source(
 //!     "demo",
@@ -56,13 +55,11 @@
 //!     }
 //!     "#,
 //! )?;
-//! let (profile, single_core, ()) = compiler.profile_run(None, "original", |_| ())?;
 //! let machine = MachineDescription::tilepro64();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-//! let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+//! let plan = compiler.plan("original", &machine, 42)?;
+//! let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
 //! let parallel = exec.run(None)?;
-//! assert!(parallel.makespan < single_core.makespan);
+//! assert!(parallel.makespan < plan.single.makespan);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -71,7 +68,7 @@ pub mod error;
 pub mod handle;
 pub mod prelude;
 
-pub use compiler::Compiler;
+pub use compiler::{Compiler, Plan};
 pub use error::Error;
 pub use handle::{DeploymentHandle, LayoutEpoch, ServingSession};
 

@@ -14,7 +14,7 @@
 
 pub use crate::error::Error;
 pub use crate::handle::{DeploymentHandle, LayoutEpoch, ServingSession};
-pub use crate::Compiler;
+pub use crate::{Compiler, Plan};
 pub use bamboo_lang::builder::ProgramBuilder;
 pub use bamboo_lang::spec::FlagExpr;
 pub use bamboo_machine::MachineDescription;

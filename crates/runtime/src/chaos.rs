@@ -96,15 +96,16 @@ pub struct FaultSpec {
     pub lock_slowdown: Duration,
     /// Kill recovery policy.
     pub recovery: RecoveryPolicy,
-    /// Redelivery attempts before a dropped message is declared lost
-    /// (`ExecError::MessageLost`).
-    pub max_redeliveries: u32,
-    /// Cumulative redelivery backoff budget per message; exceeding it
-    /// also declares the message lost.
-    pub message_deadline: Duration,
-    /// First redelivery backoff; doubles per consecutive drop.
-    pub backoff_base: Duration,
 }
+
+/// Redelivery attempts before a dropped message is declared lost
+/// (`ExecError::MessageLost`).
+pub const MAX_REDELIVERIES: u32 = 8;
+/// Cumulative redelivery backoff budget per message; exceeding it also
+/// declares the message lost.
+pub const MESSAGE_DEADLINE: Duration = Duration::from_secs(1);
+/// First redelivery backoff; doubles per consecutive drop.
+pub const BACKOFF_BASE: Duration = Duration::from_micros(20);
 
 impl Default for FaultSpec {
     fn default() -> Self {
@@ -118,9 +119,6 @@ impl Default for FaultSpec {
             lock_slowdown_permille: 0,
             lock_slowdown: Duration::from_micros(20),
             recovery: RecoveryPolicy::Enabled,
-            max_redeliveries: 8,
-            message_deadline: Duration::from_secs(1),
-            backoff_base: Duration::from_micros(20),
         }
     }
 }
@@ -193,20 +191,6 @@ impl FaultSpec {
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Sets the redelivery bound.
-    #[must_use]
-    pub fn with_max_redeliveries(mut self, max: u32) -> Self {
-        self.max_redeliveries = max;
-        self
-    }
-
-    /// Sets the per-message redelivery deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.message_deadline = deadline;
         self
     }
 }
@@ -332,7 +316,7 @@ impl FaultPlan {
         }
         lines.push(format!(
             "drop {}/1000 messages (max {} redeliveries, deadline {:?}, backoff {:?})",
-            spec.drop_permille, spec.max_redeliveries, spec.message_deadline, spec.backoff_base
+            spec.drop_permille, MAX_REDELIVERIES, MESSAGE_DEADLINE, BACKOFF_BASE
         ));
         lines.push(format!(
             "delay {}/1000 messages by {:?}",
@@ -367,14 +351,14 @@ impl FaultPlan {
     }
 
     /// How many consecutive transmissions of message `msg` are dropped
-    /// (0 = delivered first try). Bounded by `max_redeliveries`, so a
+    /// (0 = delivered first try). Bounded by [`MAX_REDELIVERIES`], so a
     /// saturated result means the message is permanently lost.
     pub fn drop_attempts(&self, msg: u64) -> u32 {
         if self.spec.drop_permille == 0 {
             return 0;
         }
         let mut n = 0;
-        while n < self.spec.max_redeliveries {
+        while n < MAX_REDELIVERIES {
             if mix(self.spec.seed, DROP_SALT + u64::from(n), msg) % 1000
                 >= u64::from(self.spec.drop_permille)
             {
@@ -404,19 +388,7 @@ impl FaultPlan {
     /// Backoff before redelivery attempt `attempt` (0-based): the base
     /// doubled per consecutive drop.
     pub fn backoff(&self, attempt: u32) -> Duration {
-        self.spec
-            .backoff_base
-            .saturating_mul(1u32 << attempt.min(16))
-    }
-
-    /// Redelivery bound per message.
-    pub fn max_redeliveries(&self) -> u32 {
-        self.spec.max_redeliveries
-    }
-
-    /// Cumulative backoff budget per message.
-    pub fn message_deadline(&self) -> Duration {
-        self.spec.message_deadline
+        BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16))
     }
 
     /// Whether dead-core failover is on.

@@ -15,8 +15,7 @@
 use crate::adapt::AdaptPolicy;
 use crate::chaos::FaultSpec;
 use crate::program::{NativePayload, Program};
-use bamboo_analysis::{Cstg, DependenceAnalysis, DisjointnessAnalysis};
-use bamboo_profile::ProfileCollector;
+use bamboo_analysis::DisjointnessAnalysis;
 use bamboo_schedule::{GroupGraph, Layout, SynthesisResult};
 use bamboo_telemetry::Telemetry;
 
@@ -66,23 +65,6 @@ impl Deployment {
             program: program.clone(),
             graph: synthesis.graph.clone(),
             layout: synthesis.layout.clone(),
-            locks: locks.clone(),
-        }
-    }
-
-    /// The trivial single-core deployment (profiling bootstrap shape):
-    /// base groups from a fresh dependence analysis, everything on
-    /// core 0.
-    pub fn single_core(program: &Program, locks: &DisjointnessAnalysis) -> Self {
-        let dependence = DependenceAnalysis::run(&program.spec);
-        let cstg = Cstg::build(&program.spec, &dependence);
-        let empty = ProfileCollector::new(&program.spec, "bootstrap").finish();
-        let graph = GroupGraph::build(&program.spec, &cstg, &empty);
-        let layout = Layout::single_core(&graph);
-        Deployment {
-            program: program.clone(),
-            graph,
-            layout,
             locks: locks.clone(),
         }
     }
@@ -158,6 +140,16 @@ impl RunOptions {
         self.faults = Some(faults);
         self
     }
+}
+
+/// The bootstrap plan of `program` as a deployment, for tests that
+/// hold a bare [`Program`] rather than an analysed compiler.
+#[cfg(test)]
+pub(crate) fn bootstrap(program: Program, locks: DisjointnessAnalysis) -> Deployment {
+    let dependence = bamboo_analysis::DependenceAnalysis::run(&program.spec);
+    let cstg = bamboo_analysis::Cstg::build(&program.spec, &dependence);
+    let (graph, layout) = bamboo_schedule::bootstrap_plan(&program.spec, &cstg);
+    Deployment::new(program, graph, layout, locks)
 }
 
 #[cfg(test)]

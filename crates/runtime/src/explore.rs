@@ -817,12 +817,10 @@ pub(crate) fn shared_pair(rounds: i64) -> (Deployment, [ClassId; 2]) {
             .finish();
     }
     let program = Program::from_native(b.build().unwrap());
-    let mut deploy = Deployment::single_core(
-        &program,
-        &DisjointnessAnalysis::all_disjoint(&program.spec)
-            .with_shared(pair, &[ParamIdx::new(0), ParamIdx::new(1)]),
-    );
     let right = program.spec.task_by_name("right").unwrap();
+    let locks = DisjointnessAnalysis::all_disjoint(&program.spec)
+        .with_shared(pair, &[ParamIdx::new(0), ParamIdx::new(1)]);
+    let mut deploy = crate::deploy::bootstrap(program, locks);
     let right_group = deploy.graph.group_of_task(right).unwrap();
     assert_ne!(deploy.graph.group_of_task(pair), Some(right_group));
     deploy.layout.core_count = 2;

@@ -1315,7 +1315,7 @@ mod tests {
         .unwrap();
         let locks = DisjointnessAnalysis::all_disjoint(&compiled.spec);
         let program = Program::from_compiled(compiled);
-        let deploy = Deployment::single_core(&program, &locks);
+        let deploy = crate::deploy::bootstrap(program, locks);
         let err = ThreadedExecutor::default()
             .run(&deploy, RunOptions::default())
             .unwrap_err();
@@ -1457,7 +1457,7 @@ mod tests {
             .finish();
         let program = Program::from_native(b.build().unwrap());
         let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
-        let deploy = Deployment::single_core(&program, &locks);
+        let deploy = crate::deploy::bootstrap(program, locks);
         let start = std::time::Instant::now();
         let report = ThreadedExecutor::default()
             .run(&deploy, RunOptions::default())
@@ -1733,8 +1733,8 @@ mod tests {
             .body(body(|_| 0))
             .finish();
         let program = Program::from_native(b.build().unwrap());
-        let mut deploy =
-            Deployment::single_core(&program, &DisjointnessAnalysis::all_disjoint(&program.spec));
+        let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
+        let mut deploy = crate::deploy::bootstrap(program, locks);
         deploy.layout.core_count = 2;
         let group = deploy.graph.group_of_task(pair).expect("pair is grouped");
         let inst = deploy.layout.instances_of(group)[0];

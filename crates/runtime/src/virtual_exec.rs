@@ -34,7 +34,9 @@ use bamboo_lang::ids::{AllocSiteId, ExitId, ParamIdx, TagTypeId, TaskId};
 use bamboo_lang::interp::{Interp, ObjRef, TagInstance};
 use bamboo_machine::MachineDescription;
 use bamboo_profile::{Cycles, Profile, ProfileCollector};
-use bamboo_schedule::sim::kernel::{Invocation, Kernel, Objects, Source, Tables, UNTAGGED};
+use bamboo_schedule::sim::kernel::{
+    Invocation, Kernel, Objects, Source, Tables, PAYLOAD_WORDS, UNTAGGED,
+};
 use bamboo_schedule::trace::ExecutionTrace;
 use bamboo_schedule::{GroupGraph, Layout};
 use bamboo_telemetry::{Telemetry, TimeUnit, WorkerSink};
@@ -56,23 +58,9 @@ pub struct ExecConfig {
     pub profile_input: Option<String>,
     /// Abort after this many invocations (divergence guard).
     pub max_invocations: u64,
-    /// Estimated object payload size in words (transfer costs).
-    pub payload_words: u64,
-    /// Per-class payload overrides (falls back to `payload_words`).
-    pub payload_words_per_class: std::collections::HashMap<bamboo_lang::ids::ClassId, u64>,
     /// Telemetry session events are recorded into (timestamps in virtual
     /// cycles). Disabled by default; recording costs nothing then.
     pub telemetry: Telemetry,
-}
-
-impl ExecConfig {
-    /// Payload size for `class`.
-    pub fn payload_words_of(&self, class: bamboo_lang::ids::ClassId) -> u64 {
-        self.payload_words_per_class
-            .get(&class)
-            .copied()
-            .unwrap_or(self.payload_words)
-    }
 }
 
 impl Default for ExecConfig {
@@ -82,8 +70,6 @@ impl Default for ExecConfig {
             collect_trace: false,
             profile_input: None,
             max_invocations: 50_000_000,
-            payload_words: 16,
-            payload_words_per_class: std::collections::HashMap::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -200,9 +186,7 @@ impl<'p> VirtualExecutor<'p> {
             program,
             layout,
             locks,
-            tables: Tables::new(&program.spec, graph, machine, |c| {
-                config.payload_words_of(c)
-            }),
+            tables: Tables::new(&program.spec, graph, machine),
             config,
             store: ObjectStore::new(),
             interp: program.compiled().map(|c| Interp::new(c)),
@@ -529,16 +513,16 @@ impl Source for Bodies<'_, '_> {
         }
     }
 
-    fn arrived(&mut self, now: Cycles, core: u32, words: u64, queued: usize) {
+    fn arrived(&mut self, now: Cycles, core: u32, queued: usize) {
         if let Some(sink) = self.sinks.get_mut(core as usize) {
-            sink.obj_recv(now, words * 8, u64::MAX, u64::MAX);
+            sink.obj_recv(now, PAYLOAD_WORDS * 8, u64::MAX, u64::MAX);
             sink.queue_depth(now, queued as u64, 0);
         }
     }
 
-    fn sent(&mut self, now: Cycles, from: u32, to: u32, words: u64) {
+    fn sent(&mut self, now: Cycles, from: u32, to: u32) {
         if let Some(sink) = self.sinks.get_mut(from as usize) {
-            sink.obj_send(now, words * 8, to as u64, u64::MAX);
+            sink.obj_send(now, PAYLOAD_WORDS * 8, to as u64, u64::MAX);
         }
     }
 }
@@ -1423,11 +1407,8 @@ mod error_tests {
     use super::tests_support::fanout_setup;
     use super::*;
     use crate::program::{body, NativeBody};
-    use bamboo_analysis::astg::DependenceAnalysis;
-    use bamboo_analysis::cstg::Cstg;
     use bamboo_lang::builder::ProgramBuilder;
     use bamboo_lang::spec::FlagExpr;
-    use bamboo_profile::ProfileCollector;
 
     /// A task that re-enables itself forever.
     fn livelock_program() -> Program {
@@ -1481,25 +1462,21 @@ mod error_tests {
         // The spinners keep a deep queue, so body threads run ahead of
         // invocations the run never starts; their payloads come back.
         for program in [livelock_program(), spinners_program(64)] {
-            let analysis = DependenceAnalysis::run(&program.spec);
-            let cstg = Cstg::build(&program.spec, &analysis);
-            let empty = ProfileCollector::new(&program.spec, "x").finish();
-            let graph = GroupGraph::build(&program.spec, &cstg, &empty);
-            let layout = Layout::single_core(&graph);
-            let machine = MachineDescription::n_cores(1);
             let locks = DisjointnessAnalysis::all_disjoint(&program.spec);
+            let deploy = crate::deploy::bootstrap(program, locks);
+            let machine = MachineDescription::n_cores(1);
             let config = ExecConfig {
                 max_invocations: 500,
                 ..ExecConfig::default()
             };
-            let mut exec =
-                VirtualExecutor::new(&program, &graph, &layout, &machine, &locks, config);
+            let mut exec = VirtualExecutor::over(&deploy, &machine, config);
             let err = exec.run(None).unwrap_err();
             assert_eq!(err, ExecError::Diverged(500));
             for (id, obj) in exec.store.iter() {
                 assert!(
                     matches!(obj.payload, PayloadSlot::Native(_)),
-                    "{id} of {program:?}: {:?}",
+                    "{id} of {:?}: {:?}",
+                    deploy.program,
                     obj.payload
                 );
             }
@@ -1521,21 +1498,9 @@ mod error_tests {
         )
         .expect("compiles");
         let locks = DisjointnessAnalysis::run(&compiled.spec, &compiled.ir);
-        let program = Program::from_compiled(compiled);
-        let analysis = DependenceAnalysis::run(&program.spec);
-        let cstg = Cstg::build(&program.spec, &analysis);
-        let empty = ProfileCollector::new(&program.spec, "x").finish();
-        let graph = GroupGraph::build(&program.spec, &cstg, &empty);
-        let layout = Layout::single_core(&graph);
+        let deploy = crate::deploy::bootstrap(Program::from_compiled(compiled), locks);
         let machine = MachineDescription::n_cores(1);
-        let mut exec = VirtualExecutor::new(
-            &program,
-            &graph,
-            &layout,
-            &machine,
-            &locks,
-            ExecConfig::default(),
-        );
+        let mut exec = VirtualExecutor::over(&deploy, &machine, ExecConfig::default());
         match exec.run(None) {
             Err(ExecError::Trap(msg)) => assert!(msg.contains("division by zero"), "{msg}"),
             other => panic!("expected trap, got {other:?}"),
@@ -1574,21 +1539,27 @@ mod payload_tests {
     use super::tests_support::fanout_setup;
     use super::*;
 
+    /// Transfer cost reaches the makespan: the same fan-out runs slower
+    /// on a machine that charges more cycles per payload word.
     #[test]
-    fn heavier_per_class_payloads_slow_transfers() {
+    fn heavier_transfers_slow_the_makespan() {
         let (program, graph, layout, machine, locks) = fanout_setup(12, 4);
-        let run = |config: ExecConfig| {
-            let mut exec =
-                VirtualExecutor::new(&program, &graph, &layout, &machine, &locks, config);
+        let run = |machine: &MachineDescription| {
+            let config = ExecConfig::default();
+            let mut exec = VirtualExecutor::new(&program, &graph, &layout, machine, &locks, config);
             exec.run(None).expect("runs").makespan
         };
-        let light = run(ExecConfig::default());
-        let work_class = program.spec.class_by_name("Work").expect("exists");
-        let mut heavy_cfg = ExecConfig::default();
-        heavy_cfg
-            .payload_words_per_class
-            .insert(work_class, 100_000);
-        let heavy = run(heavy_cfg);
+        let light = run(&machine);
+        let heavy = run(&MachineDescription::new(
+            "heavy",
+            2,
+            2,
+            vec![],
+            700,
+            2,
+            220,
+            6_250,
+        ));
         assert!(
             heavy > light,
             "heavy payloads must cost time: {heavy} !> {light}"

@@ -18,7 +18,7 @@
 //! is shared between threads: no synchronisation primitive, no spawn.
 
 use crate::adapt::RelayoutError;
-use crate::chaos::{FaultPlan, FaultSpec};
+use crate::chaos::{FaultPlan, FaultSpec, MAX_REDELIVERIES, MESSAGE_DEADLINE};
 use crate::deploy::Deployment;
 use crate::ledger::Completion;
 use crate::program::{NativePayload, Program, TaskCtx};
@@ -28,6 +28,7 @@ use bamboo_lang::ids::{AllocSiteId, ClassId, ExitId, ParamIdx, TagTypeId, TaskId
 use bamboo_lang::interp::TagInstance;
 use bamboo_lang::spec::{FlagSet, ProgramSpec};
 use bamboo_schedule::formation::{self, Probe, SlotTable};
+use bamboo_schedule::sim::kernel::PAYLOAD_WORDS;
 use bamboo_schedule::{GroupGraph, InstanceId, Layout, RouteDecision, RouteTable};
 use bamboo_telemetry::analyze::LiveEstimator;
 use bamboo_telemetry::event::{fault_code, recover_code};
@@ -78,9 +79,9 @@ pub(crate) enum Message {
 /// worker holding its `Box` owns it, so dispatch takes no lock for it.
 pub(crate) const UNSHARED: usize = usize::MAX;
 
-/// Estimated wire size of one object for telemetry: the virtual
-/// executor's default of 16 payload words.
-const OBJ_BYTES_ESTIMATE: u64 = 16 * 8;
+/// Estimated wire size of one object for telemetry: the payload words
+/// the simulator and the virtual executor charge per transfer.
+const OBJ_BYTES_ESTIMATE: u64 = PAYLOAD_WORDS * 8;
 
 /// Soft bound on each worker's run queue: a worker forming invocations
 /// past it sheds the surplus to a less loaded same-group core.
@@ -340,11 +341,11 @@ pub(crate) fn send<P: Port>(
         if drops > 0 {
             port.count(Fact::Faults, u64::from(drops));
             sink.fault(sink.now(), fault_code::MSG_DROP, u64::from(drops), msg);
-            let mut lost = drops >= plan.max_redeliveries();
+            let mut lost = drops >= MAX_REDELIVERIES;
             let mut waited = Duration::ZERO;
             for attempt in 0..drops {
                 let pause = plan.backoff(attempt);
-                if waited + pause > plan.message_deadline() {
+                if waited + pause > MESSAGE_DEADLINE {
                     lost = true;
                     break;
                 }
@@ -1067,27 +1068,14 @@ impl CoreState {
         port.count(Fact::Dispatches, 1);
         port.charge(inv.request);
 
-        // One estimator record and `TaskExit` / `TaskAlloc` events per
-        // invocation, before routing consumes `created`.
-        if port.estimator().is_some() || self.sink.is_enabled() {
+        // One estimator record per invocation, before routing consumes
+        // `created`.
+        if let Some(estimator) = port.estimator() {
             let mut site_counts = vec![0u64; tspec.alloc_sites.len()];
             for (site_idx, _) in &created {
                 site_counts[*site_idx] += 1;
             }
-            if let Some(estimator) = port.estimator() {
-                estimator.record(inv.task.index(), exit.index(), charged, &site_counts);
-            }
-            if self.sink.is_enabled() {
-                let ts = self.sink.now();
-                let exit_ix = exit.index() as u64;
-                self.sink.task_exit(ts, task_ix, exit_ix, charged, inv.id);
-                for (site, &count) in site_counts.iter().enumerate() {
-                    if count > 0 {
-                        self.sink
-                            .task_alloc(ts, task_ix, exit_ix, site as u64, count);
-                    }
-                }
-            }
+            estimator.record(inv.task.index(), exit.index(), charged, &site_counts);
         }
 
         // Shared-lock directive: a class on first grouping; nothing need

@@ -54,7 +54,7 @@ pub use mapping::{
 pub use preprocess::scc_tree_transform;
 pub use routing::RouteTable;
 pub use sim::{simulate, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
-pub use synthesis::{single_core_plan, synthesize, SynthesisOptions, SynthesisResult};
+pub use synthesis::{bootstrap_plan, synthesize, SynthesisOptions, SynthesisResult};
 pub use trace::{DataDep, ExecutionTrace, TraceTask};
 pub use transforms::{
     compute_replication, compute_replication_with, replicable, Replication, RuleSet,

@@ -59,7 +59,7 @@ impl<'a> SimProgram<'a> {
             spec,
             profile,
             opts: opts.clone(),
-            tables: Tables::new(spec, graph, machine, |c| opts.payload_words_of(c)),
+            tables: Tables::new(spec, graph, machine),
             task_profiled: (0..n_tasks)
                 .map(|t| profile.task(TaskId::new(t)).invocations() > 0)
                 .collect(),

@@ -32,6 +32,11 @@ pub const UNTAGGED: u64 = u64::MAX;
 /// the object id (arrivals) or core id (core-free).
 const EV_CORE_FREE: u32 = 1 << 31;
 
+/// Payload size of every object in words, for transfer costs. The
+/// simulator and the virtual executor both charge it, so their
+/// makespans agree (Figure 9).
+pub const PAYLOAD_WORDS: u64 = 16;
+
 /// Layout-independent dispatch tables of one `(spec, graph, machine)`,
 /// shared by every run over them.
 pub struct Tables<'a> {
@@ -40,17 +45,14 @@ pub struct Tables<'a> {
     machine: &'a MachineDescription,
     slot_tables: Vec<SlotTable>,
     pub(crate) routes: RouteTable,
-    /// Payload words per class, for transfer costs.
-    class_words: Vec<u64>,
 }
 
 impl<'a> Tables<'a> {
-    /// Builds the tables; `words` gives a class's payload size in words.
+    /// Builds the tables.
     pub fn new(
         spec: &'a ProgramSpec,
         graph: &'a GroupGraph,
         machine: &'a MachineDescription,
-        words: impl Fn(ClassId) -> u64,
     ) -> Self {
         Tables {
             spec,
@@ -58,9 +60,6 @@ impl<'a> Tables<'a> {
             machine,
             slot_tables: SlotTable::per_group(spec, graph),
             routes: RouteTable::new(spec, graph),
-            class_words: (0..spec.classes.len())
-                .map(|c| words(ClassId::new(c)))
-                .collect(),
         }
     }
 }
@@ -191,12 +190,12 @@ pub trait Source {
     /// invocation completed.
     fn released(&mut self, _objs: &Objects, _obj: u32) {}
 
-    /// An object of `words` payload words arrived at `core`, whose ready
-    /// queue holds `queued` invocations.
-    fn arrived(&mut self, _now: Cycles, _core: u32, _words: u64, _queued: usize) {}
+    /// An object arrived at `core`, whose ready queue holds `queued`
+    /// invocations.
+    fn arrived(&mut self, _now: Cycles, _core: u32, _queued: usize) {}
 
-    /// An object of `words` payload words left core `from` for core `to`.
-    fn sent(&mut self, _now: Cycles, _from: u32, _to: u32, _words: u64) {}
+    /// An object left core `from` for core `to`.
+    fn sent(&mut self, _now: Cycles, _from: u32, _to: u32) {}
 }
 
 /// What a run produced.
@@ -418,9 +417,7 @@ impl<S: Source> Pass<'_, '_, S> {
         let o = obj as usize;
         let (home, class, flags) = (k.objs.home[o], k.objs.class[o], k.objs.flags[o]);
         let core = k.inst_core[home as usize];
-        let words = self.t.class_words[class.index()];
-        self.src
-            .arrived(k.now, core, words, k.ready[core as usize].len());
+        self.src.arrived(k.now, core, k.ready[core as usize].len());
         let group = k.shape[home as usize] as usize;
         let base = k.inst_slot_base[home as usize] as usize;
         let mut touched = false;
@@ -462,10 +459,10 @@ impl<S: Source> Pass<'_, '_, S> {
         );
         let mut cost = 0;
         if from != to {
-            let words = self.t.class_words[k.objs.class[o].index()];
             k.out.transfers += 1;
-            self.src.sent(k.now, from, to, words);
-            cost = k.xfer_base[from as usize * k.core_count + to as usize] + words * k.xfer_word;
+            self.src.sent(k.now, from, to);
+            cost = k.xfer_base[from as usize * k.core_count + to as usize]
+                + PAYLOAD_WORDS * k.xfer_word;
         }
         k.objs.home[o] = dest;
         k.objs.arrival[o] = k.now + cost;

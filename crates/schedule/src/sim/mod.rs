@@ -55,24 +55,10 @@ pub struct SimOptions {
     /// Cycles charged to a core per task dispatch (queue pop, parameter
     /// locking).
     pub dispatch_overhead: Cycles,
-    /// Estimated object payload size in words, for transfer costs.
-    pub payload_words: u64,
-    /// Per-class payload overrides (falls back to `payload_words`).
-    pub payload_words_per_class: std::collections::HashMap<bamboo_lang::ids::ClassId, u64>,
     /// Use the profile's recorded invocation sequence (replay mode) when
     /// available; `false` falls back to the aggregate count-matching
     /// Markov model everywhere (the Figure 9 ablation).
     pub replay: bool,
-}
-
-impl SimOptions {
-    /// Payload size for `class`.
-    pub fn payload_words_of(&self, class: bamboo_lang::ids::ClassId) -> u64 {
-        self.payload_words_per_class
-            .get(&class)
-            .copied()
-            .unwrap_or(self.payload_words)
-    }
 }
 
 impl Default for SimOptions {
@@ -81,8 +67,6 @@ impl Default for SimOptions {
             horizon: 500_000_000_000,
             collect_trace: false,
             dispatch_overhead: 40,
-            payload_words: 16,
-            payload_words_per_class: std::collections::HashMap::new(),
             replay: true,
         }
     }

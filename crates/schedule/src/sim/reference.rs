@@ -12,6 +12,7 @@
 
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout, RouteDecision, Router};
+use crate::sim::kernel::PAYLOAD_WORDS;
 use crate::sim::{SimOptions, SimResult};
 use crate::trace::{DataDep, ExecutionTrace, TraceTask};
 use bamboo_analysis::cstg::enabled_params;
@@ -299,8 +300,9 @@ impl<'a> Simulator<'a> {
             ) {
                 let from_core = self.layout.core_of(home);
                 let to_core = self.layout.core_of(dest);
-                let words = self.opts.payload_words_of(class);
-                let cost = self.machine.transfer_cycles(from_core, to_core, words);
+                let cost = self
+                    .machine
+                    .transfer_cycles(from_core, to_core, PAYLOAD_WORDS);
                 self.objects[obj].home = dest;
                 self.objects[obj].arrival = self.now + cost;
                 self.push_event(self.now + cost, EventKey::Arrival(obj));
@@ -513,8 +515,9 @@ impl<'a> Simulator<'a> {
                     self.stamp(obj);
                     let from_core = self.layout.core_of(self.objects[obj].home);
                     let to_core = self.layout.core_of(dest);
-                    let words = self.opts.payload_words_of(self.objects[obj].class);
-                    let cost = self.machine.transfer_cycles(from_core, to_core, words);
+                    let cost = self
+                        .machine
+                        .transfer_cycles(from_core, to_core, PAYLOAD_WORDS);
                     self.objects[obj].home = dest;
                     self.objects[obj].arrival = self.now + cost;
                     self.push_event(self.now + cost, EventKey::Arrival(obj));
@@ -547,8 +550,9 @@ impl<'a> Simulator<'a> {
                 );
                 let from_core = self.layout.core_of(inv.instance);
                 let to_core = self.layout.core_of(dest);
-                let words = self.opts.payload_words_of(site_spec.class);
-                let cost = self.machine.transfer_cycles(from_core, to_core, words);
+                let cost = self
+                    .machine
+                    .transfer_cycles(from_core, to_core, PAYLOAD_WORDS);
                 let obj = self.objects.len();
                 self.objects.push(SimObject {
                     class: site_spec.class,

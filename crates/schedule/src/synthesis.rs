@@ -16,7 +16,7 @@ use crate::transforms::{compute_replication, replicable, Replication};
 use bamboo_analysis::cstg::Cstg;
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::MachineDescription;
-use bamboo_profile::Profile;
+use bamboo_profile::{Profile, ProfileCollector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,15 +185,13 @@ pub fn synthesize<R: Rng>(
     result
 }
 
-/// Builds the trivial single-core plan (profiling bootstrap and the
-/// 1-core Bamboo configuration): base groups, no replication, everything
-/// on core 0.
-pub fn single_core_plan(
-    spec: &ProgramSpec,
-    cstg: &Cstg,
-    profile: &Profile,
-) -> (GroupGraph, Layout) {
-    let graph = GroupGraph::build(spec, cstg, profile);
+/// Builds the bootstrap plan the profiling run executes (paper
+/// §4.3.1): base groups annotated by an empty profile (allocation means
+/// default to 1; layout-independent execution does not consult them),
+/// no replication, everything on core 0.
+pub fn bootstrap_plan(spec: &ProgramSpec, cstg: &Cstg) -> (GroupGraph, Layout) {
+    let empty = ProfileCollector::new(spec, "bootstrap").finish();
+    let graph = GroupGraph::build(spec, cstg, &empty);
     let layout = Layout::single_core(&graph);
     (graph, layout)
 }
@@ -219,7 +217,7 @@ mod tests {
             &SynthesisOptions::default(),
             &mut rng,
         );
-        let (graph1, layout1) = single_core_plan(&spec, &cstg, &profile);
+        let (graph1, layout1) = bootstrap_plan(&spec, &cstg);
         let single = simulate(
             &spec,
             &graph1,
@@ -314,8 +312,8 @@ mod tests {
 
     #[test]
     fn single_core_plan_uses_one_core() {
-        let (spec, cstg, profile) = kc_setup();
-        let (_, layout) = single_core_plan(&spec, &cstg, &profile);
+        let (spec, cstg, _) = kc_setup();
+        let (_, layout) = bootstrap_plan(&spec, &cstg);
         assert_eq!(layout.cores_used(), 1);
     }
 }

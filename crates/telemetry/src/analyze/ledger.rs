@@ -146,12 +146,6 @@ impl Ledger {
                     | EventKind::ReqAdmit
                     | EventKind::ReqShed
                     | EventKind::Relayout => &mut row.routing,
-                    // Estimation samples are emitted inside the
-                    // body span (before TaskEnd); the gap leading
-                    // up to one is compute, already attributed by
-                    // the `in_task` arm — standalone they carry no
-                    // wait semantics.
-                    EventKind::TaskExit | EventKind::TaskAlloc => &mut row.compute,
                 }
             };
             *bucket += gap;

@@ -264,9 +264,7 @@ impl ChromeTrace {
                 | EventKind::InvQueued
                 | EventKind::InvLink
                 | EventKind::ReqArrive
-                | EventKind::ReqAdmit
-                | EventKind::TaskExit
-                | EventKind::TaskAlloc => {}
+                | EventKind::ReqAdmit => {}
             }
         }
     }

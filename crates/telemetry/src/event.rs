@@ -90,35 +90,11 @@ pub enum EventKind {
     /// from the request's [`EventKind::ReqAdmit`] timestamp to this
     /// event's timestamp.
     ReqComplete = 15,
-    /// A live-estimation sample (`adapt.*` namespace): one task
-    /// invocation's exit and *charged* body cycles — the deterministic
-    /// cost-model cycles, not wall time, so estimated profiles are
-    /// reproducible under stepped pacing. `a` = task id in the low 32
-    /// bits, exit id in the high 32 (see [`pack_task_exit`]), `b` =
-    /// charged cycles, `c` = invocation id.
-    TaskExit = 16,
-    /// Objects one invocation allocated at one site (`adapt.*`
-    /// namespace). `a` = task id | exit id << 32 (see
-    /// [`pack_task_exit`]), `b` = allocation site id, `c` = objects
-    /// allocated.
-    TaskAlloc = 17,
     /// A hot relayout drained buffered objects of a migrated instance
     /// at its old host (`relayout.*` namespace). `a` = the layout epoch
     /// that took effect, `b` = the migrated instance id, `c` = buffered
     /// objects re-sent to the new host.
     Relayout = 18,
-}
-
-/// Packs a task id and exit id into the `a` word of
-/// [`EventKind::TaskExit`] / [`EventKind::TaskAlloc`] events.
-pub const fn pack_task_exit(task: u64, exit: u64) -> u64 {
-    (task & 0xffff_ffff) | (exit << 32)
-}
-
-/// Splits an `a` word packed by [`pack_task_exit`] back into
-/// `(task, exit)`.
-pub const fn unpack_task_exit(a: u64) -> (u64, u64) {
-    (a & 0xffff_ffff, a >> 32)
 }
 
 /// Packs an instance id and the serving request id that formed the
@@ -208,8 +184,6 @@ impl EventKind {
             EventKind::ReqAdmit => "req_admit",
             EventKind::ReqShed => "req_shed",
             EventKind::ReqComplete => "req_complete",
-            EventKind::TaskExit => "task_exit",
-            EventKind::TaskAlloc => "task_alloc",
             EventKind::Relayout => "relayout",
         }
     }
@@ -273,22 +247,10 @@ mod tests {
             EventKind::ReqAdmit,
             EventKind::ReqShed,
             EventKind::ReqComplete,
-            EventKind::TaskExit,
-            EventKind::TaskAlloc,
             EventKind::Relayout,
         ];
         let names: std::collections::HashSet<_> = kinds.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), kinds.len());
-    }
-
-    #[test]
-    fn task_exit_packing_round_trips() {
-        let a = pack_task_exit(7, 3);
-        assert_eq!(unpack_task_exit(a), (7, 3));
-        assert_eq!(
-            unpack_task_exit(pack_task_exit(0xffff_ffff, 0)),
-            (0xffff_ffff, 0)
-        );
     }
 
     #[test]

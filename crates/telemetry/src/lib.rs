@@ -474,34 +474,6 @@ impl WorkerSink {
         self.push(ts, EventKind::ReqComplete, request, invocations, 0);
     }
 
-    /// Records one task invocation's exit and charged body cycles — the
-    /// live-estimation sample stream (`adapt.*` namespace). `task` and
-    /// `exit` pack into one word via [`event::pack_task_exit`].
-    #[inline]
-    pub fn task_exit(&mut self, ts: Timestamp, task: u64, exit: u64, cycles: u64, inv: u64) {
-        self.push(
-            ts,
-            EventKind::TaskExit,
-            event::pack_task_exit(task, exit),
-            cycles,
-            inv,
-        );
-    }
-
-    /// Records the objects one invocation allocated at one site
-    /// (`adapt.*` namespace); paired with the invocation's
-    /// [`WorkerSink::task_exit`] by the packed `(task, exit)` word.
-    #[inline]
-    pub fn task_alloc(&mut self, ts: Timestamp, task: u64, exit: u64, site: u64, count: u64) {
-        self.push(
-            ts,
-            EventKind::TaskAlloc,
-            event::pack_task_exit(task, exit),
-            site,
-            count,
-        );
-    }
-
     /// Records a hot-relayout drain at a migrated instance's old host
     /// (`relayout.*` namespace): `epoch` is the layout epoch that took
     /// effect, `instance` the migrated instance, `drained` the buffered

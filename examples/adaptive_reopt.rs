@@ -15,8 +15,8 @@
 //!
 //! Run with: `cargo run --release --example adaptive_reopt`
 
-use bamboo::schedule::spread_layout;
-use bamboo::{ExecConfig, MachineDescription, Replication, SynthesisOptions};
+use bamboo::schedule::{bootstrap_plan, spread_layout};
+use bamboo::{ExecConfig, MachineDescription, Replication, SynthesisOptions, VirtualExecutor};
 use bamboo_apps::{Benchmark, Scale};
 use rand::SeedableRng;
 
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Generation 0: the executable ships with a naive layout — every
     // group replicated once and dealt uniformly, no profile knowledge.
-    let graph = compiler.bootstrap_graph();
+    let (graph, _) = bootstrap_plan(&compiler.program.spec, &compiler.cstg);
     let naive_repl = Replication::serial(&graph);
     let naive_layout = spread_layout(&graph, &naive_repl, machine.core_count());
 
@@ -36,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         profile_input: Some("field".to_string()),
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&graph, &naive_layout, &machine, config);
+    let (program, locks) = (&compiler.program, &compiler.locks);
+    let mut exec = VirtualExecutor::new(program, &graph, &naive_layout, &machine, locks, config);
     let mut report0 = exec.run(None)?;
     let field_profile = report0.profile.take().expect("profiling was on");
     println!(
@@ -59,7 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Generation 1: same executable, new layout data.
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+    let deployment = compiler.deploy(&plan);
+    let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
     let report1 = exec.run(None)?;
     let verified = bench.parallel_checksum(&compiler, &exec) == bench.serial(Scale::Small).checksum;
     println!(
@@ -76,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         profile_input: Some("field-gen1".to_string()),
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+    let mut exec = VirtualExecutor::over(&deployment, &machine, config);
     let mut report1p = exec.run(None)?;
     let profile1 = report1p.profile.take().expect("profiling was on");
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);

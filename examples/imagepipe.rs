@@ -9,8 +9,7 @@
 //!
 //! Run with: `cargo run --example imagepipe`
 
-use bamboo::{Compiler, ExecConfig, MachineDescription, SynthesisOptions};
-use rand::SeedableRng;
+use bamboo::{Compiler, ExecConfig, MachineDescription, VirtualExecutor};
 
 const SOURCE: &str = r#"
 class StartupObject { flag initialstate; }
@@ -78,11 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .all_params_share_tag()
     );
 
-    let (profile, _, ()) = compiler.profile_run(None, "imagepipe", |_| ())?;
     let machine = MachineDescription::quad();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+    let plan = compiler.plan("imagepipe", &machine, 7)?;
+    let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
     let report = exec.run(None)?;
     println!(
         "ran {} invocations on {} cores",

@@ -11,18 +11,19 @@
 //! Run with: `cargo run --release --example montecarlo_pipeline`
 
 use bamboo::schedule::{simulate, SimOptions};
-use bamboo::{CoreId, ExecConfig, MachineDescription, SynthesisOptions};
+use bamboo::{CoreId, ExecConfig, MachineDescription, VirtualExecutor};
 use bamboo_apps::{Benchmark, Scale};
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = bamboo_apps::montecarlo::MonteCarlo;
     let compiler = bench.compiler(Scale::Small);
-    let (profile, single, ()) = compiler.profile_run(None, "pipeline", |_| ())?;
-
     let machine = MachineDescription::n_cores(8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+    let bamboo::Plan {
+        profile,
+        single,
+        synthesis: plan,
+        deployment,
+    } = compiler.plan("pipeline", &machine, 42)?;
 
     println!("synthesized layout on {machine}:");
     print!(
@@ -74,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // And execute the winning layout for real.
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+    let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
     let parallel = exec.run(None)?;
     println!(
         "\nreal execution: {} cycles — {:.2}x speedup over one core; result verified: {}",

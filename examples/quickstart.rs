@@ -5,7 +5,6 @@
 //! Run with: `cargo run --example quickstart`
 
 use bamboo::prelude::*;
-use rand::SeedableRng;
 
 const SOURCE: &str = r#"
 class StartupObject { flag initialstate; }
@@ -88,28 +87,27 @@ fn main() -> Result<(), Error> {
         );
     }
 
-    // 2. Profile on a single core (this also runs the program for real).
-    let (profile, single, ()) = compiler.profile_run(None, "quickstart", |_| ())?;
+    // 2. Plan: profile on a single core (this also runs the program for
+    // real), synthesize an implementation for a quad-core machine, and
+    // deploy it — (program, graph, layout, locks) in the one artifact
+    // both executors consume.
+    let machine = MachineDescription::quad();
+    let plan = compiler.plan("quickstart", &machine, 42)?;
+    let (single, deployment) = (&plan.single, &plan.deployment);
     println!(
         "\nsingle-core run: {} invocations, {} cycles",
         single.invocations, single.makespan
     );
-
-    // 3. Synthesize an implementation for a quad-core machine.
-    let machine = MachineDescription::quad();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
     println!("\nsynthesized layout for {machine}:");
     print!(
         "{}",
-        plan.layout.describe(&compiler.program.spec, &plan.graph)
+        deployment
+            .layout
+            .describe(&compiler.program.spec, &deployment.graph)
     );
 
-    // 4. Execute the synthesized implementation. The deployment bundles
-    // (program, graph, layout, locks) into the one artifact both
-    // executors consume.
-    let deployment = compiler.deploy(&plan);
-    let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
+    // 3. Execute the synthesized implementation.
+    let mut exec = VirtualExecutor::over(deployment, &machine, ExecConfig::default());
     let parallel = exec.run(None)?;
     println!(
         "quad-core run: {} cycles — {:.2}x speedup",
@@ -117,7 +115,7 @@ fn main() -> Result<(), Error> {
         single.makespan as f64 / parallel.makespan as f64
     );
 
-    // 5. Read the result out of the final Results object.
+    // 4. Read the result out of the final Results object.
     let results_class = compiler
         .program
         .spec

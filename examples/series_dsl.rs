@@ -8,9 +8,8 @@
 //!
 //! Run with: `cargo run --release --example series_dsl`
 
-use bamboo::{Compiler, ExecConfig, MachineDescription, SynthesisOptions};
+use bamboo::{Compiler, ExecConfig, MachineDescription, VirtualExecutor};
 use bamboo_apps::series::fourier_coefficients;
-use rand::SeedableRng;
 
 const CHUNKS: usize = 8;
 const COEFFS_PER_CHUNK: usize = 2;
@@ -111,16 +110,15 @@ task merge(Result r in collecting, Chunk c in done) {{
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiler = Compiler::from_source("series-dsl", &source())?;
-    let (profile, single, ()) = compiler.profile_run(None, "dsl", |_| ())?;
+    let machine = MachineDescription::n_cores(8);
+    let plan = compiler.plan("dsl", &machine, 42)?;
+    let single = &plan.single;
     println!(
         "single-core: {} invocations, {} interpreter-charged cycles",
         single.invocations, single.makespan
     );
 
-    let machine = MachineDescription::n_cores(8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+    let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
     let parallel = exec.run(None)?;
     println!(
         "8-core: {} cycles — {:.2}x speedup",

@@ -13,7 +13,6 @@
 
 use bamboo::prelude::*;
 use bamboo::telemetry::analyze::ObservedGraph;
-use rand::SeedableRng;
 
 /// Squares `n` numbers per request and reduces them to a sum.
 fn build_program(n: i64) -> Compiler {
@@ -80,11 +79,9 @@ fn main() -> Result<(), Error> {
     let compiler = build_program(16);
 
     // Profile on one core, synthesize for eight, bundle the artifact.
-    let (profile, _, ()) = compiler.profile_run(None, "serving-demo", |_| ())?;
     let machine = MachineDescription::n_cores(8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let handle = DeploymentHandle::deploy(&compiler, &plan);
+    let plan = compiler.plan("serving-demo", &machine, 11)?;
+    let handle = DeploymentHandle::from_deployment(plan.deployment);
     println!(
         "deployment: {} over {} cores, kept resident",
         handle.planned_layout(),

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example threaded_deploy`
 
 use bamboo::prelude::*;
-use rand::SeedableRng;
+use bamboo::schedule::sim::kernel::PAYLOAD_WORDS;
 
 fn build_program(n: i64) -> Compiler {
     let mut b: ProgramBuilder<NativeBody> = ProgramBuilder::new("threaded-deploy");
@@ -75,15 +75,14 @@ fn main() -> Result<(), Error> {
     let n = 64i64;
     let compiler = build_program(n);
 
-    // Profile on one core, synthesize for eight.
-    let (profile, single, ()) = compiler.profile_run(None, "deploy-demo", |_| ())?;
+    // Profile on one core, synthesize for eight, deploy.
     let machine = MachineDescription::n_cores(8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+    let plan = compiler.plan("deploy-demo", &machine, 11)?;
+    let single = plan.single;
 
     // One lifecycle handle; the virtual executor predicts over the same
     // deployment artifact before the threaded run consumes it.
-    let handle = DeploymentHandle::deploy(&compiler, &plan);
+    let handle = DeploymentHandle::from_deployment(plan.deployment);
     println!(
         "deployment: {} over {} cores",
         handle.planned_layout(),
@@ -122,7 +121,7 @@ fn main() -> Result<(), Error> {
     println!(
         "telemetry: {} dispatches, {} objects sent",
         report.metrics.counters["threaded.dispatches"],
-        report.metrics.counters["threaded.bytes_sent"] / (16 * 8)
+        report.metrics.counters["threaded.bytes_sent"] / (PAYLOAD_WORDS * 8)
     );
 
     // Doctor pass: reconstruct the causal graph from the recorded

@@ -17,12 +17,10 @@
 //!    unreachable threshold commits nothing at all.
 
 use bamboo::prelude::*;
-use bamboo::schedule::{InstanceId, Layout, Replication};
+use bamboo::schedule::{bootstrap_plan, InstanceId, Layout, Replication};
 use bamboo::telemetry::EventKind;
 use bamboo::{CoreId, Pacing, RelayoutHandle, ServingOptions, ServingReport, Telemetry};
 use bamboo_apps::{all, by_name, Benchmark, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -30,14 +28,9 @@ use std::time::Duration;
 /// a fixed seed, and returns the compiler + deployment + profile.
 fn deploy(bench: &dyn Benchmark, cores: usize) -> (Compiler, Deployment, Profile) {
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "adapt", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(42);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let deployment = compiler.deploy(&plan);
-    (compiler, deployment, profile)
+    let plan = compiler.plan("adapt", &machine, 42).expect("profile run");
+    (compiler, plan.deployment, plan.profile)
 }
 
 /// The same deployment with every instance squeezed onto core 0 — a
@@ -267,7 +260,9 @@ fn relayout_between_handoffs_delivers_every_object() {
         }))
         .finish();
     let compiler = Compiler::from_native(b.build().expect("valid program"));
-    let mut deployment = Deployment::single_core(&compiler.program, &compiler.locks);
+    let (graph, layout) = bootstrap_plan(&compiler.program.spec, &compiler.cstg);
+    let (program, locks) = (compiler.program.clone(), compiler.locks.clone());
+    let mut deployment = Deployment::new(program, graph, layout, locks);
     deployment.layout.core_count = 2;
     let fold_group = deployment.graph.group_of_task(fold).expect("grouped");
     let fold_inst = deployment.layout.instances_of(fold_group)[0];
@@ -350,7 +345,9 @@ fn migration_keeps_round_robin_continuity() {
         .body(body(|_| 0))
         .finish();
     let compiler = Compiler::from_native(b.build().expect("valid program"));
-    let mut deployment = Deployment::single_core(&compiler.program, &compiler.locks);
+    let (graph, layout) = bootstrap_plan(&compiler.program.spec, &compiler.cstg);
+    let (program, locks) = (compiler.program.clone(), compiler.locks.clone());
+    let mut deployment = Deployment::new(program, graph, layout, locks);
     let graph = &deployment.graph;
     let consume_group = graph.group_of_task(consume).expect("grouped");
     let copies: Vec<usize> = (0..graph.groups.len())

@@ -3,9 +3,8 @@
 //! and on a synthesized multi-core layout, and the synthesized layout
 //! must actually be faster.
 
-use bamboo::{ExecConfig, MachineDescription, SynthesisOptions};
+use bamboo::{ExecConfig, MachineDescription, VirtualExecutor};
 use bamboo_apps::{all, Scale};
-use rand::SeedableRng;
 
 #[test]
 fn every_benchmark_verifies_on_one_core() {
@@ -35,11 +34,8 @@ fn every_benchmark_verifies_and_speeds_up_on_eight_cores() {
     for bench in all() {
         let serial = bench.serial(Scale::Small);
         let compiler = bench.compiler(Scale::Small);
-        let (profile, single, ()) = compiler.profile_run(None, "t", |_| ()).expect("profiles");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-        let mut exec =
-            compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+        let plan = compiler.plan("t", &machine, 17).expect("profiles");
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
         let report = exec.run(None).expect("runs");
         assert!(report.quiesced, "{} did not quiesce", bench.name());
         assert_eq!(
@@ -48,7 +44,7 @@ fn every_benchmark_verifies_and_speeds_up_on_eight_cores() {
             "{} result mismatch on 8 cores",
             bench.name()
         );
-        let speedup = single.makespan as f64 / report.makespan as f64;
+        let speedup = plan.single.makespan as f64 / report.makespan as f64;
         assert!(speedup > 1.5, "{} speedup only {speedup:.2}", bench.name());
     }
 }
@@ -58,13 +54,10 @@ fn simulator_estimate_tracks_real_execution() {
     let machine = MachineDescription::n_cores(8);
     for bench in all() {
         let compiler = bench.compiler(Scale::Small);
-        let (profile, _, ()) = compiler.profile_run(None, "t", |_| ()).expect("profiles");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-        let mut exec =
-            compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+        let plan = compiler.plan("t", &machine, 23).expect("profiles");
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, ExecConfig::default());
         let report = exec.run(None).expect("runs");
-        let err = (plan.estimate.makespan as f64 / report.makespan as f64 - 1.0).abs();
+        let err = (plan.synthesis.estimate.makespan as f64 / report.makespan as f64 - 1.0).abs();
         // The paper's Figure 9 errors are under 8%; replay mode does better.
         assert!(
             err < 0.08,

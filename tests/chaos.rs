@@ -10,11 +10,9 @@
 use bamboo::telemetry::analyze;
 use bamboo::{
     Compiler, Deployment, ExecError, FaultSpec, KillTarget, MachineDescription, RecoveryPolicy,
-    RunOptions, SynthesisOptions, Telemetry, ThreadedExecutor,
+    RunOptions, Telemetry, ThreadedExecutor,
 };
 use bamboo_apps::{all, by_name, Benchmark, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Thread count for every chaos run (CI matrix override).
@@ -37,14 +35,9 @@ fn seed() -> u64 {
 /// deploys `bench` for a `cores`-core machine.
 fn deploy(bench: &dyn Benchmark, cores: usize) -> (Compiler, Deployment) {
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "chaos", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(42);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let deployment = compiler.deploy(&plan);
-    (compiler, deployment)
+    let plan = compiler.plan("chaos", &machine, 42).expect("profile run");
+    (compiler, plan.deployment)
 }
 
 #[test]

@@ -7,15 +7,14 @@
 //! their original producers, and a full diagnosis yields an exact
 //! per-core time breakdown plus ranked findings.
 
+use bamboo::schedule::bootstrap_plan;
 use bamboo::telemetry::analyze::{diagnose, ObservedGraph};
 use bamboo::{
     body, Compiler, CoreId, Deployment, ExecConfig, ExecutionTrace, FlagExpr, Layout,
-    MachineDescription, NativeBody, ProgramBuilder, Replication, RunOptions, SynthesisOptions,
-    Telemetry, TelemetryReport, ThreadedExecutor, ThreadedReport,
+    MachineDescription, NativeBody, ProgramBuilder, Replication, RunOptions, Telemetry,
+    TelemetryReport, ThreadedExecutor, ThreadedReport, VirtualExecutor,
 };
 use bamboo_apps::{by_name, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,14 +29,11 @@ fn deploy_for(
 ) -> (Compiler, Deployment, MachineDescription) {
     let bench = by_name(bench_name).expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "doctor", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let deployment = compiler.deploy(&plan);
-    (compiler, deployment, machine)
+    let plan = compiler
+        .plan("doctor", &machine, seed)
+        .expect("profile run");
+    (compiler, plan.deployment, machine)
 }
 
 /// One telemetry-enabled threaded run.
@@ -54,16 +50,12 @@ fn observed_run(deployment: &Deployment, cores: usize) -> (TelemetryReport, Thre
 }
 
 /// The virtual executor's trace over the same deployment.
-fn predicted_trace(
-    compiler: &Compiler,
-    deployment: &Deployment,
-    machine: &MachineDescription,
-) -> ExecutionTrace {
+fn predicted_trace(deployment: &Deployment, machine: &MachineDescription) -> ExecutionTrace {
     let config = ExecConfig {
         collect_trace: true,
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&deployment.graph, &deployment.layout, machine, config);
+    let mut exec = VirtualExecutor::over(deployment, machine, config);
     exec.run(None)
         .expect("virtual run")
         .trace
@@ -93,13 +85,13 @@ fn trace_edge_pairs(trace: &ExecutionTrace) -> HashMap<(u64, u64), u64> {
 #[test]
 fn observed_causal_edges_match_virtual_executor() {
     for bench in ["kmeans", "filterbank"] {
-        let (compiler, deployment, machine) = deploy_for(bench, 8, 42);
+        let (_, deployment, machine) = deploy_for(bench, 8, 42);
         let (report, run) = observed_run(&deployment, 8);
         let graph = ObservedGraph::from_report(&report);
         assert_eq!(graph.incomplete, 0, "{bench}: ring held the whole run");
         assert_eq!(graph.invocations.len() as u64, run.invocations, "{bench}");
 
-        let predicted = predicted_trace(&compiler, &deployment, &machine);
+        let predicted = predicted_trace(&deployment, &machine);
         let predicted_counts: HashMap<u64, u64> =
             predicted.tasks.iter().fold(HashMap::new(), |mut acc, t| {
                 *acc.entry(t.task.index() as u64).or_insert(0) += 1;
@@ -170,7 +162,7 @@ fn stolen_invocations_link_to_original_producers() {
         }))
         .finish();
     let compiler = Compiler::from_native(b.build().expect("valid program"));
-    let graph = compiler.bootstrap_graph();
+    let (graph, _) = bootstrap_plan(&compiler.program.spec, &compiler.cstg);
     let work_group = graph.group_of_task(work).expect("work is grouped");
     let mut replication = Replication::serial(&graph);
     replication.copies[work_group.index()] = 2;
@@ -187,7 +179,7 @@ fn stolen_invocations_link_to_original_producers() {
         compiler.locks.clone(),
     );
     let machine = MachineDescription::n_cores(2);
-    let predicted_pairs = trace_edge_pairs(&predicted_trace(&compiler, &deployment, &machine));
+    let predicted_pairs = trace_edge_pairs(&predicted_trace(&deployment, &machine));
 
     armed.store(true, Ordering::SeqCst);
     let (report, run) = observed_run(&deployment, 2);
@@ -245,7 +237,7 @@ fn stolen_invocations_link_to_original_producers() {
 fn kmeans_diagnosis_breaks_down_wall_time_exactly() {
     let (compiler, deployment, machine) = deploy_for("kmeans", 8, 42);
     let (report, _) = observed_run(&deployment, 8);
-    let predicted = predicted_trace(&compiler, &deployment, &machine);
+    let predicted = predicted_trace(&deployment, &machine);
     let diagnosis = diagnose(&report, Some(&predicted));
 
     assert_eq!(diagnosis.ledger.cores.len(), 8);

@@ -1,11 +1,12 @@
 //! Integration tests: the full pipeline across crates — DSL frontend,
 //! analyses, synthesis, and all three executors must agree.
 
+use bamboo::schedule::bootstrap_plan;
+use bamboo::FlagExpr;
 use bamboo::{
     body, Compiler, Deployment, ExecConfig, MachineDescription, NativeBody, ProgramBuilder,
     RunOptions, SynthesisOptions, ThreadedExecutor, VirtualExecutor,
 };
-use bamboo::{FlagExpr, Layout};
 use rand::SeedableRng;
 
 const PIPELINE_SRC: &str = r#"
@@ -76,8 +77,8 @@ fn dsl_pipeline_agrees_across_core_counts() {
         let machine = MachineDescription::n_cores(cores);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cores as u64);
         let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-        let mut exec =
-            compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+        let deployment = compiler.deploy(&plan);
+        let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
         let report = exec.run(None).expect("runs");
         assert!(report.quiesced);
         assert_eq!(counter_sum(&compiler, &exec), EXPECTED_SUM.to_string());
@@ -226,10 +227,11 @@ fn deployment_round_trips_the_synthesis_result() {
 #[test]
 fn single_core_layout_runs_any_program() {
     let compiler = native_squares(5);
-    let graph = compiler.bootstrap_graph();
-    let layout = Layout::single_core(&graph);
+    let (graph, layout) = bootstrap_plan(&compiler.program.spec, &compiler.cstg);
     let machine = MachineDescription::n_cores(1);
-    let mut exec = compiler.executor(&graph, &layout, &machine, ExecConfig::default());
+    let (program, locks) = (&compiler.program, &compiler.locks);
+    let config = ExecConfig::default();
+    let mut exec = VirtualExecutor::new(program, &graph, &layout, &machine, locks, config);
     let report = exec.run(None).expect("runs");
     assert!(report.quiesced);
     assert_eq!(report.invocations, 11);
@@ -321,8 +323,8 @@ fn tagged_pairs_meet_across_replicated_instances() {
         let machine = MachineDescription::n_cores(cores);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cores as u64);
         let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-        let mut exec =
-            compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+        let deployment = compiler.deploy(&plan);
+        let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
         let report = exec.run(None).expect("runs");
         assert!(report.quiesced);
         assert_eq!(check(&exec), pairs, "pairs lost on {cores} cores");
@@ -481,7 +483,8 @@ fn diamond_producers_duplicate_the_consumer_group() {
     let machine = MachineDescription::n_cores(6);
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
     let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+    let deployment = compiler.deploy(&plan);
+    let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
     let report = exec.run(None).expect("runs");
     assert!(report.quiesced);
     let class = compiler
@@ -630,22 +633,20 @@ fn virtual_execution_is_deterministic() {
     use bamboo_apps::Benchmark as _;
     let bench = bamboo_apps::montecarlo::MonteCarlo;
     let compiler = bench.compiler(bamboo_apps::Scale::Small);
-    let (profile, _, ()) = compiler.profile_run(None, "t", |_| ()).expect("profiles");
+    let machine = MachineDescription::n_cores(5);
+    let plan = compiler.plan("t", &machine, 9).expect("plans");
     // The startup invocation allocates at several sites; its record must
     // list them in one order on every run.
     for _ in 0..8 {
         let (again, _, ()) = compiler.profile_run(None, "t", |_| ()).expect("profiles");
-        assert_eq!(again, profile, "profiling runs disagree");
+        assert_eq!(again, plan.profile, "profiling runs disagree");
     }
-    let machine = MachineDescription::n_cores(5);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
     let run = || {
         let config = ExecConfig {
             collect_trace: true,
             ..ExecConfig::default()
         };
-        let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
         exec.run(None).expect("runs").trace.expect("trace")
     };
     let (a, b) = (run(), run());

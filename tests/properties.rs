@@ -10,6 +10,7 @@ use bamboo::lang::spec::{FlagExpr, FlagSet};
 use bamboo::profile::{MarkovModel, ProfileCollector};
 use bamboo::{
     body, Compiler, ExecConfig, MachineDescription, NativeBody, ProgramBuilder, SynthesisOptions,
+    VirtualExecutor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -241,7 +242,8 @@ proptest! {
         let machine = MachineDescription::n_cores(cores);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-        let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, ExecConfig::default());
+        let deployment = compiler.deploy(&plan);
+        let mut exec = VirtualExecutor::over(&deployment, &machine, ExecConfig::default());
         let report = exec.run(None).expect("runs");
         prop_assert!(report.quiesced);
         let many = exec.payload::<(i64, i64, i64)>(exec.store.live_of_class(acc_class)[0]).0;
@@ -251,12 +253,10 @@ proptest! {
     #[test]
     fn trace_invariants_hold_for_random_layout_seeds(seed in 0u64..500) {
         let compiler = fanout_program((0..10).collect());
-        let (profile, _, ()) = compiler.profile_run(None, "p", |_| ()).expect("runs");
         let machine = MachineDescription::n_cores(4);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+        let plan = compiler.plan("p", &machine, seed).expect("runs");
         let config = ExecConfig { collect_trace: true, ..ExecConfig::default() };
-        let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
         let report = exec.run(None).expect("runs");
         let trace = report.trace.expect("requested");
         // Work conservation: every invocation appears exactly once.

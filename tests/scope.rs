@@ -11,11 +11,9 @@
 use bamboo::telemetry::analyze;
 use bamboo::{
     DeploymentHandle, MachineDescription, Pacing, Poisson, ScopeConfig, ScopeSnapshot,
-    ServingOptions, ServingReport, SynthesisOptions, Telemetry, TelemetryReport,
+    ServingOptions, ServingReport, Telemetry, TelemetryReport,
 };
 use bamboo_apps::{by_name, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 const SEED: u64 = 42;
@@ -33,15 +31,11 @@ fn scoped_run(
 ) -> (ServingReport, TelemetryReport) {
     let bench = by_name(bench_name).expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "scope", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+    let plan = compiler.plan("scope", &machine, SEED).expect("profile run");
     // Workers plus the serving driver's own ring.
     let telemetry = Telemetry::enabled(cores + 1);
-    let mut session = DeploymentHandle::deploy(&compiler, &plan)
+    let mut session = DeploymentHandle::from_deployment(plan.deployment)
         .with_telemetry(telemetry.clone())
         .with_scope(scope)
         .serve(ServingOptions::new().with_pacing(Pacing::Stepped))
@@ -217,13 +211,9 @@ fn tail_sampling_is_bounded_and_well_formed() {
 fn live_handle_exports_are_consistent() {
     let bench = by_name("kmeans").expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "scope", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(8);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let mut session = DeploymentHandle::deploy(&compiler, &plan)
+    let plan = compiler.plan("scope", &machine, SEED).expect("profile run");
+    let mut session = DeploymentHandle::from_deployment(plan.deployment)
         .with_scope(
             ScopeConfig::default()
                 .with_window(Duration::from_millis(5))
@@ -297,15 +287,11 @@ fn live_handle_exports_are_consistent() {
 fn scope_is_opt_in_and_options_take_precedence() {
     let bench = by_name("filterbank").expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "scope", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(8);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
+    let plan = compiler.plan("scope", &machine, SEED).expect("profile run");
 
     // Off by default.
-    let mut session = DeploymentHandle::deploy(&compiler, &plan)
+    let mut session = DeploymentHandle::from_deployment(plan.deployment.clone())
         .serve(ServingOptions::new().with_pacing(Pacing::Stepped))
         .expect("server starts");
     assert!(session.scope().is_none(), "scope on without opt-in");
@@ -318,7 +304,7 @@ fn scope_is_opt_in_and_options_take_precedence() {
     assert_eq!(report.completed, 4);
 
     // Options-level config wins over the handle's.
-    let session = DeploymentHandle::deploy(&compiler, &plan)
+    let session = DeploymentHandle::from_deployment(plan.deployment)
         .with_scope(ScopeConfig::default().with_slo(77, 0.5))
         .serve(
             ServingOptions::new()

@@ -8,47 +8,34 @@
 
 use bamboo::telemetry::analyze::ObservedGraph;
 use bamboo::{
-    AdmissionControl, Compiler, Deployment, Error, ExecConfig, FaultSpec, KillTarget,
-    MachineDescription, NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, Server,
-    ServingError, ServingOptions, ServingReport, SynthesisOptions, Telemetry, ThreadedExecutor,
-    TokenBucket, Trace,
+    AdmissionControl, Deployment, Error, ExecConfig, FaultSpec, KillTarget, MachineDescription,
+    NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, Server, ServingError,
+    ServingOptions, ServingReport, Telemetry, ThreadedExecutor, TokenBucket, Trace,
+    VirtualExecutor,
 };
 use bamboo_apps::{by_name, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Profiles `bench_name` at small scale, synthesizes for `cores` cores
 /// with a fixed seed, and deploys (same recipe as the doctor tests).
-fn deploy_for(
-    bench_name: &str,
-    cores: usize,
-    seed: u64,
-) -> (Compiler, Deployment, MachineDescription) {
+fn deploy_for(bench_name: &str, cores: usize, seed: u64) -> (Deployment, MachineDescription) {
     let bench = by_name(bench_name).expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "serving", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    let deployment = compiler.deploy(&plan);
-    (compiler, deployment, machine)
+    let plan = compiler
+        .plan("serving", &machine, seed)
+        .expect("profile run");
+    (plan.deployment, machine)
 }
 
 /// Invocations one full workload executes, from the virtual executor's
 /// causal graph over the same deployment.
-fn predicted_invocations(
-    compiler: &Compiler,
-    deployment: &Deployment,
-    machine: &MachineDescription,
-) -> u64 {
+fn predicted_invocations(deployment: &Deployment, machine: &MachineDescription) -> u64 {
     let config = ExecConfig {
         collect_trace: true,
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&deployment.graph, &deployment.layout, machine, config);
+    let mut exec = VirtualExecutor::over(deployment, machine, config);
     let trace = exec
         .run(None)
         .expect("virtual run")
@@ -81,8 +68,8 @@ fn serve_poisson(
 #[test]
 fn per_request_completion_is_exact_against_virtual_graph() {
     for bench in ["kmeans", "filterbank"] {
-        let (compiler, deployment, machine) = deploy_for(bench, 8, 42);
-        let expected = predicted_invocations(&compiler, &deployment, &machine);
+        let (deployment, machine) = deploy_for(bench, 8, 42);
+        let expected = predicted_invocations(&deployment, &machine);
         assert!(expected > 0, "{bench}: virtual graph is non-trivial");
 
         let telemetry = Telemetry::enabled(9); // 8 workers + driver
@@ -157,7 +144,7 @@ fn stepped_completion_order_is_thread_count_invariant() {
             .with_batching(4, Duration::from_micros(500))
     };
     let run = |cores: usize| -> Vec<(u64, u64)> {
-        let (_compiler, deployment, _machine) = deploy_for("kmeans", cores, 42);
+        let (deployment, _machine) = deploy_for("kmeans", cores, 42);
         let report = serve_poisson(
             &deployment,
             RunOptions::default(),
@@ -190,7 +177,7 @@ fn stepped_completion_order_is_thread_count_invariant() {
 /// per-request entries, nothing outstanding.
 #[test]
 fn ledger_is_empty_after_drain() {
-    let (_compiler, deployment, _machine) = deploy_for("filterbank", 8, 42);
+    let (deployment, _machine) = deploy_for("filterbank", 8, 42);
     let exec = ThreadedExecutor::default();
     let mut server = Server::start(
         &exec,
@@ -217,7 +204,7 @@ fn ledger_is_empty_after_drain() {
 /// (`router.shed` / [`bamboo::ThreadedReport::router_shed`]).
 #[test]
 fn clean_run_sheds_nothing() {
-    let (_compiler, deployment, _machine) = deploy_for("kmeans", 8, 42);
+    let (deployment, _machine) = deploy_for("kmeans", 8, 42);
     let report = serve_poisson(
         &deployment,
         RunOptions::default(),
@@ -244,8 +231,8 @@ fn clean_run_sheds_nothing() {
 /// the ledger empty.
 #[test]
 fn same_instant_burst_completes_every_request_exactly() {
-    let (compiler, deployment, machine) = deploy_for("kmeans", 2, 42);
-    let expected = predicted_invocations(&compiler, &deployment, &machine);
+    let (deployment, machine) = deploy_for("kmeans", 2, 42);
+    let expected = predicted_invocations(&deployment, &machine);
     assert_eq!(expected, 37, "KMeans at Scale::Small");
     let total = 1500;
     let exec = ThreadedExecutor::default();
@@ -279,8 +266,8 @@ fn same_instant_burst_completes_every_request_exactly() {
 #[test]
 fn resident_counts_stay_exact_on_one_and_two_workers() {
     for cores in [1, 2] {
-        let (compiler, deployment, machine) = deploy_for("kmeans", cores, 42);
-        let expected = predicted_invocations(&compiler, &deployment, &machine);
+        let (deployment, machine) = deploy_for("kmeans", cores, 42);
+        let expected = predicted_invocations(&deployment, &machine);
         assert_eq!(expected, 37, "KMeans at Scale::Small");
         let total = 60;
         let mut run = ThreadedExecutor::default()
@@ -309,8 +296,8 @@ fn resident_counts_stay_exact_on_one_and_two_workers() {
 #[test]
 fn drain_then_try_completions_finds_every_completion() {
     for cores in [1, 2] {
-        let (compiler, deployment, machine) = deploy_for("kmeans", cores, 42);
-        let expected = predicted_invocations(&compiler, &deployment, &machine);
+        let (deployment, machine) = deploy_for("kmeans", cores, 42);
+        let expected = predicted_invocations(&deployment, &machine);
         assert_eq!(expected, 37, "KMeans at Scale::Small");
         let mut run = ThreadedExecutor::default()
             .start(&deployment, RunOptions::default())
@@ -334,7 +321,7 @@ fn drain_then_try_completions_finds_every_completion() {
 /// lost.
 #[test]
 fn token_bucket_sheds_are_typed_and_accounted() {
-    let (_compiler, deployment, _machine) = deploy_for("filterbank", 8, 42);
+    let (deployment, _machine) = deploy_for("filterbank", 8, 42);
     // 50/s sustained, burst 2, offered ~2000/s in stepped (virtual)
     // time: most arrivals must shed.
     let options = ServingOptions::new()
@@ -371,8 +358,8 @@ fn channel_overflow_is_typed_overloaded() {
 /// invocation tally.
 #[test]
 fn expendable_kill_mid_request_still_completes_every_request() {
-    let (compiler, deployment, machine) = deploy_for("kmeans", 8, 42);
-    let expected = predicted_invocations(&compiler, &deployment, &machine);
+    let (deployment, machine) = deploy_for("kmeans", 8, 42);
+    let expected = predicted_invocations(&deployment, &machine);
     let run_options = RunOptions::default()
         .with_faults(FaultSpec::seeded(7).with_kill(KillTarget::Expendable, 1));
     let report = serve_poisson(
@@ -399,7 +386,7 @@ fn expendable_kill_mid_request_still_completes_every_request() {
 /// cannot come.
 #[test]
 fn unrecoverable_kill_is_typed_core_lost_not_a_hang() {
-    let (_compiler, deployment, _machine) = deploy_for("fractal", 8, 42);
+    let (deployment, _machine) = deploy_for("fractal", 8, 42);
     // Kill every core before its first dispatch, recovery disabled.
     let spec = (0..8).fold(
         FaultSpec::seeded(7).with_recovery(RecoveryPolicy::Disabled),

@@ -9,29 +9,21 @@
 use bamboo::telemetry::analyze::Ledger;
 use bamboo::telemetry::{chrome, json, summary, EventKind};
 use bamboo::{
-    simulate, Compiler, ExecConfig, MachineDescription, Profile, SimOptions, SynthesisOptions,
-    SynthesisResult, Telemetry,
+    simulate, Compiler, ExecConfig, MachineDescription, Plan, SimOptions, Telemetry,
+    VirtualExecutor,
 };
 use bamboo_apps::{by_name, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Profiles `bench_name` at small scale and synthesizes a layout for
-/// `cores` cores with a fixed seed.
-fn plan_for(
-    bench_name: &str,
-    cores: usize,
-    seed: u64,
-) -> (Compiler, Profile, SynthesisResult, MachineDescription) {
+/// Plans `bench_name` at small scale for `cores` cores with a fixed
+/// seed.
+fn plan_for(bench_name: &str, cores: usize, seed: u64) -> (Compiler, Plan, MachineDescription) {
     let bench = by_name(bench_name).expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "telemetry", |_| ())
-        .expect("profile run");
     let machine = MachineDescription::n_cores(cores);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = compiler.synthesize(&profile, &machine, &SynthesisOptions::default(), &mut rng);
-    (compiler, profile, plan, machine)
+    let plan = compiler
+        .plan("telemetry", &machine, seed)
+        .expect("profile run");
+    (compiler, plan, machine)
 }
 
 /// Acceptance criterion: the Chrome trace exported from a benchmark run
@@ -39,14 +31,14 @@ fn plan_for(
 /// recorded anything shows up in the timeline.
 #[test]
 fn exported_chrome_trace_has_valid_structure() {
-    let (compiler, _profile, plan, machine) = plan_for("kmeans", 8, 17);
+    let (compiler, plan, machine) = plan_for("kmeans", 8, 17);
     let telemetry = Telemetry::enabled(8);
     let config = ExecConfig {
         collect_trace: true,
         telemetry: telemetry.clone(),
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+    let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
     let run = exec.run(None).expect("benchmark runs");
     assert!(run.quiesced);
 
@@ -117,14 +109,14 @@ fn exported_chrome_trace_has_valid_structure() {
 #[test]
 fn virtual_traces_are_byte_identical_across_runs() {
     let run_once = || {
-        let (compiler, _profile, plan, machine) = plan_for("series", 4, 99);
+        let (compiler, plan, machine) = plan_for("series", 4, 99);
         let telemetry = Telemetry::enabled(4);
         let config = ExecConfig {
             collect_trace: true,
             telemetry: telemetry.clone(),
             ..ExecConfig::default()
         };
-        let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+        let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
         let run = exec.run(None).expect("benchmark runs");
         let trace = run.trace.expect("trace collection was requested");
         let trace_json = chrome::execution_trace_json(&trace, &compiler.program.spec, "observed");
@@ -148,12 +140,12 @@ fn virtual_traces_are_byte_identical_across_runs() {
 /// observed timeline render side by side in one Chrome trace document.
 #[test]
 fn predicted_and_observed_traces_export_side_by_side() {
-    let (compiler, profile, plan, machine) = plan_for("montecarlo", 8, 23);
+    let (compiler, plan, machine) = plan_for("montecarlo", 8, 23);
     let sim = simulate(
         &compiler.program.spec,
-        &plan.graph,
-        &plan.layout,
-        &profile,
+        &plan.deployment.graph,
+        &plan.deployment.layout,
+        &plan.profile,
         &machine,
         &SimOptions {
             collect_trace: true,
@@ -166,7 +158,7 @@ fn predicted_and_observed_traces_export_side_by_side() {
         collect_trace: true,
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+    let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
     let run = exec.run(None).expect("benchmark runs");
     let observed = run.trace.expect("executor trace was requested");
 
@@ -184,26 +176,14 @@ fn predicted_and_observed_traces_export_side_by_side() {
     }
 }
 
-/// Tentpole wiring: [`Compiler::synthesize_with_telemetry`] records the
+/// Tentpole wiring: [`Telemetry::record_dsa`] records the
 /// DSA optimizer's search statistics — iteration/simulation counters,
 /// acceptance rate, and the best-cost convergence trajectory.
 #[test]
 fn dsa_statistics_flow_into_telemetry() {
-    let bench = by_name("kmeans").expect("benchmark exists");
-    let compiler = bench.compiler(Scale::Small);
-    let (profile, _, ()) = compiler
-        .profile_run(None, "telemetry", |_| ())
-        .expect("profile run");
-    let machine = MachineDescription::n_cores(8);
+    let (_, plan, _) = plan_for("kmeans", 8, 5);
     let telemetry = Telemetry::enabled(1);
-    let mut rng = StdRng::seed_from_u64(5);
-    let plan = compiler.synthesize_with_telemetry(
-        &profile,
-        &machine,
-        &SynthesisOptions::default(),
-        &mut rng,
-        &telemetry,
-    );
+    telemetry.record_dsa(&plan.synthesis.stats);
 
     let metrics = telemetry.report().metrics;
     assert!(metrics.counters["dsa.iterations"] >= 1);
@@ -216,7 +196,7 @@ fn dsa_statistics_flow_into_telemetry() {
     );
     assert_eq!(
         metrics.gauges["dsa.best_makespan"],
-        plan.stats.best_makespan as i64
+        plan.synthesis.stats.best_makespan as i64
     );
 
     let trajectory = &metrics.series["dsa.best_makespan_trajectory"];
@@ -228,7 +208,10 @@ fn dsa_statistics_flow_into_telemetry() {
         trajectory.windows(2).all(|w| w[1] <= w[0]),
         "best-cost trajectory must be non-increasing: {trajectory:?}"
     );
-    assert_eq!(*trajectory.last().unwrap(), plan.stats.best_makespan);
+    assert_eq!(
+        *trajectory.last().unwrap(),
+        plan.synthesis.stats.best_makespan
+    );
 }
 
 /// The event stream recorded during a virtual run is consistent with
@@ -236,13 +219,13 @@ fn dsa_statistics_flow_into_telemetry() {
 /// event per inter-core transfer.
 #[test]
 fn telemetry_events_match_run_report() {
-    let (compiler, _profile, plan, machine) = plan_for("filterbank", 8, 41);
+    let (_, plan, machine) = plan_for("filterbank", 8, 41);
     let telemetry = Telemetry::enabled(8);
     let config = ExecConfig {
         telemetry: telemetry.clone(),
         ..ExecConfig::default()
     };
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &machine, config);
+    let mut exec = VirtualExecutor::over(&plan.deployment, &machine, config);
     let run = exec.run(None).expect("benchmark runs");
 
     let report = telemetry.report();

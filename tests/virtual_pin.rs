@@ -8,7 +8,10 @@
 //! Object transfer counts are deliberately not pinned: they are a
 //! reporting rule, not part of the schedule.
 
-use bamboo::{Compiler, ExecConfig, Layout, MachineDescription, RunReport, SynthesisOptions};
+use bamboo::schedule::bootstrap_plan;
+use bamboo::{
+    Compiler, ExecConfig, MachineDescription, RunReport, SynthesisOptions, VirtualExecutor,
+};
 use bamboo_apps::{all, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -194,17 +197,19 @@ fn rows(name: &'static str, compiler: &Compiler) -> Vec<Row> {
         profile_input,
         ..ExecConfig::default()
     };
-    let graph = compiler.bootstrap_graph();
-    let layout = Layout::single_core(&graph);
+    let (graph, layout) = bootstrap_plan(&compiler.program.spec, &compiler.cstg);
     let one = MachineDescription::n_cores(1);
-    let mut exec = compiler.executor(&graph, &layout, &one, traced(Some("pin".into())));
+    let (program, locks) = (&compiler.program, &compiler.locks);
+    let config = traced(Some("pin".into()));
+    let mut exec = VirtualExecutor::new(program, &graph, &layout, &one, locks, config);
     let mut single = exec.run(None).expect("1-core run");
     let profile = single.profile.take().expect("profile requested");
 
     let four = MachineDescription::n_cores(4);
     let mut rng = StdRng::seed_from_u64(7);
     let plan = compiler.synthesize(&profile, &four, &SynthesisOptions::default(), &mut rng);
-    let mut exec = compiler.executor(&plan.graph, &plan.layout, &four, traced(None));
+    let deployment = compiler.deploy(&plan);
+    let mut exec = VirtualExecutor::over(&deployment, &four, traced(None));
     let planned = exec.run(None).expect("4-core run");
     vec![row(name, "1-core", &single), row(name, "4-core", &planned)]
 }
