@@ -250,8 +250,7 @@ fn adapt_observation(
     }
     let policy = AdaptPolicy::new(machine.clone())
         .with_min_invocations(16)
-        .with_baseline(plan.profile)
-        .with_seed(SEED);
+        .with_baseline(plan.profile);
     let mut session = DeploymentHandle::from_deployment(deployment)
         .with_adapt(policy)
         .serve(ServingOptions::new().with_pacing(Pacing::Stepped))
@@ -328,8 +327,7 @@ fn scope_observation(
     let telemetry = Telemetry::enabled(machine.core_count() + 1);
     let scope = ScopeConfig::default()
         .with_window(std::time::Duration::from_millis(5))
-        .with_slo(50_000, 0.99)
-        .with_sampling(4, 4);
+        .with_slo(50_000, 0.99);
     let mut session = DeploymentHandle::from_deployment(deployment)
         .with_telemetry(telemetry.clone())
         .with_scope(scope)

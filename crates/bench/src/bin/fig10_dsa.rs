@@ -2,34 +2,13 @@
 //! implementations on 16 cores versus the distribution of DSA results
 //! from random starting points.
 //!
-//! Usage:
-//!   cargo run --release -p bamboo-bench --bin fig10_dsa \[starts\] \[enumerate_cap\]
+//! Usage: `cargo run --release -p bamboo-bench --bin fig10_dsa`
 //!
-//! Defaults: 200 starts, 20000 enumerated candidates (the paper used 1000
-//! starts and full enumeration; pass `1000 100000` for a closer run).
-//! Tracking is skipped, as in the paper (its space is prohibitively large).
-
-use bamboo_bench::fig10::{format_result, run_benchmark, Fig10Options};
+//! Runs 500 DSA starts and enumerates up to 50 000 candidates per
+//! benchmark (the paper used 1000 starts and full enumeration). Tracking
+//! is skipped, as in the paper (its space is prohibitively large). About
+//! a minute on a 2-thread host.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut opts = Fig10Options::default();
-    if let Some(s) = args.get(1) {
-        opts.dsa_starts = s.parse().expect("starts must be a number");
-    }
-    if let Some(s) = args.get(2) {
-        opts.enumerate_cap = s.parse().expect("cap must be a number");
-    }
-    println!(
-        "== Figure 10: DSA efficiency on {} cores ({} starts, cap {}) ==\n",
-        opts.cores, opts.dsa_starts, opts.enumerate_cap
-    );
-    for bench in bamboo_apps::all() {
-        if bench.name() == "Tracking" {
-            println!("== Tracking ==\nskipped: exhaustive enumeration prohibitively expensive (as in the paper)\n");
-            continue;
-        }
-        let result = run_benchmark(bench.as_ref(), &opts, 42);
-        println!("{}", format_result(&result, 0.01));
-    }
+    print!("{}", bamboo_bench::fig10::render());
 }

@@ -4,12 +4,6 @@
 //!
 //! Usage: `cargo run --release -p bamboo-bench --bin fig11_generality`
 
-use bamboo::MachineDescription;
-use bamboo_bench::fig11;
-
 fn main() {
-    let machine = MachineDescription::tilepro64();
-    println!("== Figure 11: generality of synthesized implementations ==\n");
-    let rows = fig11::run_all(&machine, 42);
-    print!("{}", fig11::format_table(&rows));
+    print!("{}", bamboo_bench::fig11::render());
 }

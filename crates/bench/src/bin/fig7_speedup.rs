@@ -3,16 +3,6 @@
 //!
 //! Usage: `cargo run --release -p bamboo-bench --bin fig7_speedup`
 
-use bamboo::MachineDescription;
-use bamboo_apps::Scale;
-use bamboo_bench::fig7;
-
 fn main() {
-    let machine = MachineDescription::tilepro64();
-    println!(
-        "== Figure 7: speedup of the benchmarks on {} cores ==\n",
-        machine.core_count()
-    );
-    let rows = fig7::run_all(Scale::Original, &machine, 42);
-    print!("{}", fig7::format_table(&rows));
+    print!("{}", bamboo_bench::fig7::render());
 }

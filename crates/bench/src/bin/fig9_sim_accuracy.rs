@@ -4,15 +4,6 @@
 //!
 //! Usage: `cargo run --release -p bamboo-bench --bin fig9_sim_accuracy`
 
-use bamboo::MachineDescription;
-use bamboo_apps::Scale;
-use bamboo_bench::fig9;
-
 fn main() {
-    let machine = MachineDescription::tilepro64();
-    println!("== Figure 9: accuracy of the scheduling simulator ==\n");
-    let rows = fig9::run_all(Scale::Original, &machine, 42);
-    print!("{}", fig9::format_table(&rows));
-    println!("\n(AggrErr: error of the aggregate count-matching Markov model without");
-    println!(" exit-sequence replay — the ablation showing why replay matters.)");
+    print!("{}", bamboo_bench::fig9::render());
 }

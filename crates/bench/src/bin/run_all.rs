@@ -1,75 +1,26 @@
 //! Drives the whole evaluation: every table and figure, written to
-//! `results/` (creating the directory if needed).
+//! `results/` (creating the directory if needed). Each file is the same
+//! text its figure binary prints, so the committed results regenerate
+//! byte for byte.
 //!
 //! Usage:
-//!   cargo run --release -p bamboo-bench --bin run_all [--full]
-//!
-//! Without `--full`, Figure 10 runs at a reduced budget (100 starts,
-//! cap 5000); with it, the EXPERIMENTS.md configuration (500 starts,
-//! cap 50000) is used.
+//!   cargo run --release -p bamboo-bench --bin run_all
 
-use bamboo::MachineDescription;
-use bamboo_apps::Scale;
 use bamboo_bench::{fig10, fig11, fig7, fig9, figures};
 use std::fs;
-use std::io::Write as _;
 
 fn save(name: &str, contents: &str) {
     fs::create_dir_all("results").expect("results dir");
     let path = format!("results/{name}");
-    let mut file = fs::File::create(&path).expect("create result file");
-    file.write_all(contents.as_bytes())
-        .expect("write result file");
+    fs::write(&path, contents).expect("write result file");
     println!("wrote {path}");
 }
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    let machine = MachineDescription::tilepro64();
-
-    let rows = fig7::run_all(Scale::Original, &machine, 42);
-    let table = fig7::format_table(&rows);
-    println!("\n== Figure 7 ==\n{table}");
-    save("fig7.txt", &table);
-
-    let rows = fig9::run_all(Scale::Original, &machine, 42);
-    let table = fig9::format_table(&rows);
-    println!("\n== Figure 9 ==\n{table}");
-    save("fig9.txt", &table);
-
-    let rows = fig11::run_all(&machine, 42);
-    let table = fig11::format_table(&rows);
-    println!("\n== Figure 11 ==\n{table}");
-    save("fig11.txt", &table);
-
-    let opts = if full {
-        fig10::Fig10Options {
-            dsa_starts: 500,
-            enumerate_cap: 50_000,
-            ..Default::default()
-        }
-    } else {
-        fig10::Fig10Options {
-            dsa_starts: 100,
-            enumerate_cap: 5_000,
-            ..Default::default()
-        }
-    };
-    let mut out = String::new();
-    for bench in bamboo_apps::all() {
-        if bench.name() == "Tracking" {
-            out.push_str(
-                "== Tracking ==\nskipped (exhaustive enumeration prohibitive, as in the paper)\n\n",
-            );
-            continue;
-        }
-        let result = fig10::run_benchmark(bench.as_ref(), &opts, 42);
-        out.push_str(&fig10::format_result(&result, 0.01));
-        out.push('\n');
-    }
-    println!("\n== Figure 10 ==\n{out}");
-    save("fig10.txt", &out);
-
+    save("fig7.txt", &fig7::render());
+    save("fig9.txt", &fig9::render());
+    save("fig10.txt", &fig10::render());
+    save("fig11.txt", &fig11::render());
     let (compiler, profile) = figures::keyword_setup(4);
     save(
         "fig3.dot",

@@ -37,8 +37,8 @@ impl Default for Fig10Options {
     fn default() -> Self {
         Fig10Options {
             cores: 16,
-            enumerate_cap: 20_000,
-            dsa_starts: 200,
+            enumerate_cap: 50_000,
+            dsa_starts: 500,
             scale: Scale::Original,
         }
     }
@@ -144,6 +144,26 @@ pub fn run_benchmark(bench: &dyn Benchmark, opts: &Fig10Options, seed: u64) -> F
         exhaustive,
         dsa_results,
     }
+}
+
+/// The whole figure as committed in `results/fig10.txt`: every
+/// benchmark but Tracking at [`Fig10Options::default`], seed 42.
+pub fn render() -> String {
+    let opts = Fig10Options::default();
+    let mut out = format!(
+        "== Figure 10: DSA efficiency on {} cores ({} starts, cap {}) ==\n\n",
+        opts.cores, opts.dsa_starts, opts.enumerate_cap
+    );
+    for bench in bamboo_apps::all() {
+        if bench.name() == "Tracking" {
+            out.push_str("== Tracking ==\nskipped: exhaustive enumeration prohibitively expensive (as in the paper)\n\n");
+            continue;
+        }
+        let result = run_benchmark(bench.as_ref(), &opts, 42);
+        out.push_str(&format_result(&result, 0.01));
+        out.push('\n');
+    }
+    out
 }
 
 /// Renders an ASCII histogram of `values` (relative percentages, like the

@@ -92,12 +92,18 @@ pub fn run_benchmark(bench: &dyn Benchmark, machine: &MachineDescription, seed: 
     run_benchmark_scaled(bench, machine, seed, Scale::Original, Scale::Double)
 }
 
-/// Runs the full table.
-pub fn run_all(machine: &MachineDescription, seed: u64) -> Vec<Fig11Row> {
-    bamboo_apps::all()
+/// The whole figure as committed in `results/fig11.txt`: every
+/// benchmark on the 62-core machine, seed 42.
+pub fn render() -> String {
+    let machine = MachineDescription::tilepro64();
+    let rows: Vec<Fig11Row> = bamboo_apps::all()
         .iter()
-        .map(|b| run_benchmark(b.as_ref(), machine, seed))
-        .collect()
+        .map(|b| run_benchmark(b.as_ref(), &machine, 42))
+        .collect();
+    format!(
+        "== Figure 11: generality of synthesized implementations ==\n\n{}",
+        format_table(&rows)
+    )
 }
 
 /// Formats rows as the paper's Figure 11 table.

@@ -75,12 +75,19 @@ pub fn run_benchmark(
     }
 }
 
-/// Runs the full table.
-pub fn run_all(scale: Scale, machine: &MachineDescription, seed: u64) -> Vec<Fig7Row> {
-    bamboo_apps::all()
+/// The whole figure as committed in `results/fig7.txt`: every
+/// benchmark at the original scale on the 62-core machine, seed 42.
+pub fn render() -> String {
+    let machine = MachineDescription::tilepro64();
+    let rows: Vec<Fig7Row> = bamboo_apps::all()
         .iter()
-        .map(|b| run_benchmark(b.as_ref(), scale, machine, seed))
-        .collect()
+        .map(|b| run_benchmark(b.as_ref(), Scale::Original, &machine, 42))
+        .collect();
+    format!(
+        "== Figure 7: speedup of the benchmarks on {} cores ==\n\n{}",
+        machine.core_count(),
+        format_table(&rows)
+    )
 }
 
 /// Formats rows as the paper's table (plus paper-reported columns).

@@ -96,12 +96,20 @@ pub fn run_benchmark(
     }
 }
 
-/// Runs the full table.
-pub fn run_all(scale: Scale, machine: &MachineDescription, seed: u64) -> Vec<Fig9Row> {
-    bamboo_apps::all()
+/// The whole figure as committed in `results/fig9.txt`: every
+/// benchmark at the original scale on the 62-core machine, seed 42,
+/// with the ablation footnote.
+pub fn render() -> String {
+    let machine = MachineDescription::tilepro64();
+    let rows: Vec<Fig9Row> = bamboo_apps::all()
         .iter()
-        .map(|b| run_benchmark(b.as_ref(), scale, machine, seed))
-        .collect()
+        .map(|b| run_benchmark(b.as_ref(), Scale::Original, &machine, 42))
+        .collect();
+    let mut out = String::from("== Figure 9: accuracy of the scheduling simulator ==\n\n");
+    out.push_str(&format_table(&rows));
+    out.push_str("\n(AggrErr: error of the aggregate count-matching Markov model without\n");
+    out.push_str(" exit-sequence replay — the ablation showing why replay matters.)\n");
+    out
 }
 
 /// Formats rows as the paper's Figure 9 table, plus the aggregate-mode

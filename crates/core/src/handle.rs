@@ -79,9 +79,8 @@ impl fmt::Display for LayoutEpoch {
 /// [`start`](Self::start) (raw resident run).
 ///
 /// See the [module docs](self) for the lifecycle diagram. All
-/// [`RunOptions`] builders are mirrored here so the common flows never
-/// need to name `RunOptions` at all; [`with_options`](Self::with_options)
-/// swaps in a fully custom one.
+/// [`RunOptions`] builders are mirrored here, so callers never need to
+/// name `RunOptions` at all.
 pub struct DeploymentHandle {
     deployment: Deployment,
     options: RunOptions,
@@ -100,16 +99,9 @@ impl DeploymentHandle {
     pub fn from_deployment(deployment: Deployment) -> Self {
         DeploymentHandle {
             deployment,
-            options: RunOptions::new(),
+            options: RunOptions::default(),
             scope: None,
         }
-    }
-
-    /// Replaces the run options wholesale (escape hatch; the `with_*`
-    /// mirrors cover the common flows).
-    pub fn with_options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Sets the batch run's startup payload (ignored by the resident

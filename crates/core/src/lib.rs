@@ -90,7 +90,7 @@ pub use bamboo_lang::spec::{FlagExpr, FlagSet, ProgramSpec};
 pub use bamboo_machine::{CoreId, MachineDescription};
 pub use bamboo_profile::{Cycles, MarkovModel, Profile, ProfileCollector};
 pub use bamboo_runtime::{
-    body, AdaptPolicy, AdaptReport, AdaptiveController, Completion, CoreKill, CoreStall, CostModel,
+    body, AdaptPolicy, AdaptReport, AdaptiveController, Completion, CoreKill, CoreStall,
     Deployment, ExecConfig, ExecError, FaultPlan, FaultSpec, KillTarget, NativeBody, NativePayload,
     PayloadTypeError, Program, RecoveryPolicy, RelayoutError, RelayoutHandle, RequestLedger,
     ResidentRun, RunOptions, RunReport, ThreadedExecutor, ThreadedReport, VirtualExecutor,

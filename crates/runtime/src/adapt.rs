@@ -29,7 +29,7 @@
 use crate::threaded::RelayoutHandle;
 use bamboo_machine::MachineDescription;
 use bamboo_profile::Profile;
-use bamboo_schedule::{optimize_with_cache, simulate, DsaOptions, GroupId, InstanceId, SimCache};
+use bamboo_schedule::{optimize_with_cache, simulate, DsaOptions, InstanceId, SimCache};
 use bamboo_telemetry::analyze::{profile_fingerprint, rate_divergence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,17 +85,38 @@ impl Error for RelayoutError {}
 /// under an alternating workload mix).
 const FLAP_MEMORY: usize = 4;
 
+/// Seed of the controller's DSA search (decision determinism).
+const SEARCH_SEED: u64 = 0xB00;
+
+/// Input label stamped on the controller's snapshot profiles.
+const SNAPSHOT_INPUT: &str = "live";
+
+/// The controller's incremental DSA search: cut down from the offline
+/// synthesis defaults (12 iterations, 6 moves per layout, 16
+/// candidates, serial evaluation), because a tick shares the machine
+/// with the workload it is optimizing. Replay is off: estimated
+/// profiles carry aggregate rates, not sequences.
+fn search_options() -> DsaOptions {
+    let mut dsa = DsaOptions {
+        max_iterations: 12,
+        moves_per_layout: 6,
+        max_candidates: 16,
+        threads: 1,
+        ..DsaOptions::default()
+    };
+    dsa.sim.replay = false;
+    dsa
+}
+
 /// Configuration of the adaptive re-layout controller. Part of
 /// [`RunOptions`](crate::deploy::RunOptions): pass one via
 /// [`with_adapt`](crate::deploy::RunOptions::with_adapt) to arm the
 /// live estimator, then drive an [`AdaptiveController`] against the
 /// run's relayout handle (the serving front-end does this
-/// automatically).
+/// automatically). The controller decides on every tick; the driver
+/// provides the cadence.
 #[derive(Clone, Debug)]
 pub struct AdaptPolicy {
-    /// Minimum time between controller decisions; ticks arriving early
-    /// return immediately. `ZERO` decides on every tick.
-    pub interval: Duration,
     /// Fractional predicted-makespan improvement a candidate layout
     /// must clear before a migration commits (the hysteresis
     /// threshold). `0.05` = 5%.
@@ -105,11 +126,6 @@ pub struct AdaptPolicy {
     pub max_relayouts_per_window: u32,
     /// The budget window.
     pub window: Duration,
-    /// Groups pinned to their current cores: instances of these groups
-    /// are never migrated.
-    pub freeze: Vec<GroupId>,
-    /// Seed of the controller's DSA search (decision determinism).
-    pub seed: u64,
     /// Invocations the estimator must have observed before the first
     /// decision; below this the model is noise.
     pub min_invocations: u64,
@@ -119,49 +135,20 @@ pub struct AdaptPolicy {
     /// Static profile completing the live estimate for tasks not yet
     /// observed, and the reference for divergence reporting.
     pub baseline: Option<Profile>,
-    /// Input label stamped on snapshot profiles.
-    pub input: String,
-    /// The incremental DSA search configuration. Defaults are cut down
-    /// from the offline synthesis defaults (12 iterations, 6 moves per
-    /// layout, 16 candidates, serial evaluation) — a controller tick
-    /// shares the machine with the workload it is optimizing. Replay is
-    /// forced off at tick time: estimated profiles carry aggregate
-    /// rates, not sequences.
-    pub dsa: DsaOptions,
 }
 
 impl AdaptPolicy {
-    /// A policy with adaptive defaults for `machine`: decide on every
-    /// tick (the serving driver provides the cadence), 5% improvement
-    /// threshold, at most 2 relayouts per second, no frozen groups,
-    /// 64-invocation warmup.
+    /// A policy with adaptive defaults for `machine`: 5% improvement
+    /// threshold, at most 2 relayouts per second, 64-invocation warmup.
     pub fn new(machine: MachineDescription) -> Self {
         AdaptPolicy {
-            interval: Duration::ZERO,
             min_improvement: 0.05,
             max_relayouts_per_window: 2,
             window: Duration::from_secs(1),
-            freeze: Vec::new(),
-            seed: 0xB00,
             min_invocations: 64,
             machine,
             baseline: None,
-            input: "live".to_string(),
-            dsa: DsaOptions {
-                max_iterations: 12,
-                moves_per_layout: 6,
-                max_candidates: 16,
-                threads: 1,
-                ..DsaOptions::default()
-            },
         }
-    }
-
-    /// Sets the minimum time between decisions.
-    #[must_use]
-    pub fn with_interval(mut self, interval: Duration) -> Self {
-        self.interval = interval;
-        self
     }
 
     /// Sets the hysteresis improvement threshold (fractional).
@@ -177,20 +164,6 @@ impl AdaptPolicy {
     pub fn with_budget(mut self, relayouts: u32, window: Duration) -> Self {
         self.max_relayouts_per_window = relayouts;
         self.window = window;
-        self
-    }
-
-    /// Pins `groups` to their current cores.
-    #[must_use]
-    pub fn with_freeze(mut self, groups: Vec<GroupId>) -> Self {
-        self.freeze = groups;
-        self
-    }
-
-    /// Seeds the controller's DSA search.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -210,20 +183,13 @@ impl AdaptPolicy {
         self.baseline = Some(baseline);
         self
     }
-
-    /// Overrides the incremental DSA configuration.
-    #[must_use]
-    pub fn with_dsa(mut self, dsa: DsaOptions) -> Self {
-        self.dsa = dsa;
-        self
-    }
 }
 
 /// What the controller did over its lifetime, for reports and the
 /// doctor's `adapt-improves-or-holds` check.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdaptReport {
-    /// Ticks received (including interval-gated and warmup ones).
+    /// Ticks received (including warmup ones).
     pub ticks: u64,
     /// Ticks that ran a full estimate→simulate→optimize decision.
     pub decisions: u64,
@@ -247,6 +213,7 @@ pub struct AdaptReport {
 /// See the module docs for the loop it closes.
 pub struct AdaptiveController {
     policy: AdaptPolicy,
+    dsa: DsaOptions,
     handle: RelayoutHandle,
     cache: SimCache,
     /// Fingerprint of the estimated profile the cache was filled
@@ -258,36 +225,25 @@ pub struct AdaptiveController {
     recent: VecDeque<u64>,
     window_start: Option<Duration>,
     window_count: u32,
-    last_decision: Option<Duration>,
     rng: StdRng,
     report: AdaptReport,
 }
 
 impl AdaptiveController {
-    /// A controller driving `handle` under `policy`. Replay is forced
-    /// off in the search's simulator: estimated profiles carry
-    /// aggregate rates only.
+    /// A controller driving `handle` under `policy`.
     pub fn new(policy: AdaptPolicy, handle: RelayoutHandle) -> Self {
-        let mut policy = policy;
-        policy.dsa.sim.replay = false;
-        let rng = StdRng::seed_from_u64(policy.seed);
         AdaptiveController {
             policy,
+            dsa: search_options(),
             handle,
             cache: SimCache::new(),
             profile_fp: 0,
             recent: VecDeque::new(),
             window_start: None,
             window_count: 0,
-            last_decision: None,
-            rng,
+            rng: StdRng::seed_from_u64(SEARCH_SEED),
             report: AdaptReport::default(),
         }
-    }
-
-    /// The policy the controller runs under.
-    pub fn policy(&self) -> &AdaptPolicy {
-        &self.policy
     }
 
     /// The controller's activity so far.
@@ -305,9 +261,9 @@ impl AdaptiveController {
     /// stepped-pacing drivers — determinism follows from the caller's
     /// clock, the seeded search, and the estimator's drained-queue
     /// snapshot points). Runs the estimate→simulate→optimize decision
-    /// when the interval, warmup, and budget gates pass; commits a hot
-    /// migration when the winning layout clears the improvement
-    /// threshold and the anti-flap memory.
+    /// once the warmup gate passes; commits a hot migration when the
+    /// winning layout clears the improvement threshold, the anti-flap
+    /// memory and the relayout budget.
     ///
     /// Returns the committed epoch, or `None` when no migration was
     /// warranted.
@@ -321,19 +277,13 @@ impl AdaptiveController {
         let Some(estimator) = self.handle.estimator() else {
             return Ok(None);
         };
-        if let Some(last) = self.last_decision {
-            if now < last + self.policy.interval {
-                return Ok(None);
-            }
-        }
         if estimator.invocations() < self.policy.min_invocations {
             return Ok(None);
         }
-        self.last_decision = Some(now);
         self.report.decisions += 1;
 
         // 1. Re-estimate the Markov model from live telemetry.
-        let profile = estimator.snapshot(&self.policy.input, self.policy.baseline.as_ref());
+        let profile = estimator.snapshot(SNAPSHOT_INPUT, self.policy.baseline.as_ref());
         if let Some(baseline) = &self.policy.baseline {
             let divergence = rate_divergence(&profile, baseline);
             if self.report.relayouts == 0 {
@@ -359,7 +309,7 @@ impl AdaptiveController {
             &current,
             &profile,
             &self.policy.machine,
-            &self.policy.dsa.sim,
+            &self.dsa.sim,
         );
         let current_fp = current.fingerprint(&graph);
         let (best, best_result, _stats) = optimize_with_cache(
@@ -368,7 +318,7 @@ impl AdaptiveController {
             &profile,
             &self.policy.machine,
             vec![current.clone()],
-            &self.policy.dsa,
+            &self.dsa,
             &mut self.rng,
             &mut self.cache,
         );
@@ -388,10 +338,7 @@ impl AdaptiveController {
         for (i, inst) in best.instances.iter().enumerate() {
             let live = current.instances[i].core.index();
             let target = inst.core.index();
-            if target == live
-                || self.policy.freeze.contains(&inst.group)
-                || self.handle.is_core_dead(target)
-                || self.handle.is_core_dead(live)
+            if target == live || self.handle.is_core_dead(target) || self.handle.is_core_dead(live)
             {
                 continue;
             }
@@ -464,18 +411,12 @@ mod tests {
     fn policy_builders_compose() {
         let machine = bamboo_machine::MachineDescription::tilepro64();
         let policy = AdaptPolicy::new(machine)
-            .with_interval(Duration::from_millis(10))
             .with_min_improvement(0.2)
             .with_budget(1, Duration::from_millis(500))
-            .with_freeze(vec![GroupId(0)])
-            .with_seed(42)
             .with_min_invocations(8);
-        assert_eq!(policy.interval, Duration::from_millis(10));
         assert_eq!(policy.min_improvement, 0.2);
         assert_eq!(policy.max_relayouts_per_window, 1);
         assert_eq!(policy.window, Duration::from_millis(500));
-        assert_eq!(policy.freeze, vec![GroupId(0)]);
-        assert_eq!(policy.seed, 42);
         assert_eq!(policy.min_invocations, 8);
     }
 }

@@ -11,62 +11,11 @@
 
 use bamboo_profile::Cycles;
 
-/// Per-event dispatch costs, in cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CostModel {
-    /// Popping an invocation off the ready queue and setting up the call.
-    pub dispatch: Cycles,
-    /// Acquiring/releasing one parameter object's lock.
-    pub lock_per_param: Cycles,
-    /// Enqueueing one object into parameter sets after delivery.
-    pub enqueue: Cycles,
-    /// Registering a freshly allocated dispatch object.
-    pub alloc: Cycles,
-}
-
-impl CostModel {
-    /// The default model used throughout the evaluation.
-    pub const DEFAULT: CostModel = CostModel {
-        dispatch: 30,
-        lock_per_param: 6,
-        enqueue: 8,
-        alloc: 12,
-    };
-
-    /// A zero-overhead model (for isolating body costs in tests).
-    pub const FREE: CostModel = CostModel {
-        dispatch: 0,
-        lock_per_param: 0,
-        enqueue: 0,
-        alloc: 0,
-    };
-
-    /// Total runtime-side cycles for one invocation with `n_params`
-    /// parameters.
-    pub fn invocation_overhead(&self, n_params: usize) -> Cycles {
-        self.dispatch + self.lock_per_param * n_params as Cycles
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::DEFAULT
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn invocation_overhead_scales_with_params() {
-        let m = CostModel::DEFAULT;
-        assert_eq!(m.invocation_overhead(0), m.dispatch);
-        assert_eq!(m.invocation_overhead(2), m.dispatch + 2 * m.lock_per_param);
-    }
-
-    #[test]
-    fn free_model_is_zero() {
-        assert_eq!(CostModel::FREE.invocation_overhead(3), 0);
-    }
-}
+/// Popping an invocation off the ready queue and setting up the call.
+pub const DISPATCH: Cycles = 30;
+/// Acquiring/releasing one parameter object's lock.
+pub const LOCK_PER_PARAM: Cycles = 6;
+/// Enqueueing one object into parameter sets after delivery.
+pub const ENQUEUE: Cycles = 8;
+/// Registering a freshly allocated dispatch object.
+pub const ALLOC: Cycles = 12;

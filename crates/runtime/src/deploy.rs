@@ -107,12 +107,6 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// The default configuration: no startup payload, no telemetry,
-    /// no faults, no adaptive re-layout.
-    pub fn new() -> Self {
-        RunOptions::default()
-    }
-
     /// Sets the startup object's payload.
     #[must_use]
     pub fn with_startup(mut self, payload: NativePayload) -> Self {

@@ -38,7 +38,6 @@ mod worker;
 
 pub use adapt::{AdaptPolicy, AdaptReport, AdaptiveController, RelayoutError};
 pub use chaos::{CoreKill, CoreStall, FaultPlan, FaultSpec, KillTarget, Liveness, RecoveryPolicy};
-pub use cost::CostModel;
 pub use deploy::{Deployment, RunOptions};
 pub use ledger::{Completion, RequestLedger};
 pub use program::{body, NativeBody, NativePayload, Program, TaskCtx};

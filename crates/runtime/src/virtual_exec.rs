@@ -26,7 +26,7 @@
 //! With a single-core layout this is the sequential reference executor
 //! used for profiling bootstrap and the 1-core Bamboo measurements.
 
-use crate::cost::CostModel;
+use crate::cost;
 use crate::program::{NativeBody, NativePayload, Program, TaskCtx};
 use crate::store::{ObjId, ObjectStore, PayloadSlot};
 use bamboo_analysis::DisjointnessAnalysis;
@@ -50,8 +50,6 @@ use std::thread::{self, JoinHandle};
 /// Executor configuration.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
-    /// Dispatch cost model.
-    pub cost: CostModel,
     /// Record an execution trace.
     pub collect_trace: bool,
     /// Collect a profile, labeled with this input name.
@@ -66,7 +64,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            cost: CostModel::DEFAULT,
             collect_trace: false,
             profile_input: None,
             max_invocations: 50_000_000,
@@ -255,7 +252,6 @@ impl<'p> VirtualExecutor<'p> {
         let mut bodies = Bodies {
             program: self.program,
             locks: self.locks,
-            cost: self.config.cost,
             store: &mut self.store,
             interp: self.interp.as_mut(),
             collector: self
@@ -334,7 +330,6 @@ impl<'p> VirtualExecutor<'p> {
 struct Bodies<'e, 'p> {
     program: &'p Program,
     locks: &'p DisjointnessAnalysis,
-    cost: CostModel,
     store: &'e mut ObjectStore,
     interp: Option<&'e mut Interp<'p>>,
     collector: Option<ProfileCollector>,
@@ -445,9 +440,10 @@ impl Source for Bodies<'_, '_> {
 
         // Execute the body now; effects apply at completion time.
         let (exit, charged, created) = self.execute(inv)?;
-        let overhead = self.cost.invocation_overhead(inv.params.len())
-            + self.cost.alloc * created.len() as Cycles
-            + self.cost.enqueue * enqueued;
+        let overhead = cost::DISPATCH
+            + cost::LOCK_PER_PARAM * inv.params.len() as Cycles
+            + cost::ALLOC * created.len() as Cycles
+            + cost::ENQUEUE * enqueued;
         let duration = charged + overhead;
         self.body_cycles += charged;
         self.overhead_cycles += overhead;
@@ -972,19 +968,17 @@ mod tests {
         let (report, _) = run_native(1, 8, ExecConfig::default());
         // bodies: 50 + 8*1000 + 8*60 = 8530.
         assert_eq!(report.body_cycles, 8530);
-        assert!(report.overhead_cycles > 0);
+        // Dispatches: 1 startup + 8 work + 8 reduce. Locked parameters:
+        // 1 + 8 + 2*8. Allocations: the startup's 8 Work and 1 Acc.
+        // Parameter-set enqueues: the startup object, the 9 created
+        // objects, 8 done Work and the Acc after each of its 7 "more"
+        // exits.
+        assert_eq!(report.invocations, 17);
+        assert_eq!(
+            report.overhead_cycles,
+            17 * cost::DISPATCH + 25 * cost::LOCK_PER_PARAM + 9 * cost::ALLOC + 25 * cost::ENQUEUE
+        );
         assert_eq!(report.makespan, report.body_cycles + report.overhead_cycles);
-    }
-
-    #[test]
-    fn free_cost_model_has_zero_overhead() {
-        let config = ExecConfig {
-            cost: CostModel::FREE,
-            ..ExecConfig::default()
-        };
-        let (report, _) = run_native(1, 8, config);
-        assert_eq!(report.overhead_cycles, 0);
-        assert_eq!(report.makespan, report.body_cycles);
     }
 
     #[test]
@@ -1404,7 +1398,6 @@ mod ahead_tests {
 
 #[cfg(test)]
 mod error_tests {
-    use super::tests_support::fanout_setup;
     use super::*;
     use crate::program::{body, NativeBody};
     use bamboo_lang::builder::ProgramBuilder;
@@ -1512,25 +1505,6 @@ mod error_tests {
         assert!(ExecError::Diverged(7).to_string().contains('7'));
         assert!(ExecError::Trap("x".into()).to_string().contains("trap"));
         assert!(ExecError::NativeOnly.to_string().contains("native"));
-    }
-
-    #[test]
-    fn cost_model_free_vs_default_changes_only_overhead() {
-        let (program, graph, layout, machine, locks) = fanout_setup(6, 1);
-        let run = |cost| {
-            let config = ExecConfig {
-                cost,
-                ..ExecConfig::default()
-            };
-            let mut exec =
-                VirtualExecutor::new(&program, &graph, &layout, &machine, &locks, config);
-            exec.run(None).expect("runs")
-        };
-        let free = run(CostModel::FREE);
-        let paid = run(CostModel::DEFAULT);
-        assert_eq!(free.body_cycles, paid.body_cycles);
-        assert_eq!(free.invocations, paid.invocations);
-        assert!(paid.makespan > free.makespan);
     }
 }
 

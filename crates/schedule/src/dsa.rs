@@ -52,15 +52,18 @@ use rand::Rng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Probability that a candidate in the better half of an iteration
+/// survives into the next.
+const KEEP_BEST_PROBABILITY: f64 = 0.95;
+
+/// Probability that a candidate in the worse half survives.
+const KEEP_WORSE_PROBABILITY: f64 = 0.10;
+
 /// DSA tuning knobs.
 #[derive(Clone, Debug)]
 pub struct DsaOptions {
     /// Hard cap on iterations.
     pub max_iterations: usize,
-    /// Probability of keeping one of the better half of candidates.
-    pub keep_best_probability: f64,
-    /// Probability of keeping one of the worse half.
-    pub keep_worse_probability: f64,
     /// Probability of continuing after a non-improving iteration.
     pub continue_probability: f64,
     /// Move proposals materialized per surviving layout per iteration.
@@ -85,8 +88,6 @@ impl Default for DsaOptions {
     fn default() -> Self {
         DsaOptions {
             max_iterations: 40,
-            keep_best_probability: 0.95,
-            keep_worse_probability: 0.10,
             continue_probability: 0.75,
             moves_per_layout: 10,
             max_candidates: 32,
@@ -288,9 +289,9 @@ pub fn optimize_with_cache<R: Rng>(
                     return true;
                 }
                 let p = if *i < half {
-                    opts.keep_best_probability
+                    KEEP_BEST_PROBABILITY
                 } else {
-                    opts.keep_worse_probability
+                    KEEP_WORSE_PROBABILITY
                 };
                 rng.gen_bool(p)
             })

@@ -21,7 +21,7 @@
 use crate::groups::GroupGraph;
 use crate::layout::Layout;
 use crate::sim::kernel::{Invocation, Kernel, Objects, Source, Tables, UNTAGGED};
-use crate::sim::{SimOptions, SimResult};
+use crate::sim::{SimOptions, SimResult, DISPATCH_OVERHEAD, HORIZON};
 use bamboo_lang::ids::{AllocSiteId, ParamIdx, TaskId};
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::MachineDescription;
@@ -133,7 +133,7 @@ impl<'a> SimEngine<'a> {
             layout,
             &mut self.predictor,
             collect_trace,
-            program.opts.horizon,
+            HORIZON,
             u64::MAX,
         );
         let utilization = if out.makespan == 0 {
@@ -218,7 +218,7 @@ impl Source for Predictor<'_> {
 
     #[inline]
     fn start(&mut self, inv: Invocation<'_>, _now: Cycles, _: u64) -> Result<Cycles, Infallible> {
-        Ok(self.prediction(inv.id).cycles + self.program.opts.dispatch_overhead)
+        Ok(self.prediction(inv.id).cycles + DISPATCH_OVERHEAD)
     }
 
     /// Applies the predicted exit. Created tagged objects carry the
@@ -331,7 +331,6 @@ mod tests {
         let opts = SimOptions {
             collect_trace: true,
             replay: false,
-            ..SimOptions::default()
         };
         let program = SimProgram::new(&spec, &graph, &profile, &machine, &opts);
         let mut engine = SimEngine::new(&program);

@@ -44,17 +44,19 @@ use bamboo_profile::{Cycles, Profile};
 
 pub use fast::{SimEngine, SimProgram};
 
+/// Virtual time at which a simulation stops even if work remains
+/// (guards against non-terminating profiles).
+pub const HORIZON: Cycles = 500_000_000_000;
+
+/// Cycles charged to a core per simulated task dispatch (queue pop,
+/// parameter locking).
+pub const DISPATCH_OVERHEAD: Cycles = 40;
+
 /// Simulator options.
 #[derive(Clone, Debug)]
 pub struct SimOptions {
-    /// Stop simulating at this virtual time even if work remains (guards
-    /// against non-terminating profiles).
-    pub horizon: Cycles,
     /// Record a full execution trace (needed for critical-path analysis).
     pub collect_trace: bool,
-    /// Cycles charged to a core per task dispatch (queue pop, parameter
-    /// locking).
-    pub dispatch_overhead: Cycles,
     /// Use the profile's recorded invocation sequence (replay mode) when
     /// available; `false` falls back to the aggregate count-matching
     /// Markov model everywhere (the Figure 9 ablation).
@@ -64,9 +66,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            horizon: 500_000_000_000,
             collect_trace: false,
-            dispatch_overhead: 40,
             replay: true,
         }
     }
@@ -75,7 +75,7 @@ impl Default for SimOptions {
 /// Result of a simulation.
 #[derive(Clone, Debug)]
 pub struct SimResult {
-    /// Estimated completion time (or the horizon, if incomplete).
+    /// Estimated completion time (or [`HORIZON`], if incomplete).
     pub makespan: Cycles,
     /// Whether the simulated execution drained all work.
     pub completed: bool,

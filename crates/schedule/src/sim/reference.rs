@@ -13,7 +13,7 @@
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout, RouteDecision, Router};
 use crate::sim::kernel::PAYLOAD_WORDS;
-use crate::sim::{SimOptions, SimResult};
+use crate::sim::{SimOptions, SimResult, DISPATCH_OVERHEAD, HORIZON};
 use crate::trace::{DataDep, ExecutionTrace, TraceTask};
 use bamboo_analysis::cstg::enabled_params;
 use bamboo_lang::ids::{ClassId, ParamIdx, TaskId};
@@ -196,8 +196,8 @@ impl<'a> Simulator<'a> {
         self.push_event(0, EventKey::Arrival(obj));
 
         while let Some(Reverse((time, _, key))) = self.events.pop() {
-            if time > self.opts.horizon {
-                self.makespan = self.opts.horizon;
+            if time > HORIZON {
+                self.makespan = HORIZON;
                 return self.finish(false);
             }
             self.now = time;
@@ -430,7 +430,7 @@ impl<'a> Simulator<'a> {
             return;
         };
         let pred = inv.pred.clone();
-        let duration = pred.cycles + self.opts.dispatch_overhead;
+        let duration = pred.cycles + DISPATCH_OVERHEAD;
         let start = self.now;
         let end = start + duration;
         self.busy += duration;

@@ -56,12 +56,6 @@ pub struct ServingOptions {
     pub admission: AdmissionControl,
     /// Gap handling (see [`Pacing`]).
     pub pacing: Pacing,
-    /// Micro-batch cap: at most this many admitted arrivals are
-    /// injected per tick (0 means 1).
-    pub max_batch: usize,
-    /// Arrivals separated by gaps at or below this coalesce into the
-    /// current micro-batch.
-    pub batch_window: Duration,
     /// Live observability plane (`None` = off, zero overhead). When
     /// set, the server feeds a [`ScopeRecorder`] from the request
     /// lifecycle and [`Server::scope_handle`] exposes live snapshots.
@@ -69,16 +63,10 @@ pub struct ServingOptions {
 }
 
 impl ServingOptions {
-    /// Defaults: open admission, wall pacing, micro-batches of up to 8
-    /// arrivals within 100µs of each other.
+    /// Defaults: open admission, wall pacing, no scope plane. The same
+    /// as [`ServingOptions::default`].
     pub fn new() -> Self {
-        ServingOptions {
-            admission: AdmissionControl::open(),
-            pacing: Pacing::Wall,
-            max_batch: 8,
-            batch_window: Duration::from_micros(100),
-            scope: None,
-        }
+        ServingOptions::default()
     }
 
     /// Sets the admission policy.
@@ -90,13 +78,6 @@ impl ServingOptions {
     /// Sets the pacing mode.
     pub fn with_pacing(mut self, pacing: Pacing) -> Self {
         self.pacing = pacing;
-        self
-    }
-
-    /// Sets the micro-batch cap and window.
-    pub fn with_batching(mut self, max_batch: usize, window: Duration) -> Self {
-        self.max_batch = max_batch;
-        self.batch_window = window;
         self
     }
 
@@ -161,6 +142,17 @@ impl ServingReport {
     }
 }
 
+/// Micro-batch cap: at most this many admitted arrivals are injected
+/// per tick.
+const MAX_BATCH: usize = 8;
+
+/// Arrivals separated by gaps at or below this coalesce into the
+/// current micro-batch.
+const BATCH_WINDOW: Duration = Duration::from_micros(100);
+
+/// How often the wall-pacing driver ticks the adaptive controller.
+const WALL_ADAPT_CADENCE: Duration = Duration::from_millis(10);
+
 /// How the server drives the adaptive controller, when the run was
 /// started with an `AdaptPolicy`.
 ///
@@ -201,8 +193,6 @@ pub struct Server {
     adapt: AdaptDriver,
     admission: AdmissionControl,
     pacing: Pacing,
-    max_batch: usize,
-    batch_window: Duration,
     /// Virtual arrival clock: the sum of all gaps so far. Wall pacing
     /// sleeps until `started + clock`; the admission bucket always
     /// refills from this clock so both pacings decide identically.
@@ -250,14 +240,6 @@ impl Server {
                     Pacing::Wall => {
                         let stop = Arc::new(AtomicBool::new(false));
                         let flag = stop.clone();
-                        // Controller ticks are interval-gated anyway;
-                        // the thread cadence only bounds how stale a
-                        // due decision can go.
-                        let cadence = if controller.policy().interval.is_zero() {
-                            Duration::from_millis(10)
-                        } else {
-                            controller.policy().interval
-                        };
                         let thread = std::thread::spawn(move || {
                             let mut controller = controller;
                             while !flag.load(Ordering::Relaxed) {
@@ -265,7 +247,7 @@ impl Server {
                                 // under chaos) leaves the run intact;
                                 // keep serving on the current layout.
                                 let _ = controller.tick(started.elapsed());
-                                std::thread::sleep(cadence);
+                                std::thread::sleep(WALL_ADAPT_CADENCE);
                             }
                             controller.into_report()
                         });
@@ -279,8 +261,6 @@ impl Server {
             adapt,
             admission: options.admission,
             pacing: options.pacing,
-            max_batch: options.max_batch.max(1),
-            batch_window: options.batch_window,
             clock: Duration::ZERO,
             started,
             scope: options.scope.map(ScopeRecorder::new),
@@ -367,7 +347,7 @@ impl Server {
         let mut batch: Vec<NativePayload> = Vec::new();
         for _ in 0..total {
             let gap = process.next_gap();
-            if !batch.is_empty() && (gap > self.batch_window || batch.len() >= self.max_batch) {
+            if !batch.is_empty() && (gap > BATCH_WINDOW || batch.len() >= MAX_BATCH) {
                 self.flush(std::mem::take(&mut batch))?;
             }
             self.advance(gap)?;
@@ -403,7 +383,7 @@ impl Server {
                         batch.push(p);
                     }
                     // Coalesce whatever else is already queued.
-                    while batch.len() < self.max_batch {
+                    while batch.len() < MAX_BATCH {
                         match ingress.try_drain() {
                             Drained::Payload(p) => {
                                 if let Some(p) =
@@ -457,10 +437,13 @@ impl Server {
         }
         self.arrivals += 1;
         // Probing the depth locks every startup core's run queue, so
-        // only a depth bound pays for it.
-        let depth = match self.admission.max_ingress_depth {
-            Some(_) => self.run.ingress_depth() + queued,
-            None => queued,
+        // only a depth bound pays for it. Stepped pacing drains the
+        // executor after every micro-batch, so it holds no backlog
+        // here; a probe would count only leftover control messages
+        // (wake-ups, sweeps), whose number depends on thread timing.
+        let depth = match (self.admission.max_ingress_depth, self.pacing) {
+            (Some(_), Pacing::Wall) => self.run.ingress_depth() + queued,
+            _ => queued,
         };
         match self.admission.decide(self.clock, depth) {
             AdmissionVerdict::Admit => Some(make(request)),

@@ -43,21 +43,25 @@ use std::time::Duration;
 /// Closed windows retained for snapshots (older ones roll off).
 const WINDOWS_KEPT: usize = 8;
 
+/// Slowest completed requests sampled per window.
+pub const SLOW_K: usize = 4;
+
+/// Reservoir size for non-tail completed requests per window.
+pub const RESERVOIR: usize = 4;
+
+/// Shed/errored request ids sampled per window (the rest are counted
+/// but not sampled).
+const SHED_CAP: usize = 16;
+
+/// Seed of the reservoir's splitmix64 stream (decisions are a pure
+/// function of the seed and arrival order).
+const SAMPLE_SEED: u64 = 0x0005_c09e_5eed;
+
 /// Configuration of the live scope plane.
 #[derive(Clone, Debug)]
 pub struct ScopeConfig {
     /// Tumbling window width.
     pub window: Duration,
-    /// Slowest completed requests sampled per window.
-    pub slow_k: usize,
-    /// Reservoir size for non-tail completed requests per window.
-    pub reservoir: usize,
-    /// Shed/errored request ids sampled per window (the rest are
-    /// counted but not sampled).
-    pub shed_cap: usize,
-    /// Seed for the reservoir's splitmix64 stream (decisions are a
-    /// pure function of seed and arrival order).
-    pub sample_seed: u64,
     /// Latency SLO threshold in microseconds; 0 disables burn-rate
     /// tracking.
     pub slo_us: u64,
@@ -70,10 +74,6 @@ impl Default for ScopeConfig {
     fn default() -> Self {
         ScopeConfig {
             window: Duration::from_secs(1),
-            slow_k: 4,
-            reservoir: 4,
-            shed_cap: 16,
-            sample_seed: 0x0005_c09e_5eed,
             slo_us: 0,
             slo_target: 0.999,
         }
@@ -92,14 +92,6 @@ impl ScopeConfig {
     pub fn with_slo(mut self, slo_us: u64, target: f64) -> Self {
         self.slo_us = slo_us;
         self.slo_target = target.clamp(0.0, 1.0 - 1e-9);
-        self
-    }
-
-    /// Sets the per-window sampling policy: slowest-`slow_k` +
-    /// `reservoir`-sized seeded reservoir of the rest.
-    pub fn with_sampling(mut self, slow_k: usize, reservoir: usize) -> Self {
-        self.slow_k = slow_k;
-        self.reservoir = reservoir;
         self
     }
 
@@ -268,7 +260,7 @@ impl ScopeState {
         if let Ok(pos) = self.pending.binary_search_by_key(&request, |&(r, _)| r) {
             self.pending.remove(pos);
         }
-        if self.current.shed_ids.len() < self.config.shed_cap {
+        if self.current.shed_ids.len() < SHED_CAP {
             self.current.shed_ids.push(request);
         } else {
             self.current.shed_dropped += 1;
@@ -294,27 +286,23 @@ impl ScopeState {
             self.totals.slo_violations += 1;
         }
         // Slowest-K: keep the K largest, ascending.
-        if self.config.slow_k > 0 {
-            let pos = w
-                .slow
-                .partition_point(|&(l, r)| (l, r) < (latency_us, request));
-            if w.slow.len() < self.config.slow_k {
-                w.slow.insert(pos, (latency_us, request));
-            } else if pos > 0 {
-                w.slow.insert(pos, (latency_us, request));
-                w.slow.remove(0);
-            }
+        let pos = w
+            .slow
+            .partition_point(|&(l, r)| (l, r) < (latency_us, request));
+        if w.slow.len() < SLOW_K {
+            w.slow.insert(pos, (latency_us, request));
+        } else if pos > 0 {
+            w.slow.insert(pos, (latency_us, request));
+            w.slow.remove(0);
         }
         // Seeded reservoir over all completions of the window.
-        if self.config.reservoir > 0 {
-            w.reservoir_seen += 1;
-            if w.reservoir.len() < self.config.reservoir {
-                w.reservoir.push((latency_us, request));
-            } else {
-                let j = splitmix64(&mut self.rng) % w.reservoir_seen;
-                if (j as usize) < w.reservoir.len() {
-                    w.reservoir[j as usize] = (latency_us, request);
-                }
+        w.reservoir_seen += 1;
+        if w.reservoir.len() < RESERVOIR {
+            w.reservoir.push((latency_us, request));
+        } else {
+            let j = splitmix64(&mut self.rng) % w.reservoir_seen;
+            if (j as usize) < w.reservoir.len() {
+                w.reservoir[j as usize] = (latency_us, request);
             }
         }
     }
@@ -589,7 +577,6 @@ impl ScopeRecorder {
     /// A recorder with the given configuration.
     pub fn new(config: ScopeConfig) -> Self {
         let window_us = config.window_us();
-        let rng = config.sample_seed;
         ScopeRecorder {
             state: Arc::new(Mutex::new(ScopeState {
                 config,
@@ -599,7 +586,7 @@ impl ScopeRecorder {
                 pending: Vec::new(),
                 sampled: Vec::new(),
                 totals: Window::default(),
-                rng,
+                rng: SAMPLE_SEED,
             })),
         }
     }
@@ -677,7 +664,6 @@ mod tests {
         ScopeRecorder::new(
             ScopeConfig::default()
                 .with_window(Duration::from_millis(window_ms))
-                .with_sampling(2, 1)
                 .with_slo(1_000, 0.99),
         )
     }
@@ -724,7 +710,7 @@ mod tests {
             .filter(|s| s.reason == SampleReason::Slow)
             .map(|s| s.request)
             .collect();
-        assert_eq!(slow, vec![7, 13], "slowest first");
+        assert_eq!(slow, vec![7, 13, 20, 19], "slowest first, ties by id");
         assert!(snap
             .sampled
             .iter()
@@ -801,11 +787,7 @@ mod tests {
 
     #[test]
     fn old_windows_and_their_samples_roll_off() {
-        let r = ScopeRecorder::new(
-            ScopeConfig::default()
-                .with_window(Duration::from_millis(1))
-                .with_sampling(1, 0),
-        );
+        let r = ScopeRecorder::new(ScopeConfig::default().with_window(Duration::from_millis(1)));
         let total = 2 * WINDOWS_KEPT as u64;
         for i in 0..total {
             let t = i * 1_000; // one request per window

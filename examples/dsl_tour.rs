@@ -116,25 +116,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== execution ==");
-    let (profile, report, ()) = compiler.profile_run(None, "tour", |_| ())?;
+    // One run: its profile, its report, and the Ledger object it left.
+    let (profile, report, (total, fulfilled, rejected)) =
+        compiler.profile_run(None, "tour", |exec| {
+            let ledger = spec.class_by_name("Ledger").expect("declared above");
+            let obj = exec.store.live_of_class(ledger)[0];
+            let r = match exec.store.get(obj).payload {
+                bamboo::runtime::PayloadSlot::Interp(r) => r,
+                _ => unreachable!(),
+            };
+            let heap = exec.interp_heap().expect("interpreted");
+            (
+                format!("{}", heap.field(r, 0)),
+                format!("{}", heap.field(r, 1)),
+                format!("{}", heap.field(r, 2)),
+            )
+        })?;
     println!("{}", profile.summary(spec));
     println!("total invocations: {}", report.invocations);
-
-    // Inspect the ledger.
-    let (_, _, (total, fulfilled, rejected)) = compiler.profile_run(None, "tour2", |exec| {
-        let ledger = spec.class_by_name("Ledger").expect("declared above");
-        let obj = exec.store.live_of_class(ledger)[0];
-        let r = match exec.store.get(obj).payload {
-            bamboo::runtime::PayloadSlot::Interp(r) => r,
-            _ => unreachable!(),
-        };
-        let heap = exec.interp_heap().expect("interpreted");
-        (
-            format!("{}", heap.field(r, 0)),
-            format!("{}", heap.field(r, 1)),
-            format!("{}", heap.field(r, 2)),
-        )
-    })?;
     println!("ledger: total={total} fulfilled={fulfilled} rejected={rejected}");
     assert_eq!(total, "1200");
     assert_eq!(fulfilled, "4");

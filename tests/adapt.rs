@@ -72,12 +72,11 @@ fn serve_adaptive(
 }
 
 /// A policy tuned for tests: warmed up fast, baseline divergence
-/// reporting on, seeded.
+/// reporting on.
 fn test_policy(cores: usize, profile: &Profile) -> AdaptPolicy {
     AdaptPolicy::new(MachineDescription::n_cores(cores))
         .with_min_invocations(16)
         .with_baseline(profile.clone())
-        .with_seed(0xADA)
 }
 
 /// Determinism: same seed + stepped pacing ⇒ byte-identical controller

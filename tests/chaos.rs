@@ -8,6 +8,7 @@
 //! payload checksums) — never on wall-clock-dependent tallies.
 
 use bamboo::telemetry::analyze;
+use bamboo::telemetry::event::{fault_code, EventKind};
 use bamboo::{
     Compiler, Deployment, ExecError, FaultSpec, KillTarget, MachineDescription, RecoveryPolicy,
     RunOptions, Telemetry, ThreadedExecutor,
@@ -191,4 +192,55 @@ fn diagnosis_attributes_slowdown_to_injected_faults() {
             .map(|f| f.rule)
             .collect::<Vec<_>>()
     );
+}
+
+/// The worker's two timing faults: a stall on the core hosting the
+/// startup group, due after its first dispatch, and a slowdown on every
+/// invocation's first lock attempt. Both only cost time, so the result
+/// equals the fault-free run's; the report and the event stream count
+/// each one that fired.
+#[test]
+fn stalls_and_lock_slowdowns_fire_and_are_transparent() {
+    let bench = by_name("kmeans").expect("registered");
+    let (compiler, deployment) = deploy(bench.as_ref(), threads());
+    let exec = ThreadedExecutor::default();
+    let clean = exec
+        .run(&deployment, RunOptions::default())
+        .expect("clean run");
+    let clean_sum = bench.threaded_checksum(&compiler, &clean);
+
+    let startup = deployment.graph.startup_group;
+    let host = deployment
+        .layout
+        .instances
+        .iter()
+        .find(|inst| inst.group == startup)
+        .expect("startup group is placed")
+        .core
+        .index();
+    let spec = FaultSpec::seeded(seed())
+        .with_stall(host, 1, Duration::from_millis(1))
+        .with_lock_slowdown(1000, Duration::from_micros(20));
+    let telemetry = Telemetry::enabled(threads());
+    let run = exec
+        .run(
+            &deployment,
+            RunOptions::default()
+                .with_telemetry(telemetry.clone())
+                .with_faults(spec),
+        )
+        .expect("timing faults never fail a run");
+    assert_eq!(bench.threaded_checksum(&compiler, &run), clean_sum);
+    // One stall plus one slowdown per invocation (first attempts only).
+    assert_eq!(run.faults_injected, 1 + run.invocations);
+
+    let events = telemetry.report().events;
+    let faults = |code: u64| {
+        events
+            .iter()
+            .filter(|e| e.kind == EventKind::Fault && e.a == code)
+            .count() as u64
+    };
+    assert_eq!(faults(fault_code::CORE_STALL), 1);
+    assert_eq!(faults(fault_code::LOCK_SLOW), run.invocations);
 }

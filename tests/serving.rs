@@ -7,6 +7,7 @@
 //! verified against the deterministic virtual executor's causal graph.
 
 use bamboo::telemetry::analyze::ObservedGraph;
+use bamboo::telemetry::event::{shed_reason, EventKind};
 use bamboo::{
     AdmissionControl, Deployment, Error, ExecConfig, FaultSpec, KillTarget, MachineDescription,
     NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, Server, ServingError,
@@ -138,11 +139,7 @@ fn per_request_completion_is_exact_against_virtual_graph() {
 /// 8 — and byte-identical reports across repeated 8-thread runs.
 #[test]
 fn stepped_completion_order_is_thread_count_invariant() {
-    let stepped = || {
-        ServingOptions::new()
-            .with_pacing(Pacing::Stepped)
-            .with_batching(4, Duration::from_micros(500))
-    };
+    let stepped = || ServingOptions::new().with_pacing(Pacing::Stepped);
     let run = |cores: usize| -> Vec<(u64, u64)> {
         let (deployment, _machine) = deploy_for("kmeans", cores, 42);
         let report = serve_poisson(
@@ -338,6 +335,58 @@ fn token_bucket_sheds_are_typed_and_accounted() {
         report.completed, report.admitted,
         "admitted requests all completed"
     );
+}
+
+/// Queue-depth admission end to end: stepped arrivals at 20 000 req/s
+/// mostly land within one batch window of each other, so micro-batches
+/// fill to the depth bound of 4 and the arrivals behind them shed.
+/// Every shed is typed, admitted requests all complete, and the shed
+/// request ids are the same at 1 worker thread and at 8.
+#[test]
+fn queue_depth_sheds_are_typed_and_thread_count_invariant() {
+    let run = |cores: usize| -> Vec<u64> {
+        let (deployment, _machine) = deploy_for("kmeans", cores, 42);
+        // Workers plus the serving driver's own ring.
+        let telemetry = Telemetry::enabled(cores + 1);
+        let options = ServingOptions::new()
+            .with_pacing(Pacing::Stepped)
+            .with_admission(AdmissionControl::open().with_max_ingress_depth(4));
+        let report = serve_poisson(
+            &deployment,
+            RunOptions::default().with_telemetry(telemetry.clone()),
+            options,
+            20_000.0,
+            3,
+            60,
+        )
+        .expect("depth-bounded run");
+        assert!(
+            report.shed_queue_depth > 0,
+            "{cores}: depth bound never shed"
+        );
+        assert_eq!(report.shed_rate_limit, 0);
+        assert_eq!(report.shed, report.shed_queue_depth);
+        assert_eq!(report.admitted + report.shed, report.arrivals);
+        assert_eq!(report.admitted, report.completed, "{cores}");
+        let sheds: Vec<(u64, u64)> = telemetry
+            .report()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::ReqShed)
+            .map(|e| (e.a, e.b))
+            .collect();
+        assert_eq!(sheds.len() as u64, report.shed, "{cores}");
+        assert!(
+            sheds
+                .iter()
+                .all(|&(_, reason)| reason == shed_reason::QUEUE_DEPTH),
+            "{cores}: untyped shed in {sheds:?}"
+        );
+        let mut ids: Vec<u64> = sheds.into_iter().map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(run(1), run(8), "shed ids diverged between 1 and 8 threads");
 }
 
 /// The channel ingress refuses over-capacity submissions with the
