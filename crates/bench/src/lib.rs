@@ -16,7 +16,7 @@
 //!
 //! `dsa_timing` reports the §5.1 synthesis times; `run_all` drives the
 //! whole evaluation and writes EXPERIMENTS-ready output; `bamboo-doctor`
-//! diagnoses a threaded run and gates CI.
+//! diagnoses a threaded run.
 //!
 //! Timing claims go through the repository's one benchmark
 //! (`benchmark/`, declared by `BENCHMARK.json`), not through this crate.

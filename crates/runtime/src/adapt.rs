@@ -185,8 +185,8 @@ impl AdaptPolicy {
     }
 }
 
-/// What the controller did over its lifetime, for reports and the
-/// doctor's `adapt-improves-or-holds` check.
+/// What the controller did over its lifetime, for reports and
+/// `tests/adapt.rs`'s divergence check.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdaptReport {
     /// Ticks received (including warmup ones).

@@ -440,7 +440,7 @@ pub struct ThreadedReport {
     /// Rendered fault schedule of the run's compiled plan (`None` on
     /// fault-free runs). Byte-identical for identical
     /// [`crate::chaos::FaultSpec`] + deployment topology — the
-    /// determinism contract CI's chaos gate checks.
+    /// determinism contract `tests/chaos.rs` checks.
     pub fault_schedule: Option<String>,
 }
 
@@ -668,28 +668,6 @@ impl ResidentRun {
     /// invariant: nothing outstanding, no residual entries).
     pub fn ledger_is_empty(&self) -> bool {
         self.shared.ledger.is_empty()
-    }
-
-    /// The deepest ingress backlog across the startup group's host
-    /// cores: pending channel messages plus ready-queue length. The
-    /// admission layer sheds against this depth. Host cores are read
-    /// from the live assignment, so a relayout that moves the startup
-    /// group re-targets backpressure with it.
-    pub fn ingress_depth(&self) -> usize {
-        let plan = &self.shared.plan;
-        let mut cores: Vec<usize> = plan
-            .layout
-            .instances_of(plan.graph.startup_group)
-            .iter()
-            .map(|&inst| self.shared.core_of(inst))
-            .collect();
-        cores.sort_unstable();
-        cores.dedup();
-        cores
-            .iter()
-            .map(|&c| self.shared.senders[c].len() + self.shared.ready[c].lock().len())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Instances migrated by hot relayouts so far.

@@ -79,9 +79,10 @@ pub enum AdmissionVerdict {
 pub struct AdmissionControl {
     /// Optional rate limiter.
     pub rate: Option<TokenBucket>,
-    /// Optional bound on the executor's ingress backlog (pending
-    /// channel messages plus ready-queue length on the startup group's
-    /// cores); arrivals shed while the backlog is at or above it.
+    /// Optional bound on the executor's ingress backlog: requests that
+    /// were admitted and are not yet complete, plus the admitted
+    /// arrivals still waiting in the current micro-batch. Arrivals shed
+    /// while the backlog is at or above it.
     pub max_ingress_depth: Option<usize>,
 }
 
@@ -97,14 +98,16 @@ impl AdmissionControl {
         self
     }
 
-    /// Adds a queue-depth bound.
+    /// Adds a queue-depth bound: an arrival sheds while `depth`
+    /// requests are admitted and not yet complete, counting the
+    /// admitted arrivals of the micro-batch being formed.
     pub fn with_max_ingress_depth(mut self, depth: usize) -> Self {
         self.max_ingress_depth = Some(depth);
         self
     }
 
-    /// Decides one arrival at clock time `now`, with the executor's
-    /// current ingress backlog at `ingress_depth`. Queue depth is
+    /// Decides one arrival at clock time `now`, with `ingress_depth`
+    /// requests admitted and not yet complete. Queue depth is
     /// checked first (it reflects real pressure; the bucket only
     /// spends a token on requests that could actually be enqueued).
     pub fn decide(&mut self, now: Duration, ingress_depth: usize) -> AdmissionVerdict {

@@ -112,12 +112,6 @@ pub struct ServingReport {
     /// Every completion, in detection order (request-id order within a
     /// tick under [`Pacing::Stepped`]).
     pub completions: Vec<Completion>,
-    /// Instances migrated by hot relayouts during the run (mirrors
-    /// `executor.relayouts`).
-    pub relayouts: u64,
-    /// The layout epoch at shutdown (0 = the synthesized layout served
-    /// the whole run unchanged).
-    pub layout_epoch: u64,
     /// The adaptive controller's activity, when the run was started
     /// with an [`bamboo_runtime::AdaptPolicy`].
     pub adapt: Option<AdaptReport>,
@@ -149,6 +143,11 @@ const MAX_BATCH: usize = 8;
 /// Arrivals separated by gaps at or below this coalesce into the
 /// current micro-batch.
 const BATCH_WINDOW: Duration = Duration::from_micros(100);
+
+/// The id of the first shed arrival; the n-th shed gets
+/// `SHED_ID_BASE + n`. Admitted requests count up from 1 and never
+/// reach it, so a shed id names no admitted request.
+const SHED_ID_BASE: u64 = 1 << 63;
 
 /// How often the wall-pacing driver ticks the adaptive controller.
 const WALL_ADAPT_CADENCE: Duration = Duration::from_millis(10);
@@ -417,35 +416,35 @@ impl Server {
         self.poll()
     }
 
-    /// Records one arrival, runs admission, and builds its payload if
-    /// admitted. `queued` is how many admitted arrivals are already
-    /// waiting in the current micro-batch.
+    /// Runs admission on one arrival, records it, and builds its
+    /// payload if admitted. `queued` is how many admitted arrivals are
+    /// already waiting in the current micro-batch.
     fn offer(
         &mut self,
         source: u64,
         queued: usize,
         make: &mut impl FnMut(u64) -> NativePayload,
     ) -> Option<NativePayload> {
-        // The id this arrival receives if admitted: ids are minted in
-        // injection order, and `queued` batch-mates inject first.
-        let request = self.run.next_request_id() + queued as u64;
         let snow = self.scope_now_us();
         let ts = self.run.driver_sink().now();
+        self.arrivals += 1;
+        // The backlog is every admitted request not yet complete, plus
+        // the batch-mates ahead of this arrival. Stepped pacing drains
+        // after every micro-batch, so there it is the batch alone.
+        let verdict = self
+            .admission
+            .decide(self.clock, self.run.outstanding() + queued);
+        let request = match verdict {
+            // Ids are minted in injection order, and `queued`
+            // batch-mates inject first.
+            AdmissionVerdict::Admit => self.run.next_request_id() + queued as u64,
+            AdmissionVerdict::Shed(_) => SHED_ID_BASE + self.shed,
+        };
         self.run.driver_sink().req_arrive(ts, request, source);
         if let Some(scope) = &self.scope {
             scope.arrive(snow, request);
         }
-        self.arrivals += 1;
-        // Probing the depth locks every startup core's run queue, so
-        // only a depth bound pays for it. Stepped pacing drains the
-        // executor after every micro-batch, so it holds no backlog
-        // here; a probe would count only leftover control messages
-        // (wake-ups, sweeps), whose number depends on thread timing.
-        let depth = match (self.admission.max_ingress_depth, self.pacing) {
-            (Some(_), Pacing::Wall) => self.run.ingress_depth() + queued,
-            _ => queued,
-        };
-        match self.admission.decide(self.clock, depth) {
+        match verdict {
             AdmissionVerdict::Admit => Some(make(request)),
             AdmissionVerdict::Shed(reason) => {
                 self.run.driver_sink().req_shed(ts, request, reason.tag());
@@ -571,8 +570,6 @@ impl Server {
             latency_us: self.latency_us,
             raw_latency_us: self.raw_latency_us,
             completions: self.completions,
-            relayouts: executor.relayouts,
-            layout_epoch: executor.layout_epoch,
             adapt,
             scope,
             executor,

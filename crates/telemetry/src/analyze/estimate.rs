@@ -13,9 +13,8 @@
 //!   session end, while the controller needs a *mid-run* snapshot. The
 //!   estimator is a flat array of atomics instead, readable at any
 //!   moment from any thread.
-//! - [`rate_divergence`] — the scalar the `adapt-improves-or-holds`
-//!   doctor check gates on: how far two profiles' exit-rate
-//!   distributions sit apart.
+//! - [`rate_divergence`] — how far two profiles' exit-rate
+//!   distributions sit apart; `AdaptReport`'s pre/post divergence.
 //!
 //! Cycles are the *charged* cost-model cycles, not wall nanoseconds:
 //! charged cycles are a pure function of the task body, so an estimated

@@ -25,18 +25,15 @@
 //!    injected faults, and predicted-vs-observed divergence against the
 //!    virtual executor's trace (rate-matching violations, task-weight
 //!    drift).
-//! 6. [`gate`] — the CI regression gate: fresh observations and their
-//!    same-process references in (no recorded file), pass/fail
-//!    [`gate::Verdict`] out.
 //!
 //! [`diagnose`] builds the fold and the ledger once and runs stages
 //! 3–5 over them; the `bamboo-doctor` CLI in the bench crate is a thin
-//! shell around it.
+//! shell around it. The doctor diagnoses; it does not gate. What the
+//! repository promises is asserted by its cargo tests.
 
 pub mod divergence;
 pub mod estimate;
 pub mod findings;
-pub mod gate;
 pub mod graph;
 pub mod ledger;
 pub mod path;

@@ -44,19 +44,21 @@ fn squeezed(deployment: &Deployment) -> Deployment {
     d
 }
 
-/// Serves `total` bursty arrivals under stepped pacing with adaptation
-/// armed, returning the report and the final per-instance cores.
+/// Serves `total` bursty arrivals (arrival seed `seed`) under stepped
+/// pacing with adaptation armed, returning the report and the final
+/// per-instance cores.
 fn serve_adaptive(
     deployment: &Deployment,
     policy: AdaptPolicy,
     total: usize,
+    seed: u64,
 ) -> (ServingReport, Vec<usize>) {
     let mut session = DeploymentHandle::from_deployment(deployment.clone())
         .with_adapt(policy)
         .serve(ServingOptions::new().with_pacing(Pacing::Stepped))
         .expect("server starts");
     // A shifting Markov-modulated mix: calm 400/s with 4000/s bursts.
-    let mut arrivals = Bursty::new(400.0, 4_000.0, 0.2, 17);
+    let mut arrivals = Bursty::new(400.0, 4_000.0, 0.2, seed);
     session
         .serve(&mut arrivals, total, |request| Box::new(request))
         .expect("serve");
@@ -91,7 +93,7 @@ fn stepped_adapt_decisions_are_deterministic() {
         let bench = by_name("kmeans").expect("registered");
         let (_compiler, deployment, profile) = deploy(bench.as_ref(), cores);
         let bad = squeezed(&deployment);
-        let run = || serve_adaptive(&bad, test_policy(cores, &profile), total);
+        let run = || serve_adaptive(&bad, test_policy(cores, &profile), total, 17);
         let (report_a, cores_a) = run();
         let (report_b, cores_b) = run();
 
@@ -100,7 +102,7 @@ fn stepped_adapt_decisions_are_deterministic() {
         assert_eq!(adapt_a, adapt_b, "{cores} cores: controller diverged");
         assert_eq!(cores_a, cores_b, "{cores} cores: final layouts diverged");
         assert_eq!(
-            report_a.layout_epoch, report_b.layout_epoch,
+            report_a.executor.layout_epoch, report_b.executor.layout_epoch,
             "{cores} cores: epochs diverged"
         );
 
@@ -135,7 +137,6 @@ fn stepped_adapt_decisions_are_deterministic() {
             adapt_a.epochs
         );
         assert_eq!(adapt_a.epochs.len() as u64, adapt_a.relayouts);
-        assert_eq!(report_a.relayouts, report_a.executor.relayouts);
     }
 }
 
@@ -429,11 +430,11 @@ fn hysteresis_prevents_flapping_under_alternating_mix() {
 
     // (a) Unreachable threshold: the controller decides but never acts.
     let frozen_policy = test_policy(8, &profile).with_min_improvement(f64::INFINITY);
-    let (report, cores) = serve_adaptive(&bad, frozen_policy, total);
+    let (report, cores) = serve_adaptive(&bad, frozen_policy, total, 17);
     let adapt = report.adapt.expect("adaptation armed");
     assert!(adapt.decisions >= 1, "controller never warmed up");
     assert_eq!(adapt.relayouts, 0, "infinite hysteresis still migrated");
-    assert_eq!(report.layout_epoch, 0);
+    assert_eq!(report.executor.layout_epoch, 0);
     assert!(
         cores.iter().all(|&c| c == 0),
         "layout moved without a commit"
@@ -443,7 +444,7 @@ fn hysteresis_prevents_flapping_under_alternating_mix() {
     // (b) Tight budget: one relayout per (hour-long) window, so the
     // alternating mix cannot bounce instances back and forth.
     let budgeted_policy = test_policy(8, &profile).with_budget(1, Duration::from_secs(3600));
-    let (report, _cores) = serve_adaptive(&bad, budgeted_policy, total);
+    let (report, _cores) = serve_adaptive(&bad, budgeted_policy, total, 17);
     let adapt = report.adapt.expect("adaptation armed");
     assert!(
         adapt.relayouts <= 1,
@@ -456,27 +457,42 @@ fn hysteresis_prevents_flapping_under_alternating_mix() {
     assert_eq!(report.completed, total as u64);
 }
 
-/// The armed estimator feeds divergence reporting: with a baseline
-/// profile attached, the report carries a pre-relayout divergence
-/// measurement (and a post- one once a relayout commits).
+/// Post-relayout divergence may exceed the pre-relayout one by this
+/// factor: migrating must never make the model fit worse, but the two
+/// snapshots are estimated from different sample counts.
+const DIVERGENCE_SLACK: f64 = 1.10;
+
+/// The armed estimator feeds divergence reporting, and adapting off the
+/// squeezed layout does not make the model fit worse. On four apps, 32
+/// bursty arrivals each on 8 cores: the report carries a pre-relayout
+/// divergence, at least one relayout commits, every admitted request
+/// completes, and the post-relayout divergence stays within
+/// [`DIVERGENCE_SLACK`] of the pre-relayout one.
 #[test]
 fn divergence_is_reported_against_the_baseline() {
-    let bench = by_name("kmeans").expect("registered");
-    let (_compiler, deployment, profile) = deploy(bench.as_ref(), 8);
-    let bad = squeezed(&deployment);
-    let (report, _) = serve_adaptive(&bad, test_policy(8, &profile), 24);
-    let adapt = report.adapt.expect("adaptation armed");
-    let pre = adapt
-        .pre_divergence
-        .expect("baseline attached ⇒ pre-divergence measured");
-    assert!(
-        pre.is_finite() && pre >= 0.0,
-        "divergence {pre} out of range"
-    );
-    if adapt.relayouts > 0 {
+    let total = 32;
+    for name in ["filterbank", "kmeans", "montecarlo", "series"] {
+        let bench = by_name(name).expect("registered");
+        let (_compiler, deployment, profile) = deploy(bench.as_ref(), 8);
+        let bad = squeezed(&deployment);
+        let (report, _) = serve_adaptive(&bad, test_policy(8, &profile), total, 42);
+        let adapt = report.adapt.expect("adaptation armed");
+        assert!(adapt.relayouts >= 1, "{name}: no relayout: {adapt:?}");
+        assert_eq!(report.admitted, total as u64, "{name}");
+        assert_eq!(report.completed, report.admitted, "{name}");
+        let pre = adapt
+            .pre_divergence
+            .expect("baseline attached ⇒ pre-divergence measured");
+        assert!(
+            pre.is_finite() && pre >= 0.0,
+            "{name}: divergence {pre} out of range"
+        );
         let post = adapt
             .post_divergence
             .expect("relayout committed ⇒ post-divergence measured");
-        assert!(post.is_finite() && post >= 0.0);
+        assert!(
+            post.is_finite() && post <= pre * DIVERGENCE_SLACK,
+            "{name}: divergence {pre} -> {post}"
+        );
     }
 }

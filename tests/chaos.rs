@@ -41,45 +41,54 @@ fn deploy(bench: &dyn Benchmark, cores: usize) -> (Compiler, Deployment) {
     (compiler, plan.deployment)
 }
 
+/// On every benchmark: a clean run, then two runs under the seeded
+/// default fault plan. Both faulty runs terminate, render the same
+/// fault schedule, inject at least one fault, and produce the clean
+/// run's output.
 #[test]
 fn same_seed_runs_are_schedule_and_payload_deterministic() {
-    let bench = by_name("kmeans").expect("registered");
-    let (compiler, deployment) = deploy(bench.as_ref(), threads());
-    let exec = ThreadedExecutor::default();
-    let clean = exec
-        .run(&deployment, RunOptions::default())
-        .expect("clean run");
-    let clean_sum = bench.threaded_checksum(&compiler, &clean);
+    for bench in all() {
+        let name = bench.name();
+        let (compiler, deployment) = deploy(bench.as_ref(), threads());
+        let exec = ThreadedExecutor::default();
+        let clean = exec
+            .run(&deployment, RunOptions::default())
+            .expect("clean run");
+        let clean_sum = bench.threaded_checksum(&compiler, &clean);
 
-    let chaos_run = || {
-        exec.run(
-            &deployment,
-            RunOptions::default().with_faults(FaultSpec::default_plan(seed())),
-        )
-        .expect("chaos run terminates")
-    };
-    let a = chaos_run();
-    let b = chaos_run();
+        let chaos_run = || {
+            exec.run(
+                &deployment,
+                RunOptions::default().with_faults(FaultSpec::default_plan(seed())),
+            )
+            .unwrap_or_else(|e| panic!("{name}: chaos run failed: {e}"))
+        };
+        let a = chaos_run();
+        let b = chaos_run();
 
-    // Identical seed + thread count ⇒ byte-identical fault schedule.
-    let schedule = a
-        .fault_schedule
-        .as_deref()
-        .expect("chaos run renders its schedule");
-    assert!(
-        schedule.contains("chaos schedule"),
-        "unexpected schedule: {schedule}"
-    );
-    assert_eq!(
-        a.fault_schedule, b.fault_schedule,
-        "same-seed schedules diverged"
-    );
+        // Identical seed + thread count ⇒ byte-identical fault schedule.
+        let schedule = a
+            .fault_schedule
+            .as_deref()
+            .expect("chaos run renders its schedule");
+        assert!(
+            schedule.contains("chaos schedule"),
+            "{name}: unexpected schedule: {schedule}"
+        );
+        assert_eq!(
+            a.fault_schedule, b.fault_schedule,
+            "{name}: same-seed schedules diverged"
+        );
 
-    // The default plan must actually bite, and recovery must be
-    // transparent: both faulty results equal the fault-free result.
-    assert!(a.faults_injected >= 1, "default plan injected nothing");
-    assert_eq!(bench.threaded_checksum(&compiler, &a), clean_sum);
-    assert_eq!(bench.threaded_checksum(&compiler, &b), clean_sum);
+        // The default plan must actually bite, and recovery must be
+        // transparent: both faulty results equal the fault-free result.
+        assert!(
+            a.faults_injected >= 1,
+            "{name}: default plan injected nothing"
+        );
+        assert_eq!(bench.threaded_checksum(&compiler, &a), clean_sum, "{name}");
+        assert_eq!(bench.threaded_checksum(&compiler, &b), clean_sum, "{name}");
+    }
 }
 
 #[test]

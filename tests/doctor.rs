@@ -8,7 +8,7 @@
 //! per-core time breakdown plus ranked findings.
 
 use bamboo::schedule::bootstrap_plan;
-use bamboo::telemetry::analyze::{diagnose, ObservedGraph};
+use bamboo::telemetry::analyze::{diagnose, ObservedGraph, ObservedPath};
 use bamboo::{
     body, Compiler, CoreId, Deployment, ExecConfig, ExecutionTrace, FlagExpr, Layout,
     MachineDescription, NativeBody, ProgramBuilder, Replication, RunOptions, Telemetry,
@@ -20,20 +20,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Profiles `bench_name` at small scale, synthesizes for `cores` cores
-/// with a fixed seed, and deploys.
-fn deploy_for(
-    bench_name: &str,
-    cores: usize,
-    seed: u64,
-) -> (Compiler, Deployment, MachineDescription) {
+/// Profiles `bench_name` at small scale, synthesizes for `machine` with
+/// a fixed seed, and deploys.
+fn deploy_for(bench_name: &str, machine: &MachineDescription, seed: u64) -> (Compiler, Deployment) {
     let bench = by_name(bench_name).expect("benchmark exists");
     let compiler = bench.compiler(Scale::Small);
-    let machine = MachineDescription::n_cores(cores);
-    let plan = compiler
-        .plan("doctor", &machine, seed)
-        .expect("profile run");
-    (compiler, plan.deployment, machine)
+    let plan = compiler.plan("doctor", machine, seed).expect("profile run");
+    (compiler, plan.deployment)
 }
 
 /// One telemetry-enabled threaded run.
@@ -78,35 +71,57 @@ fn trace_edge_pairs(trace: &ExecutionTrace) -> HashMap<(u64, u64), u64> {
     pairs
 }
 
-/// Satellite: the causal graph reconstructed from observed telemetry
-/// carries exactly the data edges the deterministic virtual executor
-/// predicts — per-task invocation counts and the (producer task,
-/// consumer task) edge multiset both match, on real benchmarks.
+/// The causal graph reconstructed from observed telemetry carries
+/// exactly the data edges the deterministic virtual executor predicts —
+/// per-task invocation counts and the (producer task, consumer task)
+/// edge multiset both match — on real benchmarks, planned for 8 cores
+/// and for the 62-core TILEPro64 model. Both apps are all-disjoint, so
+/// no invocation retries its locks, and the observed critical path
+/// spends at least 1 % of its span computing.
 #[test]
 fn observed_causal_edges_match_virtual_executor() {
-    for bench in ["kmeans", "filterbank"] {
-        let (_, deployment, machine) = deploy_for(bench, 8, 42);
-        let (report, run) = observed_run(&deployment, 8);
-        let graph = ObservedGraph::from_report(&report);
-        assert_eq!(graph.incomplete, 0, "{bench}: ring held the whole run");
-        assert_eq!(graph.invocations.len() as u64, run.invocations, "{bench}");
+    for machine in [
+        MachineDescription::n_cores(8),
+        MachineDescription::tilepro64(),
+    ] {
+        for bench in ["kmeans", "filterbank"] {
+            let cores = machine.core_count();
+            let (_, deployment) = deploy_for(bench, &machine, 42);
+            let (report, run) = observed_run(&deployment, cores);
+            let graph = ObservedGraph::from_report(&report);
+            assert_eq!(
+                graph.incomplete, 0,
+                "{bench}/{cores}: ring held the whole run"
+            );
+            assert_eq!(
+                graph.invocations.len() as u64,
+                run.invocations,
+                "{bench}/{cores}"
+            );
+            assert_eq!(run.lock_retries, 0, "{bench}/{cores}: all-disjoint");
+            let share = ObservedPath::from_graph(&graph).compute_share();
+            assert!(
+                share >= 0.01,
+                "{bench}/{cores}: critical path compute share {share}"
+            );
 
-        let predicted = predicted_trace(&deployment, &machine);
-        let predicted_counts: HashMap<u64, u64> =
-            predicted.tasks.iter().fold(HashMap::new(), |mut acc, t| {
-                *acc.entry(t.task.index() as u64).or_insert(0) += 1;
-                acc
-            });
-        assert_eq!(
-            graph.task_counts(),
-            predicted_counts,
-            "{bench}: per-task counts"
-        );
-        assert_eq!(
-            graph.edge_task_pairs(),
-            trace_edge_pairs(&predicted),
-            "{bench}: causal edge multiset"
-        );
+            let predicted = predicted_trace(&deployment, &machine);
+            let predicted_counts: HashMap<u64, u64> =
+                predicted.tasks.iter().fold(HashMap::new(), |mut acc, t| {
+                    *acc.entry(t.task.index() as u64).or_insert(0) += 1;
+                    acc
+                });
+            assert_eq!(
+                graph.task_counts(),
+                predicted_counts,
+                "{bench}/{cores}: per-task counts"
+            );
+            assert_eq!(
+                graph.edge_task_pairs(),
+                trace_edge_pairs(&predicted),
+                "{bench}/{cores}: causal edge multiset"
+            );
+        }
     }
 }
 
@@ -235,7 +250,8 @@ fn stolen_invocations_link_to_original_producers() {
 /// finding.
 #[test]
 fn kmeans_diagnosis_breaks_down_wall_time_exactly() {
-    let (compiler, deployment, machine) = deploy_for("kmeans", 8, 42);
+    let machine = MachineDescription::n_cores(8);
+    let (compiler, deployment) = deploy_for("kmeans", &machine, 42);
     let (report, _) = observed_run(&deployment, 8);
     let predicted = predicted_trace(&deployment, &machine);
     let diagnosis = diagnose(&report, Some(&predicted));

@@ -195,30 +195,35 @@ fn ledger_is_empty_after_drain() {
     assert_eq!(report.completed, 8);
 }
 
-/// Satellite: a clean run — no faults, offered load far under capacity,
-/// open admission — sheds nothing anywhere: neither at serving
-/// admission nor on the router's shed-on-overflow path
-/// (`router.shed` / [`bamboo::ThreadedReport::router_shed`]).
+/// A clean run — no faults, offered load far under capacity, open
+/// admission — completes every request and sheds nothing anywhere:
+/// neither at serving admission nor on the router's shed-on-overflow
+/// path (`router.shed` / [`bamboo::ThreadedReport::router_shed`]). Four
+/// apps, 64 Poisson arrivals each at 800 req/s on 8 cores.
 #[test]
 fn clean_run_sheds_nothing() {
-    let (deployment, _machine) = deploy_for("kmeans", 8, 42);
-    let report = serve_poisson(
-        &deployment,
-        RunOptions::default(),
-        ServingOptions::new(),
-        200.0,
-        11,
-        10,
-    )
-    .expect("clean run");
-    assert_eq!(report.shed, 0, "admission shed on a clean run");
-    assert_eq!(report.shed_rate_limit, 0);
-    assert_eq!(report.shed_queue_depth, 0);
-    assert_eq!(
-        report.executor.router_shed, 0,
-        "router shed invocations on a clean run"
-    );
-    assert_eq!(report.admitted, report.completed);
+    let total = 64;
+    for bench in ["filterbank", "kmeans", "montecarlo", "series"] {
+        let (deployment, _machine) = deploy_for(bench, 8, 42);
+        let report = serve_poisson(
+            &deployment,
+            RunOptions::default(),
+            ServingOptions::new(),
+            800.0,
+            42,
+            total,
+        )
+        .expect("clean run");
+        assert_eq!(report.admitted, total as u64, "{bench}");
+        assert_eq!(report.completed, report.admitted, "{bench}");
+        assert_eq!(report.shed, 0, "{bench}: admission shed on a clean run");
+        assert_eq!(report.shed_rate_limit, 0, "{bench}");
+        assert_eq!(report.shed_queue_depth, 0, "{bench}");
+        assert_eq!(
+            report.executor.router_shed, 0,
+            "{bench}: router shed invocations on a clean run"
+        );
+    }
 }
 
 /// Deep parameter sets: 1500 requests due at the same instant on two
@@ -340,8 +345,9 @@ fn token_bucket_sheds_are_typed_and_accounted() {
 /// Queue-depth admission end to end: stepped arrivals at 20 000 req/s
 /// mostly land within one batch window of each other, so micro-batches
 /// fill to the depth bound of 4 and the arrivals behind them shed.
-/// Every shed is typed, admitted requests all complete, and the shed
-/// request ids are the same at 1 worker thread and at 8.
+/// Every shed is typed, admitted requests all complete, each shed
+/// carries an id of its own that no admitted request shares, and the
+/// shed request ids are the same at 1 worker thread and at 8.
 #[test]
 fn queue_depth_sheds_are_typed_and_thread_count_invariant() {
     let run = |cores: usize| -> Vec<u64> {
@@ -384,6 +390,16 @@ fn queue_depth_sheds_are_typed_and_thread_count_invariant() {
         );
         let mut ids: Vec<u64> = sheds.into_iter().map(|(id, _)| id).collect();
         ids.sort_unstable();
+        let distinct = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), distinct, "{cores}: two sheds share an id");
+        for c in &report.completions {
+            assert!(
+                ids.binary_search(&c.request).is_err(),
+                "{cores}: shed id {} names a completed request",
+                c.request
+            );
+        }
         ids
     };
     assert_eq!(run(1), run(8), "shed ids diverged between 1 and 8 threads");
