@@ -30,6 +30,10 @@ use std::process::ExitCode;
 /// Synthesis seed of the diagnosed deployment.
 const SEED: u64 = 42;
 
+/// What `--help` prints.
+const USAGE: &str =
+    "usage: bamboo-doctor [BENCH] [--cores N] [--json PATH] [--chaos] [--chaos-seed N]";
+
 struct Args {
     chaos: bool,
     chaos_seed: u64,
@@ -38,7 +42,8 @@ struct Args {
     json_out: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The parsed arguments, or `None` when `--help` asked for the usage.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         chaos: false,
         chaos_seed: 7,
@@ -62,17 +67,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--cores: {e}"))?;
             }
             "--json" => args.json_out = Some(value("--json")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: bamboo-doctor [BENCH] [--cores N] [--json PATH] [--chaos] [--chaos-seed N]"
-                        .to_string(),
-                );
-            }
+            "--help" | "-h" => return Ok(None),
             name if !name.starts_with('-') => args.bench = name.to_string(),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// Profiles, synthesizes (fixed seed), and deploys `bench` for `machine`.
@@ -149,8 +149,13 @@ fn diagnose(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let outcome = parse_args()
-        .and_then(|args| diagnose(&args).map_err(|msg| format!("bamboo-doctor: {msg}")));
+    let outcome = parse_args().and_then(|args| match args {
+        None => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        Some(args) => diagnose(&args).map_err(|msg| format!("bamboo-doctor: {msg}")),
+    });
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

@@ -1,11 +1,7 @@
-//! The deployment lifecycle: `deploy → run | serve → adapt → snapshot/stop`.
+//! The deployment lifecycle: `deploy → run | serve → adapt → stop`.
 //!
-//! Before 0.7 the end-to-end flow was stitched from loose parts — build
-//! a [`Deployment`], pick a `ThreadedExecutor`, hand both plus a
-//! [`RunOptions`] to `run`/`start`, or thread them through
-//! [`Server::start`] for serving — and the adaptive re-layout loop
-//! (PR 7) would have added yet another handle to juggle. The
-//! [`DeploymentHandle`] collapses that into one lifecycle object:
+//! The [`DeploymentHandle`] is the one lifecycle object from a
+//! [`Deployment`] to a finished run:
 //!
 //! ```text
 //!   DeploymentHandle::deploy(&compiler, &plan)   // or ::from_deployment
@@ -18,12 +14,12 @@
 //!
 //! A handle is consumed by whichever terminal you pick — `run` for
 //! batch, `serve` for the open-loop serving front-end, `start` for
-//! direct control of the resident run (tests, custom drivers). The
-//! serving path returns a [`ServingSession`] whose
-//! [`snapshot`](ServingSession::snapshot) exposes the layout as a
-//! *versioned artifact* ([`LayoutEpoch`]): epoch 0 is the synthesized
-//! plan, and every hot relayout committed by the adaptive controller
-//! bumps the epoch while the session keeps serving.
+//! direct control of the resident run (tests, custom drivers). Both
+//! resident terminals read the live layout through their
+//! [`RelayoutHandle`](bamboo_runtime::RelayoutHandle): epoch 0 is the
+//! synthesized plan ([`DeploymentHandle::deployment`]'s layout), and
+//! every hot relayout committed by the adaptive controller bumps the
+//! epoch while the session keeps serving.
 
 use crate::error::Error;
 use crate::Compiler;
@@ -31,47 +27,9 @@ use bamboo_runtime::{
     AdaptPolicy, Deployment, FaultSpec, NativePayload, ResidentRun, RunOptions, ThreadedExecutor,
     ThreadedReport,
 };
-use bamboo_schedule::{Layout, SynthesisResult};
-use bamboo_serving::{
-    ArrivalProcess, ChannelIngress, ScopeConfig, ScopeHandle, Server, ServingOptions, ServingReport,
-};
+use bamboo_schedule::SynthesisResult;
+use bamboo_serving::{ScopeConfig, ServingOptions, ServingSession};
 use bamboo_telemetry::Telemetry;
-use std::fmt;
-
-/// A versioned layout artifact: which [`Layout`] routed the deployment
-/// at a given adaptation epoch.
-///
-/// Epoch 0 is the synthesized plan; each committed hot relayout bumps
-/// the epoch by one and overlays the migrated groups' new cores on the
-/// topology. Doctor verdicts, serving reports, and `relayout.*`
-/// telemetry all stamp the epoch they observed, so post-hoc analysis
-/// can attribute every window to the layout that produced it.
-#[derive(Clone, Debug)]
-pub struct LayoutEpoch {
-    /// The adaptation epoch (0 = the synthesized layout, before any
-    /// hot relayout).
-    pub epoch: u64,
-    /// The layout live at that epoch.
-    pub layout: Layout,
-}
-
-impl LayoutEpoch {
-    /// Whether this is the synthesized (pre-adaptation) layout.
-    pub fn is_initial(&self) -> bool {
-        self.epoch == 0
-    }
-}
-
-impl fmt::Display for LayoutEpoch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "layout@epoch{} ({} instances)",
-            self.epoch,
-            self.layout.instances.len()
-        )
-    }
-}
 
 /// One deployment, one lifecycle: configure with the builder methods,
 /// then consume with [`run`](Self::run) (batch),
@@ -146,17 +104,10 @@ impl DeploymentHandle {
         self
     }
 
-    /// The deployment artifact this handle will run.
+    /// The deployment artifact this handle will run; its `layout` is
+    /// the synthesized (epoch-0) layout.
     pub fn deployment(&self) -> &Deployment {
         &self.deployment
-    }
-
-    /// The synthesized (epoch-0) layout artifact.
-    pub fn planned_layout(&self) -> LayoutEpoch {
-        LayoutEpoch {
-            epoch: 0,
-            layout: self.deployment.layout.clone(),
-        }
     }
 
     /// Terminal: runs the deployment as one batch job (the whole run is
@@ -193,117 +144,14 @@ impl DeploymentHandle {
     /// # Errors
     ///
     /// [`Error::Exec`] when the deployment cannot start.
-    pub fn serve(self, options: ServingOptions) -> Result<ServingSession, Error> {
-        let mut options = options;
+    pub fn serve(self, mut options: ServingOptions) -> Result<ServingSession, Error> {
         if options.scope.is_none() {
             options.scope = self.scope;
         }
-        let server = Server::start(
-            &ThreadedExecutor::default(),
+        Ok(ServingSession::start(
             &self.deployment,
             self.options,
             options,
-        )?;
-        Ok(ServingSession { server })
-    }
-}
-
-/// A live serving deployment: offer traffic, snapshot the (possibly
-/// adapting) layout, stop for the report.
-///
-/// Produced by [`DeploymentHandle::serve`]. Wraps [`Server`] with the
-/// unified [`Error`] surface and the [`LayoutEpoch`] artifact;
-/// [`server_mut`](Self::server_mut) reaches the full serving API.
-pub struct ServingSession {
-    server: Server,
-}
-
-impl ServingSession {
-    /// Offers `total` open-loop arrivals from `process`; `make` builds
-    /// each admitted request's root payload, keyed by request id.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Exec`] when the executor fails underneath,
-    /// [`Error::RelayoutFailed`] when a stepped-pacing adaptation
-    /// commit is rejected.
-    pub fn serve(
-        &mut self,
-        process: &mut dyn ArrivalProcess,
-        total: usize,
-        make: impl FnMut(u64) -> NativePayload,
-    ) -> Result<(), Error> {
-        self.server.serve(process, total, make).map_err(Into::into)
-    }
-
-    /// Serves payloads submitted through a [`ChannelIngress`] until
-    /// every handle is dropped and the queue drains.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Exec`] when the executor fails underneath.
-    pub fn serve_channel(&mut self, ingress: ChannelIngress) -> Result<(), Error> {
-        self.server.serve_channel(ingress).map_err(Into::into)
-    }
-
-    /// Waits until every admitted request completes.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Exec`] with the executor's first unrecoverable fault.
-    pub fn await_idle(&mut self) -> Result<(), Error> {
-        self.server.await_idle().map_err(Into::into)
-    }
-
-    /// Snapshot: the layout currently routing the deployment, stamped
-    /// with its adaptation epoch. Epoch 0 until the first hot relayout
-    /// commits.
-    pub fn snapshot(&self) -> LayoutEpoch {
-        LayoutEpoch {
-            epoch: self.server.layout_epoch(),
-            layout: self.server.current_layout(),
-        }
-    }
-
-    /// Instances migrated by hot relayouts so far.
-    pub fn relayouts(&self) -> u64 {
-        self.server.relayouts()
-    }
-
-    /// The live observability handle (`None` unless the session was
-    /// started with a scope config, via
-    /// [`DeploymentHandle::with_scope`] or
-    /// [`ServingOptions::with_scope`]). The handle is cloneable and
-    /// snapshot-safe from other threads while the session keeps
-    /// serving.
-    pub fn scope(&self) -> Option<ScopeHandle> {
-        self.server.scope_handle()
-    }
-
-    /// Requests admitted but not yet complete.
-    pub fn outstanding(&self) -> usize {
-        self.server.outstanding()
-    }
-
-    /// The underlying server (full serving API: admission stats,
-    /// latency summaries, completions).
-    pub fn server(&self) -> &Server {
-        &self.server
-    }
-
-    /// Mutable access to the underlying server.
-    pub fn server_mut(&mut self) -> &mut Server {
-        &mut self.server
-    }
-
-    /// Terminal: waits for outstanding requests, shuts the deployment
-    /// down, and returns the combined report (admission, latency,
-    /// relayout, and adaptation sections).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Exec`] with the executor's first unrecoverable fault.
-    pub fn stop(self) -> Result<ServingReport, Error> {
-        self.server.finish().map_err(Into::into)
+        )?)
     }
 }

@@ -70,7 +70,7 @@ pub mod prelude;
 
 pub use compiler::{Compiler, Plan};
 pub use error::Error;
-pub use handle::{DeploymentHandle, LayoutEpoch, ServingSession};
+pub use handle::DeploymentHandle;
 
 // Subsystem crates, re-exported under stable names.
 pub use bamboo_analysis as analysis;
@@ -101,7 +101,7 @@ pub use bamboo_schedule::{
 };
 pub use bamboo_serving::{
     AdmissionControl, ArrivalProcess, Bursty, ChannelIngress, IngressHandle, Pacing, Poisson,
-    ScopeConfig, ScopeHandle, ScopeSnapshot, Server, ServingError, ServingOptions, ServingReport,
-    ShedReason, TokenBucket, Trace,
+    ScopeConfig, ScopeHandle, ScopeSnapshot, ServingError, ServingOptions, ServingReport,
+    ServingSession, ShedReason, TokenBucket, Trace,
 };
 pub use bamboo_telemetry::{Telemetry, TelemetryReport, TimeUnit};

@@ -8,12 +8,12 @@
 //! [`ProgramBuilder`] + [`body`] for native programs) → profile →
 //! synthesize ([`SynthesisOptions`], [`MachineDescription`]) → deploy
 //! ([`Deployment`], [`RunOptions`]) → execute ([`VirtualExecutor`],
-//! [`ThreadedExecutor`]) → serve ([`Server`], [`ServingOptions`],
+//! [`ThreadedExecutor`]) → serve ([`ServingSession`], [`ServingOptions`],
 //! arrival processes) → inspect ([`Telemetry`]), with [`Error`]
 //! threading the failures.
 
 pub use crate::error::Error;
-pub use crate::handle::{DeploymentHandle, LayoutEpoch, ServingSession};
+pub use crate::handle::DeploymentHandle;
 pub use crate::{Compiler, Plan};
 pub use bamboo_lang::builder::ProgramBuilder;
 pub use bamboo_lang::spec::FlagExpr;
@@ -24,5 +24,5 @@ pub use bamboo_runtime::{
     Program, RelayoutError, RunOptions, ThreadedExecutor, VirtualExecutor,
 };
 pub use bamboo_schedule::{GroupGraph, Layout, SynthesisOptions, SynthesisResult};
-pub use bamboo_serving::{Bursty, Poisson, ScopeConfig, Server, ServingOptions};
+pub use bamboo_serving::{Bursty, Poisson, ScopeConfig, ServingOptions, ServingSession};
 pub use bamboo_telemetry::Telemetry;

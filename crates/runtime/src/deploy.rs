@@ -100,9 +100,9 @@ pub struct RunOptions {
     /// reported in `ThreadedReport::fault_schedule`.
     pub faults: Option<FaultSpec>,
     /// Online adaptive re-layout (`None` = the synthesized layout runs
-    /// unchanged). Arms the live profile estimator; resident runs park
-    /// the policy for the serving front-end to claim and drive an
-    /// [`crate::adapt::AdaptiveController`] with.
+    /// unchanged). Arms the live profile estimator; the serving
+    /// front-end drives an [`crate::adapt::AdaptiveController`] under
+    /// the policy.
     pub adapt: Option<AdaptPolicy>,
 }
 

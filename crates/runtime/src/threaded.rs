@@ -21,7 +21,7 @@
 //! Performance numbers come from the virtual-time executor (DESIGN.md
 //! §2: the host's core count is unrelated to the modeled TILEPro64).
 
-use crate::adapt::{AdaptPolicy, RelayoutError};
+use crate::adapt::RelayoutError;
 use crate::chaos::Liveness;
 use crate::deploy::{Deployment, RunOptions};
 use crate::ledger::{Completion, RequestLedger};
@@ -61,7 +61,8 @@ pub(crate) struct Shared {
     assignment: Vec<AtomicUsize>,
     epoch: AtomicU64,
     relayout_lock: Mutex<()>,
-    /// Feeds the adaptive controller (`None` without an [`AdaptPolicy`]).
+    /// Feeds the adaptive controller (`None` without an
+    /// [`AdaptPolicy`](crate::AdaptPolicy)).
     estimator: Option<Arc<LiveEstimator>>,
     lock_table: LockTable,
     /// Round-robin counters per `(instance, task)` and `(instance, alloc
@@ -588,7 +589,6 @@ impl ThreadedExecutor {
             driver_sink,
             next_request: 1,
             start,
-            adapt: options.adapt,
         })
     }
 }
@@ -605,17 +605,9 @@ pub struct ResidentRun {
     driver_sink: WorkerSink,
     next_request: u64,
     start: std::time::Instant,
-    /// The adapt policy the run was started with, parked here for the
-    /// serving front-end to claim ([`Self::take_adapt_policy`]).
-    adapt: Option<AdaptPolicy>,
 }
 
 impl ResidentRun {
-    /// Number of worker cores.
-    pub fn core_count(&self) -> usize {
-        self.shared.plan.cores()
-    }
-
     /// The request id the next injection will receive (ids start at 1
     /// and increase by injection order). The serving front-end peeks
     /// this to stamp arrival events with the id an arrival will get if
@@ -670,36 +662,13 @@ impl ResidentRun {
         self.shared.ledger.is_empty()
     }
 
-    /// Instances migrated by hot relayouts so far.
-    pub fn relayouts(&self) -> u64 {
-        self.shared.tally(Fact::Migrations)
-    }
-
-    /// The current layout epoch (0 until the first relayout commits;
-    /// bumped once per committed relayout batch).
-    pub fn layout_epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::Acquire)
-    }
-
-    /// The live layout: the deployment's synthesis layout with every
-    /// instance's core read from the current assignment table.
-    pub fn current_layout(&self) -> Layout {
-        self.shared.current_layout()
-    }
-
-    /// A cloneable handle the adaptive controller uses to observe the
-    /// run (live estimator, current layout, epoch) and commit hot
-    /// relayouts against it.
+    /// A cloneable handle onto the live run: the one reader of its
+    /// current layout and epoch, and the adaptive controller's way to
+    /// commit hot relayouts against it.
     pub fn relayout_handle(&self) -> RelayoutHandle {
         RelayoutHandle {
             shared: self.shared.clone(),
         }
-    }
-
-    /// Claims the [`AdaptPolicy`] the run was started with, if any
-    /// (the serving front-end takes it to drive the controller).
-    pub fn take_adapt_policy(&mut self) -> Option<AdaptPolicy> {
-        self.adapt.take()
     }
 
     /// The first unrecoverable fault, if one has been recorded.
@@ -779,12 +748,13 @@ impl ResidentRun {
     }
 }
 
-/// A cloneable handle onto a live resident run, through which the
-/// adaptive controller (or a test) observes the run and commits hot
-/// relayouts. Obtained from [`ResidentRun::relayout_handle`]; remains
-/// valid until the run shuts down (commits against a shut-down run are
-/// harmless — no worker reads the drain messages, and the final
-/// graveyard drain already collected every buffered object).
+/// A cloneable handle onto a live resident run: the only reader of its
+/// live layout and epoch, and the way the adaptive controller (or a
+/// test) commits hot relayouts. Obtained from
+/// [`ResidentRun::relayout_handle`]. Reads stay valid after the run
+/// shuts down and give its final layout and epoch; commits against a
+/// shut-down run are harmless (no worker reads the drain messages, and
+/// the final graveyard drain already collected every buffered object).
 #[derive(Clone)]
 pub struct RelayoutHandle {
     shared: Arc<Shared>,
@@ -801,29 +771,15 @@ impl RelayoutHandle {
         &self.shared.plan.graph
     }
 
-    /// Number of worker cores.
-    pub fn core_count(&self) -> usize {
-        self.shared.plan.cores()
-    }
-
     /// The live layout (synthesis topology + current assignment).
     pub fn current_layout(&self) -> Layout {
         self.shared.current_layout()
     }
 
-    /// The current layout epoch.
+    /// The current layout epoch (0 until the first relayout commits;
+    /// bumped once per committed relayout batch).
     pub fn layout_epoch(&self) -> u64 {
         self.shared.epoch.load(Ordering::Acquire)
-    }
-
-    /// Instances migrated by hot relayouts so far.
-    pub fn relayouts(&self) -> u64 {
-        self.shared.tally(Fact::Migrations)
-    }
-
-    /// Invocations executed so far (across all epochs).
-    pub fn invocations(&self) -> u64 {
-        self.shared.tally(Fact::Dispatches)
     }
 
     /// Whether `core` was killed by fault injection.
@@ -832,7 +788,7 @@ impl RelayoutHandle {
     }
 
     /// The run's live profile estimator (`None` unless the run was
-    /// started with an [`AdaptPolicy`]).
+    /// started with an [`AdaptPolicy`](crate::AdaptPolicy)).
     pub fn estimator(&self) -> Option<Arc<LiveEstimator>> {
         self.shared.estimator.clone()
     }

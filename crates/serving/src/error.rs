@@ -10,8 +10,8 @@ pub enum ShedReason {
     /// The token bucket was empty: offered rate exceeds the configured
     /// sustained rate plus burst allowance.
     RateLimit,
-    /// The executor's ingress backlog (channel + ready queue on the
-    /// startup group's cores) exceeded the configured depth.
+    /// The requests admitted and not yet complete, plus the
+    /// batch-mates ahead of the arrival, reached the configured depth.
     QueueDepth,
 }
 

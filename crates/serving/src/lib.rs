@@ -22,13 +22,16 @@
 //!   thread; capacity-bounded, rejecting with
 //!   [`ServingError::Overloaded`].
 //! - [`admission`] — ingress admission control: a [`TokenBucket`] rate
-//!   limiter plus queue-depth shedding against the executor's ingress
-//!   backlog (the router's shed-on-overflow path, surfaced at
-//!   admission time instead of deep in the run queues).
-//! - [`server`] — the [`Server`] loop: collect a micro-batch per
-//!   arrival tick, admit or shed, inject, track completions, and fold
-//!   per-request latencies into a
-//!   [`bamboo_telemetry::analyze::LatencyHistogram`].
+//!   limiter plus queue-depth shedding against the requests admitted
+//!   and not yet complete, counting the batch-mates ahead of the
+//!   arrival.
+//! - [`server`] — the [`ServingSession`] loop: collect a micro-batch per
+//!   arrival tick, admit or shed, inject, track completions and their
+//!   admit→complete latencies
+//!   ([`ServingReport::latency`] buckets them into a
+//!   [`bamboo_telemetry::analyze::LatencyHistogram`]). The live layout
+//!   and epoch are read through its
+//!   [`relayout_handle`](ServingSession::relayout_handle).
 //!
 //! Every lifecycle edge is stamped into the ordinary telemetry rings
 //! (`serving.*` namespace in METRICS.md: `req_arrive`, `req_admit`,
@@ -52,7 +55,7 @@ pub use admission::{AdmissionControl, AdmissionVerdict, TokenBucket};
 pub use arrivals::{ArrivalProcess, Bursty, Poisson, Trace};
 pub use error::{ServingError, ShedReason};
 pub use ingress::{channel, ChannelIngress, IngressHandle};
-pub use server::{Pacing, Server, ServingOptions, ServingReport};
+pub use server::{Pacing, ServingOptions, ServingReport, ServingSession};
 // Re-exported so `ServingReport::adapt` and the `AdaptPolicy` handed to
 // `RunOptions::with_adapt` are nameable from this crate alone.
 pub use bamboo_runtime::{AdaptPolicy, AdaptReport, RelayoutError};

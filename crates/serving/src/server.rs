@@ -1,6 +1,6 @@
 //! The serving loop: a resident deployment fed by an arrival process.
 //!
-//! A [`Server`] wraps a [`ResidentRun`] (workers live, waiting) and
+//! A [`ServingSession`] wraps a [`ResidentRun`] (workers live, waiting) and
 //! drives it open-loop: the arrival clock advances by each gap the
 //! [`ArrivalProcess`] yields regardless of what the executor is doing,
 //! so offered load past capacity shows up as latency and shed — never
@@ -27,8 +27,8 @@ use crate::error::ServingError;
 use crate::ingress::{ChannelIngress, Drained};
 use bamboo_runtime::ledger::Completion;
 use bamboo_runtime::{
-    AdaptReport, AdaptiveController, Deployment, NativePayload, ResidentRun, RunOptions,
-    ThreadedExecutor, ThreadedReport,
+    AdaptReport, AdaptiveController, Deployment, NativePayload, RelayoutHandle, ResidentRun,
+    RunOptions, ThreadedExecutor, ThreadedReport,
 };
 use bamboo_telemetry::analyze::LatencyHistogram;
 use bamboo_telemetry::event::arrival_source;
@@ -58,7 +58,7 @@ pub struct ServingOptions {
     pub pacing: Pacing,
     /// Live observability plane (`None` = off, zero overhead). When
     /// set, the server feeds a [`ScopeRecorder`] from the request
-    /// lifecycle and [`Server::scope_handle`] exposes live snapshots.
+    /// lifecycle and [`ServingSession::scope`] exposes live snapshots.
     pub scope: Option<ScopeConfig>,
 }
 
@@ -103,11 +103,8 @@ pub struct ServingReport {
     pub shed_queue_depth: u64,
     /// Requests whose work drained to zero.
     pub completed: u64,
-    /// Admit→complete wall latency per completed request, microseconds.
-    pub latency_us: LatencyHistogram,
-    /// The same latencies raw, in completion-detection order — exact
-    /// quantiles for harnesses whose tolerance is finer than the
-    /// histogram's ~3% bucket resolution.
+    /// Admit→complete wall latency per completed request, microseconds,
+    /// in completion-detection order ([`Self::latency`] buckets them).
     pub raw_latency_us: Vec<u64>,
     /// Every completion, in detection order (request-id order within a
     /// tick under [`Pacing::Stepped`]).
@@ -123,6 +120,16 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
+    /// The admit→complete latencies as a histogram (quantiles within
+    /// its ~3% bucket resolution; [`Self::raw_latency_us`] is exact).
+    pub fn latency(&self) -> LatencyHistogram {
+        let mut histogram = LatencyHistogram::new();
+        for &us in &self.raw_latency_us {
+            histogram.record(us);
+        }
+        histogram
+    }
+
     /// One-line latency summary.
     pub fn latency_summary(&self) -> String {
         format!(
@@ -131,7 +138,7 @@ impl ServingReport {
             self.admitted,
             self.shed,
             self.completed,
-            self.latency_us.summary("us"),
+            self.latency().summary("us"),
         )
     }
 }
@@ -184,10 +191,12 @@ impl AdaptDriver {
     }
 }
 
-/// A resident deployment being served. Create with [`Server::start`],
-/// drive with [`Server::serve`] / [`Server::serve_channel`], finish
-/// with [`Server::finish`].
-pub struct Server {
+/// A resident deployment being served: offer traffic, read the live
+/// layout through [`Self::relayout_handle`], stop for the report.
+/// Create with `DeploymentHandle::serve` (or [`ServingSession::start`]),
+/// drive with [`ServingSession::serve`] /
+/// [`ServingSession::serve_channel`], end with [`ServingSession::stop`].
+pub struct ServingSession {
     run: ResidentRun,
     adapt: AdaptDriver,
     admission: AdmissionControl,
@@ -202,7 +211,6 @@ pub struct Server {
     /// virtual clock).
     scope: Option<ScopeRecorder>,
     admit_at: HashMap<u64, Instant>,
-    latency_us: LatencyHistogram,
     raw_latency_us: Vec<u64>,
     completions: Vec<Completion>,
     arrivals: u64,
@@ -212,25 +220,24 @@ pub struct Server {
     shed_queue_depth: u64,
 }
 
-impl Server {
-    /// Starts `deployment` resident under `executor` and wraps it in a
-    /// server.
+impl ServingSession {
+    /// Starts `deployment` resident and wraps it in a session.
     ///
     /// # Errors
     ///
     /// [`ServingError::Exec`] when the deployment cannot start (e.g. an
     /// interpreted program).
     pub fn start(
-        executor: &ThreadedExecutor,
         deployment: &Deployment,
         run_options: RunOptions,
         options: ServingOptions,
     ) -> Result<Self, ServingError> {
         let started = Instant::now();
-        let mut run = executor.start(deployment, run_options)?;
-        // An armed AdaptPolicy is parked on the run; the server claims
-        // it and drives the controller per the pacing mode.
-        let adapt = match run.take_adapt_policy() {
+        // The run only arms its estimator on the policy; the session
+        // drives the controller per the pacing mode.
+        let policy = run_options.adapt.clone();
+        let run = ThreadedExecutor::default().start(deployment, run_options)?;
+        let adapt = match policy {
             None => AdaptDriver::Off,
             Some(policy) => {
                 let controller = AdaptiveController::new(policy, run.relayout_handle());
@@ -255,7 +262,7 @@ impl Server {
                 }
             }
         };
-        Ok(Server {
+        Ok(ServingSession {
             run,
             adapt,
             admission: options.admission,
@@ -265,7 +272,6 @@ impl Server {
             scope: options.scope.map(ScopeRecorder::new),
             admit_at: HashMap::new(),
             raw_latency_us: Vec::new(),
-            latency_us: LatencyHistogram::new(),
             completions: Vec::new(),
             arrivals: 0,
             admitted: 0,
@@ -273,11 +279,6 @@ impl Server {
             shed_rate_limit: 0,
             shed_queue_depth: 0,
         })
-    }
-
-    /// Number of worker cores under the resident deployment.
-    pub fn core_count(&self) -> usize {
-        self.run.core_count()
     }
 
     /// Requests admitted but not yet complete.
@@ -290,26 +291,17 @@ impl Server {
         self.run.ledger_is_empty()
     }
 
-    /// Instances migrated by hot relayouts so far.
-    pub fn relayouts(&self) -> u64 {
-        self.run.relayouts()
+    /// The live run's layout and epoch (epoch 0 until the first hot
+    /// relayout commits); the handle stays readable after
+    /// [`Self::stop`].
+    pub fn relayout_handle(&self) -> RelayoutHandle {
+        self.run.relayout_handle()
     }
 
-    /// The current layout epoch (0 until the first relayout commits).
-    pub fn layout_epoch(&self) -> u64 {
-        self.run.layout_epoch()
-    }
-
-    /// The live layout artifact: the synthesized topology with the
-    /// current (possibly hot-migrated) core assignment overlaid.
-    pub fn current_layout(&self) -> bamboo_runtime::Layout {
-        self.run.current_layout()
-    }
-
-    /// A handle onto the live scope plane (`None` unless the server
-    /// was started with [`ServingOptions::with_scope`]). Snapshots can
-    /// be taken from any thread while the deployment keeps serving.
-    pub fn scope_handle(&self) -> Option<ScopeHandle> {
+    /// A handle onto the live scope plane (`None` unless the session
+    /// was started with a scope config). Snapshots can be taken from
+    /// any thread while the deployment keeps serving.
+    pub fn scope(&self) -> Option<ScopeHandle> {
         self.scope.as_ref().map(ScopeRecorder::handle)
     }
 
@@ -328,8 +320,8 @@ impl Server {
     /// (if admitted) joins the current micro-batch; `make` builds the
     /// root payload per admitted request, keyed by its request id.
     /// Completions are collected as they surface; call
-    /// [`Server::finish`] (or [`Server::await_idle`]) afterwards to
-    /// wait for stragglers.
+    /// [`Self::stop`] (or [`Self::await_idle`]) afterwards to wait for
+    /// stragglers.
     ///
     /// # Errors
     ///
@@ -461,7 +453,7 @@ impl Server {
         }
     }
 
-    /// [`Server::offer`] for an already-built payload (channel
+    /// [`Self::offer`] for an already-built payload (channel
     /// ingress); sheds drop the payload.
     fn offer_payload(
         &mut self,
@@ -521,7 +513,6 @@ impl Server {
                 .completed_at
                 .saturating_duration_since(admitted)
                 .as_micros() as u64;
-            self.latency_us.record(us);
             self.raw_latency_us.push(us);
         }
         if let Some(scope) = &self.scope {
@@ -543,13 +534,14 @@ impl Server {
     }
 
     /// Waits for outstanding requests, shuts the deployment down, and
-    /// returns the combined report.
+    /// returns the combined report (admission, latency, relayout and
+    /// adaptation sections).
     ///
     /// # Errors
     ///
     /// [`ServingError::Exec`] with the executor's first unrecoverable
     /// fault (shutdown never hangs on a failed run).
-    pub fn finish(mut self) -> Result<ServingReport, ServingError> {
+    pub fn stop(mut self) -> Result<ServingReport, ServingError> {
         let idle = self.await_idle();
         // Stop the controller before the workers: a commit landing
         // mid-shutdown would be harmless but pointless.
@@ -567,7 +559,6 @@ impl Server {
             shed_rate_limit: self.shed_rate_limit,
             shed_queue_depth: self.shed_queue_depth,
             completed: self.completions.len() as u64,
-            latency_us: self.latency_us,
             raw_latency_us: self.raw_latency_us,
             completions: self.completions,
             adapt,

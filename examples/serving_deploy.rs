@@ -83,8 +83,8 @@ fn main() -> Result<(), Error> {
     let plan = compiler.plan("serving-demo", &machine, 11)?;
     let handle = DeploymentHandle::from_deployment(plan.deployment);
     println!(
-        "deployment: {} over {} cores, kept resident",
-        handle.planned_layout(),
+        "deployment: layout@epoch0 ({} instances) over {} cores, kept resident",
+        handle.deployment().layout.instances.len(),
         handle.deployment().core_count()
     );
 
@@ -105,17 +105,27 @@ fn main() -> Result<(), Error> {
         .with_adapt(AdaptPolicy::new(machine.clone()))
         .serve(ServingOptions::new())?;
     session.serve(&mut arrivals, total, |request| Box::new(request))?;
-    let last = session.snapshot();
+    // The live layout and its epoch: bumped by every hot relayout the
+    // controller committed, still readable after the session stops.
+    let live = session.relayout_handle();
     let report = session.stop()?;
-    println!("layout:   served last on {last}");
+    let layout = live.current_layout();
+    println!(
+        "layout:   served last on layout@epoch{} ({} instances on {} cores)",
+        live.layout_epoch(),
+        layout.instances.len(),
+        layout.cores_used()
+    );
+    assert_eq!(live.layout_epoch(), report.executor.layout_epoch);
 
     println!("served:   {}", report.latency_summary());
+    let latency = report.latency();
     println!(
         "latency:  p50 {}µs  p99 {}µs  p999 {}µs  max {}µs",
-        report.latency_us.p50(),
-        report.latency_us.p99(),
-        report.latency_us.p999(),
-        report.latency_us.max(),
+        latency.p50(),
+        latency.p99(),
+        latency.p999(),
+        latency.max(),
     );
     let first = report.completions.first().expect("at least one request");
     println!(

@@ -84,8 +84,8 @@ fn main() -> Result<(), Error> {
     // deployment artifact before the threaded run consumes it.
     let handle = DeploymentHandle::from_deployment(plan.deployment);
     println!(
-        "deployment: {} over {} cores",
-        handle.planned_layout(),
+        "deployment: layout@epoch0 ({} instances) over {} cores",
+        handle.deployment().layout.instances.len(),
         handle.deployment().core_count()
     );
 
@@ -102,8 +102,12 @@ fn main() -> Result<(), Error> {
     let deployment = handle.deployment().clone();
     let observed = handle.with_telemetry(telemetry.clone()).run()?;
     println!(
-        "threaded: {} invocations in {:?} ({} stolen, {} lock retries)",
-        observed.invocations, observed.wall, observed.steals, observed.lock_retries
+        "threaded: {} invocations in {:?} ({} stolen, {} lock retries, ended at epoch {})",
+        observed.invocations,
+        observed.wall,
+        observed.steals,
+        observed.lock_retries,
+        observed.layout_epoch
     );
 
     // Fallible result extraction through the unified error type.

@@ -46,7 +46,8 @@ fn squeezed(deployment: &Deployment) -> Deployment {
 
 /// Serves `total` bursty arrivals (arrival seed `seed`) under stepped
 /// pacing with adaptation armed, returning the report and the final
-/// per-instance cores.
+/// per-instance cores. The relayout handle's epoch, read after `stop`,
+/// agrees with the report's and with the controller's last commit.
 fn serve_adaptive(
     deployment: &Deployment,
     policy: AdaptPolicy,
@@ -62,14 +63,17 @@ fn serve_adaptive(
     session
         .serve(&mut arrivals, total, |request| Box::new(request))
         .expect("serve");
-    let snapshot = session.snapshot();
-    let cores = snapshot
-        .layout
+    let live = session.relayout_handle();
+    let cores = live
+        .current_layout()
         .instances
         .iter()
         .map(|inst| inst.core.index())
         .collect();
-    let report = session.stop().expect("finish");
+    let report = session.stop().expect("stop");
+    let epochs = &report.adapt.as_ref().expect("adaptation was armed").epochs;
+    assert_eq!(live.layout_epoch(), report.executor.layout_epoch);
+    assert_eq!(live.layout_epoch(), epochs.last().copied().unwrap_or(0));
     (report, cores)
 }
 
@@ -159,7 +163,7 @@ fn forced_midrun_relayout_preserves_checksums_on_all_apps() {
         let handle = run.relayout_handle();
         run.inject(Box::new(()));
         // Rotate every instance one core to the right, mid-flight.
-        let cores = run.core_count();
+        let cores = deployment.core_count();
         let moves: Vec<(InstanceId, usize)> = handle
             .current_layout()
             .instances

@@ -9,10 +9,9 @@
 use bamboo::telemetry::analyze::ObservedGraph;
 use bamboo::telemetry::event::{shed_reason, EventKind};
 use bamboo::{
-    AdmissionControl, Deployment, Error, ExecConfig, FaultSpec, KillTarget, MachineDescription,
-    NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, Server, ServingError,
-    ServingOptions, ServingReport, Telemetry, ThreadedExecutor, TokenBucket, Trace,
-    VirtualExecutor,
+    AdmissionControl, Deployment, DeploymentHandle, Error, ExecConfig, FaultSpec, KillTarget,
+    MachineDescription, NativePayload, Pacing, Poisson, RecoveryPolicy, RunOptions, ServingOptions,
+    ServingReport, Telemetry, ThreadedExecutor, TokenBucket, Trace, VirtualExecutor,
 };
 use bamboo_apps::{by_name, Scale};
 use std::time::Duration;
@@ -45,20 +44,19 @@ fn predicted_invocations(deployment: &Deployment, machine: &MachineDescription) 
     trace.tasks.len() as u64
 }
 
-/// Serves `total` Poisson arrivals and returns the report.
+/// Serves `total` Poisson arrivals through `handle` and returns the
+/// report.
 fn serve_poisson(
-    deployment: &Deployment,
-    run_options: RunOptions,
+    handle: DeploymentHandle,
     options: ServingOptions,
     rate: f64,
     seed: u64,
     total: usize,
-) -> Result<ServingReport, ServingError> {
-    let exec = ThreadedExecutor::default();
-    let mut server = Server::start(&exec, deployment, run_options, options)?;
+) -> Result<ServingReport, Error> {
+    let mut session = handle.serve(options)?;
     let mut arrivals = Poisson::new(rate, seed);
-    server.serve(&mut arrivals, total, |_| Box::new(()))?;
-    server.finish()
+    session.serve(&mut arrivals, total, |_| Box::new(()))?;
+    Ok(session.stop()?)
 }
 
 /// Acceptance: every request's completion tally equals the invocation
@@ -74,14 +72,9 @@ fn per_request_completion_is_exact_against_virtual_graph() {
         assert!(expected > 0, "{bench}: virtual graph is non-trivial");
 
         let telemetry = Telemetry::enabled(9); // 8 workers + driver
-        let run_options = RunOptions {
-            telemetry: telemetry.clone(),
-            ..RunOptions::default()
-        };
         let total = 12;
         let report = serve_poisson(
-            &deployment,
-            run_options,
+            DeploymentHandle::from_deployment(deployment).with_telemetry(telemetry.clone()),
             ServingOptions::new(),
             800.0,
             7,
@@ -143,8 +136,7 @@ fn stepped_completion_order_is_thread_count_invariant() {
     let run = |cores: usize| -> Vec<(u64, u64)> {
         let (deployment, _machine) = deploy_for("kmeans", cores, 42);
         let report = serve_poisson(
-            &deployment,
-            RunOptions::default(),
+            DeploymentHandle::from_deployment(deployment),
             stepped(),
             2_000.0,
             9,
@@ -175,22 +167,17 @@ fn stepped_completion_order_is_thread_count_invariant() {
 #[test]
 fn ledger_is_empty_after_drain() {
     let (deployment, _machine) = deploy_for("filterbank", 8, 42);
-    let exec = ThreadedExecutor::default();
-    let mut server = Server::start(
-        &exec,
-        &deployment,
-        RunOptions::default(),
-        ServingOptions::new(),
-    )
-    .expect("server starts");
+    let mut session = DeploymentHandle::from_deployment(deployment)
+        .serve(ServingOptions::new())
+        .expect("session starts");
     let mut arrivals = Poisson::new(500.0, 3);
-    server
+    session
         .serve(&mut arrivals, 8, |_| Box::new(()))
         .expect("serve");
-    server.await_idle().expect("drain");
-    assert_eq!(server.outstanding(), 0);
-    assert!(server.ledger_is_empty(), "ledger leaked entries");
-    let report = server.finish().expect("finish");
+    session.await_idle().expect("drain");
+    assert_eq!(session.outstanding(), 0);
+    assert!(session.ledger_is_empty(), "ledger leaked entries");
+    let report = session.stop().expect("stop");
     assert_eq!(report.admitted, 8);
     assert_eq!(report.completed, 8);
 }
@@ -206,8 +193,7 @@ fn clean_run_sheds_nothing() {
     for bench in ["filterbank", "kmeans", "montecarlo", "series"] {
         let (deployment, _machine) = deploy_for(bench, 8, 42);
         let report = serve_poisson(
-            &deployment,
-            RunOptions::default(),
+            DeploymentHandle::from_deployment(deployment),
             ServingOptions::new(),
             800.0,
             42,
@@ -237,21 +223,16 @@ fn same_instant_burst_completes_every_request_exactly() {
     let expected = predicted_invocations(&deployment, &machine);
     assert_eq!(expected, 37, "KMeans at Scale::Small");
     let total = 1500;
-    let exec = ThreadedExecutor::default();
-    let mut server = Server::start(
-        &exec,
-        &deployment,
-        RunOptions::default(),
-        ServingOptions::new(),
-    )
-    .expect("server starts");
+    let mut session = DeploymentHandle::from_deployment(deployment)
+        .serve(ServingOptions::new())
+        .expect("session starts");
     let mut arrivals = Trace::replay(vec![Duration::ZERO]);
-    server
+    session
         .serve(&mut arrivals, total, |_| Box::new(()))
         .expect("serve");
-    server.await_idle().expect("drain");
-    assert!(server.ledger_is_empty(), "ledger leaked entries");
-    let report = server.finish().expect("finish");
+    session.await_idle().expect("drain");
+    assert!(session.ledger_is_empty(), "ledger leaked entries");
+    let report = session.stop().expect("stop");
     assert_eq!(report.completed, total as u64);
     assert_eq!(report.completions.len(), total);
     for c in &report.completions {
@@ -329,8 +310,14 @@ fn token_bucket_sheds_are_typed_and_accounted() {
     let options = ServingOptions::new()
         .with_pacing(Pacing::Stepped)
         .with_admission(AdmissionControl::open().with_rate(TokenBucket::new(50.0, 2.0)));
-    let report = serve_poisson(&deployment, RunOptions::default(), options, 2_000.0, 5, 30)
-        .expect("rate-limited run");
+    let report = serve_poisson(
+        DeploymentHandle::from_deployment(deployment),
+        options,
+        2_000.0,
+        5,
+        30,
+    )
+    .expect("rate-limited run");
     assert_eq!(report.arrivals, 30);
     assert_eq!(report.admitted + report.shed, report.arrivals);
     assert!(report.shed > 0, "bucket never refused");
@@ -358,8 +345,7 @@ fn queue_depth_sheds_are_typed_and_thread_count_invariant() {
             .with_pacing(Pacing::Stepped)
             .with_admission(AdmissionControl::open().with_max_ingress_depth(4));
         let report = serve_poisson(
-            &deployment,
-            RunOptions::default().with_telemetry(telemetry.clone()),
+            DeploymentHandle::from_deployment(deployment).with_telemetry(telemetry.clone()),
             options,
             20_000.0,
             3,
@@ -425,17 +411,10 @@ fn channel_overflow_is_typed_overloaded() {
 fn expendable_kill_mid_request_still_completes_every_request() {
     let (deployment, machine) = deploy_for("kmeans", 8, 42);
     let expected = predicted_invocations(&deployment, &machine);
-    let run_options = RunOptions::default()
+    let handle = DeploymentHandle::from_deployment(deployment)
         .with_faults(FaultSpec::seeded(7).with_kill(KillTarget::Expendable, 1));
-    let report = serve_poisson(
-        &deployment,
-        run_options,
-        ServingOptions::new(),
-        500.0,
-        13,
-        6,
-    )
-    .expect("recovered chaos run");
+    let report =
+        serve_poisson(handle, ServingOptions::new(), 500.0, 13, 6).expect("recovered chaos run");
     assert_eq!(report.completed, 6, "a request was lost to the kill");
     for c in &report.completions {
         assert_eq!(
@@ -457,20 +436,16 @@ fn unrecoverable_kill_is_typed_core_lost_not_a_hang() {
         FaultSpec::seeded(7).with_recovery(RecoveryPolicy::Disabled),
         |s, c| s.with_kill(KillTarget::Core(c), 0),
     );
-    let exec = ThreadedExecutor::default();
-    let mut server = Server::start(
-        &exec,
-        &deployment,
-        RunOptions::default().with_faults(spec),
-        ServingOptions::new(),
-    )
-    .expect("server starts");
+    let mut session = DeploymentHandle::from_deployment(deployment)
+        .with_faults(spec)
+        .serve(ServingOptions::new())
+        .expect("session starts");
     let mut arrivals = Poisson::new(1_000.0, 1);
     // serve() may or may not observe the failure depending on when the
-    // kill lands; finish() must surface it either way (and always
+    // kill lands; stop() must surface it either way (and always
     // stops the workers, so the error path never leaks threads).
-    let served = server.serve(&mut arrivals, 2, |_| Box::new(()));
-    let finished = server.finish().map(|_| ());
+    let served = session.serve(&mut arrivals, 2, |_| Box::new(()));
+    let finished = session.stop().map(|_| ());
     let err: Error = match served.and(finished) {
         Err(e) => e.into(),
         Ok(()) => panic!("unrecovered kill did not fail the serving run"),
