@@ -16,10 +16,13 @@
 //! `(spec, graph, layout, profile, machine)`: simulation consumes no
 //! randomness. The optimizer exploits that twice:
 //!
-//! * each iteration's un-memoized candidates fan out across a
-//!   [`std::thread::scope`] worker pool ([`DsaOptions::threads`]) and the
-//!   results are collected back **in candidate index order**, so sorting,
-//!   pruning, and [`DsaStats`] are bit-identical to a serial run;
+//! * each iteration's un-memoized candidates are scored by a pool that
+//!   lives as long as the search: [`DsaOptions::threads`] `− 1` helper
+//!   threads, started once, and the driver thread itself, all claiming
+//!   candidates from one atomic cursor. Results are collected back **in
+//!   candidate index order**, so sorting, pruning, and [`DsaStats`] are
+//!   bit-identical at any thread count; one thread is the same pool
+//!   with no helpers;
 //! * a [`SimCache`] keyed by [`Layout::fingerprint`] replays results for
 //!   layouts whose signature was already simulated
 //!   ([`DsaOptions::memoize`]), so survivors re-entering the pool never
@@ -33,24 +36,27 @@
 //!
 //! # Per-candidate cost
 //!
-//! Candidates score on reusable [`SimEngine`]s (one per worker) over a
-//! shared [`SimProgram`]: prediction streams and the event kernel's
-//! arenas persist across the hundreds of simulations of one search
-//! instead of being rebuilt per candidate. Results carry their execution
-//! trace behind an [`std::sync::Arc`], so the cache inserts, replays, and
-//! survivor copies that shuttle results around the search clone a
-//! pointer instead of thousands of trace tasks.
+//! Candidates score on reusable [`SimEngine`]s, one per thread and built
+//! on the thread that runs it, over a shared [`SimProgram`]: prediction
+//! streams, the event kernel's arenas and its trace buffer persist
+//! across the hundreds of simulations of one search. A candidate's trace
+//! never leaves the thread that simulated it: that thread derives the
+//! trace's [`MoveBasis`] — all that move generation reads of a trace —
+//! and the engine refills the same buffer on its next simulation.
+//! Scores and the memo cache carry the basis; only the winner is
+//! simulated once more, with a trace, for the estimate returned.
 
-use crate::critpath::{apply_move, propose_moves, MoveProposal};
+use crate::critpath::{apply_move, MoveBasis, MoveProposal};
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout};
-use crate::sim::{SimCache, SimEngine, SimOptions, SimProgram, SimResult};
+use crate::sim::{Memo, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::{CoreId, MachineDescription};
 use bamboo_profile::{Cycles, Profile};
 use rand::Rng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Probability that a candidate in the better half of an iteration
 /// survives into the next.
@@ -70,8 +76,9 @@ pub struct DsaOptions {
     pub moves_per_layout: usize,
     /// Upper bound on live candidates per iteration.
     pub max_candidates: usize,
-    /// Worker threads for candidate evaluation: `0` uses every available
-    /// core, `1` evaluates serially on the driver thread. The result is
+    /// Threads that simulate candidates: the driver and `threads − 1`
+    /// helpers started once per search. `0` uses every available core,
+    /// `1` evaluates serially on the driver thread. The result is
     /// bit-identical at any setting.
     pub threads: usize,
     /// Memoize simulation results across iterations by layout
@@ -80,7 +87,10 @@ pub struct DsaOptions {
     /// timing column in `dsa_timing`); the search trajectory is identical
     /// either way.
     pub memoize: bool,
-    /// Simulator configuration.
+    /// Simulator configuration. The annealer reads only `replay`: it
+    /// traces every candidate it simulates (to derive its
+    /// [`MoveBasis`]) and returns the winner's estimate with its trace,
+    /// whatever `collect_trace` says.
     pub sim: SimOptions,
 }
 
@@ -233,19 +243,40 @@ pub fn optimize_with_cache<R: Rng>(
         !initial.is_empty(),
         "DSA needs at least one starting layout"
     );
-    let threads = worker_threads(opts.threads);
+    let program = SimProgram::new(spec, graph, profile, machine, &opts.sim);
+    let pool = Pool::default();
+    std::thread::scope(|scope| {
+        for _ in 1..worker_threads(opts.threads) {
+            scope.spawn(|| pool.help(&program));
+        }
+        // Closes the pool on the way out, panics included, so the scope
+        // can join the helpers.
+        let closing = Closing(&pool);
+        let mut engine = SimEngine::new(&program);
+        let (layout, stats) = anneal(graph, initial, opts, rng, cache, &pool, &mut engine);
+        drop(closing);
+        // Simulation is pure: this is the result the winner scored, now
+        // with its trace.
+        let estimate = engine.simulate(&layout, true);
+        (layout, estimate, stats)
+    })
+}
+
+/// The search loop of [`optimize_with_cache`], scoring on `engine` and
+/// `pool`. Returns the best layout and the search statistics.
+fn anneal<R: Rng>(
+    graph: &GroupGraph,
+    initial: Vec<Layout>,
+    opts: &DsaOptions,
+    rng: &mut R,
+    cache: &mut SimCache,
+    pool: &Pool,
+    engine: &mut SimEngine<'_>,
+) -> (Layout, DsaStats) {
     let mut stats = DsaStats::default();
     let evictions_before = cache.evictions();
-    let mut best: Option<(Layout, SimResult)> = None;
+    let mut best: Option<(Layout, Cycles)> = None;
     let mut seen: HashSet<u64> = HashSet::new();
-
-    // The shared program and per-worker engine pool. All engine state
-    // (prediction streams, routing memos, arenas) persists across the
-    // whole search.
-    let program = SimProgram::new(spec, graph, profile, machine, &opts.sim);
-    let mut engines: Vec<SimEngine> = (0..threads.max(1))
-        .map(|_| SimEngine::new(&program))
-        .collect();
 
     // Deduplicate the starting pool by fingerprint and seed the
     // duplicate set with it. This gives the pool a strict invariant —
@@ -263,16 +294,16 @@ pub fn optimize_with_cache<R: Rng>(
 
     for _ in 0..opts.max_iterations {
         stats.iterations += 1;
-        // Evaluate: replay memoized results, fan the rest out across the
-        // worker pool, and reassemble in candidate index order.
-        let pool = std::mem::take(&mut candidates);
+        // Evaluate: replay memoized results, score the rest on the
+        // pool, and reassemble in candidate index order.
+        let pending = std::mem::take(&mut candidates);
         let mut evaluated =
-            evaluate_candidates(graph, opts, pool, threads, cache, &mut engines, &mut stats);
-        evaluated.sort_by_key(|(_, r)| r.makespan);
+            evaluate_candidates(graph, opts, pending, cache, pool, engine, &mut stats);
+        evaluated.sort_by_key(|(_, (r, _))| r.makespan);
         stats.candidates_evaluated += evaluated.len();
 
         let improved = match (&best, evaluated.first()) {
-            (Some((_, b)), Some((_, e))) => e.makespan < b.makespan,
+            (Some((_, b)), Some((_, (e, _)))) => e.makespan < *b,
             (None, Some(_)) => true,
             _ => false,
         };
@@ -281,7 +312,7 @@ pub fn optimize_with_cache<R: Rng>(
         // survives: dropping the sole candidate of a one-start run would
         // otherwise end the search after a single simulation.
         let half = evaluated.len().div_ceil(2);
-        let survivors: Vec<(Layout, SimResult)> = evaluated
+        let survivors: Vec<(Layout, Memo)> = evaluated
             .into_iter()
             .enumerate()
             .filter(|(i, _)| {
@@ -300,17 +331,17 @@ pub fn optimize_with_cache<R: Rng>(
         stats.survivors += survivors.len();
 
         // The round's best is survivors[0] (index 0 always survives).
-        if let Some((layout, result)) = survivors.first() {
+        if let Some((layout, (result, _))) = survivors.first() {
             if best
                 .as_ref()
-                .map(|(_, b)| result.makespan < b.makespan)
+                .map(|(_, b)| result.makespan < *b)
                 .unwrap_or(true)
             {
-                best = Some((layout.clone(), result.clone()));
+                best = Some((layout.clone(), result.makespan));
             }
         }
         if let Some((_, b)) = &best {
-            stats.trajectory.push(b.makespan);
+            stats.trajectory.push(*b);
         }
 
         // Directed move generation, plus undirected exploration (the
@@ -318,10 +349,10 @@ pub fn optimize_with_cache<R: Rng>(
         // blind spots — swaps in particular cross pigeonhole plateaus
         // that no single migration can improve).
         let mut next: Vec<Layout> = Vec::new();
-        for (layout, result) in &survivors {
-            let Some(trace) = &result.trace else { continue };
+        for (layout, (_, basis)) in &survivors {
+            let Some(basis) = basis else { continue };
             let mut mutated: Vec<Layout> = Vec::new();
-            for proposal in propose_moves(trace, layout, rng, opts.moves_per_layout) {
+            for proposal in basis.propose(rng, opts.moves_per_layout) {
                 mutated.push(apply_move(layout, proposal));
             }
             for _ in 0..2 {
@@ -371,7 +402,7 @@ pub fn optimize_with_cache<R: Rng>(
                 }
             }
         }
-        // Survivors stay in the pool too (their traces may yield different
+        // Survivors stay in the pool too (their bases may yield different
         // random groups next round).
         for (layout, _) in survivors {
             if next.len() >= opts.max_candidates {
@@ -390,34 +421,33 @@ pub fn optimize_with_cache<R: Rng>(
     }
 
     stats.cache_evictions = cache.evictions() - evictions_before;
-    let (layout, result) = best.expect("at least one candidate evaluated");
-    stats.best_makespan = result.makespan;
-    (layout, result, stats)
+    let (layout, makespan) = best.expect("at least one candidate evaluated");
+    stats.best_makespan = makespan;
+    (layout, stats)
 }
 
 /// Scores one iteration's candidate pool, preserving pool order.
 ///
-/// Memoized fingerprints replay from `cache`; the rest simulate — on the
-/// driver thread when `threads <= 1` or only one simulation is due, on a
-/// scoped worker pool otherwise.
+/// Memoized fingerprints replay from `cache`; the rest are posted to
+/// `pool` as one round, which the driver works on `engine` too.
 fn evaluate_candidates(
     graph: &GroupGraph,
     opts: &DsaOptions,
     candidates: Vec<Layout>,
-    threads: usize,
     cache: &mut SimCache,
-    engines: &mut [SimEngine],
+    pool: &Pool,
+    engine: &mut SimEngine<'_>,
     stats: &mut DsaStats,
-) -> Vec<(Layout, SimResult)> {
-    let mut results: Vec<Option<SimResult>> = vec![None; candidates.len()];
+) -> Vec<(Layout, Memo)> {
+    let mut memos: Vec<Option<Memo>> = vec![None; candidates.len()];
     let mut due: Vec<usize> = Vec::with_capacity(candidates.len());
     let mut fingerprints: Vec<u64> = vec![0; candidates.len()];
     for (slot, layout) in candidates.iter().enumerate() {
         if opts.memoize {
             let fp = layout.fingerprint(graph);
             fingerprints[slot] = fp;
-            if let Some(replayed) = cache.lookup(fp) {
-                results[slot] = Some(replayed);
+            if let Some(replayed) = cache.replay(fp) {
+                memos[slot] = Some(replayed);
                 stats.cache_hits += 1;
                 continue;
             }
@@ -427,69 +457,186 @@ fn evaluate_candidates(
     stats.cache_misses += due.len();
     stats.simulations += due.len();
 
-    for (slot, result) in
-        simulate_slots(&candidates, &due, engines, threads, opts.sim.collect_trace)
-    {
-        if opts.memoize {
-            cache.insert(fingerprints[slot], result.clone());
+    if !due.is_empty() {
+        let round = Arc::new(Round::new(
+            due.iter().map(|&slot| candidates[slot].clone()).collect(),
+        ));
+        if due.len() > 1 {
+            pool.post(Arc::clone(&round));
         }
-        results[slot] = Some(result);
+        round.work(engine);
+        for (i, (result, basis)) in round.collect() {
+            let slot = due[i];
+            let memo = (result, Some(Arc::new(basis)));
+            if opts.memoize {
+                cache.memoize(fingerprints[slot], memo.clone());
+            }
+            memos[slot] = Some(memo);
+        }
     }
     candidates
         .into_iter()
-        .zip(results)
-        .map(|(layout, result)| (layout, result.expect("every slot scored")))
+        .zip(memos)
+        .map(|(layout, memo)| (layout, memo.expect("every slot scored")))
         .collect()
 }
 
-/// Simulates `candidates[slot]` for every slot in `due`, returning
-/// `(slot, result)` pairs sorted by slot. Each worker owns one persistent
-/// [`SimEngine`] and pulls slots from a shared atomic cursor (simulation
-/// costs vary, so static striping would idle the fast workers).
-/// Simulation is a pure function of the layout, so the slot→engine
-/// assignment (which varies with scheduling) never shows in the results:
-/// the returned vector — and therefore everything downstream — is
-/// independent of worker count and scheduling.
-fn simulate_slots(
-    candidates: &[Layout],
-    due: &[usize],
-    engines: &mut [SimEngine],
-    threads: usize,
-    collect_trace: bool,
-) -> Vec<(usize, SimResult)> {
-    let workers = threads.min(due.len()).min(engines.len());
-    if workers <= 1 {
-        let engine = engines.first_mut().expect("engine pool is never empty");
-        return due
-            .iter()
-            .map(|&slot| (slot, engine.simulate(&candidates[slot], collect_trace)))
-            .collect();
+/// One iteration's due simulations. The driver and the helpers claim
+/// layouts through one atomic cursor (simulation costs vary, so static
+/// striping would idle the fast threads) and deposit their scores.
+/// Simulation is a pure function of the layout, so which thread scored
+/// which layout never shows: [`Round::collect`] returns the scores in
+/// layout order.
+struct Round {
+    layouts: Vec<Layout>,
+    next: AtomicUsize,
+    scored: Mutex<Scored>,
+    filled: Condvar,
+}
+
+/// A simulated layout: its traceless result and its trace's basis.
+type Score = (SimResult, MoveBasis);
+
+/// What a round's threads deposited.
+#[derive(Default)]
+struct Scored {
+    /// `(layout index, score)`, in deposit order.
+    scores: Vec<(usize, Score)>,
+    /// A helper panicked: the round will never fill.
+    failed: bool,
+}
+
+impl Round {
+    fn new(layouts: Vec<Layout>) -> Self {
+        Round {
+            next: AtomicUsize::new(0),
+            scored: Mutex::default(),
+            filled: Condvar::new(),
+            layouts,
+        }
     }
-    let cursor = AtomicUsize::new(0);
-    let mut scored: Vec<(usize, SimResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = engines
-            .iter_mut()
-            .take(workers)
-            .map(|engine| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&slot) = due.get(next) else { break };
-                        local.push((slot, engine.simulate(&candidates[slot], collect_trace)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("simulation worker panicked"))
-            .collect()
-    });
-    scored.sort_by_key(|(slot, _)| *slot);
-    scored
+
+    /// Scores layouts on `engine` until none is left to claim.
+    fn work(&self, engine: &mut SimEngine<'_>) {
+        let failing = Failing(self);
+        let mut local = Vec::new();
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(layout) = self.layouts.get(i) else {
+                break;
+            };
+            local.push((i, engine.score(layout)));
+        }
+        drop(failing);
+        if !local.is_empty() {
+            let mut scored = lock(&self.scored);
+            scored.scores.append(&mut local);
+            if scored.scores.len() == self.layouts.len() {
+                self.filled.notify_all();
+            }
+        }
+    }
+
+    /// Waits until every layout is scored; returns the scores in layout
+    /// order.
+    fn collect(&self) -> Vec<(usize, Score)> {
+        let mut scored = lock(&self.scored);
+        while scored.scores.len() < self.layouts.len() {
+            assert!(!scored.failed, "a simulation helper panicked");
+            scored = self
+                .filled
+                .wait(scored)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+        let mut scores = std::mem::take(&mut scored.scores);
+        scores.sort_unstable_by_key(|&(i, _)| i);
+        scores
+    }
+}
+
+/// Wakes the driver out of [`Round::collect`] when a helper panics
+/// mid-round.
+struct Failing<'r>(&'r Round);
+
+impl Drop for Failing<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(&self.0.scored).failed = true;
+            self.0.filled.notify_all();
+        }
+    }
+}
+
+/// The helpers of one search: each sleeps until the driver posts a
+/// round, works it on its own engine, and exits when the pool closes.
+#[derive(Default)]
+struct Pool {
+    posted: Mutex<Posted>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Posted {
+    round: Option<Arc<Round>>,
+    /// Rounds posted so far.
+    serial: u64,
+    closed: bool,
+}
+
+impl Pool {
+    /// A helper thread's life: build an engine here, on this thread,
+    /// then work every round posted until the pool closes.
+    fn help(&self, program: &SimProgram<'_>) {
+        let mut engine = SimEngine::new(program);
+        let mut seen = 0;
+        loop {
+            let round = {
+                let mut posted = lock(&self.posted);
+                while posted.serial == seen && !posted.closed {
+                    posted = self
+                        .wake
+                        .wait(posted)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                }
+                if posted.closed {
+                    return;
+                }
+                seen = posted.serial;
+                posted.round.clone()
+            };
+            if let Some(round) = round {
+                round.work(&mut engine);
+            }
+        }
+    }
+
+    fn post(&self, round: Arc<Round>) {
+        let mut posted = lock(&self.posted);
+        posted.round = Some(round);
+        posted.serial += 1;
+        self.wake.notify_all();
+    }
+}
+
+/// Closes its pool when dropped: the helpers finish their round and
+/// exit.
+struct Closing<'p>(&'p Pool);
+
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        let mut posted = lock(&self.0.posted);
+        posted.closed = true;
+        posted.round = None;
+        self.0.wake.notify_all();
+    }
+}
+
+/// Locks `mutex`, ignoring poisoning: a panicking thread leaves the
+/// pool's state consistent (every update is a single assignment).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
@@ -628,6 +775,53 @@ mod tests {
             "survivors re-entering the pool should hit the cache"
         );
         assert_eq!(cold_stats.cache_hits, 0);
+    }
+
+    /// A cache warmed by one search replays the same proposals to the
+    /// next: same layout and trajectory as a fresh cache. No cached
+    /// result keeps a trace; the returned estimate carries the winner's.
+    #[test]
+    fn warmed_cache_replays_the_search_and_keeps_no_traces() {
+        let (spec, cstg, profile) = kc_setup();
+        let graph = scc_tree_transform(&GroupGraph::build(&spec, &cstg, &profile));
+        let machine = MachineDescription::quad();
+        let repl = compute_replication(&spec, &graph, &profile, 4);
+        let starts = random_layouts(&graph, &repl, 4, 6, &mut StdRng::seed_from_u64(23));
+        let opts = DsaOptions::default();
+        let search = |cache: &mut SimCache| {
+            let mut rng = StdRng::seed_from_u64(29);
+            let initial = starts.clone();
+            optimize_with_cache(
+                &spec, &graph, &profile, &machine, initial, &opts, &mut rng, cache,
+            )
+        };
+        let (fresh_layout, _, fresh_stats) = search(&mut SimCache::new());
+        let mut cache = SimCache::new();
+        search(&mut cache);
+        let (layout, estimate, stats) = search(&mut cache);
+        assert_eq!(layout, fresh_layout);
+        assert_eq!(stats.trajectory, fresh_stats.trajectory);
+        assert_eq!(stats.simulations, 0, "the second search replays everything");
+
+        assert!(!cache.is_empty());
+        for (result, basis) in cache.memos() {
+            assert!(result.trace.is_none(), "a cached result kept its trace");
+            assert!(basis.is_some(), "a scored entry lost its basis");
+        }
+        let traced = simulate(
+            &spec,
+            &graph,
+            &layout,
+            &profile,
+            &machine,
+            &SimOptions {
+                collect_trace: true,
+                ..SimOptions::default()
+            },
+        );
+        assert!(estimate.trace.is_some());
+        assert_eq!(estimate.trace, traced.trace);
+        assert_eq!(estimate.makespan, traced.makespan);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod trace;
 pub mod transforms;
 pub mod util;
 
-pub use critpath::{critical_path, propose_moves, MoveProposal};
+pub use critpath::{critical_path, propose_moves, MoveBasis, MoveProposal};
 pub use dsa::{optimize, optimize_with_cache, DsaOptions, DsaStats};
 pub use groups::{Group, GroupGraph, GroupId, GroupNewEdge};
 pub use layout::{GroupInstance, InstanceId, Layout, RouteDecision, Router};

@@ -1,8 +1,8 @@
 //! The simulator: the [`kernel`](super::kernel) driven by profile
 //! predictions, bit-identical to the `super::reference` oracle but built
 //! to be called hundreds of times per DSA run. Per-program tables live
-//! in a shared [`SimProgram`]; the kernel's arenas and the prediction
-//! streams persist in a [`SimEngine`] across calls.
+//! in a shared [`SimProgram`]; the kernel's arenas, its trace buffer
+//! and the prediction streams persist in a [`SimEngine`] across calls.
 //!
 //! The engine's [`Source`] adds three things to the kernel:
 //!
@@ -18,10 +18,12 @@
 //!   hash; created tagged objects carry it, or else their creator's first
 //!   tagged parameter's.
 
+use crate::critpath::MoveBasis;
 use crate::groups::GroupGraph;
 use crate::layout::Layout;
 use crate::sim::kernel::{Invocation, Kernel, Objects, Source, Tables, UNTAGGED};
 use crate::sim::{SimOptions, SimResult, DISPATCH_OVERHEAD, HORIZON};
+use crate::trace::ExecutionTrace;
 use bamboo_lang::ids::{AllocSiteId, ParamIdx, TaskId};
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::MachineDescription;
@@ -126,6 +128,23 @@ impl<'a> SimEngine<'a> {
     /// Runs one simulation of `layout`, reusing all engine state.
     /// `collect_trace` overrides the program's `opts.collect_trace`.
     pub fn simulate(&mut self, layout: &Layout, collect_trace: bool) -> SimResult {
+        let (mut result, trace) = self.run(layout, collect_trace);
+        result.trace = trace.map(Arc::new);
+        result
+    }
+
+    /// Simulates `layout` with a trace and derives its [`MoveBasis`].
+    /// The trace stays in the engine, whose next call refills it; the
+    /// result carries none.
+    pub(crate) fn score(&mut self, layout: &Layout) -> (SimResult, MoveBasis) {
+        let (result, trace) = self.run(layout, true);
+        let trace = trace.expect("traced run");
+        let basis = MoveBasis::of(&trace, layout);
+        self.kernel.recycle(trace);
+        (result, basis)
+    }
+
+    fn run(&mut self, layout: &Layout, collect_trace: bool) -> (SimResult, Option<ExecutionTrace>) {
         let program = self.predictor.program;
         self.predictor.reset();
         let Ok(out) = self.kernel.run(
@@ -141,13 +160,14 @@ impl<'a> SimEngine<'a> {
         } else {
             out.busy as f64 / (out.makespan as f64 * layout.cores_used() as f64)
         };
-        SimResult {
+        let result = SimResult {
             makespan: out.makespan,
             completed: out.completed,
             invocations: out.invocations as usize,
             utilization,
-            trace: out.trace.map(Arc::new),
-        }
+            trace: None,
+        };
+        (result, out.trace)
     }
 }
 

@@ -247,6 +247,9 @@ pub struct Kernel {
     seq: u32,
     now: Cycles,
     out: Outcome,
+    /// A trace handed back by [`Self::recycle`]: the next traced run
+    /// refills its buffers instead of allocating new ones.
+    spare: Option<ExecutionTrace>,
 }
 
 impl Kernel {
@@ -267,8 +270,14 @@ impl Kernel {
         budget: u64,
     ) -> Result<Outcome, S::Error> {
         self.reset(tables, layout);
+        let trace = collect_trace.then(|| {
+            let mut trace = self.spare.take().unwrap_or_default();
+            trace.tasks.clear();
+            trace.deps.clear();
+            trace
+        });
         self.out = Outcome {
-            trace: collect_trace.then(ExecutionTrace::default),
+            trace,
             ..Outcome::default()
         };
         let pass = Pass {
@@ -282,6 +291,12 @@ impl Kernel {
             trace.makespan = out.makespan;
         }
         Ok(out)
+    }
+
+    /// Takes back a trace an earlier [`Self::run`] returned, for the next
+    /// traced run to reuse.
+    pub(crate) fn recycle(&mut self, trace: ExecutionTrace) {
+        self.spare = Some(trace);
     }
 
     fn reset(&mut self, tables: &Tables<'_>, layout: &Layout) {

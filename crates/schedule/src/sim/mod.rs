@@ -35,12 +35,14 @@ pub mod kernel;
 #[doc(hidden)]
 pub mod reference;
 
+use crate::critpath::MoveBasis;
 use crate::groups::GroupGraph;
 use crate::layout::Layout;
 use crate::trace::ExecutionTrace;
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::MachineDescription;
 use bamboo_profile::{Cycles, Profile};
+use std::sync::Arc;
 
 pub use fast::{SimEngine, SimProgram};
 
@@ -83,13 +85,12 @@ pub struct SimResult {
     pub invocations: usize,
     /// Fraction of used-core capacity spent executing tasks.
     pub utilization: f64,
-    /// The trace, when requested. Shared (`Arc`) because results flow
-    /// through the DSA memo cache: a traced result is cloned on every
-    /// cache insert, hit, and survivor copy, and a deep trace copy
-    /// (thousands of tasks, one deps `Vec` each) would dominate the
-    /// per-candidate cost. Traces are immutable once simulated, so
-    /// sharing is observationally identical.
-    pub trace: Option<std::sync::Arc<ExecutionTrace>>,
+    /// The trace, when requested. The DSA optimizer never keeps one:
+    /// it scores candidates into a trace buffer its engine reuses,
+    /// memoizes the trace's [`MoveBasis`], and traces only the winner
+    /// it returns. Shared (`Arc`) so a caller's copies of a traced
+    /// result clone a pointer, not thousands of trace tasks.
+    pub trace: Option<Arc<ExecutionTrace>>,
 }
 
 /// Runs the scheduling simulation of `layout`: one [`SimProgram`] and
@@ -115,7 +116,10 @@ pub fn simulate(
 /// but the layout is fixed — a result can be replayed for any layout
 /// whose fingerprint was already simulated. The DSA optimizer uses this
 /// to avoid re-simulating survivors that re-enter the candidate pool
-/// across iterations.
+/// across iterations. Its entries hold a traceless result and the
+/// [`MoveBasis`] of the trace, which is all the optimizer reads of a
+/// trace, so a cache reused across searches replays the same
+/// proposals.
 ///
 /// The cache holds at most [`SimCache::capacity`] entries; inserting
 /// past that evicts the least-recently-used entry (deterministically —
@@ -124,13 +128,17 @@ pub fn simulate(
 /// bound. Evictions are counted and surface as `dsa.cache_evictions`.
 #[derive(Clone, Debug)]
 pub struct SimCache {
-    map: std::collections::HashMap<u64, (SimResult, u64)>,
+    map: std::collections::HashMap<u64, (Memo, u64)>,
     capacity: usize,
     tick: u64,
     hits: usize,
     misses: usize,
     evictions: usize,
 }
+
+/// One memoized evaluation: the result, and the move basis of its trace
+/// when the optimizer scored it.
+pub(crate) type Memo = (SimResult, Option<Arc<MoveBasis>>);
 
 /// Default [`SimCache`] capacity: comfortably above one DSA run's
 /// working set (`max_candidates` × survivors across iterations), small
@@ -170,19 +178,31 @@ impl SimCache {
     /// `None` counts nothing (the caller simulates and [`Self::insert`]s,
     /// which counts the miss).
     pub fn lookup(&mut self, fingerprint: u64) -> Option<SimResult> {
-        let tick = Self::bump(&mut self.tick);
-        let found = self.map.get_mut(&fingerprint).map(|slot| {
-            slot.1 = tick;
-            slot.0.clone()
-        });
-        if found.is_some() {
-            self.hits += 1;
-        }
-        found
+        self.touch(fingerprint).map(|(result, _)| result.clone())
     }
 
     /// Memoizes a freshly simulated result, counting a miss.
     pub fn insert(&mut self, fingerprint: u64, result: SimResult) {
+        self.memoize(fingerprint, (result, None));
+    }
+
+    /// [`Self::lookup`], with the move basis.
+    pub(crate) fn replay(&mut self, fingerprint: u64) -> Option<Memo> {
+        self.touch(fingerprint).cloned()
+    }
+
+    /// The entry for `fingerprint`, marked most recently used and
+    /// counted as a hit.
+    fn touch(&mut self, fingerprint: u64) -> Option<&Memo> {
+        let tick = Self::bump(&mut self.tick);
+        let slot = self.map.get_mut(&fingerprint)?;
+        slot.1 = tick;
+        self.hits += 1;
+        Some(&slot.0)
+    }
+
+    /// [`Self::insert`], with the move basis.
+    pub(crate) fn memoize(&mut self, fingerprint: u64, memo: Memo) {
         self.misses += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&fingerprint) {
             // Evict the least-recently-used entry. The linear scan is
@@ -199,7 +219,13 @@ impl SimCache {
             }
         }
         let tick = Self::bump(&mut self.tick);
-        self.map.insert(fingerprint, (result, tick));
+        self.map.insert(fingerprint, (memo, tick));
+    }
+
+    /// Every memoized entry, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn memos(&self) -> impl Iterator<Item = &Memo> {
+        self.map.values().map(|(memo, _)| memo)
     }
 
     /// Results currently memoized.

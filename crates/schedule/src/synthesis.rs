@@ -265,7 +265,7 @@ mod tests {
             synthesize(&spec, &cstg, &profile, &machine, &opts, &mut rng)
         };
         let serial = run(1);
-        for threads in [4, 8] {
+        for threads in [2, 4, 8] {
             let parallel = run(threads);
             assert_eq!(
                 parallel.layout, serial.layout,

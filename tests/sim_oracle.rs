@@ -10,6 +10,8 @@
 //!   and a random move chain from it each simulate three ways — oracle,
 //!   one engine reused across every layout, one-shot `simulate` — and
 //!   must agree on every result field including the full trace;
+//! * the annealer's **move basis proposes what the one-pass generator
+//!   proposed** from the trace, on random layouts of all six apps;
 //! * a proptest that **random transform chains stay on the oracle** on a
 //!   small over-replicated fan-out program, the engine reused along the
 //!   chain so state leaking from one simulation into the next would show;
@@ -24,11 +26,11 @@ use bamboo::lang::ids::{AllocSiteId, TagVarId};
 use bamboo::machine::CoreId;
 use bamboo::profile::profile::InvocationRecord;
 use bamboo::profile::{ExitStats, TaskProfile};
-use bamboo::schedule::critpath::apply_move;
+use bamboo::schedule::critpath::{apply_move, propose_moves_oracle};
 use bamboo::schedule::routing::bump;
 use bamboo::schedule::sim::reference;
 use bamboo::schedule::{
-    compute_replication, random_layouts, simulate, Group, GroupId, InstanceId, Layout,
+    compute_replication, random_layouts, simulate, Group, GroupId, InstanceId, Layout, MoveBasis,
     MoveProposal, Replication, RouteDecision, RouteTable, Router, SimEngine, SimOptions,
     SimProgram, SimResult,
 };
@@ -127,6 +129,63 @@ fn engine_matches_oracle_on_all_six_apps() {
             }
         }
     }
+}
+
+// ---- move generation against the one-pass generator -----------------------
+
+/// The annealer keeps a trace's `MoveBasis` instead of the trace, so the
+/// basis must propose what the one-pass generator proposed from the
+/// trace: on traces of random layouts of all six apps at 4 and 62
+/// cores, the same moves in the same order for each budget the
+/// optimizer uses, and the RNG left in the same state.
+#[test]
+fn move_basis_matches_the_one_pass_generator_on_all_six_apps() {
+    let opts = SimOptions {
+        collect_trace: true,
+        ..SimOptions::default()
+    };
+    let mut drawn = 0;
+    for bench in all() {
+        let name = bench.name();
+        let compiler = bench.compiler(Scale::Small);
+        let (profile, _, ()) = compiler
+            .profile_run(None, "t", |_| ())
+            .expect("profile run");
+        let spec = &*compiler.program.spec;
+        let graph = bamboo::schedule::scc_tree_transform(&compiler.graph_with_profile(&profile));
+        for machine in [
+            MachineDescription::n_cores(4),
+            MachineDescription::tilepro64(),
+        ] {
+            let cores = machine.core_count();
+            let repl = compute_replication(spec, &graph, &profile, cores);
+            let program = SimProgram::new(spec, &graph, &profile, &machine, &opts);
+            let mut engine = SimEngine::new(&program);
+            let mut rng = StdRng::seed_from_u64(4242);
+            for (i, layout) in random_layouts(&graph, &repl, cores, 6, &mut rng)
+                .iter()
+                .enumerate()
+            {
+                let sim = engine.simulate(layout, true);
+                let trace = sim.trace.as_deref().expect("traced");
+                let basis = MoveBasis::of(trace, layout);
+                for k in [6, 8, 10] {
+                    let seed = (i * 16 + k) as u64;
+                    let (mut split, mut oracle) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    assert_eq!(
+                        basis.propose(&mut split, k),
+                        propose_moves_oracle(trace, layout, &mut oracle, k),
+                        "{name}, {cores} cores, layout {i}, k {k}: proposals differ"
+                    );
+                    let next = split.next_u64();
+                    assert_eq!(next, oracle.next_u64(), "{name}: RNG state differs");
+                    drawn += usize::from(next != StdRng::seed_from_u64(seed).next_u64());
+                }
+            }
+        }
+    }
+    assert!(drawn > 0, "no trace had a resource-delayed invocation");
 }
 
 // ---- transform-chain proptest ---------------------------------------------

@@ -31,7 +31,7 @@ fn synthesize(bench: &str, opts: &SynthesisOptions) -> SynthesisResult {
 fn same_seed_is_identical_at_any_thread_count() {
     for bench in ["KMeans", "FilterBank"] {
         let serial = synthesize(bench, &SynthesisOptions::default().with_threads(1));
-        for threads in [4, 8] {
+        for threads in [2, 4, 8] {
             let parallel = synthesize(bench, &SynthesisOptions::default().with_threads(threads));
             assert_eq!(
                 parallel.layout, serial.layout,
