@@ -29,7 +29,9 @@
 use crate::threaded::RelayoutHandle;
 use bamboo_machine::MachineDescription;
 use bamboo_profile::Profile;
-use bamboo_schedule::{optimize_with_cache, simulate, DsaOptions, InstanceId, SimCache};
+use bamboo_schedule::{
+    optimize_with_cache, simulate, DsaOptions, InstanceId, SimCache, SimOptions,
+};
 use bamboo_telemetry::analyze::{profile_fingerprint, rate_divergence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -303,13 +305,17 @@ impl AdaptiveController {
         let spec = self.handle.spec().clone();
         let graph = self.handle.graph().clone();
         let current = self.handle.current_layout();
+        // Only the live layout's makespan is read: no trace.
         let here = simulate(
             &spec,
             &graph,
             &current,
             &profile,
             &self.policy.machine,
-            &self.dsa.sim,
+            &SimOptions {
+                collect_trace: false,
+                ..self.dsa.sim.clone()
+            },
         );
         let current_fp = current.fingerprint(&graph);
         let (best, best_result, _stats) = optimize_with_cache(

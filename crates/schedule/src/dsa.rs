@@ -16,39 +16,50 @@
 //! `(spec, graph, layout, profile, machine)`: simulation consumes no
 //! randomness. The optimizer exploits that twice:
 //!
-//! * each iteration's un-memoized candidates are scored by a pool that
-//!   lives as long as the search: [`DsaOptions::threads`] `− 1` helper
-//!   threads, started once, and the driver thread itself, all claiming
-//!   candidates from one atomic cursor. Results are collected back **in
-//!   candidate index order**, so sorting, pruning, and [`DsaStats`] are
-//!   bit-identical at any thread count; one thread is the same pool
-//!   with no helpers;
+//! * each iteration's un-memoized candidates form a *round*, scored by
+//!   a pool of [`DsaOptions::threads`] threads in total, the caller's
+//!   included, started once per call. The threads claim a round's
+//!   candidates from one atomic cursor, and the scores are collected
+//!   back **in candidate index order**, so sorting, pruning, and
+//!   [`DsaStats`] are bit-identical at any thread count. One call may
+//!   run several searches (`synthesize` runs one per replication
+//!   variant) over one pool: each search is driven by one pool thread,
+//!   and a thread with nothing of its own to score — a helper, a
+//!   driver waiting on its round, a driver whose search has ended —
+//!   works the oldest open round of any search. One thread runs the
+//!   searches one after another on the caller;
 //! * a [`SimCache`] keyed by [`Layout::fingerprint`] replays results for
 //!   layouts whose signature was already simulated
 //!   ([`DsaOptions::memoize`]), so survivors re-entering the pool never
 //!   re-simulate.
 //!
-//! All randomness (pruning, move generation) stays on the single driver
-//! thread, which is the determinism argument: the RNG consumption
-//! sequence is independent of the worker count *and* of the cache (the
-//! candidate pool is fingerprint-deduplicated either way), so one seed
-//! produces one trajectory at any thread count.
+//! All randomness (pruning, move generation) of a search stays on the
+//! thread that drives it, which is the determinism argument: the RNG
+//! consumption sequence is independent of the worker count *and* of the
+//! cache (the candidate pool is fingerprint-deduplicated either way),
+//! so one seed produces one trajectory at any thread count.
 //!
 //! # Per-candidate cost
 //!
-//! Candidates score on reusable [`SimEngine`]s, one per thread and built
-//! on the thread that runs it, over a shared [`SimProgram`]: prediction
-//! streams, the event kernel's arenas and its trace buffer persist
-//! across the hundreds of simulations of one search. A candidate's trace
-//! never leaves the thread that simulated it: that thread derives the
-//! trace's [`MoveBasis`] — all that move generation reads of a trace —
-//! and the engine refills the same buffer on its next simulation.
-//! Scores and the memo cache carry the basis; only the winner is
-//! simulated once more, with a trace, for the estimate returned.
+//! Candidates score on reusable [`SimEngine`]s, one per thread and
+//! search, each built on the thread that runs it, over one shared
+//! [`SimProgram`]: prediction streams, the event kernel's arenas and
+//! its trace buffer persist across the hundreds of simulations of one
+//! search. A candidate's trace never leaves the thread that simulated
+//! it: that thread derives the trace's [`MoveBasis`] — all that move
+//! generation reads of a trace — and the engine refills the same buffer
+//! on its next simulation. Scores and the memo cache carry the basis;
+//! only the winner is simulated once more, with a trace, for the
+//! estimate returned.
+//!
+//! A child of a survivor is fingerprinted before it is built: the
+//! survivor's [`FingerprintDigest`] gives a moved or swapped layout's
+//! fingerprint in O(1), and only a child the duplicate set accepts is
+//! cloned.
 
 use crate::critpath::{apply_move, MoveBasis, MoveProposal};
 use crate::groups::GroupGraph;
-use crate::layout::{InstanceId, Layout};
+use crate::layout::{FingerprintDigest, InstanceId, Layout};
 use crate::sim::{Memo, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::{CoreId, MachineDescription};
@@ -76,10 +87,10 @@ pub struct DsaOptions {
     pub moves_per_layout: usize,
     /// Upper bound on live candidates per iteration.
     pub max_candidates: usize,
-    /// Threads that simulate candidates: the driver and `threads − 1`
-    /// helpers started once per search. `0` uses every available core,
-    /// `1` evaluates serially on the driver thread. The result is
-    /// bit-identical at any setting.
+    /// Threads that simulate candidates, the caller's included: the
+    /// driver and `threads − 1` helpers, started once per call. `0`
+    /// uses every available core, `1` evaluates serially on the
+    /// caller. The result is bit-identical at any setting.
     pub threads: usize,
     /// Memoize simulation results across iterations by layout
     /// fingerprint, so survivors re-entering the pool never re-simulate.
@@ -203,7 +214,7 @@ impl DsaStats {
 /// # Panics
 ///
 /// Panics if `initial` is empty.
-pub fn optimize<R: Rng>(
+pub fn optimize<R: Rng + Send>(
     spec: &ProgramSpec,
     graph: &GroupGraph,
     profile: &Profile,
@@ -229,7 +240,7 @@ pub fn optimize<R: Rng>(
 ///
 /// Panics if `initial` is empty.
 #[allow(clippy::too_many_arguments)]
-pub fn optimize_with_cache<R: Rng>(
+pub fn optimize_with_cache<R: Rng + Send>(
     spec: &ProgramSpec,
     graph: &GroupGraph,
     profile: &Profile,
@@ -244,34 +255,108 @@ pub fn optimize_with_cache<R: Rng>(
         "DSA needs at least one starting layout"
     );
     let program = SimProgram::new(spec, graph, profile, machine, &opts.sim);
-    let pool = Pool::default();
-    std::thread::scope(|scope| {
-        for _ in 1..worker_threads(opts.threads) {
-            scope.spawn(|| pool.help(&program));
-        }
-        // Closes the pool on the way out, panics included, so the scope
-        // can join the helpers.
-        let closing = Closing(&pool);
-        let mut engine = SimEngine::new(&program);
-        let (layout, stats) = anneal(graph, initial, opts, rng, cache, &pool, &mut engine);
-        drop(closing);
-        // Simulation is pure: this is the result the winner scored, now
-        // with its trace.
-        let estimate = engine.simulate(&layout, true);
-        (layout, estimate, stats)
-    })
+    let search = Search {
+        initial,
+        rng,
+        cache,
+    };
+    anneal_all(&program, graph, opts, vec![search])
+        .pop()
+        .expect("one search, one outcome")
 }
 
-/// The search loop of [`optimize_with_cache`], scoring on `engine` and
-/// `pool`. Returns the best layout and the search statistics.
+/// One search of [`anneal_all`]: its starting layouts, the RNG that
+/// drives it, and its memo cache.
+pub(crate) struct Search<'c, R> {
+    pub(crate) initial: Vec<Layout>,
+    pub(crate) rng: R,
+    pub(crate) cache: &'c mut SimCache,
+}
+
+/// A finished search: the best layout, its traced estimate, and the
+/// search statistics.
+pub(crate) type Outcome = (Layout, SimResult, DsaStats);
+
+/// Runs `searches` over one scoring pool of
+/// `worker_threads(opts.threads)` threads, the caller's included, and
+/// returns their outcomes in search order.
+///
+/// Search `i` is driven by pool thread `i mod threads`, one search
+/// after another; a thread with no search left to drive scores the
+/// others' rounds until every search has ended. Every search's
+/// layouts are scored on `program`, so they must share its graph,
+/// profile and machine.
+pub(crate) fn anneal_all<R: Rng + Send>(
+    program: &SimProgram<'_>,
+    graph: &GroupGraph,
+    opts: &DsaOptions,
+    searches: Vec<Search<'_, R>>,
+) -> Vec<Outcome> {
+    let threads = worker_threads(opts.threads);
+    let pool = &Pool::new(searches.len());
+    let mut lanes: Vec<Vec<(usize, Search<'_, R>)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, search) in searches.into_iter().enumerate() {
+        lanes[i % threads].push((i, search));
+    }
+    let mut outcomes = std::thread::scope(|scope| {
+        let mut lanes = lanes.into_iter();
+        let own = lanes.next().expect("at least one thread");
+        let others: Vec<_> = lanes
+            .map(|lane| scope.spawn(move || pool.serve(program, graph, opts, lane)))
+            .collect();
+        let mut outcomes = pool.serve(program, graph, opts, own);
+        for other in others {
+            outcomes.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        outcomes
+    });
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
+/// A child drawn from a survivor, before it is built: the survivor's
+/// digest fingerprints it, and only a child whose fingerprint is new
+/// is cloned.
+#[derive(Clone, Copy)]
+enum Child {
+    Move(MoveProposal),
+    Swap(InstanceId, InstanceId),
+}
+
+impl Child {
+    fn fingerprint(self, parent: &FingerprintDigest<'_>) -> u64 {
+        match self {
+            Child::Move(m) => parent.after_move(m.instance, m.to_core),
+            Child::Swap(a, b) => parent.after_swap(a, b),
+        }
+    }
+
+    fn build(self, parent: &Layout) -> Layout {
+        match self {
+            Child::Move(m) => apply_move(parent, m),
+            Child::Swap(a, b) => {
+                let mut child = parent.clone();
+                child.instances[a.index()].core = parent.core_of(b);
+                child.instances[b.index()].core = parent.core_of(a);
+                child
+            }
+        }
+    }
+}
+
+/// The search loop of one [`Search`], scoring through `scorer`.
+/// Returns the best layout and the search statistics.
 fn anneal<R: Rng>(
     graph: &GroupGraph,
     initial: Vec<Layout>,
     opts: &DsaOptions,
     rng: &mut R,
     cache: &mut SimCache,
-    pool: &Pool,
-    engine: &mut SimEngine<'_>,
+    scorer: &mut Scorer<'_, '_>,
 ) -> (Layout, DsaStats) {
     let mut stats = DsaStats::default();
     let evictions_before = cache.evictions();
@@ -284,11 +369,12 @@ fn anneal<R: Rng>(
     // layout already simulated) — which is what lets the memo cache
     // replay results without ever conflating two signature-equal but
     // distinct placements, and keeps the search identical whether the
-    // cache is on or off.
-    let mut candidates: Vec<Layout> = Vec::with_capacity(initial.len());
+    // cache is on or off. Candidates carry their fingerprint.
+    let mut candidates: Vec<(Layout, u64)> = Vec::with_capacity(initial.len());
     for layout in initial {
-        if seen.insert(layout.fingerprint(graph)) {
-            candidates.push(layout);
+        let fp = layout.fingerprint(graph);
+        if seen.insert(fp) {
+            candidates.push((layout, fp));
         }
     }
 
@@ -297,8 +383,7 @@ fn anneal<R: Rng>(
         // Evaluate: replay memoized results, score the rest on the
         // pool, and reassemble in candidate index order.
         let pending = std::mem::take(&mut candidates);
-        let mut evaluated =
-            evaluate_candidates(graph, opts, pending, cache, pool, engine, &mut stats);
+        let mut evaluated = evaluate_candidates(opts, pending, cache, scorer, &mut stats);
         evaluated.sort_by_key(|(_, (r, _))| r.makespan);
         stats.candidates_evaluated += evaluated.len();
 
@@ -312,7 +397,7 @@ fn anneal<R: Rng>(
         // survives: dropping the sole candidate of a one-start run would
         // otherwise end the search after a single simulation.
         let half = evaluated.len().div_ceil(2);
-        let survivors: Vec<(Layout, Memo)> = evaluated
+        let survivors: Vec<((Layout, u64), Memo)> = evaluated
             .into_iter()
             .enumerate()
             .filter(|(i, _)| {
@@ -331,7 +416,7 @@ fn anneal<R: Rng>(
         stats.survivors += survivors.len();
 
         // The round's best is survivors[0] (index 0 always survives).
-        if let Some((layout, (result, _))) = survivors.first() {
+        if let Some(((layout, _), (result, _))) = survivors.first() {
             if best
                 .as_ref()
                 .map(|(_, b)| result.makespan < *b)
@@ -347,55 +432,41 @@ fn anneal<R: Rng>(
         // Directed move generation, plus undirected exploration (the
         // annealing part: random moves and swaps escape the proposals'
         // blind spots — swaps in particular cross pigeonhole plateaus
-        // that no single migration can improve).
-        let mut next: Vec<Layout> = Vec::new();
-        for (layout, (_, basis)) in &survivors {
+        // that no single migration can improve). Every child is drawn
+        // first and fingerprinted from its parent's digest; only the
+        // fresh ones are built.
+        let mut next: Vec<(Layout, u64)> = Vec::new();
+        for ((layout, _), (_, basis)) in &survivors {
             let Some(basis) = basis else { continue };
-            let mut mutated: Vec<Layout> = Vec::new();
-            for proposal in basis.propose(rng, opts.moves_per_layout) {
-                mutated.push(apply_move(layout, proposal));
-            }
+            let mut children: Vec<Child> = basis
+                .propose(rng, opts.moves_per_layout)
+                .into_iter()
+                .map(Child::Move)
+                .collect();
             for _ in 0..2 {
                 if layout.instances.len() > 1 {
                     let inst = InstanceId(rng.gen_range(1..layout.instances.len()) as u32);
                     let core = CoreId::new(rng.gen_range(0..layout.core_count));
-                    mutated.push(apply_move(
-                        layout,
-                        MoveProposal {
-                            instance: inst,
-                            to_core: core,
-                        },
-                    ));
+                    children.push(Child::Move(MoveProposal {
+                        instance: inst,
+                        to_core: core,
+                    }));
                 }
             }
             for _ in 0..2 {
                 if layout.instances.len() > 2 {
                     let a = rng.gen_range(1..layout.instances.len());
                     let b = rng.gen_range(1..layout.instances.len());
-                    if a != b {
-                        let (ca, cb) = (layout.instances[a].core, layout.instances[b].core);
-                        if ca != cb {
-                            let swapped = apply_move(
-                                &apply_move(
-                                    layout,
-                                    MoveProposal {
-                                        instance: InstanceId(a as u32),
-                                        to_core: cb,
-                                    },
-                                ),
-                                MoveProposal {
-                                    instance: InstanceId(b as u32),
-                                    to_core: ca,
-                                },
-                            );
-                            mutated.push(swapped);
-                        }
+                    if a != b && layout.instances[a].core != layout.instances[b].core {
+                        children.push(Child::Swap(InstanceId(a as u32), InstanceId(b as u32)));
                     }
                 }
             }
-            for moved in mutated {
-                if seen.insert(moved.fingerprint(graph)) {
-                    next.push(moved);
+            let digest = layout.digest(graph);
+            for child in children {
+                let fp = child.fingerprint(&digest);
+                if seen.insert(fp) {
+                    next.push((child.build(layout), fp));
                 }
                 if next.len() >= opts.max_candidates {
                     break;
@@ -404,11 +475,11 @@ fn anneal<R: Rng>(
         }
         // Survivors stay in the pool too (their bases may yield different
         // random groups next round).
-        for (layout, _) in survivors {
+        for (candidate, _) in survivors {
             if next.len() >= opts.max_candidates {
                 break;
             }
-            next.push(layout);
+            next.push(candidate);
         }
 
         if next.is_empty() {
@@ -428,24 +499,19 @@ fn anneal<R: Rng>(
 
 /// Scores one iteration's candidate pool, preserving pool order.
 ///
-/// Memoized fingerprints replay from `cache`; the rest are posted to
-/// `pool` as one round, which the driver works on `engine` too.
+/// Memoized fingerprints replay from `cache`; the rest are scored as
+/// one round through `scorer`.
 fn evaluate_candidates(
-    graph: &GroupGraph,
     opts: &DsaOptions,
-    candidates: Vec<Layout>,
+    candidates: Vec<(Layout, u64)>,
     cache: &mut SimCache,
-    pool: &Pool,
-    engine: &mut SimEngine<'_>,
+    scorer: &mut Scorer<'_, '_>,
     stats: &mut DsaStats,
-) -> Vec<(Layout, Memo)> {
+) -> Vec<((Layout, u64), Memo)> {
     let mut memos: Vec<Option<Memo>> = vec![None; candidates.len()];
     let mut due: Vec<usize> = Vec::with_capacity(candidates.len());
-    let mut fingerprints: Vec<u64> = vec![0; candidates.len()];
-    for (slot, layout) in candidates.iter().enumerate() {
+    for (slot, &(_, fp)) in candidates.iter().enumerate() {
         if opts.memoize {
-            let fp = layout.fingerprint(graph);
-            fingerprints[slot] = fp;
             if let Some(replayed) = cache.replay(fp) {
                 memos[slot] = Some(replayed);
                 stats.cache_hits += 1;
@@ -458,18 +524,11 @@ fn evaluate_candidates(
     stats.simulations += due.len();
 
     if !due.is_empty() {
-        let round = Arc::new(Round::new(
-            due.iter().map(|&slot| candidates[slot].clone()).collect(),
-        ));
-        if due.len() > 1 {
-            pool.post(Arc::clone(&round));
-        }
-        round.work(engine);
-        for (i, (result, basis)) in round.collect() {
-            let slot = due[i];
+        let layouts = due.iter().map(|&slot| candidates[slot].0.clone()).collect();
+        for (&slot, (result, basis)) in due.iter().zip(scorer.score(layouts)) {
             let memo = (result, Some(Arc::new(basis)));
             if opts.memoize {
-                cache.memoize(fingerprints[slot], memo.clone());
+                cache.memoize(candidates[slot].1, memo.clone());
             }
             memos[slot] = Some(memo);
         }
@@ -477,157 +536,298 @@ fn evaluate_candidates(
     candidates
         .into_iter()
         .zip(memos)
-        .map(|(layout, memo)| (layout, memo.expect("every slot scored")))
+        .map(|(candidate, memo)| (candidate, memo.expect("every slot scored")))
         .collect()
-}
-
-/// One iteration's due simulations. The driver and the helpers claim
-/// layouts through one atomic cursor (simulation costs vary, so static
-/// striping would idle the fast threads) and deposit their scores.
-/// Simulation is a pure function of the layout, so which thread scored
-/// which layout never shows: [`Round::collect`] returns the scores in
-/// layout order.
-struct Round {
-    layouts: Vec<Layout>,
-    next: AtomicUsize,
-    scored: Mutex<Scored>,
-    filled: Condvar,
 }
 
 /// A simulated layout: its traceless result and its trace's basis.
 type Score = (SimResult, MoveBasis);
+
+/// What a driving thread scores its search's rounds with.
+struct Scorer<'s, 'a> {
+    pool: &'s Pool,
+    worker: &'s mut Worker<'a>,
+    search: usize,
+}
+
+impl Scorer<'_, '_> {
+    /// Scores `layouts` as one round, returning the scores in layout
+    /// order. The round is posted for the other pool threads, the
+    /// driver works it too, and while others finish it the driver
+    /// works any other open round.
+    fn score(&mut self, layouts: Vec<Layout>) -> Vec<Score> {
+        let round = Arc::new(Round::new(self.search, layouts));
+        if round.layouts.len() > 1 {
+            self.pool.post(&round);
+        }
+        self.pool.work(&round, self.worker);
+        while let Some(other) = self.pool.next_round(Some(&round)) {
+            self.pool.work(&other, self.worker);
+        }
+        round.collect()
+    }
+}
+
+/// One search iteration's due simulations. Every thread that works the
+/// round claims layouts through one atomic cursor (simulation costs
+/// vary, so static striping would idle the fast threads) and deposits
+/// their scores. Simulation is a pure function of the layout, so which
+/// thread scored which layout never shows: [`Round::collect`] returns
+/// the scores in layout order.
+struct Round {
+    /// The search the round belongs to: which engine scores it.
+    search: usize,
+    layouts: Vec<Layout>,
+    next: AtomicUsize,
+    scored: Mutex<Scored>,
+}
 
 /// What a round's threads deposited.
 #[derive(Default)]
 struct Scored {
     /// `(layout index, score)`, in deposit order.
     scores: Vec<(usize, Score)>,
-    /// A helper panicked: the round will never fill.
+    /// A thread panicked while scoring: the round will never fill.
     failed: bool,
 }
 
 impl Round {
-    fn new(layouts: Vec<Layout>) -> Self {
+    fn new(search: usize, layouts: Vec<Layout>) -> Self {
         Round {
+            search,
+            layouts,
             next: AtomicUsize::new(0),
             scored: Mutex::default(),
-            filled: Condvar::new(),
-            layouts,
         }
     }
 
-    /// Scores layouts on `engine` until none is left to claim.
-    fn work(&self, engine: &mut SimEngine<'_>) {
-        let failing = Failing(self);
-        let mut local = Vec::new();
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(layout) = self.layouts.get(i) else {
-                break;
-            };
-            local.push((i, engine.score(layout)));
-        }
-        drop(failing);
-        if !local.is_empty() {
-            let mut scored = lock(&self.scored);
-            scored.scores.append(&mut local);
-            if scored.scores.len() == self.layouts.len() {
-                self.filled.notify_all();
-            }
-        }
+    /// Whether a layout is left to claim.
+    fn open(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.layouts.len()
     }
 
-    /// Waits until every layout is scored; returns the scores in layout
-    /// order.
-    fn collect(&self) -> Vec<(usize, Score)> {
+    /// Whether every layout is scored, or never will be.
+    fn settled(&self) -> bool {
+        let scored = lock(&self.scored);
+        scored.failed || scored.scores.len() == self.layouts.len()
+    }
+
+    /// The scores in layout order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread panicked while scoring the round.
+    fn collect(&self) -> Vec<Score> {
         let mut scored = lock(&self.scored);
-        while scored.scores.len() < self.layouts.len() {
-            assert!(!scored.failed, "a simulation helper panicked");
-            scored = self
-                .filled
-                .wait(scored)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
+        assert!(!scored.failed, "a simulation on a pool thread panicked");
+        assert_eq!(scored.scores.len(), self.layouts.len(), "round unsettled");
         let mut scores = std::mem::take(&mut scored.scores);
         scores.sort_unstable_by_key(|&(i, _)| i);
-        scores
+        scores.into_iter().map(|(_, score)| score).collect()
     }
 }
 
-/// Wakes the driver out of [`Round::collect`] when a helper panics
-/// mid-round.
-struct Failing<'r>(&'r Round);
+/// A pool thread's engines, one per search, each built on this thread
+/// the first time it scores that search's layouts: an engine keeps one
+/// search's layout shape, whichever rounds its thread works.
+struct Worker<'a> {
+    program: &'a SimProgram<'a>,
+    engines: Vec<Option<SimEngine<'a>>>,
+    #[cfg(test)]
+    probe: Option<Arc<probe::Probe>>,
+}
+
+impl<'a> Worker<'a> {
+    fn new(pool: &Pool, program: &'a SimProgram<'a>) -> Self {
+        Worker {
+            program,
+            engines: (0..pool.searches).map(|_| None).collect(),
+            #[cfg(test)]
+            probe: pool.probe.clone(),
+        }
+    }
+
+    fn engine(&mut self, search: usize) -> &mut SimEngine<'a> {
+        let program = self.program;
+        self.engines[search].get_or_insert_with(|| SimEngine::new(program))
+    }
+
+    fn score(&mut self, search: usize, layout: &Layout) -> Score {
+        #[cfg(test)]
+        let probe = self.probe.clone();
+        #[cfg(test)]
+        let _scoring = probe.as_ref().map(|probe| probe.enter(search));
+        self.engine(search).score(layout)
+    }
+}
+
+/// The scoring pool of one [`anneal_all`] call, shared by its searches.
+///
+/// Drivers post their rounds here; a thread with nothing of its own to
+/// score — a helper, a driver waiting for its round, a driver whose
+/// search has ended — works the oldest open round of any search.
+struct Pool {
+    /// Searches in the call: the engine slots of every [`Worker`].
+    searches: usize,
+    state: Mutex<PoolState>,
+    /// Signalled when a round is posted or settles, and when a search
+    /// ends or a pool thread panics.
+    changed: Condvar,
+    #[cfg(test)]
+    probe: Option<Arc<probe::Probe>>,
+}
+
+struct PoolState {
+    /// Posted rounds that may still have layouts to claim, oldest first.
+    open: Vec<Arc<Round>>,
+    /// Searches not yet ended.
+    running: usize,
+    /// A pool thread panicked: searches of its lane may never start, so
+    /// no thread waits for them.
+    failed: bool,
+}
+
+impl Pool {
+    fn new(searches: usize) -> Self {
+        Pool {
+            searches,
+            state: Mutex::new(PoolState {
+                open: Vec::new(),
+                running: searches,
+                failed: false,
+            }),
+            changed: Condvar::new(),
+            #[cfg(test)]
+            probe: probe::Probe::installed(),
+        }
+    }
+
+    /// One pool thread's life: drive `lane`'s searches one after
+    /// another, then help the others until every search has ended.
+    fn serve<'a, R: Rng>(
+        &self,
+        program: &'a SimProgram<'a>,
+        graph: &GroupGraph,
+        opts: &DsaOptions,
+        lane: Vec<(usize, Search<'_, R>)>,
+    ) -> Vec<(usize, Outcome)> {
+        let leaving = Leaving(self);
+        let mut worker = Worker::new(self, program);
+        let mut outcomes = Vec::with_capacity(lane.len());
+        for (i, search) in lane {
+            let Search {
+                initial,
+                mut rng,
+                cache,
+            } = search;
+            let mut scorer = Scorer {
+                pool: self,
+                worker: &mut worker,
+                search: i,
+            };
+            let (layout, stats) = anneal(graph, initial, opts, &mut rng, cache, &mut scorer);
+            // Simulation is pure: this is the result the winner scored,
+            // now with its trace.
+            let estimate = worker.engine(i).simulate(&layout, true);
+            self.update(|state| state.running -= 1);
+            outcomes.push((i, (layout, estimate, stats)));
+        }
+        while let Some(round) = self.next_round(None) {
+            self.work(&round, &mut worker);
+        }
+        drop(leaving);
+        outcomes
+    }
+
+    /// Opens `round` to every pool thread.
+    fn post(&self, round: &Arc<Round>) {
+        self.update(|state| state.open.push(Arc::clone(round)));
+    }
+
+    /// Blocks until a posted round has a layout to claim and returns
+    /// it, or returns `None` once there is nothing to wait for: for a
+    /// driver, when its `own` round has settled; for a thread with no
+    /// search left, when every search has ended or a pool thread
+    /// panicked.
+    fn next_round(&self, own: Option<&Round>) -> Option<Arc<Round>> {
+        let mut state = lock(&self.state);
+        loop {
+            let done = match own {
+                Some(own) => own.settled(),
+                None => state.running == 0 || state.failed,
+            };
+            if done {
+                return None;
+            }
+            state.open.retain(|round| round.open());
+            if let Some(round) = state.open.first() {
+                return Some(Arc::clone(round));
+            }
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    /// Scores `round`'s layouts on `worker` until none is left to
+    /// claim, then deposits the scores.
+    fn work(&self, round: &Round, worker: &mut Worker<'_>) {
+        let failing = Failing(self, round);
+        let mut local = Vec::new();
+        loop {
+            let i = round.next.fetch_add(1, Ordering::Relaxed);
+            let Some(layout) = round.layouts.get(i) else {
+                break;
+            };
+            local.push((i, worker.score(round.search, layout)));
+        }
+        drop(failing);
+        if local.is_empty() {
+            return;
+        }
+        let filled = {
+            let mut scored = lock(&round.scored);
+            scored.scores.append(&mut local);
+            scored.scores.len() == round.layouts.len()
+        };
+        if filled {
+            self.update(|_| ());
+        }
+    }
+
+    /// Applies `change` to the pool state and wakes every waiting
+    /// thread. Taking the state lock orders the wake-up after any
+    /// waiter's check, so none is lost.
+    fn update(&self, change: impl FnOnce(&mut PoolState)) {
+        change(&mut lock(&self.state));
+        self.changed.notify_all();
+    }
+}
+
+/// Fails its round, and wakes the round's driver, when its thread
+/// unwinds mid-round.
+struct Failing<'p>(&'p Pool, &'p Round);
 
 impl Drop for Failing<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            lock(&self.0.scored).failed = true;
-            self.0.filled.notify_all();
+            lock(&self.1.scored).failed = true;
+            self.0.update(|_| ());
         }
     }
 }
 
-/// The helpers of one search: each sleeps until the driver posts a
-/// round, works it on its own engine, and exits when the pool closes.
-#[derive(Default)]
-struct Pool {
-    posted: Mutex<Posted>,
-    wake: Condvar,
-}
+/// Fails the pool when its thread unwinds: searches of that thread's
+/// lane may never start, so the threads waiting for every search to
+/// end stop waiting.
+struct Leaving<'p>(&'p Pool);
 
-#[derive(Default)]
-struct Posted {
-    round: Option<Arc<Round>>,
-    /// Rounds posted so far.
-    serial: u64,
-    closed: bool,
-}
-
-impl Pool {
-    /// A helper thread's life: build an engine here, on this thread,
-    /// then work every round posted until the pool closes.
-    fn help(&self, program: &SimProgram<'_>) {
-        let mut engine = SimEngine::new(program);
-        let mut seen = 0;
-        loop {
-            let round = {
-                let mut posted = lock(&self.posted);
-                while posted.serial == seen && !posted.closed {
-                    posted = self
-                        .wake
-                        .wait(posted)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                if posted.closed {
-                    return;
-                }
-                seen = posted.serial;
-                posted.round.clone()
-            };
-            if let Some(round) = round {
-                round.work(&mut engine);
-            }
-        }
-    }
-
-    fn post(&self, round: Arc<Round>) {
-        let mut posted = lock(&self.posted);
-        posted.round = Some(round);
-        posted.serial += 1;
-        self.wake.notify_all();
-    }
-}
-
-/// Closes its pool when dropped: the helpers finish their round and
-/// exit.
-struct Closing<'p>(&'p Pool);
-
-impl Drop for Closing<'_> {
+impl Drop for Leaving<'_> {
     fn drop(&mut self) {
-        let mut posted = lock(&self.0.posted);
-        posted.closed = true;
-        posted.round = None;
-        self.0.wake.notify_all();
+        if std::thread::panicking() {
+            self.0.update(|state| state.failed = true);
+        }
     }
 }
 
@@ -637,6 +837,84 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Test-only instrumentation of the scoring pool: a gauge of how many
+/// threads score at once, and an injected simulation panic. A probe
+/// reaches the pools created on the thread that installed it.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    thread_local! {
+        static INSTALLED: RefCell<Option<Arc<Probe>>> = const { RefCell::new(None) };
+    }
+
+    #[derive(Default)]
+    pub(crate) struct Probe {
+        /// Threads scoring now.
+        scoring: AtomicUsize,
+        /// The most threads ever scoring at once.
+        peak: AtomicUsize,
+        /// Bit `i` set: search `i` scored a layout.
+        searches: AtomicUsize,
+        /// `(search, n)`: the `n`-th score of `search` panics.
+        panic_at: Option<(usize, usize)>,
+        /// Scores of the search named by `panic_at`.
+        counted: AtomicUsize,
+    }
+
+    impl Probe {
+        /// A probe that makes the `n`-th score of `search` panic.
+        pub(crate) fn panicking_at(search: usize, n: usize) -> Probe {
+            Probe {
+                panic_at: Some((search, n)),
+                ..Probe::default()
+            }
+        }
+
+        /// Installs the probe for the pools this thread creates.
+        pub(crate) fn install(self) -> Arc<Probe> {
+            let probe = Arc::new(self);
+            INSTALLED.with(|slot| *slot.borrow_mut() = Some(Arc::clone(&probe)));
+            probe
+        }
+
+        pub(crate) fn peak(&self) -> usize {
+            self.peak.load(Ordering::SeqCst)
+        }
+
+        pub(crate) fn searches(&self) -> usize {
+            self.searches.load(Ordering::SeqCst)
+        }
+
+        pub(super) fn installed() -> Option<Arc<Probe>> {
+            INSTALLED.with(|slot| slot.borrow().clone())
+        }
+
+        /// Counts a thread into scoring `search` until the guard drops.
+        pub(super) fn enter(&self, search: usize) -> Scoring<'_> {
+            if let Some((target, n)) = self.panic_at {
+                if target == search && self.counted.fetch_add(1, Ordering::SeqCst) + 1 == n {
+                    panic!("injected simulation panic");
+                }
+            }
+            self.searches.fetch_or(1 << search, Ordering::SeqCst);
+            let now = self.scoring.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            Scoring(self)
+        }
+    }
+
+    pub(super) struct Scoring<'p>(&'p Probe);
+
+    impl Drop for Scoring<'_> {
+        fn drop(&mut self) {
+            self.0.scoring.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -747,7 +1025,7 @@ mod tests {
     #[test]
     fn parallel_evaluation_is_bit_identical_to_serial() {
         let (serial_layout, serial_result, serial_stats) = run_with(1, true);
-        for threads in [2, 4, 8] {
+        for threads in [2, 3, 4, 8] {
             let (layout, result, stats) = run_with(threads, true);
             assert_eq!(layout, serial_layout, "{threads} threads: layout diverged");
             assert_eq!(result.makespan, serial_result.makespan);

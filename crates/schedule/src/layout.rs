@@ -187,32 +187,33 @@ impl Layout {
     /// outer sum. Two layouts hash equal exactly when their signatures
     /// are equal, up to 64-bit collisions, and the whole computation is
     /// one pass over the instances with a single scratch allocation —
-    /// no per-core vectors, no sorting. That matters because the DSA
-    /// optimizer fingerprints every mutated candidate it materializes;
-    /// this call is on the optimizer's per-candidate fast path.
+    /// no per-core vectors, no sorting. Because both layers are sums, a
+    /// move changes two per-core terms only: the DSA optimizer digests
+    /// each survivor once ([`Self::digest`]) and derives its children's
+    /// fingerprints from that digest.
     pub fn fingerprint(&self, graph: &GroupGraph) -> u64 {
-        // splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
+        self.digest(graph).fingerprint()
+    }
+
+    /// The per-core terms of [`Self::fingerprint`], from which the
+    /// fingerprint of a layout one move or one swap away follows in
+    /// O(1), without building that layout.
+    pub fn digest<'a>(&'a self, graph: &'a GroupGraph) -> FingerprintDigest<'a> {
         let mut per_core: Vec<(u64, u64)> = vec![(0, 0); self.core_count];
         for inst in &self.instances {
             let entry = &mut per_core[inst.core.index()];
-            entry.0 = entry
-                .0
-                .wrapping_add(mix(u64::from(graph.groups[inst.group.index()].origin)));
+            entry.0 = entry.0.wrapping_add(origin_term(graph, inst));
             entry.1 += 1;
         }
-        let mut h = 0u64;
-        for &(sum, len) in &per_core {
-            if len > 0 {
-                h = h.wrapping_add(mix(sum ^ mix(len)));
-            }
+        let fingerprint = per_core
+            .iter()
+            .fold(0u64, |h, &tally| h.wrapping_add(core_term(tally)));
+        FingerprintDigest {
+            layout: self,
+            graph,
+            per_core,
+            fingerprint,
         }
-        h
     }
 
     /// Renders the layout as a per-core table (the shape of the paper's
@@ -244,6 +245,107 @@ impl Layout {
             }
         }
         out
+    }
+}
+
+/// A layout's [`Layout::fingerprint`] split into its per-core terms:
+/// each core's wrapping sum of mixed group origins and its instance
+/// count. Made by [`Layout::digest`]; it borrows the layout it
+/// digests.
+///
+/// A move or a swap changes the tallies of two cores only, so
+/// [`Self::after_move`] and [`Self::after_swap`] re-add those two terms
+/// and return the moved layout's fingerprint, bit for bit, without
+/// cloning the layout. The annealer fingerprints every child it draws
+/// this way and builds only the children its duplicate set accepts.
+#[derive(Clone, Debug)]
+pub struct FingerprintDigest<'a> {
+    layout: &'a Layout,
+    graph: &'a GroupGraph,
+    /// Per core: `(sum of mixed origins, instance count)`.
+    per_core: Vec<(u64, u64)>,
+    fingerprint: u64,
+}
+
+impl FingerprintDigest<'_> {
+    /// The fingerprint of the digested layout.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The fingerprint of the digested layout with `instance` moved to
+    /// `to_core`: what `critpath::apply_move` would build.
+    pub fn after_move(&self, instance: InstanceId, to_core: CoreId) -> u64 {
+        let inst = &self.layout.instances[instance.index()];
+        let (from, to) = (inst.core.index(), to_core.index());
+        if from == to {
+            return self.fingerprint;
+        }
+        let term = origin_term(self.graph, inst);
+        let (from_sum, from_len) = self.per_core[from];
+        let (to_sum, to_len) = self.per_core[to];
+        self.retally([
+            (from, (from_sum.wrapping_sub(term), from_len - 1)),
+            (to, (to_sum.wrapping_add(term), to_len + 1)),
+        ])
+    }
+
+    /// The fingerprint of the digested layout with instances `a` and
+    /// `b` exchanging cores.
+    pub fn after_swap(&self, a: InstanceId, b: InstanceId) -> u64 {
+        let instances = &self.layout.instances;
+        let (inst_a, inst_b) = (&instances[a.index()], &instances[b.index()]);
+        let (core_a, core_b) = (inst_a.core.index(), inst_b.core.index());
+        if core_a == core_b {
+            return self.fingerprint;
+        }
+        let (term_a, term_b) = (
+            origin_term(self.graph, inst_a),
+            origin_term(self.graph, inst_b),
+        );
+        let (sum_a, len_a) = self.per_core[core_a];
+        let (sum_b, len_b) = self.per_core[core_b];
+        self.retally([
+            (
+                core_a,
+                (sum_a.wrapping_sub(term_a).wrapping_add(term_b), len_a),
+            ),
+            (
+                core_b,
+                (sum_b.wrapping_sub(term_b).wrapping_add(term_a), len_b),
+            ),
+        ])
+    }
+
+    /// The fingerprint with two distinct cores' tallies replaced.
+    fn retally(&self, changed: [(usize, (u64, u64)); 2]) -> u64 {
+        changed.iter().fold(self.fingerprint, |h, &(core, tally)| {
+            h.wrapping_sub(core_term(self.per_core[core]))
+                .wrapping_add(core_term(tally))
+        })
+    }
+}
+
+/// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// An instance's contribution to its core's sum: its group's mixed
+/// origin.
+fn origin_term(graph: &GroupGraph, inst: &GroupInstance) -> u64 {
+    mix(u64::from(graph.groups[inst.group.index()].origin))
+}
+
+/// A core's contribution to the fingerprint: nothing when it is empty.
+fn core_term((sum, len): (u64, u64)) -> u64 {
+    if len > 0 {
+        mix(sum ^ mix(len))
+    } else {
+        0
     }
 }
 
@@ -610,6 +712,59 @@ mod tests {
             sig_equal_pairs > 0,
             "no signature-equal pair among mutations"
         );
+    }
+
+    /// The digest's fingerprint of every single move (to the instance's
+    /// own core too) and every swap equals `Layout::fingerprint` of the
+    /// built child, on random layouts of several machine sizes — and
+    /// the sweep does empty a core and fill an empty one.
+    #[test]
+    fn digest_fingerprints_every_move_and_swap_exactly() {
+        use crate::critpath::{apply_move, MoveProposal};
+        use crate::mapping::random_layouts;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let (spec, cstg, profile) = kc_setup();
+        let graph = scc_tree_transform(&GroupGraph::build(&spec, &cstg, &profile));
+        let (mut emptied, mut filled) = (0, 0);
+        for cores in [1, 2, 4, 7, 16] {
+            let repl = compute_replication(&spec, &graph, &profile, cores);
+            let mut rng = StdRng::seed_from_u64(cores as u64);
+            for layout in random_layouts(&graph, &repl, cores, 6, &mut rng) {
+                let digest = layout.digest(&graph);
+                assert_eq!(digest.fingerprint(), layout.fingerprint(&graph));
+                let occupancy = |core: CoreId| layout.instances_on(core).len();
+                for i in 0..layout.instances.len() {
+                    let instance = InstanceId(i as u32);
+                    for to in 0..cores {
+                        let to_core = CoreId::new(to);
+                        let child = apply_move(&layout, MoveProposal { instance, to_core });
+                        assert_eq!(
+                            digest.after_move(instance, to_core),
+                            child.fingerprint(&graph),
+                            "{cores} cores: move of {instance} to {to_core}"
+                        );
+                        let from = layout.core_of(instance);
+                        emptied += usize::from(from != to_core && occupancy(from) == 1);
+                        filled += usize::from(occupancy(to_core) == 0);
+                    }
+                    for j in 0..layout.instances.len() {
+                        let other = InstanceId(j as u32);
+                        let mut child = layout.clone();
+                        child.instances[i].core = layout.core_of(other);
+                        child.instances[j].core = layout.core_of(instance);
+                        assert_eq!(
+                            digest.after_swap(instance, other),
+                            child.fingerprint(&graph),
+                            "{cores} cores: swap of {instance} and {other}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(emptied > 0, "no move emptied a core");
+        assert!(filled > 0, "no move filled an empty core");
     }
 
     #[test]

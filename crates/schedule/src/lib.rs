@@ -47,7 +47,7 @@ pub mod util;
 pub use critpath::{critical_path, propose_moves, MoveBasis, MoveProposal};
 pub use dsa::{optimize, optimize_with_cache, DsaOptions, DsaStats};
 pub use groups::{Group, GroupGraph, GroupId, GroupNewEdge};
-pub use layout::{GroupInstance, InstanceId, Layout, RouteDecision, Router};
+pub use layout::{FingerprintDigest, GroupInstance, InstanceId, Layout, RouteDecision, Router};
 pub use mapping::{
     control_spread_layout, enumerate_mappings, random_layouts, spread_layout, MappingOptions,
 };

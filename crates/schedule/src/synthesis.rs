@@ -6,12 +6,12 @@
 //! an optimized [`Layout`] plus the artifacts downstream consumers (the
 //! runtime's executors, the experiment harness) need.
 
-use crate::dsa::{optimize, worker_threads, DsaOptions, DsaStats};
+use crate::dsa::{anneal_all, DsaOptions, DsaStats, Search};
 use crate::groups::GroupGraph;
 use crate::layout::Layout;
 use crate::mapping::{control_spread_layout, random_layouts, spread_layout};
 use crate::preprocess::scc_tree_transform;
-use crate::sim::SimResult;
+use crate::sim::{SimCache, SimProgram, SimResult};
 use crate::transforms::{compute_replication, replicable, Replication};
 use bamboo_analysis::cstg::Cstg;
 use bamboo_lang::spec::ProgramSpec;
@@ -25,11 +25,13 @@ use rand::{Rng, SeedableRng};
 pub struct SynthesisOptions {
     /// Random starting layouts handed to the annealer.
     pub initial_candidates: usize,
-    /// Worker threads for the whole synthesis pipeline: the annealer's
-    /// candidate evaluations fan out over this many threads
-    /// (overriding [`DsaOptions::threads`]), and replication variants
-    /// anneal concurrently when more than one is searched. `0` uses
-    /// every available core; `1` runs fully serially. The synthesized
+    /// Threads for the whole synthesis, the caller's included
+    /// (overriding [`DsaOptions::threads`]): one scoring pool of this
+    /// many threads serves every replication variant's search. With
+    /// two or more threads each variant is driven on its own thread
+    /// and the rest help; every thread scores whichever variant's
+    /// candidates are open. `0` uses every available core; `1` runs
+    /// the variants one after another on the caller. The synthesized
     /// layout, estimate, and statistics are bit-identical at any
     /// setting.
     pub threads: usize,
@@ -78,13 +80,13 @@ pub struct SynthesisResult {
 /// `cores - 1`, leaving a dedicated core for the serial group — the shape
 /// behind the paper's pipelined MonteCarlo layout. Each variant anneals
 /// with its own RNG seeded from `rng` (drawn up front, in variant
-/// order), which makes the variants independent: they run concurrently
-/// when [`SynthesisOptions::threads`] permits, and the result is
-/// bit-identical to the serial schedule either way. The better variant
-/// wins (ties break toward the full variant); its statistics absorb the
-/// losing variants' volume counters via [`DsaStats::merge_counters`], so
-/// `stats.simulations` reports the whole search's work while the
-/// trajectory stays the winner's.
+/// order), which makes the variants independent: they share one
+/// scoring pool of [`SynthesisOptions::threads`] threads, and the
+/// result is bit-identical however the pool interleaves them. The
+/// better variant wins (ties break toward the full variant); its
+/// statistics absorb the losing variants' volume counters via
+/// [`DsaStats::merge_counters`], so `stats.simulations` reports the
+/// whole search's work while the trajectory stays the winner's.
 pub fn synthesize<R: Rng>(
     spec: &ProgramSpec,
     cstg: &Cstg,
@@ -114,75 +116,61 @@ pub fn synthesize<R: Rng>(
     // Independent per-variant RNGs, seeded from the caller's stream in
     // variant order — the only `rng` consumption in this function, so
     // the caller's stream advances identically however the variants are
-    // scheduled.
-    let seeds: Vec<u64> = variants.iter().map(|_| rng.next_u64()).collect();
+    // scheduled. Each variant's RNG draws its starting layouts, then
+    // drives its search.
     let dsa_opts = DsaOptions {
         threads: opts.threads,
         ..opts.dsa.clone()
     };
-    let run_variant = |replication: Replication, seed: u64| -> SynthesisResult {
-        let mut vrng = StdRng::seed_from_u64(seed);
-        let mut initial = random_layouts(
-            &graph,
-            &replication,
-            cores,
-            opts.initial_candidates.max(1),
-            &mut vrng,
-        );
-        // Seed the annealer with the canonical data-parallel layouts too.
-        initial.push(spread_layout(&graph, &replication, cores));
-        initial.push(control_spread_layout(&graph, &replication, cores));
-        let (layout, estimate, stats) = optimize(
-            spec, &graph, profile, machine, initial, &dsa_opts, &mut vrng,
-        );
-        SynthesisResult {
-            graph: graph.clone(),
-            replication,
-            layout,
-            estimate,
-            stats,
-        }
-    };
-
-    let searched: Vec<SynthesisResult> = if worker_threads(opts.threads) > 1 && variants.len() > 1 {
-        let run_variant = &run_variant;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = variants
-                .into_iter()
-                .zip(seeds)
-                .map(|(replication, seed)| scope.spawn(move || run_variant(replication, seed)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("variant search panicked"))
-                .collect()
+    let mut caches: Vec<SimCache> = variants.iter().map(|_| SimCache::new()).collect();
+    let searches: Vec<Search<'_, StdRng>> = variants
+        .iter()
+        .zip(caches.iter_mut())
+        .map(|(replication, cache)| {
+            let mut vrng = StdRng::seed_from_u64(rng.next_u64());
+            let mut initial = random_layouts(
+                &graph,
+                replication,
+                cores,
+                opts.initial_candidates.max(1),
+                &mut vrng,
+            );
+            // Seed the annealer with the canonical data-parallel layouts too.
+            initial.push(spread_layout(&graph, replication, cores));
+            initial.push(control_spread_layout(&graph, replication, cores));
+            Search {
+                initial,
+                rng: vrng,
+                cache,
+            }
         })
-    } else {
-        variants
-            .into_iter()
-            .zip(seeds)
-            .map(|(replication, seed)| run_variant(replication, seed))
-            .collect()
-    };
+        .collect();
+    let program = SimProgram::new(spec, &graph, profile, machine, &dsa_opts.sim);
+    let searched = anneal_all(&program, &graph, &dsa_opts, searches);
 
     let winner = searched
         .iter()
         .enumerate()
-        .min_by_key(|(i, r)| (r.estimate.makespan, *i))
+        .min_by_key(|(i, (_, estimate, _))| (estimate.makespan, *i))
         .map(|(i, _)| i)
         .expect("at least one variant searched");
-    let mut merged_stats = searched[winner].stats.clone();
-    for (i, other) in searched.iter().enumerate() {
+    let mut stats = searched[winner].2.clone();
+    for (i, (_, _, other)) in searched.iter().enumerate() {
         if i != winner {
-            merged_stats.merge_counters(&other.stats);
+            stats.merge_counters(other);
         }
     }
-    let mut result = searched
+    let (layout, estimate, _) = searched
         .into_iter()
         .nth(winner)
         .expect("winner index in range");
-    result.stats = merged_stats;
-    result
+    SynthesisResult {
+        graph,
+        replication: variants.swap_remove(winner),
+        layout,
+        estimate,
+        stats,
+    }
 }
 
 /// Builds the bootstrap plan the profiling run executes (paper
@@ -199,10 +187,14 @@ pub fn bootstrap_plan(spec: &ProgramSpec, cstg: &Cstg) -> (GroupGraph, Layout) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsa::probe::Probe;
     use crate::sim::{simulate, SimOptions};
     use crate::testutil::kc_setup;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn synthesis_beats_single_core() {
@@ -265,7 +257,8 @@ mod tests {
             synthesize(&spec, &cstg, &profile, &machine, &opts, &mut rng)
         };
         let serial = run(1);
-        for threads in [2, 4, 8] {
+        // Three threads over two variants: two drivers and one helper.
+        for threads in [2, 3, 4, 8] {
             let parallel = run(threads);
             assert_eq!(
                 parallel.layout, serial.layout,
@@ -308,6 +301,69 @@ mod tests {
         assert!(stats.trajectory.windows(2).all(|w| w[1] <= w[0]));
         assert_eq!(stats.trajectory.last().copied(), Some(stats.best_makespan));
         assert_eq!(stats.best_makespan, result.estimate.makespan);
+    }
+
+    /// Runs the default two-variant synthesis of `kc_setup` on the quad
+    /// machine with `threads` threads on a fresh thread that installs
+    /// `probe`, and returns the probe and the result (`Err` if the
+    /// synthesis panicked). Fails if it does not return within a minute.
+    fn probed(threads: usize, probe: Probe) -> (Arc<Probe>, std::thread::Result<SynthesisResult>) {
+        let (done, finished) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let probe = probe.install();
+            let (spec, cstg, profile) = kc_setup();
+            let mut rng = StdRng::seed_from_u64(2024);
+            let opts = SynthesisOptions::default().with_threads(threads);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                synthesize(
+                    &spec,
+                    &cstg,
+                    &profile,
+                    &MachineDescription::quad(),
+                    &opts,
+                    &mut rng,
+                )
+            }));
+            done.send(()).expect("test thread waits");
+            (probe, result)
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => run.join().expect("the probed thread catches panics"),
+            Err(_) => panic!("{threads} threads: synthesize hung"),
+        }
+    }
+
+    #[test]
+    fn at_most_the_pool_threads_score_at_once() {
+        for threads in [1, 2, 3] {
+            let (probe, result) = probed(threads, Probe::default());
+            assert!(result.is_ok(), "{threads} threads: synthesis panicked");
+            assert_eq!(probe.searches(), 0b11, "both variants scored");
+            let peak = probe.peak();
+            assert!(
+                (1..=threads).contains(&peak),
+                "{threads} threads: {peak} threads scored at once"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_simulation_fails_synthesis_instead_of_hanging() {
+        for threads in [1, 2, 3] {
+            let (_, result) = probed(threads, Probe::panicking_at(1, 3));
+            let panic = result.expect_err("the injected panic propagates");
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+            assert!(
+                matches!(
+                    message,
+                    Some("injected simulation panic" | "a simulation on a pool thread panicked")
+                ),
+                "{threads} threads: unexpected panic {message:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,18 @@ use bamboo::analysis::UnionFind;
 use bamboo::lang::ids::{FlagId, TaskId};
 use bamboo::lang::spec::{FlagExpr, FlagSet};
 use bamboo::profile::{MarkovModel, ProfileCollector};
+use bamboo::schedule::critpath::apply_move;
+use bamboo::schedule::{
+    compute_replication, random_layouts, scc_tree_transform, GroupGraph, InstanceId, MoveProposal,
+};
+use bamboo::CoreId;
 use bamboo::{
     body, Compiler, ExecConfig, MachineDescription, NativeBody, ProgramBuilder, SynthesisOptions,
     VirtualExecutor,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 // ---- flag algebra -------------------------------------------------------
 
@@ -454,5 +460,78 @@ proptest! {
             "kind {} misjudged",
             kind
         );
+    }
+}
+
+// ---- fingerprints of moved layouts ------------------------------------------
+
+/// Each of the six apps' spec and preprocessed group graph, profiled at
+/// `Scale::Small` once for all cases.
+fn app_graphs() -> &'static [(bamboo::ProgramSpec, bamboo::Profile, GroupGraph)] {
+    static GRAPHS: OnceLock<Vec<(bamboo::ProgramSpec, bamboo::Profile, GroupGraph)>> =
+        OnceLock::new();
+    GRAPHS.get_or_init(|| {
+        bamboo_apps::all()
+            .iter()
+            .map(|bench| {
+                let compiler = bench.compiler(bamboo_apps::Scale::Small);
+                let (profile, _, ()) = compiler
+                    .profile_run(None, "digest", |_| ())
+                    .expect("profile run");
+                let graph = scc_tree_transform(&GroupGraph::build(
+                    &compiler.program.spec,
+                    &compiler.cstg,
+                    &profile,
+                ));
+                ((*compiler.program.spec).clone(), profile, graph)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// The annealer fingerprints a child from its parent's digest
+    /// before building it. On a random layout of a random app, every
+    /// single move (to the instance's own core too, emptying or filling
+    /// a core) and a sample of swaps must give `Layout::fingerprint` of
+    /// the built child bit for bit: the value is the memo-cache key.
+    #[test]
+    fn digest_fingerprint_equals_layout_fingerprint_on_the_six_apps(
+        app in 0usize..6,
+        size in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (spec, profile, graph) = &app_graphs()[app];
+        let cores = [2, 5, 16, 62][size];
+        let replication = compute_replication(spec, graph, profile, cores);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let layout = random_layouts(graph, &replication, cores, 1, &mut rng)
+            .pop()
+            .expect("one layout");
+        let digest = layout.digest(graph);
+        prop_assert_eq!(digest.fingerprint(), layout.fingerprint(graph));
+        let n = layout.instances.len();
+        for i in 0..n {
+            let instance = InstanceId(i as u32);
+            for to in 0..cores {
+                let to_core = CoreId::new(to);
+                let child = apply_move(&layout, MoveProposal { instance, to_core });
+                prop_assert_eq!(
+                    digest.after_move(instance, to_core),
+                    child.fingerprint(graph)
+                );
+            }
+        }
+        for _ in 0..4 * n {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let mut child = layout.clone();
+            child.instances[a].core = layout.instances[b].core;
+            child.instances[b].core = layout.instances[a].core;
+            prop_assert_eq!(
+                digest.after_swap(InstanceId(a as u32), InstanceId(b as u32)),
+                child.fingerprint(graph)
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Determinism of parallel, memoized synthesis (paper §4.5 machinery).
 //!
-//! Candidate evaluation inside the DSA annealer and the per-variant
-//! replication search both fan out over worker threads, and simulations
+//! The replication variants' searches share one scoring pool of worker
+//! threads, each thread scoring any variant's candidates, and simulations
 //! are memoized by layout fingerprint — none of which may change what
 //! gets synthesized. These tests pin the contract on real benchmarks:
 //! the same seed yields the identical best layout, makespan, and
@@ -31,7 +31,8 @@ fn synthesize(bench: &str, opts: &SynthesisOptions) -> SynthesisResult {
 fn same_seed_is_identical_at_any_thread_count() {
     for bench in ["KMeans", "FilterBank"] {
         let serial = synthesize(bench, &SynthesisOptions::default().with_threads(1));
-        for threads in [2, 4, 8] {
+        // Three threads over two variants: two drivers and one helper.
+        for threads in [2, 3, 4, 8] {
             let parallel = synthesize(bench, &SynthesisOptions::default().with_threads(threads));
             assert_eq!(
                 parallel.layout, serial.layout,
