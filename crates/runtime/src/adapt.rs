@@ -302,13 +302,12 @@ impl AdaptiveController {
         }
 
         // 2. Incremental DSA from the live layout under the estimate.
-        let spec = self.handle.spec().clone();
-        let graph = self.handle.graph().clone();
+        let (spec, graph) = (self.handle.spec(), self.handle.graph());
         let current = self.handle.current_layout();
         // Only the live layout's makespan is read: no trace.
         let here = simulate(
-            &spec,
-            &graph,
+            spec,
+            graph,
             &current,
             &profile,
             &self.policy.machine,
@@ -317,10 +316,10 @@ impl AdaptiveController {
                 ..self.dsa.sim.clone()
             },
         );
-        let current_fp = current.fingerprint(&graph);
+        let current_fp = current.fingerprint(graph);
         let (best, best_result, _stats) = optimize_with_cache(
-            &spec,
-            &graph,
+            spec,
+            graph,
             &profile,
             &self.policy.machine,
             vec![current.clone()],
@@ -357,7 +356,7 @@ impl AdaptiveController {
         // 5. Anti-flap: suppress a winner we recently departed or
         // adopted (an alternating mix would otherwise bounce the same
         // instances back and forth every window).
-        let best_fp = best.fingerprint(&graph);
+        let best_fp = best.fingerprint(graph);
         if self.recent.contains(&best_fp) {
             self.report.skipped_hysteresis += 1;
             return Ok(None);

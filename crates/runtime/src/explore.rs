@@ -204,12 +204,8 @@ impl Port for ExplorePort<'_> {
     fn pop_ready(&self, core: usize) -> Option<PendingInv> {
         self.step().pop_ready(core)
     }
-    fn steal_from(
-        &self,
-        victim: usize,
-        eligible: impl Fn(&PendingInv) -> bool,
-    ) -> Option<PendingInv> {
-        self.step().steal_from(victim, eligible)
+    fn steal_from(&self, victim: usize, thief: usize) -> Option<PendingInv> {
+        self.step().steal_from(victim, thief)
     }
     fn ready_len(&self, core: usize) -> usize {
         self.step().ready_len(core)
@@ -226,8 +222,8 @@ impl Port for ExplorePort<'_> {
     fn dec(&self, request: u64) -> Option<Completion> {
         self.step().dec(request)
     }
-    fn charge(&self, request: u64) {
-        self.step().charge(request);
+    fn finish(&self, request: u64) -> Option<Completion> {
+        self.step().finish(request)
     }
     fn outstanding(&self) -> usize {
         self.step().outstanding()

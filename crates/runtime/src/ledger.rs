@@ -26,16 +26,48 @@
 //! whoever reads `outstanding() == 0` finds every completion already on
 //! the channel. Each carries the request's executed invocation tally so
 //! per-request exactness can be cross-checked against the virtual
-//! executor's causal graph.
+//! executor's causal graph. An invocation's tally is charged by the
+//! release of its own unit ([`RequestLedger::finish_invocation`]): one
+//! lock per invocation end, and the unit held until then keeps the entry
+//! live.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Stripes for the per-request count maps (request id modulo).
 const STRIPES: usize = 16;
+
+/// Hashes a request id with one multiply, folded: the 128-bit product's
+/// halves XORed, so the low bits the map indexes by and the high bits it
+/// tags with both depend on every bit of the id. Request ids are dense
+/// and minted by the executor, never taken from outside input, so the
+/// flooding resistance SipHash buys is not needed here.
+#[derive(Default)]
+struct RequestHasher(u64);
+
+impl Hasher for RequestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let product = u128::from(self.0 ^ id) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One stripe: request id → its entry.
+type Stripe = HashMap<u64, Entry, BuildHasherDefault<RequestHasher>>;
 
 /// A request whose outstanding work drained to zero.
 #[derive(Clone, Copy, Debug)]
@@ -59,7 +91,7 @@ struct Entry {
 /// channel. See the module docs for the correctness argument.
 #[derive(Debug)]
 pub struct RequestLedger {
-    stripes: Vec<Mutex<HashMap<u64, Entry>>>,
+    stripes: Vec<Mutex<Stripe>>,
     open: AtomicUsize,
     completions: Sender<Completion>,
 }
@@ -70,14 +102,14 @@ impl RequestLedger {
     pub fn new() -> (Self, Receiver<Completion>) {
         let (tx, rx) = unbounded();
         let ledger = RequestLedger {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
             open: AtomicUsize::new(0),
             completions: tx,
         };
         (ledger, rx)
     }
 
-    fn stripe(&self, request: u64) -> &Mutex<HashMap<u64, Entry>> {
+    fn stripe(&self, request: u64) -> &Mutex<Stripe> {
         &self.stripes[(request % STRIPES as u64) as usize]
     }
 
@@ -127,26 +159,28 @@ impl RequestLedger {
         held
     }
 
-    /// Charges one executed invocation to `request` (called while the
-    /// invocation's own unit is still held, so the entry is guaranteed
-    /// live).
-    pub fn charge_invocation(&self, request: u64) {
-        let mut map = self.stripe(request).lock();
-        if let Some(entry) = map.get_mut(&request) {
-            entry.invocations += 1;
-        }
-    }
-
     /// Releases one unit of `request`'s work. The release that drains
     /// the request removes its entry, pushes a [`Completion`] on the
     /// channel, then closes the request in [`Self::outstanding`], and
     /// returns the completion so the caller can emit telemetry and
     /// sweep buffered objects. Every release must match a counted unit.
     pub fn dec(&self, request: u64) -> Option<Completion> {
+        self.release(request, 0)
+    }
+
+    /// Releases the unit of an invocation of `request` that has just
+    /// executed, and charges it to the request's invocation tally, under
+    /// one lock. Otherwise exactly [`Self::dec`].
+    pub fn finish_invocation(&self, request: u64) -> Option<Completion> {
+        self.release(request, 1)
+    }
+
+    fn release(&self, request: u64, invocations: u64) -> Option<Completion> {
         let mut map = self.stripe(request).lock();
         let entry = map.get_mut(&request);
         debug_assert!(entry.is_some(), "request {request} released uncounted");
         let entry = entry?;
+        entry.invocations += invocations;
         entry.count -= 1;
         if entry.count > 0 {
             return None;
@@ -190,14 +224,36 @@ mod tests {
         let (ledger, rx) = RequestLedger::new();
         ledger.inc(7);
         ledger.inc(7);
-        ledger.charge_invocation(7);
         assert_eq!(ledger.outstanding(), 1);
-        assert!(ledger.dec(7).is_none());
+        assert!(ledger.finish_invocation(7).is_none());
         assert!(rx.try_recv().is_err());
         let done = ledger.dec(7).expect("second release drains");
         assert_eq!(done.request, 7);
         assert_eq!(done.invocations, 1);
         assert_eq!(rx.try_recv().unwrap().request, 7);
+        assert!(ledger.is_empty());
+    }
+
+    /// An invocation's release completes its request: the completion it
+    /// returns, and the one on the channel, count that invocation with
+    /// every earlier one, and a plain `dec` charges none.
+    #[test]
+    fn finishing_the_last_invocation_completes_with_the_exact_count() {
+        let (ledger, rx) = RequestLedger::new();
+        // A delivery's unit, then three invocations formed from it; the
+        // delivery releases first, the invocations after it.
+        ledger.inc(4);
+        for _ in 0..3 {
+            ledger.inc(4);
+        }
+        assert!(ledger.dec(4).is_none());
+        assert!(ledger.finish_invocation(4).is_none());
+        assert!(ledger.finish_invocation(4).is_none());
+        let done = ledger.finish_invocation(4).expect("last invocation drains");
+        assert_eq!((done.request, done.invocations), (4, 3));
+        let queued = rx.try_recv().unwrap();
+        assert_eq!((queued.request, queued.invocations), (4, 3));
+        assert_eq!(ledger.outstanding(), 0);
         assert!(ledger.is_empty());
     }
 
@@ -278,8 +334,7 @@ mod tests {
         // drained id must be re-openable without residue.
         let (ledger, rx) = RequestLedger::new();
         ledger.inc(1);
-        ledger.charge_invocation(1);
-        assert_eq!(ledger.dec(1).unwrap().invocations, 1);
+        assert_eq!(ledger.finish_invocation(1).unwrap().invocations, 1);
         ledger.inc(1);
         assert_eq!(ledger.dec(1).unwrap().invocations, 0);
         assert_eq!(rx.try_iter().count(), 2);

@@ -52,6 +52,87 @@ type LockTable = Mutex<(UnionFind, Vec<Arc<Mutex<()>>>)>;
 /// The held lock classes of one invocation.
 type LockGuards = Vec<parking_lot::ArcMutexGuard<parking_lot::RawMutex, ()>>;
 
+/// One core's run queue, in dispatch order: oldest request first, FIFO
+/// within a request (see [`Port::push_ready`]). It counts its entries
+/// per group, so a thief that hosts none of the queued groups learns so
+/// in O(groups) instead of scanning the queue under the owner's lock.
+struct RunQueue {
+    entries: VecDeque<PendingInv>,
+    /// Queued entries of each group; kept by every insert and removal.
+    per_group: Vec<usize>,
+}
+
+impl RunQueue {
+    fn new(groups: usize) -> Self {
+        RunQueue {
+            entries: VecDeque::new(),
+            per_group: vec![0; groups],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &PendingInv> {
+        self.entries.iter()
+    }
+
+    /// Below `bound` entries, inserts `inv` (of `group`) behind every
+    /// entry of the same or an older request and returns the depth it
+    /// found; at `bound`, hands it back with that depth.
+    fn push(&mut self, inv: PendingInv, group: usize, bound: usize) -> Result<usize, Full> {
+        let depth = self.entries.len();
+        if depth >= bound {
+            return Err((inv, depth));
+        }
+        // Request ids rise with admission. One request, as in a batch
+        // run, always appends.
+        let at = self
+            .entries
+            .partition_point(|queued| queued.request <= inv.request);
+        self.entries.insert(at, inv);
+        self.per_group[group] += 1;
+        self.check();
+        Ok(depth)
+    }
+
+    /// Takes the front entry: the oldest open request's oldest.
+    fn pop(&mut self, group_of: impl Fn(&PendingInv) -> usize) -> Option<PendingInv> {
+        let inv = self.entries.pop_front()?;
+        self.per_group[group_of(&inv)] -= 1;
+        self.check();
+        Some(inv)
+    }
+
+    /// Takes the rearmost entry of a group in `hosts` (a thief's
+    /// [`Plan::hosted`] row), the newest request's; `None` without a
+    /// scan when no such group has an entry queued.
+    fn steal(
+        &mut self,
+        hosts: &[bool],
+        group_of: impl Fn(&PendingInv) -> usize,
+    ) -> Option<PendingInv> {
+        let mut counts = self.per_group.iter().zip(hosts);
+        if !counts.any(|(&queued, &hosted)| hosted && queued > 0) {
+            return None;
+        }
+        let at = self.entries.iter().rposition(|inv| hosts[group_of(inv)])?;
+        let inv = self.entries.remove(at)?;
+        self.per_group[group_of(&inv)] -= 1;
+        self.check();
+        Some(inv)
+    }
+
+    fn check(&self) {
+        debug_assert_eq!(
+            self.per_group.iter().sum::<usize>(),
+            self.entries.len(),
+            "run-queue group counts drifted from its length"
+        );
+    }
+}
+
 /// The run's shared state: what [`Port`] reads and writes for the
 /// threaded cores and the driver.
 pub(crate) struct Shared {
@@ -88,7 +169,7 @@ pub(crate) struct Shared {
     receivers: Vec<Receiver<Message>>,
     /// Run queues, oldest request first (see `push_ready`): owners pop
     /// the front, thieves take the back.
-    ready: Vec<Mutex<VecDeque<PendingInv>>>,
+    ready: Vec<Mutex<RunQueue>>,
     /// Whether each worker is parked (a poke swaps it off to decide).
     idle: Vec<AtomicBool>,
     /// Objects that left dispatch, for result extraction.
@@ -144,7 +225,9 @@ impl Shared {
             }),
             senders,
             receivers,
-            ready: (0..cores).map(|_| Mutex::new(VecDeque::new())).collect(),
+            ready: (0..cores)
+                .map(|_| Mutex::new(RunQueue::new(plan.graph.groups.len())))
+                .collect(),
             idle: (0..cores).map(|_| AtomicBool::new(false)).collect(),
             graveyard,
             failure: StdMutex::new(None),
@@ -214,33 +297,24 @@ impl Port for Shared {
     }
 
     fn push_ready(&self, core: usize, inv: PendingInv, bound: usize) -> Result<usize, Full> {
-        let mut queue = self.ready[core].lock();
-        let depth = queue.len();
-        if depth >= bound {
-            return Err((inv, depth));
-        }
-        // Oldest request first, FIFO within a request: behind every
-        // entry of the same or an older request (request ids rise with
-        // admission). One request, as in a batch run, always appends.
-        let at = queue.partition_point(|queued| queued.request <= inv.request);
-        queue.insert(at, inv);
-        Ok(depth)
+        let group = self.plan.group_of_instance(inv.instance);
+        self.ready[core].lock().push(inv, group, bound)
     }
 
     fn pop_ready(&self, core: usize) -> Option<PendingInv> {
-        self.ready[core].lock().pop_front()
+        self.ready[core]
+            .lock()
+            .pop(|inv| self.plan.group_of_instance(inv.instance))
     }
 
-    fn steal_from(
-        &self,
-        victim: usize,
-        eligible: impl Fn(&PendingInv) -> bool,
-    ) -> Option<PendingInv> {
+    fn steal_from(&self, victim: usize, thief: usize) -> Option<PendingInv> {
         // A contended victim queue is being worked; move on rather than
         // serialize behind it.
         let mut queue = self.ready[victim].try_lock()?;
-        let idx = queue.iter().rposition(eligible)?;
-        queue.remove(idx)
+        let plan = &self.plan;
+        queue.steal(&plan.hosted[thief], |inv| {
+            plan.group_of_instance(inv.instance)
+        })
     }
 
     fn ready_len(&self, core: usize) -> usize {
@@ -263,8 +337,8 @@ impl Port for Shared {
         self.ledger.dec(request)
     }
 
-    fn charge(&self, request: u64) {
-        self.ledger.charge_invocation(request);
+    fn finish(&self, request: u64) -> Option<Completion> {
+        self.ledger.finish_invocation(request)
     }
 
     fn outstanding(&self) -> usize {
@@ -1540,13 +1614,136 @@ mod tests {
             let pushed = shared.push_ready(0, PendingInv::stub(id, instance, request), usize::MAX);
             assert_eq!(pushed.ok(), Some(depth));
         }
-        // Request 7's one entry is ineligible, so request 5's rear goes.
-        let stolen = shared.steal_from(0, |inv| inv.instance == work).unwrap();
+        // Core 1 hosts `work`, not `reduce`: request 7's one entry is
+        // ineligible, so request 5's rear goes.
+        let stolen = shared.steal_from(0, 1).unwrap();
         assert_eq!((stolen.id, stolen.request), (3, 5));
         let order: Vec<(u64, u64)> = std::iter::from_fn(|| shared.pop_ready(0))
             .map(|inv| (inv.id, inv.request))
             .collect();
         assert_eq!(order, [(5, 1), (2, 3), (4, 3), (7, 3), (1, 5), (6, 7)]);
+    }
+
+    /// A victim queue of entries the thief may not run, with one it may
+    /// at the front: the steal finds that one, the next misses, and the
+    /// victim's own order is untouched.
+    #[test]
+    fn steal_skips_a_queue_of_unhosted_groups() {
+        let deploy = deployment(fanout_setup(4, 2));
+        let (shared, _graves, _completions) = Shared::new(&deploy, &RunOptions::default(), true);
+        let instance_of = |task: &str| {
+            let task = deploy.program.spec.task_by_name(task).unwrap();
+            let group = deploy.graph.group_of_task(task).unwrap();
+            deploy.layout.instances_of(group)[0]
+        };
+        let (work, reduce) = (instance_of("work"), instance_of("reduce"));
+        let push = |inv| assert!(shared.push_ready(0, inv, usize::MAX).is_ok());
+        push(PendingInv::stub(1, work, 1));
+        for id in 2..=200 {
+            push(PendingInv::stub(id, reduce, 1 + id / 50));
+        }
+        let stolen = shared
+            .steal_from(0, 1)
+            .expect("the front entry is eligible");
+        assert_eq!((stolen.id, stolen.instance), (1, work));
+        assert!(shared.steal_from(0, 1).is_none());
+        let left: Vec<u64> = std::iter::from_fn(|| shared.pop_ready(0))
+            .map(|inv| inv.id)
+            .collect();
+        assert_eq!(left, (2..=200).collect::<Vec<u64>>());
+    }
+
+    /// The steal the group counts replaced, kept as the reference: a
+    /// plain deque, the same insert, and a scan of the whole queue.
+    #[derive(Default)]
+    struct RefQueue(VecDeque<PendingInv>);
+
+    impl RefQueue {
+        fn push(&mut self, inv: PendingInv, bound: usize) -> Result<usize, Full> {
+            let depth = self.0.len();
+            if depth >= bound {
+                return Err((inv, depth));
+            }
+            let at = self
+                .0
+                .partition_point(|queued| queued.request <= inv.request);
+            self.0.insert(at, inv);
+            Ok(depth)
+        }
+
+        fn steal(&mut self, eligible: impl Fn(&PendingInv) -> bool) -> Option<PendingInv> {
+            let idx = self.0.iter().rposition(eligible)?;
+            self.0.remove(idx)
+        }
+    }
+
+    /// A popped or stolen entry, as the oracle test compares it.
+    fn brief(inv: &Option<PendingInv>) -> Option<(u64, u64)> {
+        inv.as_ref().map(|inv| (inv.id, inv.request))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        /// Random pushes, pops, steals and lock retries over a random
+        /// hosting of six instances in up to four groups by four thieves:
+        /// the counted queue gives the full-scan reference's results in
+        /// the reference's order, and its counts always equal a recount.
+        #[test]
+        fn counted_run_queue_matches_full_scan_reference(
+            groups in 1usize..5,
+            instance_groups in proptest::collection::vec(0usize..4, 6..7),
+            host_masks in proptest::collection::vec(0u8..16, 4..5),
+            // (op, instance or thief, request, bound): op 0-3 pushes,
+            // 4-5 pops, 6-8 steals, 9 retries (pop, then push back).
+            ops in proptest::collection::vec((0u8..10, 0usize..6, 1u64..6, 1usize..40), 0..160),
+        ) {
+            let group_of_instance: Vec<usize> =
+                instance_groups.iter().map(|g| g % groups).collect();
+            let group_of = |inv: &PendingInv| group_of_instance[inv.instance.index()];
+            let hosts: Vec<Vec<bool>> = host_masks
+                .iter()
+                .map(|mask| (0..groups).map(|g| mask >> g & 1 == 1).collect())
+                .collect();
+            let (mut counted, mut reference) = (RunQueue::new(groups), RefQueue::default());
+            for (id, (op, at, request, bound)) in (1u64..).zip(ops) {
+                match op {
+                    0..=3 => {
+                        let inv = || PendingInv::stub(id, InstanceId(at as u32), request);
+                        let ours = counted.push(inv(), group_of_instance[at], bound);
+                        let theirs = reference.push(inv(), bound);
+                        let full = |res: Result<usize, Full>| res.map_err(|(inv, n)| (inv.id, n));
+                        proptest::prop_assert_eq!(full(ours), full(theirs));
+                    }
+                    4..=5 => {
+                        let ours = counted.pop(group_of);
+                        proptest::prop_assert_eq!(brief(&ours), brief(&reference.0.pop_front()));
+                    }
+                    6..=8 => {
+                        let hosts = &hosts[at % 4];
+                        let ours = counted.steal(hosts, group_of);
+                        let theirs = reference.steal(|inv| hosts[group_of(inv)]);
+                        proptest::prop_assert_eq!(brief(&ours), brief(&theirs));
+                    }
+                    _ => {
+                        let (ours, theirs) = (counted.pop(group_of), reference.0.pop_front());
+                        proptest::prop_assert_eq!(brief(&ours), brief(&theirs));
+                        if let (Some(ours), Some(theirs)) = (ours, theirs) {
+                            let group = group_of(&ours);
+                            proptest::prop_assert!(counted.push(ours, group, usize::MAX).is_ok());
+                            proptest::prop_assert!(reference.push(theirs, usize::MAX).is_ok());
+                        }
+                    }
+                }
+                let mut recount = vec![0; groups];
+                for inv in counted.iter() {
+                    recount[group_of(inv)] += 1;
+                }
+                proptest::prop_assert_eq!(&counted.per_group, &recount);
+                let ids: Vec<u64> = counted.iter().map(|inv| inv.id).collect();
+                let expected: Vec<u64> = reference.0.iter().map(|inv| inv.id).collect();
+                proptest::prop_assert_eq!(ids, expected);
+            }
+        }
     }
 
     /// End to end on one core: a burst of requests injected at once

@@ -224,25 +224,23 @@ pub(crate) trait Port {
     // within a request. Below `bound` entries, `push_ready` inserts
     // behind every entry of the same or an older request and returns
     // the depth it found; `pop_ready` takes the front, the oldest open
-    // request's oldest invocation. `steal_from` takes the rearmost
-    // `eligible` entry — the newest request's — unless the victim's
-    // queue is contended. Every insert goes through `push_ready`, so a
-    // lock retry lands behind its own request's entries only, and a
-    // shed lands on the peer in the same order.
+    // request's oldest invocation. `steal_from` takes the rearmost entry
+    // of a group `thief` hosts (`Plan::hosted`) — the newest request's —
+    // unless the victim's queue is contended or holds none. Every insert
+    // goes through `push_ready`, so a lock retry lands behind its own
+    // request's entries only, and a shed lands on the peer in the same
+    // order.
     fn push_ready(&self, core: usize, inv: PendingInv, bound: usize) -> Result<usize, Full>;
     fn pop_ready(&self, core: usize) -> Option<PendingInv>;
-    fn steal_from(
-        &self,
-        victim: usize,
-        eligible: impl Fn(&PendingInv) -> bool,
-    ) -> Option<PendingInv>;
+    fn steal_from(&self, victim: usize, thief: usize) -> Option<PendingInv>;
     fn ready_len(&self, core: usize) -> usize;
     fn ready_any(&self, core: usize, pred: impl Fn(&PendingInv) -> bool) -> bool;
-    // The request ledger ([`crate::RequestLedger`]).
+    // The request ledger ([`crate::RequestLedger`]); `finish` releases
+    // an executed invocation's unit and charges it to its request.
     fn inc(&self, request: u64);
     fn inc_if_open(&self, request: u64) -> bool;
     fn dec(&self, request: u64) -> Option<Completion>;
-    fn charge(&self, request: u64);
+    fn finish(&self, request: u64) -> Option<Completion>;
     fn outstanding(&self) -> usize;
     // The lock table: try-lock all of `ids`' classes, add one, merge two.
     fn try_lock_all(&self, ids: &[usize]) -> Option<Self::Guards>;
@@ -286,17 +284,22 @@ fn queue<P: Port>(port: &P, core: usize, inv: PendingInv) {
     debug_assert!(unbounded.is_ok());
 }
 
-/// Releases one ledger unit of `request`. The release that completes it
-/// records the event and, in resident mode, broadcasts a sweep; closing
-/// the last open request wakes the driver.
+/// Releases one ledger unit of `request` (see [`completed`]).
 pub(crate) fn release<P: Port>(port: &P, request: u64, sink: &mut WorkerSink) {
-    let Some(done) = port.dec(request) else {
+    completed(port, port.dec(request), sink);
+}
+
+/// After a release: the one that completed its request records the
+/// event and, in resident mode, broadcasts a sweep; closing the last
+/// open request wakes the driver.
+fn completed<P: Port>(port: &P, done: Option<Completion>, sink: &mut WorkerSink) {
+    let Some(done) = done else {
         return;
     };
     sink.req_complete(sink.now(), done.request, done.invocations);
     if port.plan().sweep_on_complete {
         for core in 0..port.plan().cores() {
-            port.send(core, Message::Sweep(request));
+            port.send(core, Message::Sweep(done.request));
         }
     }
     if port.outstanding() == 0 {
@@ -765,9 +768,7 @@ impl CoreState {
         self.steal_rotation = self.steal_rotation.wrapping_add(1);
         for i in 0..peers.len() {
             let victim = peers[(i + self.steal_rotation) % peers.len()];
-            let eligible =
-                |inv: &PendingInv| plan.hosted[thief][plan.group_of_instance(inv.instance)];
-            if let Some(inv) = port.steal_from(victim, eligible) {
+            if let Some(inv) = port.steal_from(victim, thief) {
                 port.count(Fact::Steals, 1);
                 self.sink.steal(self.sink.now(), inv.id, victim as u64);
                 return Some(inv);
@@ -1066,7 +1067,6 @@ impl CoreState {
         }
         port.add_cycles(charged);
         port.count(Fact::Dispatches, 1);
-        port.charge(inv.request);
 
         // One estimator record per invocation, before routing consumes
         // `created`.
@@ -1146,7 +1146,7 @@ impl CoreState {
 
         self.sink
             .task_end(self.sink.now(), task_ix, inst_ix, inv.id);
-        release(port, inv.request, &mut self.sink);
+        completed(port, port.finish(inv.request), &mut self.sink);
     }
 }
 
